@@ -8,6 +8,9 @@ buys the step-size bound ||theta_{k+1} - theta_k|| <= (2/rho) ||grad g - u||;
 the stochastic variant does the same on minibatch surrogates.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from bdcopt.blocks import BlockPartition
@@ -61,9 +64,11 @@ print("secant smoothness estimate on block 0: %0.4f (exact %0.4f)"
 # ---------------------------------------------------------------------------
 # Trace CSV: the per-iteration record every experiment persists.
 # ---------------------------------------------------------------------------
-trace_prox.write_csv("/tmp/bdc_demo_trace.csv", timing=False)
-with open("/tmp/bdc_demo_trace.csv") as fh:
-    lines = fh.read().splitlines()
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "trace.csv")
+    trace_prox.write_csv(path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
 print("\ntrace rows (first 3 of %d):" % (len(lines) - 1))
 for line in lines[:4]:
     print("  ", line[:100])

@@ -1,13 +1,6 @@
 """Multi-block difference-of-convex modeling, decompositions, and solvers."""
 
-from .blocks import (
-    BlockPartition,
-    BlockVector,
-    complement,
-    embed_block,
-    extract_block,
-    replace_block,
-)
+from .blocks import BlockPartition
 from .model import (
     BdcProblem,
     SampleHandle,

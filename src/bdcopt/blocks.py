@@ -1,4 +1,4 @@
-"""Coordinate-block bookkeeping: partitions, extraction, embedding, replacement.
+"""Coordinate-block bookkeeping: partitions and the full-precision CSV row.
 
 A partition splits the coordinates of a dense vector into contiguous,
 non-overlapping blocks.  Blocks are addressed by ``(offset, length)`` views,
@@ -9,11 +9,6 @@ import numpy as np
 
 __all__ = [
     "BlockPartition",
-    "BlockVector",
-    "extract_block",
-    "embed_block",
-    "complement",
-    "replace_block",
     "vector_to_csv_row",
     "vector_from_csv_row",
 ]
@@ -44,14 +39,11 @@ class BlockPartition:
 
     def slice_of(self, i):
         """Return the ``slice`` addressing block ``i``."""
-        self._check_index(i)
-        return slice(self.offsets[i], self.offsets[i + 1])
-
-    def _check_index(self, i):
         if not 0 <= i < self.n_blocks:
             raise IndexError(
                 "block index %d out of range for %d blocks" % (i, self.n_blocks)
             )
+        return slice(self.offsets[i], self.offsets[i + 1])
 
     def __eq__(self, other):
         return isinstance(other, BlockPartition) and self.block_dims == other.block_dims
@@ -61,80 +53,6 @@ class BlockPartition:
 
     def __repr__(self):
         return "BlockPartition(%r)" % (list(self.block_dims),)
-
-
-class BlockVector:
-    """A dense vector paired with the partition describing its blocks.
-
-    Value semantics: operations that change a block return a fresh vector;
-    callers that need in-place mutation should work on ``data`` copies they
-    own.
-    """
-
-    def __init__(self, partition, data):
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 1 or data.shape[0] != partition.total_dim:
-            raise ValueError(
-                "data length %r does not match partition dimension %d"
-                % (data.shape, partition.total_dim)
-            )
-        self.partition = partition
-        self.data = data
-
-    @classmethod
-    def zeros(cls, partition):
-        return cls(partition, np.zeros(partition.total_dim))
-
-    def block(self, i):
-        return extract_block(self, i)
-
-    def copy(self):
-        return BlockVector(self.partition, self.data.copy())
-
-    def __repr__(self):
-        return "BlockVector(%r, %r)" % (self.partition, self.data)
-
-
-def extract_block(v, i):
-    """Return a copy of block ``i`` of ``v`` as a plain array."""
-    sl = v.partition.slice_of(i)
-    return v.data[sl].copy()
-
-
-def embed_block(partition, i, x):
-    """Place ``x`` on block ``i`` of an otherwise zero vector."""
-    partition._check_index(i)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (partition.block_dims[i],):
-        raise ValueError(
-            "block %d expects length %d, got %r"
-            % (i, partition.block_dims[i], x.shape)
-        )
-    data = np.zeros(partition.total_dim)
-    data[partition.slice_of(i)] = x
-    return BlockVector(partition, data)
-
-
-def complement(v, i):
-    """Return ``v`` with block ``i`` zeroed out."""
-    v.partition._check_index(i)
-    data = v.data.copy()
-    data[v.partition.slice_of(i)] = 0.0
-    return BlockVector(v.partition, data)
-
-
-def replace_block(v, i, x):
-    """Return ``v`` with block ``i`` replaced by ``x``; other blocks untouched."""
-    v.partition._check_index(i)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (v.partition.block_dims[i],):
-        raise ValueError(
-            "block %d expects length %d, got %r"
-            % (i, v.partition.block_dims[i], x.shape)
-        )
-    data = v.data.copy()
-    data[v.partition.slice_of(i)] = x
-    return BlockVector(v.partition, data)
 
 
 def vector_to_csv_row(x):

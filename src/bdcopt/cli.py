@@ -32,8 +32,10 @@ def _fmt(x):
 
 
 def _git_describe():
+    """Build id of the checkout this package runs from, wherever it is called."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
                              capture_output=True, text=True, timeout=5)
         if out.returncode == 0:
             return out.stdout.strip()
@@ -311,7 +313,7 @@ def cmd_relu(args):
     ]
     if args.dump_trace:
         path = os.path.join(out, "relu_trace_seed%d.csv" % cfg["seed"])
-        res.trace.write_csv(path, timing=False)  # timing would break replays
+        res.trace.write_csv(path)
         outputs.append(path)
     if args.save_params:
         path = os.path.join(out, "relu_params_seed%d.csv" % cfg["seed"])

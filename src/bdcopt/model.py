@@ -7,7 +7,7 @@ touch problems through this capability surface:
 
 * scalar evaluations ``eval_f``, ``eval_g(i, .)``, ``eval_h(i, .)``,
 * first-order oracles ``grad_g_block`` and ``subgrad_h_block``,
-* an optional per-block domain (projection / linear-minimization oracles),
+* an optional per-block domain (a projection oracle),
 * an optional replayable sampling interface for stochastic variants.
 
 ``subgrad_h_block`` must return one *deterministic* element of the convex
@@ -24,7 +24,6 @@ __all__ = [
     "SampleHandle",
     "BlockDomain",
     "BallProductDomain",
-    "BoxDomain",
     "residual_blocks",
     "residual_upper",
     "combine_linear",
@@ -61,10 +60,6 @@ class BlockDomain:
     def project(self, x):
         raise NotImplementedError
 
-    def lmo(self, c):
-        """Feasible minimizer of ``<c, x>`` (Frank-Wolfe primitive)."""
-        raise NotImplementedError
-
 
 class BallProductDomain(BlockDomain):
     """Columns of an ``m x l`` matrix (stored flat) each in the unit 2-ball."""
@@ -74,37 +69,13 @@ class BallProductDomain(BlockDomain):
         self.l = int(l)
         self.radius = float(radius)
 
-    def _cols(self, x):
-        return np.asarray(x, dtype=float).reshape(self.m, self.l)
-
     def project(self, x):
-        D = self._cols(x).copy()
+        D = np.asarray(x, dtype=float).reshape(self.m, self.l).copy()
         norms = np.linalg.norm(D, axis=0)
         over = norms > self.radius
         if np.any(over):
             D[:, over] *= self.radius / norms[over]
         return D.ravel()
-
-    def lmo(self, c):
-        C = self._cols(c)
-        norms = np.linalg.norm(C, axis=0)
-        S = np.zeros_like(C)
-        nz = norms > 0
-        S[:, nz] = -self.radius * C[:, nz] / norms[nz]
-        return S.ravel()
-
-
-class BoxDomain(BlockDomain):
-    def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-
-    def project(self, x):
-        return np.clip(x, self.lower, self.upper)
-
-    def lmo(self, c):
-        c = np.asarray(c, dtype=float)
-        return np.where(c > 0, self.lower, self.upper)
 
 
 class BdcProblem:

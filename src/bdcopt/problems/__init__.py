@@ -1,27 +1,24 @@
 """Concrete multi-block DC problems and their synthetic data generators."""
 
 from .synthetic import QuadraticDcProblem, QuadraticMinusL1Problem
-from .sdl import SdlInstance, SdlProblem, gd_baseline_sdl, lq_norm, lq_subgrad, sdl_problem, sdl_synthetic
-from .cp import CpInstance, CpProblem, cp_problem, cp_reconstruct
-from .mlp import MlpTask, MlpTaskProblem, gaussian_blobs, mlp_task_problem, sine_regression
+from .sdl import SdlInstance, SdlProblem, gd_baseline_sdl, lq_norm, lq_subgrad, sdl_synthetic
+from .cp import CpInstance, CpProblem, cp_reconstruct
+from .mlp import MlpTask, MlpTaskProblem, gaussian_blobs, sine_regression
 
 __all__ = [
     "QuadraticDcProblem",
     "QuadraticMinusL1Problem",
     "SdlInstance",
     "SdlProblem",
-    "sdl_problem",
     "sdl_synthetic",
     "gd_baseline_sdl",
     "lq_norm",
     "lq_subgrad",
     "CpInstance",
     "CpProblem",
-    "cp_problem",
     "cp_reconstruct",
     "MlpTask",
     "MlpTaskProblem",
-    "mlp_task_problem",
     "sine_regression",
     "gaussian_blobs",
 ]

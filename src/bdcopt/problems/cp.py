@@ -10,12 +10,11 @@ from functools import reduce
 import string
 
 import numpy as np
-from scipy.linalg import khatri_rao
 
 from ..model import BdcProblem
 from ..blocks import BlockPartition
 
-__all__ = ["cp_reconstruct", "CpInstance", "CpProblem", "cp_problem"]
+__all__ = ["cp_reconstruct", "CpInstance", "CpProblem"]
 
 
 def cp_reconstruct(factors):
@@ -31,9 +30,14 @@ def _unfold(T, mode):
     return np.moveaxis(T, mode, 0).reshape(T.shape[mode], -1)
 
 
+def _khatri_rao(a, b):
+    """Column-wise Kronecker product of ``(I, R)`` and ``(J, R)`` matrices."""
+    return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
+
+
 def _khatri_rao_others(factors, mode):
     others = [factors[j] for j in range(len(factors)) if j != mode]
-    return reduce(khatri_rao, others)
+    return reduce(_khatri_rao, others)
 
 
 @dataclass
@@ -111,11 +115,3 @@ class CpProblem(BdcProblem):
         T = self.instance.tensor
         R = cp_reconstruct(self.unpack(theta)) - T
         return float(np.linalg.norm(R) / np.linalg.norm(T))
-
-
-def cp_problem(T, rank, seed=0):
-    """Random-start CP problem for a dense tensor."""
-    rng = np.random.default_rng(seed)
-    factors = [rng.standard_normal((m, rank)) for m in T.shape]
-    return CpProblem(CpInstance(tensor=np.asarray(T, dtype=float), rank=rank,
-                                factors=factors))

@@ -18,7 +18,6 @@ __all__ = [
     "gaussian_blobs",
     "MlpTask",
     "MlpTaskProblem",
-    "mlp_task_problem",
 ]
 
 
@@ -207,7 +206,3 @@ class MlpTaskProblem(BdcProblem):
             if val < best_val:
                 best_x, best_val = x.copy(), val
         return best_x, max(evals, 1)
-
-
-def mlp_task_problem(task):
-    return MlpTaskProblem(task)

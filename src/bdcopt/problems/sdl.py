@@ -25,7 +25,6 @@ __all__ = [
     "lq_subgrad",
     "SdlInstance",
     "SdlProblem",
-    "sdl_problem",
     "gd_baseline_sdl",
 ]
 
@@ -194,11 +193,6 @@ class SdlProblem(BdcProblem):
         x_new, iters, _ = inner_prox_gradient(
             value_grad, prox, X0.ravel(), budget, tol, lipschitz=lip)
         return x_new, iters
-
-
-def sdl_problem(instance):
-    """Wrap an :class:`SdlInstance` as a block DC problem."""
-    return SdlProblem(instance)
 
 
 def gd_baseline_sdl(instance, n_steps):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition
+from .blocks import BlockPartition, vector_from_csv_row, vector_to_csv_row
 
 __all__ = [
     "MlpParams",
@@ -34,7 +34,6 @@ __all__ = [
     "ce_bdc",
     "block_grad_g",
     "block_grad_h",
-    "block_subgrad_h",
     "log_sum_exp",
     "save_params_csv",
     "load_params_csv",
@@ -311,9 +310,6 @@ def block_grad_h(params, x, y, loss, block):
     return _loss_block_gradient(params, x, y, loss, "h", block)
 
 
-block_subgrad_h = block_grad_h
-
-
 def save_params_csv(params, path):
     """Checkpoint: header naming shapes, then one row of all values flat in
     block order (each layer's weights row-major, then its bias)."""
@@ -321,7 +317,7 @@ def save_params_csv(params, path):
     for l, (W, b) in enumerate(params.layers, start=1):
         names.append("W%d:%dx%d" % (l, W.shape[0], W.shape[1]))
         names.append("b%d:%d" % (l, b.shape[0]))
-    row = ",".join(repr(float(v)) for v in params.to_vector())
+    row = vector_to_csv_row(params.to_vector())
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n" + row + "\n")
 
@@ -329,7 +325,7 @@ def save_params_csv(params, path):
 def load_params_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        values = np.array([float(t) for t in fh.readline().strip().split(",")])
+        values = vector_from_csv_row(fh.readline())
     layers = []
     pos = 0
     pending_w = None

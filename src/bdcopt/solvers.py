@@ -8,6 +8,7 @@ rho/E planning utility, the local smoothness estimator, and the projected
 stationarity gap.
 """
 
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -73,6 +74,8 @@ class SolverConfig:
             raise ValueError("rho must be >= 0")
         if self.inner_budget < 1:
             raise ValueError("inner_budget must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.block_rule not in ("uniform", "cyclic"):
             raise ValueError("block_rule must be 'uniform' or 'cyclic'")
 
@@ -107,20 +110,14 @@ class IterTrace:
     def column(self, name):
         return np.array([getattr(r, name) for r in self.records], dtype=float)
 
-    def write_csv(self, path, timing=True):
-        """Write the trace; ``timing=False`` drops the wall-clock column so
-        reruns of the same configuration are byte-identical."""
-        cols = ["k", "block", "f", "g_block", "h_block", "residual_upper",
-                "step_norm", "inner_iters"]
-        if timing:
-            cols.append("wall_ms")
-        lines = [",".join(cols)]
+    def write_csv(self, path):
+        """Write the trace.  The wall-clock column stays out, so reruns of the
+        same configuration are byte-identical."""
+        lines = ["k,block,f,g_block,h_block,residual_upper,step_norm,inner_iters"]
         for r in self.records:
             vals = [str(r.k), str(r.block), repr(r.f), repr(r.g_block),
                     repr(r.h_block), repr(r.residual_upper), repr(r.step_norm),
                     str(r.inner_iters)]
-            if timing:
-                vals.append(repr(r.wall_ms))
             lines.append(",".join(vals))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -183,7 +180,8 @@ def run(problem, config, theta0=None, callback=None):
     draws flow from named substreams of ``config.seed``.  Each record holds
     the state *before* the step (f, per-block g/h, residual) plus the step
     itself (norm, inner iterations).  ``callback(k, theta_next, record)`` is
-    invoked after every iteration.
+    invoked after every iteration.  A non-finite ``f`` or step norm raises
+    ``ValueError`` naming the iteration, the block and the value.
     """
     theta = np.array(
         theta0 if theta0 is not None else problem.initial_point(), dtype=float)
@@ -202,6 +200,8 @@ def run(problem, config, theta0=None, callback=None):
         resid = float(np.linalg.norm(np.concatenate(zs)))
         block_gap = float(np.linalg.norm(zs[i]))
         f_val = float(problem.eval_f(theta))
+        if not math.isfinite(f_val):
+            raise ValueError("non-finite f at k=%d, block %d: %r" % (k, i, f_val))
         g_val = float(problem.eval_g(i, theta))
         h_val = float(problem.eval_h(i, theta))
 
@@ -218,11 +218,14 @@ def run(problem, config, theta0=None, callback=None):
             problem, theta, i, config.rho, config.inner_budget,
             config.inner_tol, sample=handle)
         wall_ms = (time.perf_counter() - t0) * 1e3
+        step_norm = float(np.linalg.norm(theta_next - theta))
+        if not math.isfinite(step_norm):
+            raise ValueError(
+                "non-finite step norm at k=%d, block %d: %r" % (k, i, step_norm))
 
         trace.records.append(IterRecord(
             k=k, block=i, f=f_val, g_block=g_val, h_block=h_val,
-            residual_upper=resid,
-            step_norm=float(np.linalg.norm(theta_next - theta)),
+            residual_upper=resid, step_norm=step_norm,
             inner_iters=inner, wall_ms=wall_ms,
             block_grad_gap=block_gap, noise_norm=noise_norm,
             sample_key=None if handle is None else handle.key))
@@ -411,13 +414,18 @@ def rho_from(E, L_eff, R):
 
 
 def plan_rho(ell, G, R, rel_tol=1e-10):
+    if R < 0:
+        raise ValueError("R must be >= 0, got %r" % R)
     E = compute_E(ell, G, rel_tol=rel_tol)
     L_eff = float(ell(2.0 * E))
     plan = RhoPlan(G=float(G), R=float(R), ell=ell, E=E, L_eff=L_eff,
                    rho_min=rho_from(E, L_eff, R))
     # fixed-point sanity: E sits on the feasible side of the boundary
-    assert plan.E ** 2 <= 2.0 * L_eff * G + 1e-9 * (1.0 + plan.E ** 2)
-    assert plan.rho_min >= 2.0 * L_eff
+    if not plan.E ** 2 <= 2.0 * L_eff * G + 1e-9 * (1.0 + plan.E ** 2):
+        raise ValueError("E=%r violates E^2 <= 2 L_eff G (L_eff=%r, G=%r)"
+                         % (plan.E, L_eff, G))
+    if not plan.rho_min >= 2.0 * L_eff:
+        raise ValueError("rho_min=%r is below 2 L_eff=%r" % (plan.rho_min, 2.0 * L_eff))
     return plan
 
 

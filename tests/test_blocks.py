@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdcopt.blocks import (BlockPartition, BlockVector, complement,
-                           embed_block, extract_block, replace_block,
-                           vector_from_csv_row, vector_to_csv_row)
+from bdcopt.blocks import BlockPartition, vector_from_csv_row, vector_to_csv_row
 
 
 def test_partition_invariants():
@@ -13,6 +11,8 @@ def test_partition_invariants():
     assert part.n_blocks == 3
     assert part.offsets == (0, 2, 5, 6)
     assert part.slice_of(1) == slice(2, 5)
+    with pytest.raises(IndexError):
+        part.slice_of(3)
 
 
 def test_partition_rejects_bad_dims():
@@ -22,90 +22,14 @@ def test_partition_rejects_bad_dims():
         BlockPartition([2, 0, 1])
 
 
-def test_extract_block_examples():
-    part = BlockPartition([2, 3])
-    v = BlockVector(part, [1, 2, 3, 4, 5])
-    np.testing.assert_array_equal(extract_block(v, 1), [3, 4, 5])
-    single = BlockVector(BlockPartition([1]), [7])
-    np.testing.assert_array_equal(extract_block(single, 0), [7])
-    with pytest.raises(IndexError):
-        extract_block(v, 2)
-
-
-def test_embed_block_examples():
-    part = BlockPartition([2, 2])
-    np.testing.assert_array_equal(embed_block(part, 0, [1, 2]).data, [1, 2, 0, 0])
-    np.testing.assert_array_equal(
-        embed_block(BlockPartition([3]), 0, [0, 0, 0]).data, np.zeros(3))
-    with pytest.raises(ValueError):
-        embed_block(part, 0, [1, 2, 3])
-
-
-def test_complement_examples():
-    part = BlockPartition([2, 2])
-    v = BlockVector(part, [1, 2, 3, 4])
-    np.testing.assert_array_equal(complement(v, 1).data, [1, 2, 0, 0])
-    twice = complement(complement(v, 1), 1)
-    np.testing.assert_array_equal(twice.data, complement(v, 1).data)
-
-
-def test_replace_block_examples():
-    part = BlockPartition([1, 1])
-    v = BlockVector(part, [5, 6])
-    np.testing.assert_array_equal(replace_block(v, 0, [9]).data, [9, 6])
-    np.testing.assert_array_equal(replace_block(v, 0, extract_block(v, 0)).data, v.data)
-    # only block i moves
-    part2 = BlockPartition([2, 3])
-    v2 = BlockVector(part2, np.arange(5.0))
-    x = np.array([9.0, -1.0, 2.0])
-    moved = replace_block(v2, 1, x)
-    assert np.linalg.norm(moved.data - v2.data) == pytest.approx(
-        np.linalg.norm(x - extract_block(v2, 1)))
-
-
-def test_replace_is_value_semantics():
-    part = BlockPartition([2, 2])
-    v = BlockVector(part, [1, 2, 3, 4])
-    w = replace_block(v, 0, [8, 8])
-    assert w is not v
-    np.testing.assert_array_equal(v.data, [1, 2, 3, 4])
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),
        st.integers(0, 2 ** 31 - 1))
 def test_extraction_covers_vector(dims, seed):
     part = BlockPartition(dims)
     data = np.random.default_rng(seed).standard_normal(part.total_dim)
-    v = BlockVector(part, data)
-    stitched = np.concatenate([extract_block(v, i) for i in range(part.n_blocks)])
+    stitched = np.concatenate([data[part.slice_of(i)] for i in range(part.n_blocks)])
     np.testing.assert_array_equal(stitched, data)
-    total = sum(embed_block(part, i, extract_block(v, i)).data
-                for i in range(part.n_blocks))
-    np.testing.assert_allclose(total, data, atol=0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4),
-       st.integers(0, 2 ** 31 - 1))
-def test_embed_plus_complement_reconstructs(dims, seed):
-    part = BlockPartition(dims)
-    rng = np.random.default_rng(seed)
-    v = BlockVector(part, rng.standard_normal(part.total_dim))
-    i = int(rng.integers(part.n_blocks))
-    rebuilt = embed_block(part, i, extract_block(v, i)).data + complement(v, i).data
-    np.testing.assert_array_equal(rebuilt, v.data)
-
-
-def test_replace_outside_block_exact_equality():
-    part = BlockPartition([3, 2, 4])
-    rng = np.random.default_rng(0)
-    v = BlockVector(part, rng.standard_normal(9))
-    for i in range(3):
-        w = replace_block(v, i, rng.standard_normal(part.block_dims[i]))
-        mask = np.ones(9, dtype=bool)
-        mask[part.slice_of(i)] = False
-        np.testing.assert_array_equal(w.data[mask], v.data[mask])
 
 
 def test_csv_row_round_trip():

@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
 
 import numpy as np
 import pytest
 
+import bdcopt
 from bdcopt.cli import main
 
 
@@ -169,6 +171,13 @@ class TestPlanRhoCommand:
                                   "--outdir", str(tmp_path)], capsys)
         assert code2 == 1 and "ell" in err2
 
+    def test_negative_R_is_one_line_error(self, capsys, tmp_path):
+        code, out, err = run_cli(["plan-rho", "--G", "2", "--R", "-1",
+                                  "--outdir", str(tmp_path)], capsys)
+        assert code == 1
+        assert "rho_min" not in out
+        assert err.splitlines() == ["error: R must be >= 0, got -1.0"]
+
 
 class TestConfigPrecedence:
     def test_file_overrides_defaults_and_flags_override_file(self, capsys, tmp_path):
@@ -199,6 +208,23 @@ def test_out_dir_env_override(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert (target / "tensor_trace.csv").exists()
+
+
+def test_manifest_build_id_independent_of_working_directory(capsys, tmp_path,
+                                                            monkeypatch):
+    pkg_dir = os.path.dirname(os.path.abspath(bdcopt.__file__))
+    try:
+        proc = subprocess.run(["git", "describe", "--always", "--dirty"],
+                              cwd=pkg_dir, capture_output=True, text=True,
+                              timeout=5)
+        want = proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    except OSError:
+        want = "unknown"
+    monkeypatch.chdir(tmp_path)
+    assert main(["tensor", "--sweeps", "2", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "tensor_manifest.json").read_text())
+    assert manifest["build"] == want
 
 
 def test_rerun_is_byte_identical(capsys, tmp_path):

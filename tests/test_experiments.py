@@ -53,6 +53,11 @@ def test_relu_experiment_theory_preset_scales_with_iterations():
     assert res.batch_size == int(np.ceil(0.5 * np.sqrt(n_iters)))
 
 
+def test_relu_experiment_rejects_zero_batch_size():
+    with pytest.raises(ValueError, match="batch_size"):
+        run_relu_experiment(layer_dims=(4,), n_data=20, epochs=1, batch_size=0)
+
+
 def test_relu_experiment_rejects_unknown_task():
     with pytest.raises(ValueError):
         run_relu_experiment(task="nope")

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from bdcopt import relu
-from bdcopt.problems import (CpInstance, MlpTask, MlpTaskProblem,
-                             SdlInstance, SdlProblem, cp_problem,
-                             cp_reconstruct, gaussian_blobs, gd_baseline_sdl,
-                             lq_norm, lq_subgrad, sdl_synthetic)
-from bdcopt.problems.cp import _khatri_rao_others, _unfold
+from bdcopt.problems import (CpInstance, CpProblem, MlpTask, MlpTaskProblem,
+                             SdlInstance, SdlProblem, cp_reconstruct,
+                             gaussian_blobs, gd_baseline_sdl, lq_norm,
+                             lq_subgrad, sdl_synthetic)
+from bdcopt.problems.cp import _khatri_rao, _khatri_rao_others, _unfold
 from bdcopt.solvers import SolverConfig, bdca_step, run
 
 
@@ -158,7 +158,20 @@ class TestGdBaseline:
         assert vals[-1] < vals[0]
 
 
+def cp_problem(T, rank, seed):
+    """CP problem for ``T`` started from standard normal factors."""
+    rng = np.random.default_rng(seed)
+    factors = [rng.standard_normal((m, rank)) for m in T.shape]
+    return CpProblem(CpInstance(tensor=T, rank=rank, factors=factors))
+
+
 class TestCp:
+    def test_khatri_rao_matches_columnwise_kron(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
+        want = np.column_stack([np.kron(a[:, r], b[:, r]) for r in range(3)])
+        np.testing.assert_array_equal(_khatri_rao(a, b), want)
+
     def test_unfold_matches_khatri_rao_product(self):
         rng = np.random.default_rng(7)
         factors = [rng.standard_normal((m, 3)) for m in (4, 5, 6)]

@@ -1,0 +1,42 @@
+"""Whole-process checks: the import footprint and the demo scripts."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bdcopt
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(bdcopt.__file__).resolve().parent.parent
+
+
+def _python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_experiments_import_loads_no_scipy(tmp_path):
+    proc = _python(["-c", "import sys, bdcopt.experiments; "
+                          "print(sorted(m for m in sys.modules "
+                          "if m.split('.')[0] == 'scipy'))"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# demo 04 (about 30 s) is left out; acceptance criteria 9 and 10 run its code
+@pytest.mark.parametrize("demo", [
+    "01_monomial_decompositions.py",
+    "02_relu_split_network.py",
+    "03_block_dc_solvers.py",
+    "05_tensor_als.py",
+    "06_construction_toolbox.py",
+])
+def test_demo_runs(demo, tmp_path):
+    proc = _python([str(ROOT / "demos" / demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
