@@ -84,7 +84,10 @@ class MlpTaskProblem(BdcProblem):
 
     def sample(self, rng, batch_size=None):
         # key drawn from the caller's generator: replayable, no shared state
-        batch_size = batch_size or 1
+        if batch_size is None:
+            batch_size = 1
+        elif batch_size < 1:
+            raise ValueError("batch_size must be >= 1, got %r" % (batch_size,))
         idx = rng.integers(0, self.n_data, size=batch_size)  # i.i.d. draws
         return SampleHandle(key=int(rng.integers(2 ** 31)), indices=idx)
 

@@ -50,13 +50,40 @@ def sdl_synthetic(m=10, l=32, n=100, k_nonzero=5, seed=0):
     return D @ X, D, X
 
 
+def _top_q(X, Q):
+    """Indices of the Q largest absolute entries down axis 0 (of a vector, or
+    of each column of a matrix), largest first; ties break to the lowest
+    index."""
+    return np.argsort(-np.abs(X), axis=0, kind="stable")[:Q]
+
+
+def _lq_sums(X, top):
+    """Largest-Q norm of a vector, or of each column of a matrix, given
+    ``top = _top_q(X, Q)``.
+
+    A column's Q entries are summed as one contiguous row, which rounds as
+    ``np.sum`` does on the 1-D column (pairwise once Q >= 8); a sum down
+    axis 0 would add them in plain order instead.
+    """
+    picked = np.ascontiguousarray(np.take_along_axis(X, top, axis=0).T)
+    return np.abs(picked).sum(axis=-1)
+
+
+def _lq_signs(X, top):
+    """The sign pattern of ``X`` on ``top``, zero elsewhere; a selected zero
+    entry contributes +1."""
+    S = np.zeros_like(X)
+    signs = np.where(np.take_along_axis(X, top, axis=0) >= 0, 1.0, -1.0)
+    np.put_along_axis(S, top, signs, axis=0)
+    return S
+
+
 def lq_norm(x, Q):
     """Sum of the Q largest absolute entries."""
     x = np.asarray(x, dtype=float)
     if not 1 <= Q <= x.size:
         raise ValueError("Q must lie in [1, len(x)]")
-    idx = np.argsort(-np.abs(x), kind="stable")[:Q]
-    return float(np.sum(np.abs(x[idx])))
+    return float(_lq_sums(x, _top_q(x, Q)))
 
 
 def lq_subgrad(x, Q):
@@ -66,10 +93,7 @@ def lq_subgrad(x, Q):
     x = np.asarray(x, dtype=float)
     if not 1 <= Q <= x.size:
         raise ValueError("Q must lie in [1, len(x)]")
-    idx = np.argsort(-np.abs(x), kind="stable")[:Q]
-    s = np.zeros_like(x)
-    s[idx] = np.where(x[idx] >= 0, 1.0, -1.0)
-    return s
+    return _lq_signs(x, _top_q(x, Q))
 
 
 @dataclass
@@ -89,6 +113,11 @@ class SdlInstance:
         m, l = self.D.shape
         if self.Y.shape[0] != m or self.X.shape != (l, self.Y.shape[1]):
             raise ValueError("inconsistent Y/D/X shapes")
+        if self.variant == "l1_lq" and not 1 <= self.Q <= l:
+            raise ValueError("Q must lie in [1, l] for the l1_lq variant, "
+                             "got Q=%r with l=%d" % (self.Q, l))
+        if not self.alpha >= 0:
+            raise ValueError("alpha must be >= 0, got %r" % (self.alpha,))
         norms = np.linalg.norm(self.D, axis=0)
         if np.any(norms > 1.0 + 1e-10):
             raise ValueError("dictionary columns must satisfy ||d_j|| <= 1")
@@ -122,19 +151,24 @@ class SdlProblem(BdcProblem):
         return self._domain if i == 0 else None
 
     # -- oracles ---------------------------------------------------------------
-    def _penalty(self, X):
+    def _top(self, X):
+        """The columnwise top-Q ordering of the codes; None for plain l1."""
         inst = self.instance
+        return None if inst.variant == "l1" else _top_q(X, inst.Q)
+
+    def _lq(self, X, top):
+        """Sum of the columnwise largest-Q norms, added column by column."""
+        return 0.0 if top is None else sum(_lq_sums(X, top).tolist())
+
+    def _objective(self, X, R, top):
+        """f from the codes, the residual ``D X - Y`` and ``self._top(X)``."""
+        fit = 0.5 * float(np.sum(R * R))
         l1 = float(np.sum(np.abs(X)))
-        if inst.variant == "l1":
-            return l1, 0.0
-        lq = sum(lq_norm(X[:, j], inst.Q) for j in range(X.shape[1]))
-        return l1, lq
+        return fit + self.instance.alpha * (l1 - self._lq(X, top))
 
     def eval_f(self, theta):
         D, X = self.unpack(theta)
-        l1, lq = self._penalty(X)
-        fit = 0.5 * float(np.sum((self.instance.Y - D @ X) ** 2))
-        return fit + self.instance.alpha * (l1 - lq)
+        return self._objective(X, D @ X - self.instance.Y, self._top(X))
 
     def eval_g(self, i, theta, sample=None):
         D, X = self.unpack(theta)
@@ -143,8 +177,7 @@ class SdlProblem(BdcProblem):
 
     def eval_h(self, i, theta, sample=None):
         _, X = self.unpack(theta)
-        _, lq = self._penalty(X)
-        return self.instance.alpha * lq
+        return self.instance.alpha * self._lq(X, self._top(X))
 
     def grad_g_block(self, i, theta, sample=None):
         D, X = self.unpack(theta)
@@ -157,8 +190,7 @@ class SdlProblem(BdcProblem):
         if i == 0 or self.instance.variant == "l1":
             return np.zeros(self.partition.block_dims[i])
         _, X = self.unpack(theta)
-        S = np.column_stack([lq_subgrad(X[:, j], self.instance.Q)
-                             for j in range(X.shape[1])])
+        S = _lq_signs(X, _top_q(X, self.instance.Q))
         return (self.instance.alpha * S).ravel()
 
     # -- inner solvers ---------------------------------------------------------
@@ -201,22 +233,26 @@ def gd_baseline_sdl(instance, n_steps):
     Every step updates D and X together with the adaptive step size
     ``1 / (||D||_2^2 + ||X||_2^2)`` and re-projects dictionary columns onto
     the unit ball.  Returns the objective value before each step plus the
-    final one (length ``n_steps + 1``).
+    final one (length ``n_steps + 1``), equal bit for bit to ``eval_f``.
+    Each iterate forms one residual ``D X - Y`` and one top-Q ordering of X,
+    shared by its objective value and its step; the concave side has no
+    dictionary part.
     """
     prob = SdlProblem(instance)
-    theta = prob.initial_point()
-    vals = [prob.eval_f(theta)]
+    Y, alpha = instance.Y, instance.alpha
     dom = prob.block_domain(0)
-    sl_d = prob.partition.slice_of(0)
-    sl_x = prob.partition.slice_of(1)
-    for _ in range(n_steps):
-        D, X = prob.unpack(theta)
+    D, X = prob.unpack(prob.initial_point())
+    vals = []
+    for k in range(n_steps + 1):
+        R = D @ X - Y
+        top = prob._top(X)
+        vals.append(prob._objective(X, R, top))
+        if k == n_steps:
+            break
         eta = 1.0 / (np.linalg.norm(D, 2) ** 2 + np.linalg.norm(X, 2) ** 2)
-        gd = prob.grad_g_block(0, theta) - prob.subgrad_h_block(0, theta)
-        gx = prob.grad_g_block(1, theta) - prob.subgrad_h_block(1, theta)
-        theta = theta.copy()
-        theta[sl_d] -= eta * gd
-        theta[sl_x] -= eta * gx
-        theta[sl_d] = dom.project(theta[sl_d])
-        vals.append(prob.eval_f(theta))
+        gx = D.T @ R + alpha * np.sign(X)
+        if top is not None:
+            gx = gx - alpha * _lq_signs(X, top)
+        D = dom.project(D - eta * (R @ X.T)).reshape(D.shape)
+        X = X - eta * gx
     return np.array(vals)

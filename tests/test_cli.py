@@ -151,6 +151,18 @@ class TestSdlCommand:
         assert set(rows.dtype.names) == {"seed", "oracle_calls", "bdca_final", "gd_final"}
         assert rows.size == 2
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--q", "40", "Q must lie in [1, l] for the l1_lq variant, got Q=40 with l=32"),
+        ("--alpha", "-1", "alpha must be >= 0, got -1.0"),
+    ])
+    def test_bad_q_or_alpha_is_one_line_error(self, capsys, tmp_path, flag, value,
+                                              message):
+        code, _, err = run_cli(["sdl", "--iters", "2", "--seeds", "1",
+                                flag, value, "--outdir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.splitlines() == ["error: " + message]
+        assert not (tmp_path / "sdl_rec_errors.csv").exists()
+
 
 class TestPlanRhoCommand:
     def test_constant_growth(self, capsys, tmp_path):

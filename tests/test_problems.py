@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bdcopt import relu
 from bdcopt.problems import (CpInstance, CpProblem, MlpTask, MlpTaskProblem,
@@ -71,6 +73,80 @@ class TestLargestQNorm:
             lq_norm(np.ones(3), 0)
         with pytest.raises(ValueError):
             lq_subgrad(np.ones(3), 4)
+
+
+# entries with many exact ties in |x|, signed zeros included
+TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
+SPREAD = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+_DENSE = np.random.default_rng(21).standard_normal((16, 12))
+
+
+@st.composite
+def codes_and_q(draw):
+    l = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 12))
+    elements = draw(st.sampled_from([TIED, SPREAD, st.one_of(TIED, SPREAD)]))
+    X = draw(hnp.arrays(float, (l, n), elements=elements))
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, n - 1))] = 0.0
+    return X, draw(st.integers(1, l))
+
+
+def _columnwise_reference(X, Q):
+    """The per-column largest-Q norm and subgradient: one stable argsort and
+    one 1-D sum per column."""
+    total, cols = 0, []
+    for j in range(X.shape[1]):
+        x = X[:, j]
+        idx = np.argsort(-np.abs(x), kind="stable")[:Q]
+        total += float(np.sum(np.abs(x[idx])))
+        s = np.zeros_like(x)
+        s[idx] = np.where(x[idx] >= 0, 1.0, -1.0)
+        cols.append(s)
+    return total, np.column_stack(cols)
+
+
+class TestColumnwiseLargestQ:
+    @settings(max_examples=300, deadline=None)
+    @given(codes_and_q())
+    @example((np.zeros((5, 1)), 3))
+    @example((np.array([[-0.0], [0.0], [-1.0], [1.0]]), 2))
+    @example((_DENSE, 12))
+    def test_matches_scalar_reference_exactly(self, case):
+        X, Q = case
+        l, n = X.shape
+        prob = SdlProblem(SdlInstance(Y=np.zeros((1, n)), D=np.zeros((1, l)),
+                                      X=X, alpha=1.0, Q=Q))
+        theta = prob.initial_point()
+        total, S = _columnwise_reference(X, Q)
+        assert prob.eval_h(1, theta) == total
+        assert prob.eval_h(1, theta) == sum(lq_norm(X[:, j], Q) for j in range(n))
+        np.testing.assert_array_equal(prob.subgrad_h_block(1, theta).reshape(l, n), S)
+        np.testing.assert_array_equal(
+            S, np.column_stack([lq_subgrad(X[:, j], Q) for j in range(n)]))
+        l1 = float(np.sum(np.abs(X)))
+        assert prob.eval_f(theta) == 0.0 + 1.0 * (l1 - total)
+
+
+class TestSdlInstance:
+    def data(self):
+        Y, D, X = sdl_synthetic(4, 6, 10, 2, seed=0)
+        return dict(Y=Y, D=D, X=X)
+
+    @pytest.mark.parametrize("q", [0, 7, -1])
+    def test_q_outside_atoms_is_rejected(self, q):
+        with pytest.raises(ValueError, match=r"Q=%d with l=6" % q):
+            SdlInstance(**self.data(), Q=q)
+
+    def test_q_bounds_are_inclusive_and_plain_l1_ignores_q(self):
+        SdlInstance(**self.data(), Q=1)
+        SdlInstance(**self.data(), Q=6)
+        SdlInstance(**self.data(), Q=40, variant="l1")
+
+    @pytest.mark.parametrize("alpha", [-1.0, -1e-12, float("nan")])
+    def test_negative_alpha_is_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            SdlInstance(**self.data(), alpha=alpha)
 
 
 class TestSdlProblem:
@@ -149,6 +225,28 @@ class TestGdBaseline:
         Y, D, X = sdl_synthetic(5, 6, 8, 2, seed=5)
         eta = 1.0 / (np.linalg.norm(D, 2) ** 2 + np.linalg.norm(X, 2) ** 2)
         assert 0 < eta < np.inf
+
+    @pytest.mark.parametrize("variant,q", [("l1_lq", 3), ("l1_lq", 9), ("l1", 3)])
+    def test_matches_oracle_loop_bit_for_bit(self, variant, q):
+        Y, _, X = sdl_synthetic(6, 10, 12, 3, seed=7)
+        D = np.random.default_rng(8).standard_normal((6, 10))
+        D /= np.linalg.norm(D, axis=0)
+        inst = SdlInstance(Y=Y, D=D, X=0.1 * X, alpha=0.1, Q=q, variant=variant)
+        prob = SdlProblem(inst)
+        theta = prob.initial_point()
+        want = [prob.eval_f(theta)]
+        sl_d, sl_x = prob.partition.slice_of(0), prob.partition.slice_of(1)
+        for _ in range(25):
+            D, X = prob.unpack(theta)
+            eta = 1.0 / (np.linalg.norm(D, 2) ** 2 + np.linalg.norm(X, 2) ** 2)
+            gd = prob.grad_g_block(0, theta) - prob.subgrad_h_block(0, theta)
+            gx = prob.grad_g_block(1, theta) - prob.subgrad_h_block(1, theta)
+            theta = theta.copy()
+            theta[sl_d] -= eta * gd
+            theta[sl_x] -= eta * gx
+            theta[sl_d] = prob.block_domain(0).project(theta[sl_d])
+            want.append(prob.eval_f(theta))
+        np.testing.assert_array_equal(gd_baseline_sdl(inst, 25), want)
 
     def test_baseline_descends_on_random_instance(self):
         Y, D, X = sdl_synthetic(6, 8, 12, 3, seed=6)
@@ -289,6 +387,15 @@ class TestMlpProblem:
         task = MlpTask(inputs=x, labels=y, net=net, loss="mse")
         assert task.label_shift == pytest.approx(-float(np.min(y)))
         assert np.min(task.labels) >= 0.0
+
+    def test_sample_rejects_empty_batch(self):
+        x, y = gaussian_blobs(10, 2, seed=1)
+        net = relu.random_params((2, 3, 2), np.random.default_rng(18))
+        prob = MlpTaskProblem(MlpTask(inputs=x, labels=y, net=net, loss="ce"))
+        rng = np.random.default_rng(0)
+        assert len(prob.sample(rng).indices) == 1
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            prob.sample(rng, 0)
 
     def test_solver_run_descends(self):
         x, y = gaussian_blobs(40, 3, seed=4)
