@@ -1,4 +1,5 @@
-"""Coordinate-block bookkeeping: partitions and the full-precision CSV row.
+"""Coordinate-block bookkeeping: partitions, and the one full-precision CSV
+format every emitted table uses.
 
 A partition splits the coordinates of a dense vector into contiguous,
 non-overlapping blocks.  Blocks are addressed by ``(offset, length)`` views,
@@ -9,7 +10,7 @@ import numpy as np
 
 __all__ = [
     "BlockPartition",
-    "vector_to_csv_row",
+    "write_csv",
     "vector_from_csv_row",
 ]
 
@@ -55,9 +56,19 @@ class BlockPartition:
         return "BlockPartition(%r)" % (list(self.block_dims),)
 
 
-def vector_to_csv_row(x):
-    """Serialize a dense vector to one CSV row at full (round-trip) precision."""
-    return ",".join(repr(float(t)) for t in np.asarray(x).ravel())
+def write_csv(path, header, rows):
+    """Write a header line and one line per row, ending in a newline.
+
+    Integers print with ``str``; every other value prints as
+    ``repr(float(v))``, which round-trips exactly.  Returns ``path``.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            str(v) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
 
 
 def vector_from_csv_row(row):

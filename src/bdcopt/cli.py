@@ -3,9 +3,11 @@
 Subcommands: ``monomial``, ``sdl``, ``relu``, ``tensor``, ``plan-rho``.
 Configuration precedence is built-in defaults < ``--config`` file (flat
 ``key=value`` lines) < command-line flags; every config key has a flag of the
-same name.  All emitted CSVs are deterministic given the configuration; the
-run manifest (written before, finalized after each run) carries the wall time
-and output list.  ``BDC_OUT_DIR`` overrides the output directory.
+same name.  All emitted CSVs are deterministic given the configuration.  The
+run manifest is written when a run starts and closed by ``main`` whatever the
+exit: "complete" on exit 0, else "failed" with the error text, and with the
+wall time and the outputs either way.  ``BDC_OUT_DIR`` overrides the output
+directory.
 """
 
 import argparse
@@ -19,16 +21,14 @@ import numpy as np
 
 from . import experiments
 from . import relu as relu_mod
+from .blocks import write_csv
 from .monomials import (Monomial, atoms_to_csv, bdc_block_decompose,
                         dc_atom_bounds, merge_proportional, polarize,
                         verify_identity)
+from .problems.sdl import check_lq_q
 from .solvers import plan_rho
 
 __all__ = ["main"]
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _git_describe():
@@ -45,10 +45,19 @@ def _git_describe():
 
 
 class Manifest:
-    def __init__(self, outdir, subcommand, config, seeds):
-        self.path = os.path.join(outdir, "%s_manifest.json" % subcommand)
+    """``<subcommand>_manifest.json``: a subcommand ``start``s it once its
+    output directory and config are known, appends what it writes to
+    ``outputs``, and ``main`` closes it."""
+
+    def __init__(self, subcommand):
+        self.subcommand = subcommand
+        self.path = None
+        self.outputs = []
+
+    def start(self, outdir, config, seeds):
+        self.path = os.path.join(outdir, "%s_manifest.json" % self.subcommand)
         self.payload = {
-            "subcommand": subcommand,
+            "subcommand": self.subcommand,
             "config": config,
             "seeds": list(seeds),
             "build": _git_describe(),
@@ -64,26 +73,16 @@ class Manifest:
             json.dump(self.payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def finalize(self, outputs):
-        self.payload["status"] = "complete"
+    def close(self, error=None):
+        """Record the outcome; a manifest that never started writes nothing."""
+        if self.path is None:
+            return
+        self.payload["status"] = "complete" if error is None else "failed"
+        if error is not None:
+            self.payload["error"] = error
         self.payload["wall_s"] = time.perf_counter() - self.t0
-        self.payload["outputs"] = [os.path.basename(p) for p in outputs]
+        self.payload["outputs"] = [os.path.basename(p) for p in self.outputs]
         self._write()
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            str(v) if isinstance(v, (int, np.integer)) else _fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
-
-
-def _fail(reason):
-    print("error: %s" % reason, file=sys.stderr)
-    return 1
 
 
 def _load_config_file(path, defaults):
@@ -153,10 +152,10 @@ def _parse_grouping(text, n_vars):
 MONOMIAL_DEFAULTS = {"trials": 100, "tol": 1e-6, "outdir": ""}
 
 
-def cmd_monomial(args):
+def cmd_monomial(args, manifest):
     cfg = _resolve(MONOMIAL_DEFAULTS, args)
     out = _outdir(cfg)
-    manifest = Manifest(out, "monomial", dict(cfg, b=",".join(map(str, args.b))), [0])
+    manifest.start(out, dict(cfg, b=",".join(map(str, args.b))), [0])
     m = Monomial(args.b)
     names = ["t%d" % (j + 1) for j in range(m.n_vars)]
 
@@ -173,16 +172,10 @@ def cmd_monomial(args):
     if args.bounds:
         lo, hi = dc_atom_bounds(m)
         print("lower=%d upper=%d" % (lo, hi))
-        manifest.finalize([])
-        return 0
+        return
 
-    outputs = []
     if args.group:
-        try:
-            grouping = _parse_grouping(args.group, m.n_vars)
-            dec = bdc_block_decompose(m, grouping)
-        except ValueError as exc:
-            return _fail(str(exc))
+        dec = bdc_block_decompose(m, _parse_grouping(args.group, m.n_vars))
         counts = "+".join(str(c) for c in dec.atom_counts)
         print("atoms=%d (%s)" % (dec.total_atoms, counts))
         for vars_, part in dec.parts:
@@ -190,7 +183,6 @@ def cmd_monomial(args):
             print("block {%s}:" % ",".join(local))
             for atom in part.atoms:
                 print("  " + atom_str(atom, local))
-        ok, err = verify_identity(dec, m, trials=cfg["trials"], tol=cfg["tol"])
     else:
         dec = polarize(m)
         lo, hi = dc_atom_bounds(m)
@@ -202,17 +194,14 @@ def cmd_monomial(args):
         if args.csv:
             path = os.path.join(out, args.csv)
             atoms_to_csv(dec, path)
-            outputs.append(path)
-            print("wrote %s" % path)
-        ok, err = verify_identity(dec, m, trials=cfg["trials"], tol=cfg["tol"])
+            manifest.outputs.append(path)
 
-    print("max_rel_err=%s" % _fmt(err))
-    manifest.finalize(outputs)
+    ok, err = verify_identity(dec, m, trials=cfg["trials"], tol=cfg["tol"])
+    print("max_rel_err=%r" % float(err))
     if args.verify:
         print("verify=%s" % ("pass" if ok else "fail"))
         if not ok:
-            return _fail("identity verification failed (max_rel_err=%s)" % _fmt(err))
-    return 0
+            raise ValueError("identity verification failed (max_rel_err=%r)" % float(err))
 
 
 SDL_DEFAULTS = {
@@ -223,13 +212,15 @@ SDL_DEFAULTS = {
 }
 
 
-def cmd_sdl(args):
+def cmd_sdl(args, manifest):
     cfg = _resolve(SDL_DEFAULTS, args)
     out = _outdir(cfg)
     variants = ("l1", "l1_lq") if cfg["variant"] == "both" else (cfg["variant"],)
     if any(v not in ("l1", "l1_lq") for v in variants):
-        return _fail("variant must be 'l1', 'l1_lq' or 'both'")
-    manifest = Manifest(out, "sdl", cfg, list(range(cfg["seeds"])))
+        raise ValueError("variant must be 'l1', 'l1_lq' or 'both'")
+    if args.compare_gd:  # the GD comparison always runs the l1_lq penalty
+        check_lq_q(cfg["q"], cfg["l"])
+    manifest.start(out, cfg, list(range(cfg["seeds"])))
 
     res = experiments.run_sdl_experiment(
         m=cfg["m"], l=cfg["l"], n=cfg["n"], k_nonzero=cfg["k_nonzero"],
@@ -256,11 +247,10 @@ def cmd_sdl(args):
             cols.append(np.full(len(iters), extra[1]))
         return header, list(zip(*cols))
 
-    outputs = []
     header, rows = table(res.rec)
-    outputs.append(_write_csv(os.path.join(out, "sdl_rec_errors.csv"), header, rows))
+    manifest.outputs.append(write_csv(os.path.join(out, "sdl_rec_errors.csv"), header, rows))
     header, rows = table(res.sparsity, extra=("true_sparsity", res.true_sparsity))
-    outputs.append(_write_csv(os.path.join(out, "sdl_sparsities.csv"), header, rows))
+    manifest.outputs.append(write_csv(os.path.join(out, "sdl_sparsities.csv"), header, rows))
 
     if args.compare_gd:
         rows = experiments.run_sdl_gd_comparison(
@@ -268,7 +258,7 @@ def cmd_sdl(args):
             alpha=cfg["alpha"], q=cfg["q"], n_outer=cfg["gd_iters"],
             n_seeds=cfg["gd_seeds"], seed=cfg["seed"], inner_x=cfg["inner_x"],
             inner_d=cfg["inner_d"], inner_tol=cfg["inner_tol"])
-        outputs.append(_write_csv(
+        manifest.outputs.append(write_csv(
             os.path.join(out, "sdl_gd_compare.csv"),
             ["seed", "oracle_calls", "bdca_final", "gd_final"],
             [(r["seed"], r["oracle_calls"], r["bdca_final"], r["gd_final"]) for r in rows]))
@@ -276,11 +266,7 @@ def cmd_sdl(args):
     # internal gate: sparsity values must be valid proportions
     for v in variants:
         if not np.all((res.sparsity[v] >= 0) & (res.sparsity[v] <= 1)):
-            return _fail("sparsity out of [0, 1] for variant %s" % v)
-    manifest.finalize(outputs)
-    for p in outputs:
-        print("wrote %s" % p)
-    return 0
+            raise ValueError("sparsity out of [0, 1] for variant %s" % v)
 
 
 RELU_DEFAULTS = {
@@ -291,10 +277,10 @@ RELU_DEFAULTS = {
 }
 
 
-def cmd_relu(args):
+def cmd_relu(args, manifest):
     cfg = _resolve(RELU_DEFAULTS, args)
     out = _outdir(cfg)
-    manifest = Manifest(out, "relu", cfg, [cfg["seed"]])
+    manifest.start(out, cfg, [cfg["seed"]])
     widths = tuple(int(t) for t in str(cfg["widths"]).split(",") if t.strip())
     res = experiments.run_relu_experiment(
         task=cfg["task"], layer_dims=widths, n_data=cfg["n_data"],
@@ -304,31 +290,27 @@ def cmd_relu(args):
         batch_coeff=cfg["batch_coeff"], inner_budget=cfg["inner_budget"],
         inner_tol=cfg["inner_tol"], stride=cfg["stride"], delta=cfg["delta"],
         seed=cfg["seed"])
-    outputs = [
-        _write_csv(os.path.join(out, "relu_loss_seed%d.csv" % cfg["seed"]),
-                   ["k", "loss", "residual_upper"], res.loss_rows),
-        _write_csv(os.path.join(out, "relu_smoothness_seed%d.csv" % cfg["seed"]),
-                   ["logG", "logLhat", "t", "block"],
-                   [(a, b, int(t), int(bl)) for a, b, t, bl in res.scatter_rows]),
+    manifest.outputs += [
+        write_csv(os.path.join(out, "relu_loss_seed%d.csv" % cfg["seed"]),
+                  ["k", "loss", "residual_upper"], res.loss_rows),
+        write_csv(os.path.join(out, "relu_smoothness_seed%d.csv" % cfg["seed"]),
+                  ["logG", "logLhat", "t", "block"],
+                  [(a, b, int(t), int(bl)) for a, b, t, bl in res.scatter_rows]),
     ]
     if args.dump_trace:
         path = os.path.join(out, "relu_trace_seed%d.csv" % cfg["seed"])
         res.trace.write_csv(path)
-        outputs.append(path)
+        manifest.outputs.append(path)
     if args.save_params:
         path = os.path.join(out, "relu_params_seed%d.csv" % cfg["seed"])
         final = res.problem.params(res.trace.final_theta)
         relu_mod.save_params_csv(final, path)
-        outputs.append(path)
+        manifest.outputs.append(path)
     # internal gate: every recorded value finite
     if res.loss_rows and not np.all(np.isfinite([r[1] for r in res.loss_rows])):
-        return _fail("non-finite loss encountered")
+        raise ValueError("non-finite loss encountered")
     if res.scatter_rows and not np.all(np.isfinite(np.array(res.scatter_rows))):
-        return _fail("non-finite smoothness estimate encountered")
-    manifest.finalize(outputs)
-    for p in outputs:
-        print("wrote %s" % p)
-    return 0
+        raise ValueError("non-finite smoothness estimate encountered")
 
 
 TENSOR_DEFAULTS = {
@@ -337,7 +319,7 @@ TENSOR_DEFAULTS = {
 }
 
 
-def cmd_tensor(args):
+def cmd_tensor(args, manifest):
     cfg = _resolve(TENSOR_DEFAULTS, args)
     out = _outdir(cfg)
     try:
@@ -345,20 +327,16 @@ def cmd_tensor(args):
         if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
             raise ValueError
     except ValueError:
-        return _fail("dims must be 2 to 4 comma-separated positive integers")
-    manifest = Manifest(out, "tensor", cfg, [cfg["seed"]])
+        raise ValueError("dims must be 2 to 4 comma-separated positive integers")
+    manifest.start(out, cfg, [cfg["seed"]])
     rows, per_update, _, _ = experiments.run_tensor_experiment(
         dims=dims, rank=cfg["rank"], sweeps=cfg["sweeps"], seed=cfg["seed"],
         noise=cfg["noise"])
-    outputs = [_write_csv(os.path.join(out, "tensor_trace.csv"),
-                          ["sweep", "objective", "rel_error"], rows)]
+    manifest.outputs.append(write_csv(os.path.join(out, "tensor_trace.csv"),
+                                      ["sweep", "objective", "rel_error"], rows))
     # internal gate: exact block minimization must never increase the objective
     if np.any(np.diff(per_update) > 1e-9 * (1.0 + np.abs(per_update[:-1]))):
-        return _fail("objective increased during a block update")
-    manifest.finalize(outputs)
-    for p in outputs:
-        print("wrote %s" % p)
-    return 0
+        raise ValueError("objective increased during a block update")
 
 
 PLAN_RHO_DEFAULTS = {
@@ -367,24 +345,19 @@ PLAN_RHO_DEFAULTS = {
 }
 
 
-def cmd_plan_rho(args):
+def cmd_plan_rho(args, manifest):
     cfg = _resolve(PLAN_RHO_DEFAULTS, args)
-    manifest = Manifest(_outdir(cfg), "plan-rho", cfg, [])
+    manifest.start(_outdir(cfg), cfg, [])
     if cfg["ell"] == "constant":
         ell = lambda u: cfg["ell_l0"]
     elif cfg["ell"] == "affine":
         ell = lambda u: cfg["ell_a"] + cfg["ell_c"] * u
     else:
-        return _fail("ell must be 'constant' or 'affine'")
-    try:
-        plan = plan_rho(ell, cfg["G"], cfg["R"])
-    except ValueError as exc:
-        return _fail(str(exc))
-    print("E=%s" % _fmt(plan.E))
-    print("L_eff=%s" % _fmt(plan.L_eff))
-    print("rho_min=%s" % _fmt(plan.rho_min))
-    manifest.finalize([])
-    return 0
+        raise ValueError("ell must be 'constant' or 'affine'")
+    plan = plan_rho(ell, cfg["G"], cfg["R"])
+    print("E=%r" % float(plan.E))
+    print("L_eff=%r" % float(plan.L_eff))
+    print("rho_min=%r" % float(plan.rho_min))
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +418,29 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; returns the exit status.
+
+    A subcommand signals failure by raising.  ``ValueError`` and
+    ``FileNotFoundError`` become exit 1 with one ``error:`` line; anything
+    else propagates.  Either way the manifest is closed as "failed" with the
+    error text; on success it is closed as "complete" and each output path
+    is printed.
+    """
     args = build_parser().parse_args(argv)
+    manifest = Manifest(args.command)
     try:
-        return args.func(args)
+        args.func(args, manifest)
     except (ValueError, FileNotFoundError) as exc:
-        return _fail(str(exc))
+        manifest.close(error=str(exc))
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BaseException as exc:
+        manifest.close(error="%s: %s" % (type(exc).__name__, exc))
+        raise
+    manifest.close()
+    for p in manifest.outputs:
+        print("wrote %s" % p)
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ import numpy as np
 from . import relu
 from .model import residual_upper
 from .problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs, sine_regression
-from .problems.sdl import SdlInstance, SdlProblem, gd_baseline_sdl, sdl_synthetic
+from .problems.sdl import (SdlInstance, SdlProblem, check_lq_q, gd_baseline_sdl,
+                           sdl_synthetic)
 from .problems.cp import CpInstance, CpProblem, cp_reconstruct
 from .solvers import SolverConfig, bdca_step, run, smoothness_estimate, sqrt_k_preset, substream
 
@@ -59,10 +60,10 @@ def _sdl_single_run(variant, data_rng, init_rng, m, l, n, k_nonzero, alpha, q,
     oracle_calls = 0
     for _ in range(n_outer):
         # codes first, then the dictionary, matching the alternating protocol
-        theta, info = bdca_step(prob, theta, 1, budget=inner_x, tol=inner_tol)
-        oracle_calls += info["inner_iters"]
-        theta, info = bdca_step(prob, theta, 0, budget=inner_d, tol=inner_tol)
-        oracle_calls += info["inner_iters"]
+        theta, inner = bdca_step(prob, theta, 1, budget=inner_x, tol=inner_tol)
+        oracle_calls += inner
+        theta, inner = bdca_step(prob, theta, 0, budget=inner_d, tol=inner_tol)
+        oracle_calls += inner
         r, s = metrics(theta)
         recs.append(r); spars.append(s)
     return np.array(recs), np.array(spars), prob, theta, oracle_calls, inst
@@ -76,7 +77,10 @@ def run_sdl_experiment(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
 
     Reconstruction error is ``||Y - D X||_F / ||Y||_F``; sparsity counts exact
     zeros in the code matrix (the soft-threshold step produces exact zeros).
+    An invalid ``q`` for the ``l1_lq`` variant raises before any run starts.
     """
+    if "l1_lq" in variants:
+        check_lq_q(q, l)
     rec = {v: [] for v in variants}
     spars = {v: [] for v in variants}
     for v in variants:

@@ -21,6 +21,8 @@ from math import comb, factorial, gcd, lcm, prod
 
 import numpy as np
 
+from .blocks import write_csv
+
 __all__ = [
     "Monomial",
     "Atom",
@@ -367,12 +369,8 @@ def atoms_to_csv(dec, path):
     """Write atoms as CSV rows: weight_num, weight_den, u_1..u_n, kappa, power."""
     n = dec.target.n_vars
     header = ["weight_num", "weight_den"] + ["u_%d" % (j + 1) for j in range(n)] + ["kappa", "power"]
-    lines = [",".join(header)]
+    rows = []
     for a in dec.atoms:
         w = a.weight * dec.scale
-        row = [str(w.numerator), str(w.denominator)]
-        row += [str(v) for v in a.form]
-        row += [str(a.shift), str(a.power)]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append([w.numerator, w.denominator, *a.form, a.shift, a.power])
+    write_csv(path, header, rows)

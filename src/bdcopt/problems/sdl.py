@@ -23,6 +23,7 @@ __all__ = [
     "sdl_synthetic",
     "lq_norm",
     "lq_subgrad",
+    "check_lq_q",
     "SdlInstance",
     "SdlProblem",
     "gd_baseline_sdl",
@@ -96,6 +97,13 @@ def lq_subgrad(x, Q):
     return _lq_signs(x, _top_q(x, Q))
 
 
+def check_lq_q(Q, l):
+    """Reject a largest-Q count outside ``[1, l]`` for ``l`` atoms."""
+    if not 1 <= Q <= l:
+        raise ValueError("Q must lie in [1, l] for the l1_lq variant, "
+                         "got Q=%r with l=%d" % (Q, l))
+
+
 @dataclass
 class SdlInstance:
     """Problem data plus the current (D, X) state used as the initial point."""
@@ -113,9 +121,8 @@ class SdlInstance:
         m, l = self.D.shape
         if self.Y.shape[0] != m or self.X.shape != (l, self.Y.shape[1]):
             raise ValueError("inconsistent Y/D/X shapes")
-        if self.variant == "l1_lq" and not 1 <= self.Q <= l:
-            raise ValueError("Q must lie in [1, l] for the l1_lq variant, "
-                             "got Q=%r with l=%d" % (self.Q, l))
+        if self.variant == "l1_lq":
+            check_lq_q(self.Q, l)
         if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0, got %r" % (self.alpha,))
         norms = np.linalg.norm(self.D, axis=0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, vector_from_csv_row, vector_to_csv_row
+from .blocks import BlockPartition, vector_from_csv_row, write_csv
 
 __all__ = [
     "MlpParams",
@@ -87,9 +87,6 @@ class MlpParams:
 
     def to_vector(self):
         return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in self.layers])
-
-    def shapes(self):
-        return [W.shape for W, _ in self.layers]
 
     def with_vector(self, theta):
         """New parameter set with values taken from a flat vector."""
@@ -317,9 +314,7 @@ def save_params_csv(params, path):
     for l, (W, b) in enumerate(params.layers, start=1):
         names.append("W%d:%dx%d" % (l, W.shape[0], W.shape[1]))
         names.append("b%d:%d" % (l, b.shape[0]))
-    row = vector_to_csv_row(params.to_vector())
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n" + row + "\n")
+    write_csv(path, names, [params.to_vector()])
 
 
 def load_params_csv(path):

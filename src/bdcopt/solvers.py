@@ -1,8 +1,11 @@
 """Block DC solvers and their supporting machinery.
 
-Three outer loops share one skeleton: pick a block, take one deterministic
-subgradient of the concave part, and minimize the resulting convex surrogate
-over that block (optionally with a proximal term, optionally on a minibatch).
+One block step, ``bdca_step``, serves every loop: take one deterministic
+subgradient of the concave part on the chosen block, minimize the resulting
+convex surrogate over that block, and check that it descended.  The step is
+plain when rho = 0, proximal when rho > 0, and stochastic when given a
+minibatch handle.  ``run`` picks the blocks and records each iteration; the
+experiment drivers call the step directly.
 The module also houses the generic inner solvers the problems delegate to, the
 rho/E planning utility, the local smoothness estimator, and the projected
 stationarity gap.
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import write_csv
 from .model import residual_blocks
 
 __all__ = [
@@ -25,8 +29,6 @@ __all__ = [
     "InnerSolverDivergence",
     "substream",
     "bdca_step",
-    "prox_bdca_step",
-    "stoch_prox_bdca_step",
     "run",
     "inner_prox_gradient",
     "inner_frank_wolfe_ball_product",
@@ -113,14 +115,10 @@ class IterTrace:
     def write_csv(self, path):
         """Write the trace.  The wall-clock column stays out, so reruns of the
         same configuration are byte-identical."""
-        lines = ["k,block,f,g_block,h_block,residual_upper,step_norm,inner_iters"]
-        for r in self.records:
-            vals = [str(r.k), str(r.block), repr(r.f), repr(r.g_block),
-                    repr(r.h_block), repr(r.residual_upper), repr(r.step_norm),
-                    str(r.inner_iters)]
-            lines.append(",".join(vals))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        columns = ("k", "block", "f", "g_block", "h_block", "residual_upper",
+                   "step_norm", "inner_iters")
+        write_csv(path, columns,
+                  ([getattr(r, c) for c in columns] for r in self.records))
 
 
 def _surrogate_value(problem, i, theta, x, u, rho, x_anchor, sample=None):
@@ -132,7 +130,19 @@ def _surrogate_value(problem, i, theta, x, u, rho, x_anchor, sample=None):
     return val
 
 
-def _block_step(problem, theta, i, rho, budget, tol, sample=None):
+def bdca_step(problem, theta, i, rho=0.0, budget=100, tol=1e-8, sample=None):
+    """One block-DC step on block ``i``: take one subgradient ``u`` of h_i,
+    minimize the convex surrogate ``g_i - <u, .> + rho/2 ||. - theta_i||^2``
+    over the block, and check that the surrogate descended.
+
+    ``rho = 0`` is the plain step.  ``rho > 0`` is the proximal step, which
+    also guarantees ``||theta_new - theta|| <= (2/rho) ||grad g_i - u_i||``.
+    A ``sample`` handle makes it the stochastic step: every oracle of the
+    step is evaluated on that minibatch.  Returns ``(theta_new, inner_iters)``
+    and raises ``InnerSolverDivergence`` when the surrogate did not descend.
+    """
+    if not rho >= 0:
+        raise ValueError("rho must be >= 0, got %r" % (rho,))
     theta = np.asarray(theta, dtype=float)
     sl = problem.partition.slice_of(i)
     x0 = theta[sl].copy()
@@ -146,31 +156,7 @@ def _block_step(problem, theta, i, rho, budget, tol, sample=None):
             "no surrogate descent on block %d (%.6g -> %.6g)" % (i, s_old, s_new))
     theta_new = theta.copy()
     theta_new[sl] = x_new
-    return theta_new, u, inner
-
-
-def bdca_step(problem, theta, i, budget=100, tol=1e-8):
-    """One plain block-DC step: linearize h on block ``i`` and minimize the
-    convex surrogate over that block.  Returns ``(theta_new, info)``."""
-    theta_new, u, inner = _block_step(problem, theta, i, 0.0, budget, tol)
-    return theta_new, {"u": u, "inner_iters": inner}
-
-
-def prox_bdca_step(problem, theta, i, rho, budget=100, tol=1e-8):
-    """Proximal block step; additionally guarantees
-    ``||theta_new - theta|| <= (2/rho) ||grad g_i - u_i||``."""
-    if rho <= 0:
-        raise ValueError("prox step needs rho > 0")
-    theta_new, u, inner = _block_step(problem, theta, i, rho, budget, tol)
-    return theta_new, {"u": u, "inner_iters": inner}
-
-
-def stoch_prox_bdca_step(problem, theta, i, rho, handle, budget=100, tol=1e-8):
-    """Proximal block step on the stochastic surrogate defined by ``handle``."""
-    if rho <= 0:
-        raise ValueError("prox step needs rho > 0")
-    theta_new, u, inner = _block_step(problem, theta, i, rho, budget, tol, sample=handle)
-    return theta_new, {"u_hat": u, "inner_iters": inner, "sample_key": handle.key}
+    return theta_new, inner
 
 
 def run(problem, config, theta0=None, callback=None):
@@ -214,7 +200,7 @@ def run(problem, config, theta0=None, callback=None):
             noise_norm = float(np.linalg.norm(z_hat - zs[i]))
 
         t0 = time.perf_counter()
-        theta_next, _, inner = _block_step(
+        theta_next, inner = bdca_step(
             problem, theta, i, config.rho, config.inner_budget,
             config.inner_tol, sample=handle)
         wall_ms = (time.perf_counter() - t0) * 1e3

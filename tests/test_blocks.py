@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdcopt.blocks import BlockPartition, vector_from_csv_row, vector_to_csv_row
+from bdcopt.blocks import BlockPartition, vector_from_csv_row, write_csv
 
 
 def test_partition_invariants():
@@ -32,8 +32,16 @@ def test_extraction_covers_vector(dims, seed):
     np.testing.assert_array_equal(stitched, data)
 
 
-def test_csv_row_round_trip():
+def test_csv_row_round_trip(tmp_path):
     x = np.array([1.0, -2.5, 1e-17, np.pi])
-    row = vector_to_csv_row(x)
-    assert "," in row and "\n" not in row
+    path = write_csv(tmp_path / "row.csv", ["a", "b", "c", "d"], [x])
+    header, row = path.read_text().split("\n")[:2]
+    assert header == "a,b,c,d" and path.read_text().endswith(row + "\n")
     np.testing.assert_array_equal(vector_from_csv_row(row), x)
+
+
+def test_write_csv_format(tmp_path):
+    path = write_csv(tmp_path / "t.csv", ["i", "n", "x"],
+                     [(3, np.int64(-2), 0.1), (0, 1, np.float64(2.0))])
+    assert path.read_text() == "i,n,x\n3,-2,0.1\n0,1,2.0\n"
+    assert write_csv(tmp_path / "e.csv", ["k"], []).read_text() == "k\n"

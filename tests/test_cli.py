@@ -163,6 +163,46 @@ class TestSdlCommand:
         assert err.splitlines() == ["error: " + message]
         assert not (tmp_path / "sdl_rec_errors.csv").exists()
 
+    def test_compare_gd_checks_q_before_the_l1_sweep(self, capsys, tmp_path):
+        code, _, err = run_cli(["sdl", "--variant", "l1", "--compare-gd", "--q", "40",
+                                "--outdir", str(tmp_path)], capsys)
+        assert code == 1 and "Q=40 with l=32" in err
+        assert not (tmp_path / "sdl_rec_errors.csv").exists()
+
+
+class TestManifestLifecycle:
+    def read(self, path):
+        return json.loads(path.read_text())
+
+    def test_failure_after_start_is_recorded(self, capsys, tmp_path):
+        code, _, err = run_cli(["sdl", "--alpha", "-1", "--outdir", str(tmp_path)],
+                               capsys)
+        assert code == 1
+        manifest = self.read(tmp_path / "sdl_manifest.json")
+        assert manifest["status"] == "failed"
+        assert "error: " + manifest["error"] == err.strip()
+        assert manifest["wall_s"] is not None
+
+    def test_failed_verify_gate_is_not_complete(self, capsys, tmp_path):
+        code, out, err = run_cli(["monomial", "--b", "2,4", "--verify", "--tol", "-1",
+                                  "--outdir", str(tmp_path)], capsys)
+        assert code == 1 and "verify=fail" in out
+        manifest = self.read(tmp_path / "monomial_manifest.json")
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("identity verification failed")
+        assert err.strip() == "error: " + manifest["error"]
+        assert manifest["wall_s"] is not None
+
+    def test_success_lists_outputs(self, capsys, tmp_path):
+        code, out, _ = run_cli(["monomial", "--b", "2,4", "--csv", "atoms.csv",
+                                "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "wrote %s" % (tmp_path / "atoms.csv")
+        manifest = self.read(tmp_path / "monomial_manifest.json")
+        assert manifest["status"] == "complete" and "error" not in manifest
+        assert manifest["outputs"] == ["atoms.csv"]
+        assert manifest["wall_s"] is not None
+
 
 class TestPlanRhoCommand:
     def test_constant_growth(self, capsys, tmp_path):

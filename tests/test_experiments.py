@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bdcopt import experiments
 from bdcopt.experiments import (run_relu_experiment, run_sdl_experiment,
                                 run_sdl_gd_comparison, run_tensor_experiment,
                                 sdl_band_columns)
@@ -23,6 +24,23 @@ def test_sdl_experiment_shapes_and_determinism():
     assert a.true_sparsity == pytest.approx(0.84375)
     np.testing.assert_array_equal(a.rec["l1_lq"], b.rec["l1_lq"])
     np.testing.assert_array_equal(a.sparsity["l1"], b.sparsity["l1"])
+
+
+def test_sdl_experiment_checks_q_before_any_step(monkeypatch):
+    steps = []
+    real = experiments.bdca_step
+
+    def counted(*args, **kwargs):
+        steps.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "bdca_step", counted)
+    with pytest.raises(ValueError, match="Q=40 with l=32"):
+        run_sdl_experiment(q=40)
+    assert steps == []
+    # the plain l1 penalty has no largest-Q part, so any q is accepted
+    res = run_sdl_experiment(q=40, n_outer=1, n_seeds=1, variants=("l1",))
+    assert res.rec["l1"].shape == (1, 2) and len(steps) == 2
 
 
 def test_gd_comparison_counts_oracle_calls():

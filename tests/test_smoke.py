@@ -1,6 +1,9 @@
-"""Whole-process checks: the import footprint and the demo scripts."""
+"""Whole-process checks: the import footprint, the exported names and the
+demo scripts."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +43,12 @@ def test_experiments_import_loads_no_scipy(tmp_path):
 def test_demo_runs(demo, tmp_path):
     proc = _python([str(ROOT / "demos" / demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_resolves():
+    names = [bdcopt.__name__] + [m.name for m in pkgutil.walk_packages(
+        bdcopt.__path__, bdcopt.__name__ + ".")]
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, "%s.__all__ names %s" % (name, missing)

@@ -9,9 +9,8 @@ from bdcopt.problems import (QuadraticDcProblem, QuadraticMinusL1Problem,
 from bdcopt.solvers import (InnerSolverDivergence, SolverConfig,
                             audit_step_bound, bdca_step, compute_E, gap_L,
                             inner_frank_wolfe_ball_product,
-                            inner_prox_gradient, plan_rho, prox_bdca_step,
-                            rho_from, run, smoothness_estimate,
-                            stoch_prox_bdca_step, substream)
+                            inner_prox_gradient, plan_rho, rho_from, run,
+                            smoothness_estimate, substream)
 from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
 from bdcopt.model import SampleHandle
 from bdcopt import relu
@@ -29,8 +28,8 @@ class TestBdcaStep:
         c = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
         prob = identity_quadratic(part, c)
         theta = np.zeros(5)
-        theta, info = bdca_step(prob, theta, 0)
-        assert info["inner_iters"] == 1
+        theta, inner = bdca_step(prob, theta, 0)
+        assert inner == 1
         np.testing.assert_allclose(theta[:2], c[:2], atol=1e-12)
         theta, _ = bdca_step(prob, theta, 1)
         np.testing.assert_allclose(theta, c, atol=1e-12)
@@ -63,21 +62,22 @@ class TestProxStep:
         # min 0.5 x^2 + 0.5 (x - 1)^2 = 0.5 at x = 1/2
         part = BlockPartition([1])
         prob = identity_quadratic(part, [0.0])
-        theta, _ = prox_bdca_step(prob, np.array([1.0]), 0, rho=1.0)
+        theta, _ = bdca_step(prob, np.array([1.0]), 0, rho=1.0)
         assert theta[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_huge_rho_freezes_iterate(self):
         part = BlockPartition([3])
         prob = identity_quadratic(part, [1.0, 2.0, 3.0])
         theta0 = np.array([5.0, -5.0, 0.0])
-        theta, _ = prox_bdca_step(prob, theta0, 0, rho=1e12)
+        theta, _ = bdca_step(prob, theta0, 0, rho=1e12)
         assert np.linalg.norm(theta - theta0) <= 1e-9
 
     def test_rho_must_be_positive(self):
+        # rho = 0 is the plain step; only a negative weight is rejected
         part = BlockPartition([1])
         prob = identity_quadratic(part, [0.0])
-        with pytest.raises(ValueError):
-            prox_bdca_step(prob, np.zeros(1), 0, rho=0.0)
+        with pytest.raises(ValueError, match="rho must be >= 0, got -1.0"):
+            bdca_step(prob, np.zeros(1), 0, rho=-1.0)
 
     def test_step_bound_on_sdl_prox_run(self):
         Y, D, X = sdl_synthetic(6, 8, 10, 3, seed=1)
@@ -90,19 +90,23 @@ class TestProxStep:
         assert audit_step_bound(trace, rho) >= 0.0
 
 
+def blobs_problem():
+    xs, ys = gaussian_blobs(24, 3, seed=3)
+    net = relu.random_params((2, 5, 3), np.random.default_rng(4))
+    return MlpTaskProblem(MlpTask(inputs=xs, labels=ys, net=net, loss="ce"))
+
+
 class TestStochasticStep:
     def build(self):
-        xs, ys = gaussian_blobs(24, 3, seed=3)
-        net = relu.random_params((2, 5, 3), np.random.default_rng(4))
-        return MlpTaskProblem(MlpTask(inputs=xs, labels=ys, net=net, loss="ce"))
+        return blobs_problem()
 
     def test_full_batch_handle_matches_deterministic_step(self):
         prob = self.build()
         theta = prob.initial_point()
         full = SampleHandle(key=0, indices=range(prob.n_data))
-        det, _ = prox_bdca_step(prob, theta, 1, rho=2.0, budget=20, tol=1e-10)
-        sto, _ = stoch_prox_bdca_step(prob, theta, 1, rho=2.0, handle=full,
-                                      budget=20, tol=1e-10)
+        det, _ = bdca_step(prob, theta, 1, rho=2.0, budget=20, tol=1e-10)
+        sto, _ = bdca_step(prob, theta, 1, rho=2.0, budget=20, tol=1e-10,
+                           sample=full)
         np.testing.assert_allclose(sto, det, atol=1e-12)
 
     def test_requires_stochastic_oracle(self):
@@ -121,6 +125,39 @@ class TestStochasticStep:
         for a, b in zip(t1.records, t2.records):
             assert a.sample_key == b.sample_key
             assert a.f == b.f and a.step_norm == b.step_norm
+
+
+class TestRunReplay:
+    """``run`` is a loop over ``bdca_step``: feeding a trace's recorded blocks
+    (and minibatches) back through the step reproduces the run exactly."""
+
+    def test_deterministic_prox_run_replays(self):
+        rng = np.random.default_rng(12)
+        part = BlockPartition([2, 3, 1])
+        prob = QuadraticMinusL1Problem(part, rng.standard_normal((9, 6)),
+                                       rng.standard_normal(9), 0.15)
+        cfg = SolverConfig(n_iters=30, rho=0.7, seed=4)
+        trace = run(prob, cfg)
+        theta = prob.initial_point()
+        for r in trace.records:
+            theta, inner = bdca_step(prob, theta, r.block, cfg.rho,
+                                     cfg.inner_budget, cfg.inner_tol)
+            assert inner == r.inner_iters
+        np.testing.assert_array_equal(theta, trace.final_theta)
+
+    def test_stochastic_mlp_run_replays(self):
+        prob = blobs_problem()
+        cfg = SolverConfig(n_iters=12, rho=1.5, seed=7, batch_size=6,
+                           inner_budget=8)
+        trace = run(prob, cfg)
+        batches = substream(cfg.seed, "minibatches")
+        theta = prob.initial_point()
+        for r in trace.records:
+            handle = prob.sample(batches, cfg.batch_size)
+            assert handle.key == r.sample_key
+            theta, _ = bdca_step(prob, theta, r.block, cfg.rho, cfg.inner_budget,
+                                 cfg.inner_tol, sample=handle)
+        np.testing.assert_array_equal(theta, trace.final_theta)
 
 
 class TestRun:
