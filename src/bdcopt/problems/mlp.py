@@ -63,12 +63,43 @@ class MlpTask:
                 self.label_shift = shift
 
 
+class _Point:
+    """One evaluated point: its parameters and split forward pass, plus its
+    loss parts and each part's block gradients once asked for."""
+
+    __slots__ = ("key", "X", "y", "count", "params", "state", "parts", "grads")
+
+    def __init__(self, key, X, y, count, params, state):
+        self.key, self.X, self.y, self.count = key, X, y, count
+        self.params, self.state = params, state
+        self.parts = None
+        self.grads = {}
+
+
 class MlpTaskProblem(BdcProblem):
+    """Block DC problem of one task; the oracles share one evaluation per
+    point ``(theta, minibatch)``.
+
+    The last point evaluated is kept: its split forward pass and, once asked
+    for, its loss parts and each part's block gradients.  A call at the same
+    ``theta`` bytes and minibatch indices reads them instead of recomputing.
+    A gradient of block 0 needs a reverse sweep through every layer, so that
+    sweep keeps every layer's gradient (the per-iteration records then pay
+    one sweep per part); a gradient of a higher block sweeps only down to
+    it.  The task's ``inputs`` and ``labels`` are made read-only here, so an
+    in-place edit raises instead of leaving stale values behind.
+    """
+
     def __init__(self, task):
+        for name in ("inputs", "labels"):
+            data = np.asarray(getattr(task, name))
+            data.flags.writeable = False
+            setattr(task, name, data)
         self.task = task
         self.template = task.net
         self.partition = task.net.partition()
         self.n_data = len(task.labels)
+        self._last = None
 
     def initial_point(self):
         return self.template.to_vector()
@@ -92,37 +123,57 @@ class MlpTaskProblem(BdcProblem):
         return SampleHandle(key=int(rng.integers(2 ** 31)), indices=idx)
 
     # -- oracles -------------------------------------------------------------
-    def _loss_parts(self, theta, sample):
-        X, y, count = self._subset(sample)
-        params = self.params(theta)
-        if self.task.loss == "mse":
-            g, h = relu.mse_bdc(params, X, y)
-        else:
-            g, h = relu.ce_bdc(params, X, y)
-        return g / count, h / count
+    def _point(self, theta, sample):
+        theta = np.asarray(theta, dtype=float)
+        key = (theta.tobytes(), None if sample is None else sample.indices)
+        point = self._last
+        if point is None or point.key != key:
+            X, y, count = self._subset(sample)
+            # a private copy: callers mutate their theta (the inner solver's
+            # trial vector), and the parameters are views into it
+            params = self.params(theta.copy())
+            point = _Point(key, X, y, count, params, relu.forward_split(params, X))
+            self._last = point
+        return point
+
+    def _split(self, theta, sample):
+        point = self._point(theta, sample)
+        if point.parts is None:
+            split = relu.mse_bdc if self.task.loss == "mse" else relu.ce_bdc
+            g, h = split(point.params, point.X, point.y, state=point.state)
+            point.parts = (g / point.count, h / point.count)
+        return point.parts
+
+    def _block_gradient(self, part, i, theta, sample):
+        if not 0 <= i < self.n_blocks:
+            raise IndexError("block %d out of range for %d layers" % (i, self.n_blocks))
+        point = self._point(theta, sample)
+        pairs = point.grads.setdefault(part, {})
+        if i not in pairs:
+            sweep = relu.block_grad_g if part == "g" else relu.block_grad_h
+            args = (point.params, point.X, point.y, self.task.loss)
+            if i == 0:  # the sweep down to block 0 passes every layer
+                pairs.update(enumerate(sweep(*args, None, state=point.state)))
+            else:
+                pairs[i] = sweep(*args, i, state=point.state)
+        dW, db = pairs[i]
+        return np.concatenate([dW.ravel(), db]) / point.count
 
     def eval_f(self, theta):
-        g, h = self._loss_parts(theta, None)
+        g, h = self._split(theta, None)
         return g - h
 
     def eval_g(self, i, theta, sample=None):
-        return self._loss_parts(theta, sample)[0]
+        return self._split(theta, sample)[0]
 
     def eval_h(self, i, theta, sample=None):
-        return self._loss_parts(theta, sample)[1]
-
-    def _block_flat(self, pair):
-        return np.concatenate([pair[0].ravel(), pair[1]])
+        return self._split(theta, sample)[1]
 
     def grad_g_block(self, i, theta, sample=None):
-        X, y, count = self._subset(sample)
-        grads = relu.block_grad_g(self.params(theta), X, y, self.task.loss, i)
-        return self._block_flat(grads) / count
+        return self._block_gradient("g", i, theta, sample)
 
     def subgrad_h_block(self, i, theta, sample=None):
-        X, y, count = self._subset(sample)
-        grads = relu.block_grad_h(self.params(theta), X, y, self.task.loss, i)
-        return self._block_flat(grads) / count
+        return self._block_gradient("h", i, theta, sample)
 
     # -- inner solver ----------------------------------------------------------
     def minimize_block_surrogate(self, i, theta, u, rho, budget, tol, sample=None):

@@ -15,7 +15,7 @@ into differences of blockwise-convex parts:
 Gradients are hand-rolled reverse mode over this fixed graph.  Kink
 selections are deterministic: entrywise ``relu'(0) := 0``, and ties in
 ``max(p, Z-)`` take the ``p`` branch.  For a block ``l`` only layers ``>= l``
-are traversed.
+are traversed; one sweep to layer 0 gives every block's gradient at once.
 """
 
 from dataclasses import dataclass
@@ -251,60 +251,67 @@ def _output_adjoints(state, y, loss, part):
     raise ValueError("loss must be 'mse' or 'ce'")
 
 
-def _loss_block_gradient(params, x, y, loss, part, block):
+def _loss_block_gradient(params, x, y, loss, part, block, state):
+    """One top-down reverse sweep: every layer's ``(dW, db)`` when ``block``
+    is None, else only layer ``block``'s, stopping there.  Layers above the
+    lowest one needed are unwound the same way in both cases, so the pair
+    for a block is the same bits either way."""
     L = params.n_layers
-    if not 0 <= block < L:
+    if block is not None and not 0 <= block < L:
         raise IndexError("block %d out of range for %d layers" % (block, L))
     X = _as_batch(x, params.input_dim)
-    state = forward_split(params, X)
+    if state is None:
+        state = forward_split(params, X)
     dA, dB = _output_adjoints(state, np.atleast_1d(np.asarray(y)), loss, part)
+    lowest = 0 if block is None else block
+    grads = [None] * L
 
     WL, bL = params.layers[-1]
-    if block == L - 1:
+    if block is None or block == L - 1:
         Zp, Zm = state.z_plus[-1], state.z_minus[-1]
         dW = (_relu_deriv(WL) * (dA.T @ Zp + dB.T @ Zm)
               - _relu_deriv(-WL) * (dA.T @ Zm + dB.T @ Zp))
         db = _relu_deriv(bL) * dA.sum(axis=0) - _relu_deriv(-bL) * dB.sum(axis=0)
-        return dW, db
+        grads[L - 1] = (dW, db)
 
-    WLp, WLm = _relu(WL), _relu(-WL)
-    dZp = dA @ WLp + dB @ WLm
-    dZm = dA @ WLm + dB @ WLp
+    if lowest < L - 1:
+        WLp, WLm = _relu(WL), _relu(-WL)
+        dZp = dA @ WLp + dB @ WLm
+        dZm = dA @ WLm + dB @ WLp
+        # hidden layers top-down; only layers >= lowest are touched
+        for l in range(L - 2, max(lowest, 1) - 1, -1):
+            mask = (state.pre[l] >= state.z_minus[l]).astype(float)
+            dp = mask * dZp
+            dzm = dZm + (1.0 - mask) * dZp
+            W = params.layers[l][0]
+            if block is None or block == l:
+                Zp_in, Zm_in = state.z_plus[l - 1], state.z_minus[l - 1]
+                dW = (_relu_deriv(W) * (dp.T @ Zp_in + dzm.T @ Zm_in)
+                      - _relu_deriv(-W) * (dp.T @ Zm_in + dzm.T @ Zp_in))
+                grads[l] = (dW, dp.sum(axis=0))
+            if l > lowest:
+                Wp, Wm = _relu(W), _relu(-W)
+                dZp = dp @ Wp + dzm @ Wm
+                dZm = dp @ Wm + dzm @ Wp
+        if lowest == 0:
+            dp = _relu_deriv(state.pre[0]) * dZp  # z_minus[0] is constant zero
+            grads[0] = (dp.T @ X, dp.sum(axis=0))
 
-    # unwind hidden layers above the block; only layers >= block are touched
-    for l in range(L - 2, block, -1):
-        mask = (state.pre[l] >= state.z_minus[l]).astype(float)
-        dp = mask * dZp
-        dzm = dZm + (1.0 - mask) * dZp
-        W = params.layers[l][0]
-        Wp, Wm = _relu(W), _relu(-W)
-        dZp = dp @ Wp + dzm @ Wm
-        dZm = dp @ Wm + dzm @ Wp
-
-    if block == 0:
-        dp = _relu_deriv(state.pre[0]) * dZp  # z_minus[0] is constant zero
-        return dp.T @ X, dp.sum(axis=0)
-
-    mask = (state.pre[block] >= state.z_minus[block]).astype(float)
-    dp = mask * dZp
-    dzm = dZm + (1.0 - mask) * dZp
-    Zp_in, Zm_in = state.z_plus[block - 1], state.z_minus[block - 1]
-    W, b = params.layers[block]
-    dW = (_relu_deriv(W) * (dp.T @ Zp_in + dzm.T @ Zm_in)
-          - _relu_deriv(-W) * (dp.T @ Zm_in + dzm.T @ Zp_in))
-    return dW, dp.sum(axis=0)
+    return grads if block is None else grads[block]
 
 
-def block_grad_g(params, x, y, loss, block):
+def block_grad_g(params, x, y, loss, block, state=None):
     """Subgradient of the batch-summed convex part w.r.t. layer ``block``,
     shaped like ``(W, b)``.  Matches central finite differences on smooth
-    regions."""
-    return _loss_block_gradient(params, x, y, loss, "g", block)
+    regions.  ``block=None`` returns every layer's pair from one sweep;
+    ``state`` reuses a forward pass of ``params`` on ``x``."""
+    return _loss_block_gradient(params, x, y, loss, "g", block, state)
 
 
-def block_grad_h(params, x, y, loss, block):
-    """Subgradient of the batch-summed concave-side part w.r.t. layer ``block``."""
-    return _loss_block_gradient(params, x, y, loss, "h", block)
+def block_grad_h(params, x, y, loss, block, state=None):
+    """Subgradient of the batch-summed concave-side part w.r.t. layer
+    ``block``; ``block`` and ``state`` as in :func:`block_grad_g`."""
+    return _loss_block_gradient(params, x, y, loss, "h", block, state)
 
 
 def save_params_csv(params, path):

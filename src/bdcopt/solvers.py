@@ -12,7 +12,6 @@ stationarity gap.
 """
 
 import math
-import time
 import zlib
 from dataclasses import dataclass, field
 
@@ -92,7 +91,6 @@ class IterRecord:
     residual_upper: float
     step_norm: float
     inner_iters: int
-    wall_ms: float
     block_grad_gap: float
     noise_norm: float | None = None
     sample_key: int | None = None
@@ -113,8 +111,8 @@ class IterTrace:
         return np.array([getattr(r, name) for r in self.records], dtype=float)
 
     def write_csv(self, path):
-        """Write the trace.  The wall-clock column stays out, so reruns of the
-        same configuration are byte-identical."""
+        """Write the trace; reruns of the same configuration are
+        byte-identical."""
         columns = ("k", "block", "f", "g_block", "h_block", "residual_upper",
                    "step_norm", "inner_iters")
         write_csv(path, columns,
@@ -199,11 +197,9 @@ def run(problem, config, theta0=None, callback=None):
                      - problem.subgrad_h_block(i, theta, sample=handle))
             noise_norm = float(np.linalg.norm(z_hat - zs[i]))
 
-        t0 = time.perf_counter()
         theta_next, inner = bdca_step(
             problem, theta, i, config.rho, config.inner_budget,
             config.inner_tol, sample=handle)
-        wall_ms = (time.perf_counter() - t0) * 1e3
         step_norm = float(np.linalg.norm(theta_next - theta))
         if not math.isfinite(step_norm):
             raise ValueError(
@@ -212,7 +208,7 @@ def run(problem, config, theta0=None, callback=None):
         trace.records.append(IterRecord(
             k=k, block=i, f=f_val, g_block=g_val, h_block=h_val,
             residual_upper=resid, step_norm=step_norm,
-            inner_iters=inner, wall_ms=wall_ms,
+            inner_iters=inner,
             block_grad_gap=block_gap, noise_norm=noise_norm,
             sample_key=None if handle is None else handle.key))
         theta = theta_next
