@@ -44,6 +44,15 @@ def _git_describe():
     return "unknown"
 
 
+def _environment():
+    """The numeric environment: the BLAS thread count moves the last bits of
+    some CSVs (``tensor_trace.csv``), so a manifest records it."""
+    env = {name: os.environ.get(name) for name in
+           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(numpy=np.__version__, cpu_count=os.cpu_count())
+    return env
+
+
 class Manifest:
     """``<subcommand>_manifest.json``: a subcommand ``start``s it once its
     output directory and config are known, appends what it writes to
@@ -61,6 +70,7 @@ class Manifest:
             "config": config,
             "seeds": list(seeds),
             "build": _git_describe(),
+            "environment": _environment(),
             "status": "running",
             "wall_s": None,
             "outputs": [],
@@ -334,6 +344,8 @@ def cmd_tensor(args, manifest):
         noise=cfg["noise"])
     manifest.outputs.append(write_csv(os.path.join(out, "tensor_trace.csv"),
                                       ["sweep", "objective", "rel_error"], rows))
+    manifest.payload["final_rel_error"] = rows[-1][2]
+    manifest.payload["stalled"] = experiments.tensor_stalled(rows, cfg["noise"])
     # internal gate: exact block minimization must never increase the objective
     if np.any(np.diff(per_update) > 1e-9 * (1.0 + np.abs(per_update[:-1]))):
         raise ValueError("objective increased during a block update")

@@ -26,6 +26,7 @@ __all__ = [
     "ReluRunResult",
     "run_relu_experiment",
     "run_tensor_experiment",
+    "tensor_stalled",
 ]
 
 # ---------------------------------------------------------------------------
@@ -216,9 +217,9 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0,
     objective values (for monotonicity audits), and the problem.
 
     Plain ALS can stall in a swamp far from the planted tensor, and nothing
-    here detects it: at 40 sweeps on dims (20, 30, 40) with rank 5, about one
+    here escapes it: at 40 sweeps on dims (20, 30, 40) with rank 5, about one
     seed in six (seeds 8, 12, 28, 32, 34, 35 and 36 of 0-40) ends at relative
-    error 0.26-0.47.  The ``rel_error`` column shows a stall.
+    error 0.26-0.47.  ``tensor_stalled(rows, noise)`` gives the verdict.
     """
     if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
         raise ValueError("dims must be 2 to 4 positive mode sizes")
@@ -243,3 +244,21 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0,
         if stop_rel_error and rel <= stop_rel_error:
             break
     return rows, per_update, prob, theta
+
+
+STALL_WINDOW = 10        # sweeps over which the objective must still fall
+STALL_REL_ERROR = 1e-3   # converged noise-free runs end at <= 9e-9
+STALL_DROP = 1e-2        # swamps fall by <= 7e-4 of f over the last window
+
+
+def tensor_stalled(rows, noise):
+    """Stall verdict of a ``run_tensor_experiment`` run from its rows
+    ``(sweep, objective, rel_error)``: True when the run ends far from the
+    planted tensor (``rel_error > STALL_REL_ERROR``) and its objective fell
+    by less than ``STALL_DROP`` of itself over the last ``STALL_WINDOW``
+    sweeps.  None when noise sets the error floor or the run is shorter
+    than the window."""
+    if noise > 0 or len(rows) <= STALL_WINDOW:
+        return None
+    f_then, f_end, rel = rows[-1 - STALL_WINDOW][1], rows[-1][1], rows[-1][2]
+    return bool(rel > STALL_REL_ERROR and (f_then - f_end) < STALL_DROP * f_then)

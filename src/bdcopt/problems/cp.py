@@ -2,7 +2,10 @@
 
 One block per factor matrix; the concave side is identically zero and the
 block surrogate has a closed-form least-squares solution, so block steps are
-exact minimizations (the alternating least-squares update).
+exact minimizations (the alternating least-squares update).  The oracles
+share one residual per point: ``eval_f``, ``eval_g``, ``grad_g_block`` and
+``relative_error`` read the last point's ``reconstruction - T`` instead of
+rebuilding the tensor, and the problem makes the tensor read-only.
 """
 
 from dataclasses import dataclass
@@ -56,13 +59,25 @@ class CpInstance:
 
 
 class CpProblem(BdcProblem):
-    """0.5 ||T - reconstruction||_F^2; convex in each factor, zero concave side."""
+    """0.5 ||T - reconstruction||_F^2; convex in each factor, zero concave side.
+
+    The last point evaluated is kept: its residual ``R = reconstruction - T``
+    and ``f = 0.5 ||R||^2``, keyed by the ``theta`` bytes, so the step's
+    descent checks, the driver's per-update objective and the per-sweep
+    relative error at one point share one reconstruction.  ``R`` never
+    leaves the problem.  The instance's ``tensor`` is made read-only here, so
+    an in-place edit raises instead of leaving a stale residual behind.
+    """
 
     def __init__(self, instance):
+        tensor = np.asarray(instance.tensor)
+        tensor.flags.writeable = False
+        instance.tensor = tensor
         self.instance = instance
         self.shape = instance.tensor.shape
         self.rank = instance.rank
         self.partition = BlockPartition([m * instance.rank for m in self.shape])
+        self._last = None
 
     def unpack(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -79,9 +94,19 @@ class CpProblem(BdcProblem):
     def initial_point(self):
         return self.pack(self.instance.factors)
 
+    def _residual(self, theta):
+        """``(R, f)`` at ``theta``, from the memo when its bytes match."""
+        theta = np.asarray(theta, dtype=float)
+        key = theta.tobytes()
+        if self._last is None or self._last[0] != key:
+            self._last = None  # free the old residual before the new one
+            R = cp_reconstruct(self.unpack(theta))
+            R -= self.instance.tensor
+            self._last = (key, R, 0.5 * float(np.sum(R * R)))
+        return self._last[1:]
+
     def eval_f(self, theta):
-        R = cp_reconstruct(self.unpack(theta)) - self.instance.tensor
-        return 0.5 * float(np.sum(R * R))
+        return self._residual(theta)[1]
 
     def eval_g(self, i, theta, sample=None):
         return self.eval_f(theta)
@@ -90,10 +115,8 @@ class CpProblem(BdcProblem):
         return 0.0
 
     def grad_g_block(self, i, theta, sample=None):
-        factors = self.unpack(theta)
-        K = _khatri_rao_others(factors, i)
-        R = _unfold(cp_reconstruct(factors) - self.instance.tensor, i)
-        return (R @ K).ravel()
+        K = _khatri_rao_others(self.unpack(theta), i)
+        return (_unfold(self._residual(theta)[0], i) @ K).ravel()
 
     def subgrad_h_block(self, i, theta, sample=None):
         return np.zeros(self.partition.block_dims[i])
@@ -112,6 +135,5 @@ class CpProblem(BdcProblem):
         return Fi.ravel(), 1
 
     def relative_error(self, theta):
-        T = self.instance.tensor
-        R = cp_reconstruct(self.unpack(theta)) - T
-        return float(np.linalg.norm(R) / np.linalg.norm(T))
+        R = self._residual(theta)[0]
+        return float(np.linalg.norm(R) / np.linalg.norm(self.instance.tensor))

@@ -83,10 +83,11 @@ class MlpTaskProblem(BdcProblem):
     The last point evaluated is kept: its split forward pass and, once asked
     for, its loss parts and each part's block gradients.  A call at the same
     ``theta`` bytes and minibatch indices reads them instead of recomputing.
-    A gradient of block 0 needs a reverse sweep through every layer, so that
-    sweep keeps every layer's gradient (the per-iteration records then pay
-    one sweep per part); a gradient of a higher block sweeps only down to
-    it.  The task's ``inputs`` and ``labels`` are made read-only here, so an
+    A gradient of block 0 needs a reverse sweep through every layer; on the
+    full data that sweep keeps every layer's gradient (the per-iteration
+    records then pay one sweep per part), while a minibatch gradient, like a
+    gradient of a higher block, sweeps only down to the block it asks for.
+    The task's ``inputs`` and ``labels`` are made read-only here, so an
     in-place edit raises instead of leaving stale values behind.
     """
 
@@ -152,7 +153,7 @@ class MlpTaskProblem(BdcProblem):
         if i not in pairs:
             sweep = relu.block_grad_g if part == "g" else relu.block_grad_h
             args = (point.params, point.X, point.y, self.task.loss)
-            if i == 0:  # the sweep down to block 0 passes every layer
+            if i == 0 and sample is None:  # the records ask for every block
                 pairs.update(enumerate(sweep(*args, None, state=point.state)))
             else:
                 pairs[i] = sweep(*args, i, state=point.state)

@@ -67,6 +67,8 @@ class TestTensorCommand:
         assert manifest["status"] == "complete"
         assert manifest["outputs"] == ["tensor_trace.csv"]
         assert manifest["wall_s"] is not None
+        assert manifest["final_rel_error"] == float(lines[-1].split(",")[2])
+        assert manifest["stalled"] is False
 
     def test_bad_dims_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(["tensor", "--dims", "4", "--outdir", str(tmp_path)],
@@ -277,6 +279,21 @@ def test_manifest_build_id_independent_of_working_directory(capsys, tmp_path,
     capsys.readouterr()
     manifest = json.loads((tmp_path / "tensor_manifest.json").read_text())
     assert manifest["build"] == want
+
+
+def test_manifest_records_numeric_environment(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert main(["tensor", "--sweeps", "2", "--outdir", str(tmp_path)]) == 0
+    assert main(["plan-rho", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name in ("tensor_manifest.json", "plan-rho_manifest.json"):
+        manifest = json.loads((tmp_path / name).read_text())
+        assert manifest["environment"] == {
+            "numpy": np.__version__, "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+            "cpu_count": os.cpu_count()}
 
 
 def test_rerun_is_byte_identical(capsys, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from bdcopt import experiments
 from bdcopt.experiments import (run_relu_experiment, run_sdl_experiment,
                                 run_sdl_gd_comparison, run_tensor_experiment,
-                                sdl_band_columns)
+                                sdl_band_columns, tensor_stalled)
 
 
 def test_sdl_band_columns():
@@ -87,6 +87,16 @@ def test_tensor_experiment_rows_and_noise_floor():
     assert rows[0][0] == 0 and rows[-1][0] == 40
     assert prob.relative_error(theta) == pytest.approx(rows[-1][2])
     assert all(np.isfinite(v) for _, v, _ in rows)
+
+
+@pytest.mark.parametrize("seed,stalled", [(8, True), (0, False)])
+def test_tensor_stall_verdict(seed, stalled):
+    # seed 8 ends in a swamp at relative error 0.37, seed 0 at 1e-15
+    rows, _, _, _ = run_tensor_experiment(dims=(20, 30, 40), rank=5, sweeps=40,
+                                          seed=seed)
+    assert tensor_stalled(rows, 0.0) is stalled
+    assert tensor_stalled(rows, 0.1) is None          # noise sets the floor
+    assert tensor_stalled(rows[:10], 0.0) is None     # shorter than the window
 
 
 def test_tensor_experiment_validates_dims():

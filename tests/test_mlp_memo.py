@@ -202,6 +202,20 @@ def test_stochastic_step_reuses_the_noise_subgradient(monkeypatch):
     assert sum(e[2] for e in diag) == 1 and sum(e[3] for e in diag) == 2
 
 
+def test_minibatch_block0_pair_sweeps_only_block0():
+    # on a minibatch a block-0 pair stops at block 0; on the full data the
+    # block-0 sweep keeps every layer for the record's other blocks
+    prob = blobs_problem()
+    theta = prob.initial_point()
+    handle = SampleHandle(key=1, indices=np.arange(8))
+    prob.subgrad_h_block(0, theta, sample=handle)
+    prob.grad_g_block(0, theta, sample=handle)
+    assert {part: sorted(pairs) for part, pairs in prob._last.grads.items()} == {
+        "g": [0], "h": [0]}
+    prob.grad_g_block(0, theta)
+    assert sorted(prob._last.grads["g"]) == list(range(prob.n_blocks))
+
+
 def test_task_arrays_are_read_only():
     prob = blobs_problem(10)
     before = prob.eval_f(prob.initial_point())
