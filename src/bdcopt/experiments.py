@@ -172,12 +172,15 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
     smoothness estimate of the convex side along the realized update of the
     selected block (log gradient norm vs log estimate scatter).
     With ``theory_preset`` the proximal weight and minibatch size scale with
-    sqrt(total iterations).
+    sqrt(total iterations).  A ``batch_size`` below 1 raises before any
+    solve, with or without the preset.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1, got %r" % (batch_size,))
     mlp_task = _build_task(task, layer_dims, n_data, n_classes,
                            substream(seed, "data"), substream(seed, "init"))
     problem = MlpTaskProblem(mlp_task)
-    n_iters = epochs * max(1, int(np.ceil(n_data / max(1, batch_size))))
+    n_iters = epochs * max(1, int(np.ceil(n_data / batch_size)))
     if theory_preset and n_iters > 0:
         rho, batch_size = sqrt_k_preset(n_iters, rho_coeff, batch_coeff)
 

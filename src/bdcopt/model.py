@@ -241,23 +241,23 @@ class _PointwiseMax(BdcProblem):
     def eval_f(self, theta):
         return max(p.eval_f(theta) for p in self.problems)
 
-    def eval_g(self, i, theta, sample=None):
+    def _pieces(self, i, theta, sample):
+        """The values ``g_r + sum_s h_s - h_r`` whose maximum is ``g_i``."""
         hs = [p.eval_h(i, theta, sample=sample) for p in self.problems]
         total_h = sum(hs)
         gs = [p.eval_g(i, theta, sample=sample) for p in self.problems]
-        return max(g + total_h - h for g, h in zip(gs, hs))
+        return [g + total_h - h for g, h in zip(gs, hs)]
+
+    def eval_g(self, i, theta, sample=None):
+        return max(self._pieces(i, theta, sample))
 
     def eval_h(self, i, theta, sample=None):
         return sum(p.eval_h(i, theta, sample=sample) for p in self.problems)
 
-    def _argmax(self, i, theta, sample):
-        # g_r + sum_{s!=r} h_s differs from f_r by the common sum of h's,
-        # so the achieving index is the lowest r maximizing f_r.
-        vals = [p.eval_f(theta) for p in self.problems]
-        return int(np.argmax(vals))
-
     def grad_g_block(self, i, theta, sample=None):
-        r = self._argmax(i, theta, sample)
+        # the active piece of the same (possibly sampled) values eval_g
+        # maximizes; the lowest index wins a tie
+        r = int(np.argmax(self._pieces(i, theta, sample)))
         out = self.problems[r].grad_g_block(i, theta, sample=sample).copy()
         for s, p in enumerate(self.problems):
             if s != r:

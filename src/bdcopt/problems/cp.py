@@ -5,7 +5,8 @@ block surrogate has a closed-form least-squares solution, so block steps are
 exact minimizations (the alternating least-squares update).  The oracles
 share one residual per point: ``eval_f``, ``eval_g``, ``grad_g_block`` and
 ``relative_error`` read the last point's ``reconstruction - T`` instead of
-rebuilding the tensor, and the problem makes the tensor read-only.
+rebuilding the tensor.  The problem reads only the tensor it was built with,
+which it makes read-only.
 """
 
 from dataclasses import dataclass
@@ -66,7 +67,9 @@ class CpProblem(BdcProblem):
     descent checks, the driver's per-update objective and the per-sweep
     relative error at one point share one reconstruction.  ``R`` never
     leaves the problem.  The instance's ``tensor`` is made read-only here, so
-    an in-place edit raises instead of leaving a stale residual behind.
+    an in-place edit raises instead of leaving a stale residual behind, and
+    the problem keeps that array: assigning a new ``instance.tensor`` later
+    changes nothing here.
     """
 
     def __init__(self, instance):
@@ -74,7 +77,8 @@ class CpProblem(BdcProblem):
         tensor.flags.writeable = False
         instance.tensor = tensor
         self.instance = instance
-        self.shape = instance.tensor.shape
+        self.tensor = tensor
+        self.shape = tensor.shape
         self.rank = instance.rank
         self.partition = BlockPartition([m * instance.rank for m in self.shape])
         self._last = None
@@ -101,7 +105,7 @@ class CpProblem(BdcProblem):
         if self._last is None or self._last[0] != key:
             self._last = None  # free the old residual before the new one
             R = cp_reconstruct(self.unpack(theta))
-            R -= self.instance.tensor
+            R -= self.tensor
             self._last = (key, R, 0.5 * float(np.sum(R * R)))
         return self._last[1:]
 
@@ -124,7 +128,7 @@ class CpProblem(BdcProblem):
     def minimize_block_surrogate(self, i, theta, u, rho, budget, tol, sample=None):
         factors = self.unpack(theta)
         K = _khatri_rao_others(factors, i)
-        Ti = _unfold(self.instance.tensor, i)
+        Ti = _unfold(self.tensor, i)
         if rho == 0 and not np.any(u):
             sol, *_ = np.linalg.lstsq(K, Ti.T, rcond=None)  # exact block minimizer
             Fi = sol.T
@@ -136,4 +140,4 @@ class CpProblem(BdcProblem):
 
     def relative_error(self, theta):
         R = self._residual(theta)[0]
-        return float(np.linalg.norm(R) / np.linalg.norm(self.instance.tensor))
+        return float(np.linalg.norm(R) / np.linalg.norm(self.tensor))

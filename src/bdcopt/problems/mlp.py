@@ -88,7 +88,9 @@ class MlpTaskProblem(BdcProblem):
     records then pay one sweep per part), while a minibatch gradient, like a
     gradient of a higher block, sweeps only down to the block it asks for.
     The task's ``inputs`` and ``labels`` are made read-only here, so an
-    in-place edit raises instead of leaving stale values behind.
+    in-place edit raises instead of leaving stale values behind, and the
+    problem keeps those arrays: assigning new ones to the task later changes
+    nothing here.
     """
 
     def __init__(self, task):
@@ -97,9 +99,10 @@ class MlpTaskProblem(BdcProblem):
             data.flags.writeable = False
             setattr(task, name, data)
         self.task = task
+        self.inputs, self.labels = task.inputs, task.labels
         self.template = task.net
         self.partition = task.net.partition()
-        self.n_data = len(task.labels)
+        self.n_data = len(self.labels)
         self._last = None
 
     def initial_point(self):
@@ -110,9 +113,9 @@ class MlpTaskProblem(BdcProblem):
 
     def _subset(self, sample):
         if sample is None:
-            return self.task.inputs, self.task.labels, self.n_data
+            return self.inputs, self.labels, self.n_data
         idx = list(sample.indices)
-        return self.task.inputs[idx], self.task.labels[idx], len(idx)
+        return self.inputs[idx], self.labels[idx], len(idx)
 
     def sample(self, rng, batch_size=None):
         # key drawn from the caller's generator: replayable, no shared state

@@ -6,9 +6,9 @@ surrogate ``l1 - largest_Q``.  Both blocks share the convex side
 ``0.5 ||Y - D X||_F^2 + alpha ||X||_1``; the concave side is the columnwise
 largest-Q norm (zero for the plain variant, and constant in ``D``).
 
-Inner solvers: soft-threshold proximal gradient on the code block,
-Frank-Wolfe with exact line search over the column-ball product on the
-dictionary block.
+The block surrogates' inner solvers live here too: soft-threshold proximal
+gradient on the code block, and Frank-Wolfe with exact line search over the
+column-ball product on the dictionary block.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,6 @@ import numpy as np
 
 from ..model import BallProductDomain, BdcProblem
 from ..blocks import BlockPartition
-from ..solvers import inner_frank_wolfe_ball_product, inner_prox_gradient
 
 __all__ = [
     "sdl_synthetic",
@@ -27,6 +26,8 @@ __all__ = [
     "SdlInstance",
     "SdlProblem",
     "gd_baseline_sdl",
+    "inner_prox_gradient",
+    "inner_frank_wolfe_ball_product",
 ]
 
 VARIANTS = ("l1", "l1_lq")
@@ -207,14 +208,15 @@ class SdlProblem(BdcProblem):
         alpha = self.instance.alpha
         if i == 0:
             # u == 0 on this block; Frank-Wolfe over the column balls
-            anchor = D if rho else None
             D_new, iters, _, _ = inner_frank_wolfe_ball_product(
-                Y, X, D, budget, rho=rho, anchor=anchor, tol=tol)
+                Y, X, D, budget, rho=rho, tol=tol)
             return D_new.ravel(), iters
 
         U = np.asarray(u).reshape(self.l, self.n)
         X0 = X
-        lip = float(np.linalg.norm(D, 2)) ** 2 + rho
+        # a zero dictionary with rho = 0 leaves the smooth part linear, where
+        # any positive curvature estimate holds
+        lip = float(np.linalg.norm(D, 2)) ** 2 + rho or 1.0
 
         def value_grad(x):
             Xc = x.reshape(self.l, self.n)
@@ -229,9 +231,84 @@ class SdlProblem(BdcProblem):
         def prox(x, t):
             return np.sign(x) * np.maximum(np.abs(x) - alpha * t, 0.0)
 
-        x_new, iters, _ = inner_prox_gradient(
-            value_grad, prox, X0.ravel(), budget, tol, lipschitz=lip)
-        return x_new, iters
+        return inner_prox_gradient(value_grad, prox, X0.ravel(), budget, tol, lip)
+
+
+def inner_prox_gradient(value_grad, prox, x0, budget, tol, lipschitz):
+    """Monotone proximal-gradient descent from ``x0`` with backtracking.
+
+    ``value_grad(x)`` gives the smooth part's ``(value, gradient)`` and
+    ``prox(x, t)`` the nonsmooth part's prox with step ``t``.  The curvature
+    estimate starts at ``lipschitz`` (which must be positive) and doubles
+    until the quadratic upper bound holds.  Stops after ``budget``
+    iterations or once the prox-gradient mapping norm is at most ``tol``.
+    Returns ``(x, iterations)``.
+    """
+    if not lipschitz > 0:
+        raise ValueError("lipschitz must be > 0, got %r" % (lipschitz,))
+    x = np.array(x0, dtype=float, copy=True)
+    L = float(lipschitz)
+    val, grad = value_grad(x)
+    iters = 0
+    for _ in range(budget):
+        iters += 1
+        while True:
+            z = prox(x - grad / L, 1.0 / L)
+            dz = z - x
+            sq = float(np.sum(dz * dz))
+            val_z, grad_z = value_grad(z)
+            # slack only absorbs rounding noise of the value comparison;
+            # L never shrinks within a call, so acceptance stays honest
+            if val_z <= val + float(np.dot(grad.ravel(), dz.ravel())) + 0.5 * L * sq + 1e-15 * (1 + abs(val)):
+                break
+            L *= 2.0
+            if L > 1e18:
+                raise RuntimeError("backtracking underflow: step size vanished")
+        x, val, grad = z, val_z, grad_z
+        if L * float(np.sqrt(sq)) <= tol:
+            break
+    return x, iters
+
+
+def inner_frank_wolfe_ball_product(Y, X, D0, budget, rho=0.0, tol=0.0):
+    """Frank-Wolfe from ``D0`` over a product of unit column balls for
+
+        0.5 ||Y - D X||_F^2 + rho/2 ||D - D0||_F^2 .
+
+    The linear minimization oracle is columnwise ``-grad / ||grad||`` (a
+    zero-gradient column keeps its current value), and the step exactly
+    minimizes the one-dimensional quadratic, clamped to [0, 1].  Returns
+    ``(D, iterations, final_gap, initial_gap)``.
+    """
+    D = np.array(D0, dtype=float, copy=True)
+    R = Y - D @ X
+    first_gap = None
+    gap = np.inf
+    iters = 0
+    for _ in range(budget):
+        iters += 1
+        G = -(R @ X.T)
+        if rho:
+            G = G + rho * (D - D0)
+        norms = np.linalg.norm(G, axis=0)
+        S = D.copy()
+        nz = norms > 0
+        S[:, nz] = -G[:, nz] / norms[nz]
+        Delta = S - D
+        gap = float(np.sum(G * (D - S)))
+        if first_gap is None:
+            first_gap = gap
+        curv = float(np.sum((Delta @ X) ** 2))
+        if rho:
+            curv += rho * float(np.sum(Delta * Delta))
+        if curv <= 0 or gap <= tol:
+            break
+        step = min(max(gap / curv, 0.0), 1.0)
+        if step == 0.0:
+            break
+        D = D + step * Delta
+        R = R - step * (Delta @ X)
+    return D, iters, gap, first_gap if first_gap is not None else 0.0
 
 
 def gd_baseline_sdl(instance, n_steps):

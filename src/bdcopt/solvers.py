@@ -6,7 +6,7 @@ convex surrogate over that block, and check that it descended.  The step is
 plain when rho = 0, proximal when rho > 0, and stochastic when given a
 minibatch handle.  ``run`` picks the blocks and records each iteration; the
 experiment drivers call the step directly.
-The module also houses the generic inner solvers the problems delegate to, the
+Each problem supplies its own inner solver.  The module also houses the
 rho/E planning utility, the local smoothness estimator, and the projected
 stationarity gap.
 """
@@ -29,8 +29,6 @@ __all__ = [
     "substream",
     "bdca_step",
     "run",
-    "inner_prox_gradient",
-    "inner_frank_wolfe_ball_product",
     "compute_E",
     "rho_from",
     "plan_rho",
@@ -119,15 +117,6 @@ class IterTrace:
                   ([getattr(r, c) for c in columns] for r in self.records))
 
 
-def _surrogate_value(problem, i, theta, x, u, rho, x_anchor, sample=None):
-    trial = np.array(theta, dtype=float, copy=True)
-    trial[problem.partition.slice_of(i)] = x
-    val = problem.eval_g(i, trial, sample=sample) - float(np.dot(u, x))
-    if rho:
-        val += 0.5 * rho * float(np.sum((x - x_anchor) ** 2))
-    return val
-
-
 def bdca_step(problem, theta, i, rho=0.0, budget=100, tol=1e-8, sample=None):
     """One block-DC step on block ``i``: take one subgradient ``u`` of h_i,
     minimize the convex surrogate ``g_i - <u, .> + rho/2 ||. - theta_i||^2``
@@ -147,13 +136,15 @@ def bdca_step(problem, theta, i, rho=0.0, budget=100, tol=1e-8, sample=None):
     u = problem.subgrad_h_block(i, theta, sample=sample)
     x_new, inner = problem.minimize_block_surrogate(
         i, theta, u, rho, budget, tol, sample=sample)
-    s_old = _surrogate_value(problem, i, theta, x0, u, rho, x0, sample=sample)
-    s_new = _surrogate_value(problem, i, theta, x_new, u, rho, x0, sample=sample)
+    theta_new = theta.copy()
+    theta_new[sl] = x_new
+    s_old = problem.eval_g(i, theta, sample=sample) - float(np.dot(u, x0))
+    s_new = problem.eval_g(i, theta_new, sample=sample) - float(np.dot(u, x_new))
+    if rho:
+        s_new += 0.5 * rho * float(np.sum((x_new - x0) ** 2))
     if s_new > s_old + max(tol, 1e-12) * (1.0 + abs(s_old)):
         raise InnerSolverDivergence(
             "no surrogate descent on block %d (%.6g -> %.6g)" % (i, s_old, s_new))
-    theta_new = theta.copy()
-    theta_new[sl] = x_new
     return theta_new, inner
 
 
@@ -229,106 +220,6 @@ def audit_step_bound(trace, rho, slack=1e-9):
         bound = (2.0 / rho) * (r.block_grad_gap + (r.noise_norm or 0.0)) + slack
         worst = min(worst, bound - r.step_norm)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# inner solvers
-# ---------------------------------------------------------------------------
-
-def inner_prox_gradient(value_grad, prox, x0, budget, tol, lipschitz=None):
-    """Monotone proximal-gradient descent with backtracking.
-
-    Parameters
-    ----------
-    value_grad : callable
-        ``x -> (value, gradient)`` of the smooth part.
-    prox : callable or None
-        ``(x, t) -> prox`` of the nonsmooth part with step ``t`` (a projection
-        may ignore ``t``); ``None`` means the identity.
-    x0 : array
-    budget : int
-        Maximum number of proximal-gradient iterations.
-    tol : float
-        Stop once the prox-gradient mapping norm falls below ``tol``.
-    lipschitz : float, optional
-        Initial curvature estimate; grown by backtracking as needed.
-
-    Returns
-    -------
-    (x, iterations, mapping_norm)
-    """
-    if prox is None:
-        prox = lambda x, t: x
-    x = np.array(x0, dtype=float, copy=True)
-    L = float(lipschitz) if lipschitz else 1.0
-    val, grad = value_grad(x)
-    iters = 0
-    mapping_norm = np.inf
-    for _ in range(budget):
-        iters += 1
-        while True:
-            z = prox(x - grad / L, 1.0 / L)
-            dz = z - x
-            sq = float(np.sum(dz * dz))
-            val_z, grad_z = value_grad(z)
-            # slack only absorbs rounding noise of the value comparison;
-            # L never shrinks within a call, so acceptance stays honest
-            if val_z <= val + float(np.dot(grad.ravel(), dz.ravel())) + 0.5 * L * sq + 1e-15 * (1 + abs(val)):
-                break
-            L *= 2.0
-            if L > 1e18:
-                raise RuntimeError("backtracking underflow: step size vanished")
-        mapping_norm = L * float(np.sqrt(sq))
-        x, val, grad = z, val_z, grad_z
-        if mapping_norm <= tol:
-            break
-    return x, iters, mapping_norm
-
-
-def inner_frank_wolfe_ball_product(Y, X, D0, budget, rho=0.0, anchor=None, tol=0.0):
-    """Frank-Wolfe over a product of unit column balls for the objective
-
-        0.5 ||Y - D X||_F^2 + rho/2 ||D - anchor||_F^2 .
-
-    The linear minimization oracle is columnwise ``-grad / ||grad||`` (a
-    zero-gradient column keeps its current value) and the step size comes from
-    exact minimization of the one-dimensional quadratic, clamped to [0, 1].
-
-    Returns
-    -------
-    (D, iterations, final_gap, initial_gap)
-    """
-    D = np.array(D0, dtype=float, copy=True)
-    if rho and anchor is None:
-        anchor = D.copy()
-    R = Y - D @ X
-    first_gap = None
-    gap = np.inf
-    iters = 0
-    for _ in range(budget):
-        iters += 1
-        G = -(R @ X.T)
-        if rho:
-            G = G + rho * (D - anchor)
-        norms = np.linalg.norm(G, axis=0)
-        S = D.copy()
-        nz = norms > 0
-        S[:, nz] = -G[:, nz] / norms[nz]
-        Delta = S - D
-        gap = float(np.sum(G * (D - S)))
-        if first_gap is None:
-            first_gap = gap
-        curv = float(np.sum((Delta @ X) ** 2))
-        if rho:
-            curv += rho * float(np.sum(Delta * Delta))
-        if curv <= 0 or gap <= tol:
-            break
-        step = min(max(gap / curv, 0.0), 1.0)
-        if step == 0.0:
-            break
-        D = D + step * Delta
-        R = R - step * (Delta @ X)
-    return D, iters, gap, first_gap if first_gap is not None else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,18 @@ class TestReluCommand:
         assert [W.shape for W, _ in params.layers] == [(5, 2), (3, 5)]
 
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_batch_size_with_theory_preset_is_one_line_error(
+            self, capsys, tmp_path, value):
+        code, _, err = run_cli(["relu", "--theory-preset", "--batch-size", value,
+                                "--outdir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.splitlines() == ["error: batch_size must be >= 1, got %s" % value]
+        manifest = json.loads((tmp_path / "relu_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert not (tmp_path / "relu_loss_seed0.csv").exists()
+
+
 class TestSdlCommand:
     def test_small_run_outputs(self, capsys, tmp_path):
         code, _, _ = run_cli(["sdl", "--iters", "15", "--seeds", "2",

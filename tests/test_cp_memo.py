@@ -79,7 +79,7 @@ def replay(inst, rng, n_calls=40):
     prob = CpProblem(inst)
     theta0 = prob.initial_point()
     other = theta0 + rng.choice(GRID, size=theta0.size)
-    trial = theta0.copy()  # edited in place, as _surrogate_value's trial vector
+    trial = theta0.copy()  # edited in place, as an inner solver's trial vector
     points = [theta0, other, trial]
     for _ in range(n_calls):
         if rng.random() < 0.3:
@@ -137,3 +137,24 @@ def test_tensor_is_read_only():
     with pytest.raises(ValueError):
         inst.tensor[(0,) * inst.tensor.ndim] = 100.0
     assert prob.eval_f(theta) == before
+
+
+def test_reassigned_tensor_is_not_read():
+    # the problem keeps the tensor it was built with; a new array assigned
+    # to the instance afterwards reaches no oracle, memoized or not
+    rng = np.random.default_rng(11)
+    inst = build_instance(rng, 3, 2, grid=False)
+    original = CpInstance(tensor=inst.tensor.copy(), rank=inst.rank,
+                          factors=[F.copy() for F in inst.factors])
+    prob, ref = CpProblem(inst), CpProblem(original)
+    theta0 = prob.initial_point()
+    prob.eval_f(theta0)  # a point evaluated before the reassignment
+    inst.tensor = rng.standard_normal(inst.tensor.shape)
+    other = theta0 + rng.standard_normal(theta0.size)
+    for theta in (theta0, other, theta0):
+        for name in ORACLES:
+            for i in range(prob.n_blocks):
+                u = np.zeros(prob.partition.block_dims[i])
+                got = call(prob, name, i, theta, u, 0.5)
+                want = call(ref, name, i, theta, u, 0.5)
+                np.testing.assert_array_equal(got, want, err_msg=name)

@@ -71,9 +71,19 @@ def test_relu_experiment_theory_preset_scales_with_iterations():
     assert res.batch_size == int(np.ceil(0.5 * np.sqrt(n_iters)))
 
 
-def test_relu_experiment_rejects_zero_batch_size():
-    with pytest.raises(ValueError, match="batch_size"):
-        run_relu_experiment(layer_dims=(4,), n_data=20, epochs=1, batch_size=0)
+def test_relu_experiment_rejects_zero_batch_size(monkeypatch):
+    # the preset replaces batch_size, so a bad one must be caught before it
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(experiments, "run", no_solve)
+    for batch_size in (0, -3):
+        for theory_preset in (False, True):
+            with pytest.raises(ValueError, match="batch_size must be >= 1, got %d"
+                               % batch_size):
+                run_relu_experiment(layer_dims=(4,), n_data=20, epochs=1,
+                                    batch_size=batch_size,
+                                    theory_preset=theory_preset)
 
 
 def test_relu_experiment_rejects_unknown_task():

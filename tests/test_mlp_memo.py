@@ -224,3 +224,30 @@ def test_task_arrays_are_read_only():
     with pytest.raises(ValueError):
         prob.task.labels[0] = 1 - prob.task.labels[0]
     assert prob.eval_f(prob.initial_point()) == before
+
+
+def test_reassigned_task_arrays_are_not_read():
+    # the problem keeps the inputs and labels it was built with; new arrays
+    # assigned to the task afterwards reach no oracle, memoized or not
+    prob, ref = blobs_problem(), blobs_problem()
+    theta0 = prob.initial_point()
+    handle = SampleHandle(key=1, indices=np.arange(0, 40, 3))
+    prob.eval_f(theta0)  # a point evaluated before the reassignment
+    x, y = gaussian_blobs(40, 3, seed=9)
+    prob.task.inputs, prob.task.labels = x, y
+    other = theta0 + 0.1 * np.random.default_rng(2).standard_normal(theta0.size)
+    for theta in (theta0, other, theta0):
+        for sample in (None, handle, None):
+            assert prob.eval_f(theta) == ref.eval_f(theta)
+            for i in range(prob.n_blocks):
+                for name in ORACLES[1:]:
+                    np.testing.assert_array_equal(
+                        getattr(prob, name)(i, theta, sample=sample),
+                        getattr(ref, name)(i, theta, sample=sample), err_msg=name)
+                u = ref.subgrad_h_block(i, theta, sample=sample)
+                got = prob.minimize_block_surrogate(i, theta, u, 1.0, 3, 1e-8,
+                                                    sample=sample)
+                want = ref.minimize_block_surrogate(i, theta, u, 1.0, 3, 1e-8,
+                                                    sample=sample)
+                np.testing.assert_array_equal(got[0], want[0])
+                assert got[1] == want[1]

@@ -299,6 +299,34 @@ class TestSampleReplay:
         assert first[0] == second[0]
         np.testing.assert_array_equal(first[1], second[1])
 
+    def test_max_gradient_follows_the_sampled_active_piece(self):
+        # on a minibatch, eval_g maximizes the sampled pieces
+        # g_r + sum_s h_s - h_r; its gradient must take the same piece even
+        # where the full-data objectives pick the other one
+        net = relu.random_params((2, 5, 3), np.random.default_rng(2))
+        parts = [MlpTaskProblem(MlpTask(*gaussian_blobs(30, 3, seed=seed),
+                                        net=net, loss="ce"))
+                 for seed in (1, 4)]
+        mx = combine_max(parts)
+        theta = mx.problems[0].initial_point()
+        full = int(np.argmax([p.eval_f(theta) for p in parts]))
+        rng = np.random.default_rng(3)
+        differs = 0
+        for _ in range(60):
+            handle = parts[0].sample(rng, batch_size=5)
+            i = int(rng.integers(mx.n_blocks))
+            gs = [p.eval_g(i, theta, sample=handle) for p in parts]
+            hs = [p.eval_h(i, theta, sample=handle) for p in parts]
+            pieces = [g + sum(hs) - h for g, h in zip(gs, hs)]
+            r = pieces.index(max(pieces))
+            assert mx.eval_g(i, theta, sample=handle) == pieces[r]
+            want = (parts[r].grad_g_block(i, theta, sample=handle)
+                    + parts[1 - r].subgrad_h_block(i, theta, sample=handle))
+            np.testing.assert_array_equal(
+                mx.grad_g_block(i, theta, sample=handle), want)
+            differs += r != full
+        assert differs > 0
+
     def test_deterministic_problem_has_no_sampler(self):
         prob = QuadraticDcProblem.random(PART, np.random.default_rng(0))
         with pytest.raises(NotImplementedError):

@@ -32,6 +32,14 @@ def test_experiments_import_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_problems_import_loads_no_solvers(tmp_path):
+    # the problem layer sits below the solver layer that calls it
+    proc = _python(["-c", "import sys, bdcopt.problems; "
+                          "print('bdcopt.solvers' in sys.modules)"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # demo 04 (about 30 s) is left out; acceptance criteria 9 and 10 run its code
 @pytest.mark.parametrize("demo", [
     "01_monomial_decompositions.py",

@@ -6,11 +6,12 @@ from bdcopt.blocks import BlockPartition
 from bdcopt.model import BallProductDomain, BdcProblem
 from bdcopt.problems import (QuadraticDcProblem, QuadraticMinusL1Problem,
                              SdlInstance, SdlProblem, sdl_synthetic)
+from bdcopt.problems.sdl import (inner_frank_wolfe_ball_product,
+                                 inner_prox_gradient)
 from bdcopt.solvers import (InnerSolverDivergence, SolverConfig,
                             audit_step_bound, bdca_step, compute_E, gap_L,
-                            inner_frank_wolfe_ball_product,
-                            inner_prox_gradient, plan_rho, rho_from, run,
-                            smoothness_estimate, substream)
+                            plan_rho, rho_from, run, smoothness_estimate,
+                            substream)
 from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
 from bdcopt.model import SampleHandle
 from bdcopt import relu
@@ -42,7 +43,8 @@ class TestBdcaStep:
         def prox(x, t):
             return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
-        x, _, _ = inner_prox_gradient(value_grad, prox, np.array([0.7]), 200, 1e-12)
+        x, _ = inner_prox_gradient(value_grad, prox, np.array([0.7]), 200, 1e-12,
+                                   lipschitz=1.0)
         assert x[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_divergent_inner_solver_aborts(self):
@@ -234,7 +236,8 @@ class TestInnerProxGradient:
             r = A @ x - b
             return 0.5 * float(r @ r), A.T @ r
 
-        x, _, _ = inner_prox_gradient(value_grad, None, np.zeros(5), 3000, 1e-12)
+        x, _ = inner_prox_gradient(value_grad, lambda x, t: x, np.zeros(5), 3000,
+                                   1e-12, lipschitz=1.0)
         want = np.linalg.solve(A.T @ A, A.T @ b)
         np.testing.assert_allclose(x, want, atol=1e-8)
 
@@ -249,8 +252,30 @@ class TestInnerProxGradient:
             n = np.linalg.norm(x)
             return x / max(1.0, n)
 
-        x, _, _ = inner_prox_gradient(value_grad, project, np.zeros(2), 500, 1e-12)
+        x, _ = inner_prox_gradient(value_grad, project, np.zeros(2), 500, 1e-12,
+                                   lipschitz=1.0)
         np.testing.assert_allclose(x, z / 5.0, atol=1e-10)
+
+
+    @pytest.mark.parametrize("lipschitz", [0.0, -1.0, float("nan")])
+    def test_nonpositive_lipschitz_rejected(self, lipschitz):
+        def value_grad(x):
+            return 0.5 * float(x @ x), x
+
+        with pytest.raises(ValueError, match="lipschitz must be > 0"):
+            inner_prox_gradient(value_grad, lambda x, t: x, np.ones(2), 5, 1e-12,
+                                lipschitz=lipschitz)
+
+    def test_zero_dictionary_code_step(self):
+        # D = 0 and rho = 0 leave the code surrogate linear plus l1; the
+        # step still runs and keeps the codes at the soft-threshold fixpoint
+        Y, _, _ = sdl_synthetic(4, 6, 8, 2, seed=1)
+        inst = SdlInstance(Y=Y, D=np.zeros((4, 6)), X=np.zeros((6, 8)),
+                           alpha=0.1, Q=2)
+        prob = SdlProblem(inst)
+        theta, inner = bdca_step(prob, prob.initial_point(), 1, budget=5)
+        assert inner >= 1
+        np.testing.assert_array_equal(theta, prob.initial_point())
 
 
 class TestFrankWolfe:
