@@ -183,47 +183,29 @@ class _LinearCombination(BdcProblem):
     def eval_f(self, theta):
         return sum(a * p.eval_f(theta) for a, p in zip(self.weights, self.problems))
 
-    def _combine(self, pos_oracle, neg_oracle, i, theta, sample):
-        total = None
+    def _signed_sum(self, same, swapped, i, theta, sample, total=0.0):
+        """``total + sum a+ p.same(...) + a- p.swapped(...)``: the named
+        block oracles, each part weighted and the negative ones swapped."""
         for a, p in zip(self.weights, self.problems):
-            ap, am = max(a, 0.0), max(-a, 0.0)
-            term = 0.0
-            if ap:
-                term = ap * pos_oracle(p, i, theta, sample)
-            if am:
-                term = term + am * neg_oracle(p, i, theta, sample)
-            total = term if total is None else total + term
+            if a > 0:
+                total = total + a * getattr(p, same)(i, theta, sample=sample)
+            elif a < 0:
+                total = total + -a * getattr(p, swapped)(i, theta, sample=sample)
         return total
 
     def eval_g(self, i, theta, sample=None):
-        return self._combine(
-            lambda p, i, t, s: p.eval_g(i, t, sample=s),
-            lambda p, i, t, s: p.eval_h(i, t, sample=s),
-            i, theta, sample)
+        return self._signed_sum("eval_g", "eval_h", i, theta, sample)
 
     def eval_h(self, i, theta, sample=None):
-        return self._combine(
-            lambda p, i, t, s: p.eval_h(i, t, sample=s),
-            lambda p, i, t, s: p.eval_g(i, t, sample=s),
-            i, theta, sample)
+        return self._signed_sum("eval_h", "eval_g", i, theta, sample)
 
     def grad_g_block(self, i, theta, sample=None):
-        out = np.zeros(self.partition.block_dims[i])
-        for a, p in zip(self.weights, self.problems):
-            if a > 0:
-                out += a * p.grad_g_block(i, theta, sample=sample)
-            elif a < 0:
-                out += -a * p.subgrad_h_block(i, theta, sample=sample)
-        return out
+        return self._signed_sum("grad_g_block", "subgrad_h_block", i, theta,
+                                sample, np.zeros(self.partition.block_dims[i]))
 
     def subgrad_h_block(self, i, theta, sample=None):
-        out = np.zeros(self.partition.block_dims[i])
-        for a, p in zip(self.weights, self.problems):
-            if a > 0:
-                out += a * p.subgrad_h_block(i, theta, sample=sample)
-            elif a < 0:
-                out += -a * p.grad_g_block(i, theta, sample=sample)
-        return out
+        return self._signed_sum("subgrad_h_block", "grad_g_block", i, theta,
+                                sample, np.zeros(self.partition.block_dims[i]))
 
 
 def combine_linear(problems, weights):

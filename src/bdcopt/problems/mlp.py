@@ -183,13 +183,16 @@ class MlpTaskProblem(BdcProblem):
     def minimize_block_surrogate(self, i, theta, u, rho, budget, tol, sample=None):
         """Descent on the block surrogate, robust to the split's convex kinks.
 
-        The surrogate is convex but only piecewise smooth: entrywise relu
-        terms put kinks on coordinate hyperplanes, where the fixed
-        subgradient selection may not be a descent direction.  The loop takes
-        line-searched subgradient steps; when jammed it probes coordinates
-        sitting exactly on a kink and finally hops non-monotonically across
-        the kink with a shrinking step.  The best visited point is returned,
-        so the surrogate never increases.
+        The surrogate is convex but only piecewise smooth, so the fixed
+        subgradient selection at a kink may not be a descent direction.  Each
+        of the ``budget`` gradients gets one backtracking line search along
+        its negative, skipped once the gradient is below the tolerance.  When
+        no step descends, the loop probes the coordinates sitting exactly at
+        zero, where relu terms put kinks, one at a time and both ways.  If
+        none descends either, it stops when stationary and otherwise hops
+        non-monotonically along the negative gradient with a step that halves
+        on every hop.  The best visited point is returned, so the surrogate
+        never increases.  Returns ``(x, gradients taken)``.
         """
         theta = np.asarray(theta, dtype=float)
         sl = self.partition.slice_of(i)
@@ -236,31 +239,28 @@ class MlpTaskProblem(BdcProblem):
             grad = gradient(x)
             evals += 1
             gnorm = float(np.linalg.norm(grad))
-            moved = False
-            if gnorm > tol_eff:
-                s = step
-                for _ in range(20):
-                    cand = x - s * grad
-                    cand_val = value(cand)
-                    if cand_val <= val - 1e-12 * (1 + abs(val)):
-                        x, val, step = cand, cand_val, s * 1.5
-                        moved = True
-                        break
-                    s *= 0.5
-            if not moved:
+            s = step
+            # no line search once stationary; the else branch still probes
+            for _ in range(20 if gnorm > tol_eff else 0):
+                cand = x - s * grad
+                cand_val = value(cand)
+                if cand_val <= val - 1e-12 * (1 + abs(val)):
+                    x, val, step = cand, cand_val, s * 1.5
+                    break
+                s *= 0.5
+            else:
                 hit = probe_kinks(x, val)
                 if hit is not None:
                     x, val = hit
-                    moved = True
-            if not moved:
-                if gnorm <= tol_eff:
+                elif gnorm <= tol_eff:
                     break  # approximately stationary, kinks probed
-                # cross the kink: shrinking non-monotone hop along -grad
-                if escape * gnorm <= 1e-14 * (1.0 + float(np.linalg.norm(x))):
+                elif escape * gnorm <= 1e-14 * (1.0 + float(np.linalg.norm(x))):
                     break
-                x = x - escape * grad
-                val = value(x)
-                escape *= 0.5
+                else:
+                    # cross the kink: shrinking non-monotone hop along -grad
+                    x = x - escape * grad
+                    val = value(x)
+                    escape *= 0.5
             if val < best_val:
                 best_x, best_val = x.copy(), val
-        return best_x, max(evals, 1)
+        return best_x, evals

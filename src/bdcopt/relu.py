@@ -262,41 +262,31 @@ def _loss_block_gradient(params, x, y, loss, part, block, state):
     X = _as_batch(x, params.input_dim)
     if state is None:
         state = forward_split(params, X)
-    dA, dB = _output_adjoints(state, np.atleast_1d(np.asarray(y)), loss, part)
+    # the output pair (A, B) enters the sweep as a layer's (p, z-) pair
+    dp, dzm = _output_adjoints(state, np.atleast_1d(np.asarray(y)), loss, part)
     lowest = 0 if block is None else block
     grads = [None] * L
-
-    WL, bL = params.layers[-1]
-    if block is None or block == L - 1:
-        Zp, Zm = state.z_plus[-1], state.z_minus[-1]
-        dW = (_relu_deriv(WL) * (dA.T @ Zp + dB.T @ Zm)
-              - _relu_deriv(-WL) * (dA.T @ Zm + dB.T @ Zp))
-        db = _relu_deriv(bL) * dA.sum(axis=0) - _relu_deriv(-bL) * dB.sum(axis=0)
-        grads[L - 1] = (dW, db)
-
-    if lowest < L - 1:
-        WLp, WLm = _relu(WL), _relu(-WL)
-        dZp = dA @ WLp + dB @ WLm
-        dZm = dA @ WLm + dB @ WLp
-        # hidden layers top-down; only layers >= lowest are touched
-        for l in range(L - 2, max(lowest, 1) - 1, -1):
+    # layers top-down, output first; only layers >= lowest are touched
+    for l in range(L - 1, max(lowest, 1) - 1, -1):
+        W, b = params.layers[l]
+        if l < L - 1:  # a hidden layer's z+ = max(p, z-)
             mask = (state.pre[l] >= state.z_minus[l]).astype(float)
-            dp = mask * dZp
-            dzm = dZm + (1.0 - mask) * dZp
-            W = params.layers[l][0]
-            if block is None or block == l:
-                Zp_in, Zm_in = state.z_plus[l - 1], state.z_minus[l - 1]
-                dW = (_relu_deriv(W) * (dp.T @ Zp_in + dzm.T @ Zm_in)
-                      - _relu_deriv(-W) * (dp.T @ Zm_in + dzm.T @ Zp_in))
-                grads[l] = (dW, dp.sum(axis=0))
-            if l > lowest:
-                Wp, Wm = _relu(W), _relu(-W)
-                dZp = dp @ Wp + dzm @ Wm
-                dZm = dp @ Wm + dzm @ Wp
-        if lowest == 0:
-            dp = _relu_deriv(state.pre[0]) * dZp  # z_minus[0] is constant zero
-            grads[0] = (dp.T @ X, dp.sum(axis=0))
-
+            dp, dzm = mask * dZp, dZm + (1.0 - mask) * dZp
+        if block is None or block == l:
+            Zp_in, Zm_in = state.z_plus[l - 1], state.z_minus[l - 1]
+            dW = (_relu_deriv(W) * (dp.T @ Zp_in + dzm.T @ Zm_in)
+                  - _relu_deriv(-W) * (dp.T @ Zm_in + dzm.T @ Zp_in))
+            db = dp.sum(axis=0)
+            if l == L - 1:  # the output bias is split as relu(b) - relu(-b)
+                db = _relu_deriv(b) * db - _relu_deriv(-b) * dzm.sum(axis=0)
+            grads[l] = (dW, db)
+        if l > lowest:
+            Wp, Wm = _relu(W), _relu(-W)
+            dZp = dp @ Wp + dzm @ Wm
+            dZm = dp @ Wm + dzm @ Wp
+    if lowest == 0:
+        dp = _relu_deriv(state.pre[0]) * dZp  # z_minus[0] is constant zero
+        grads[0] = (dp.T @ X, dp.sum(axis=0))
     return grads if block is None else grads[block]
 
 

@@ -126,10 +126,13 @@ def bdca_step(problem, theta, i, rho=0.0, budget=100, tol=1e-8, sample=None):
     also guarantees ``||theta_new - theta|| <= (2/rho) ||grad g_i - u_i||``.
     A ``sample`` handle makes it the stochastic step: every oracle of the
     step is evaluated on that minibatch.  Returns ``(theta_new, inner_iters)``
-    and raises ``InnerSolverDivergence`` when the surrogate did not descend.
+    and raises ``InnerSolverDivergence`` when the surrogate did not descend
+    or either surrogate value is NaN.
     """
     if not rho >= 0:
         raise ValueError("rho must be >= 0, got %r" % (rho,))
+    if budget < 1:
+        raise ValueError("inner budget must be >= 1, got %r" % (budget,))
     theta = np.asarray(theta, dtype=float)
     sl = problem.partition.slice_of(i)
     x0 = theta[sl].copy()
@@ -142,7 +145,7 @@ def bdca_step(problem, theta, i, rho=0.0, budget=100, tol=1e-8, sample=None):
     s_new = problem.eval_g(i, theta_new, sample=sample) - float(np.dot(u, x_new))
     if rho:
         s_new += 0.5 * rho * float(np.sum((x_new - x0) ** 2))
-    if s_new > s_old + max(tol, 1e-12) * (1.0 + abs(s_old)):
+    if not s_new <= s_old + max(tol, 1e-12) * (1.0 + abs(s_old)):
         raise InnerSolverDivergence(
             "no surrogate descent on block %d (%.6g -> %.6g)" % (i, s_old, s_new))
     return theta_new, inner

@@ -177,6 +177,16 @@ class TestSdlCommand:
         assert err.splitlines() == ["error: " + message]
         assert not (tmp_path / "sdl_rec_errors.csv").exists()
 
+    def test_zero_inner_budget_is_one_line_error(self, capsys, tmp_path):
+        code, _, err = run_cli(["sdl", "--inner-x", "0", "--inner-d", "0",
+                                "--iters", "3", "--seeds", "1", "--variant", "l1",
+                                "--outdir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.splitlines() == ["error: inner budget must be >= 1, got 0"]
+        manifest = json.loads((tmp_path / "sdl_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert not (tmp_path / "sdl_rec_errors.csv").exists()
+
     def test_compare_gd_checks_q_before_the_l1_sweep(self, capsys, tmp_path):
         code, _, err = run_cli(["sdl", "--variant", "l1", "--compare-gd", "--q", "40",
                                 "--outdir", str(tmp_path)], capsys)

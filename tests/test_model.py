@@ -154,6 +154,27 @@ class TestCombinators:
             for i in range(3):
                 assert abs(lc.eval_g(i, theta) - lc.eval_h(i, theta) - want) <= 1e-9
 
+    def test_gradients_are_the_signed_sums(self):
+        lc = combine_linear([self.p1, self.p2], [2.0, -3.0])
+        theta = self.rng.standard_normal(9)
+        for i in range(3):
+            np.testing.assert_array_equal(
+                lc.grad_g_block(i, theta),
+                2.0 * self.p1.grad_g_block(i, theta)
+                + 3.0 * self.p2.subgrad_h_block(i, theta))
+            np.testing.assert_array_equal(
+                lc.subgrad_h_block(i, theta),
+                2.0 * self.p1.subgrad_h_block(i, theta)
+                + 3.0 * self.p2.grad_g_block(i, theta))
+
+    def test_zero_weights_keep_block_shaped_gradients(self):
+        lc = combine_linear([self.p1, self.p2], [0.0, 0.0])
+        theta = self.rng.standard_normal(9)
+        for i in range(3):
+            assert lc.eval_g(i, theta) == 0.0 and lc.eval_h(i, theta) == 0.0
+            for grad in (lc.grad_g_block(i, theta), lc.subgrad_h_block(i, theta)):
+                np.testing.assert_array_equal(grad, np.zeros(PART.block_dims[i]))
+
     def test_partition_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         other = QuadraticDcProblem.random(BlockPartition([4, 5]), rng)

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from bdcopt.blocks import BlockPartition
 from bdcopt.model import BallProductDomain, BdcProblem
-from bdcopt.problems import (QuadraticDcProblem, QuadraticMinusL1Problem,
-                             SdlInstance, SdlProblem, sdl_synthetic)
+from bdcopt.problems import (CpInstance, CpProblem, QuadraticDcProblem,
+                             QuadraticMinusL1Problem, SdlInstance, SdlProblem,
+                             cp_reconstruct, sdl_synthetic)
 from bdcopt.problems.sdl import (inner_frank_wolfe_ball_product,
                                  inner_prox_gradient)
 from bdcopt.solvers import (InnerSolverDivergence, SolverConfig,
@@ -57,6 +58,28 @@ class TestBdcaStep:
         prob = Broken(part, np.eye(2), np.zeros(2))
         with pytest.raises(InnerSolverDivergence):
             bdca_step(prob, np.ones(2), 0)
+
+    def test_non_finite_surrogate_is_not_descent(self):
+        # NaN compares false both ways, so a NaN surrogate must fail the check
+        rng = np.random.default_rng(3)
+        factors = [rng.standard_normal((m, 2)) for m in (3, 4, 5)]
+        tensor = cp_reconstruct(factors)
+        tensor[1, 2, 3] = np.inf
+        cp = CpProblem(CpInstance(tensor=tensor, rank=2, factors=factors))
+        Y, D, X = sdl_synthetic(m=4, l=6, n=9, k_nonzero=2, seed=1)
+        Y[2, 5] = np.nan
+        sdl = SdlProblem(SdlInstance(Y=Y, D=D, X=X, Q=2))
+        for prob in (cp, sdl):
+            with pytest.raises(InnerSolverDivergence,
+                               match=r"on block 0 \(\S+ -> nan\)"):
+                bdca_step(prob, prob.initial_point(), 0)
+
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_budget_below_one_rejected(self, budget):
+        prob = identity_quadratic(BlockPartition([2]), [1.0, 1.0])
+        with pytest.raises(ValueError,
+                           match=r"inner budget must be >= 1, got %d" % budget):
+            bdca_step(prob, np.zeros(2), 0, budget=budget)
 
 
 class TestProxStep:
@@ -205,9 +228,10 @@ class TestRun:
 
     def test_non_finite_f_names_iteration_block_and_value(self):
         class NanAwayFromStart(QuadraticDcProblem):
-            # g turns NaN once the iterate leaves the zero start
-            def eval_g(self, i, theta, sample=None):
-                return np.nan if np.any(theta) else super().eval_g(i, theta)
+            # h, which the step never reads, turns NaN once the iterate
+            # leaves the zero start
+            def eval_h(self, i, theta, sample=None):
+                return np.nan if np.any(theta) else super().eval_h(i, theta)
 
         part = BlockPartition([1, 1])
         prob = NanAwayFromStart(part, np.eye(2), np.array([1.0, 2.0]))
