@@ -191,8 +191,9 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
         prev = state["prev"]
         if stride > 0 and k % stride == 0:
             i = record.block
-            lhat = smoothness_estimate(problem, prev, theta_next, i, delta=delta)
+            # the gradient at prev first: the estimate's base gradient is then a hit
             gnorm = float(np.linalg.norm(problem.grad_g_block(i, prev)))
+            lhat = smoothness_estimate(problem, prev, theta_next, i, delta=delta)
             if lhat > 0 and gnorm > 0:
                 scatter.append((float(np.log(gnorm)), float(np.log(lhat)), k, i))
         state["prev"] = np.array(theta_next)

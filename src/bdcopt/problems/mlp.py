@@ -87,10 +87,15 @@ class MlpTaskProblem(BdcProblem):
     full data that sweep keeps every layer's gradient (the per-iteration
     records then pay one sweep per part), while a minibatch gradient, like a
     gradient of a higher block, sweeps only down to the block it asks for.
-    The task's ``inputs`` and ``labels`` are made read-only here, so an
-    in-place edit raises instead of leaving stale values behind, and the
-    problem keeps those arrays: assigning new ones to the task later changes
-    nothing here.
+    The block solver evaluates its trial points on the block's tail and
+    leaves the kept point as it found it (see
+    :meth:`minimize_block_surrogate`).
+
+    The task is checked once, here: the inputs, the labels and the output
+    width must fit the loss, so no oracle checks them again.  The task's
+    ``inputs`` and ``labels`` are made read-only, so an in-place edit raises
+    instead of leaving stale values behind, and the problem keeps those
+    arrays: assigning new ones to the task later changes nothing here.
     """
 
     def __init__(self, task):
@@ -98,10 +103,20 @@ class MlpTaskProblem(BdcProblem):
             data = np.asarray(getattr(task, name))
             data.flags.writeable = False
             setattr(task, name, data)
+        net, inputs, labels = task.net, task.inputs, task.labels
+        if labels.ndim != 1:
+            raise ValueError("labels must be 1-D, got shape %r" % (labels.shape,))
+        if inputs.shape != (len(labels), net.input_dim):
+            raise ValueError("inputs must have shape (labels, input dim) = "
+                             "(%d, %d), got %r"
+                             % (len(labels), net.input_dim, inputs.shape))
         self.task = task
-        self.inputs, self.labels = task.inputs, task.labels
-        self.template = task.net
-        self.partition = task.net.partition()
+        self.inputs = inputs
+        # the labels as the loss parts read them (floats for mse), read-only
+        self.labels = relu.loss_labels(net, labels, task.loss)
+        self.labels.flags.writeable = False
+        self.template = net
+        self.partition = net.partition()
         self.n_data = len(self.labels)
         self._last = None
 
@@ -143,20 +158,28 @@ class MlpTaskProblem(BdcProblem):
     def _split(self, theta, sample):
         point = self._point(theta, sample)
         if point.parts is None:
-            split = relu.mse_bdc if self.task.loss == "mse" else relu.ce_bdc
-            g, h = split(point.params, point.X, point.y, state=point.state)
-            point.parts = (g / point.count, h / point.count)
+            point.parts = (self._part(point, "g"), self._part(point, "h"))
         return point.parts
+
+    def _part(self, point, part):
+        """Dataset mean of one loss part at ``point``."""
+        return relu.loss_part(point.state, point.y, self.task.loss, part) / point.count
 
     def _block_gradient(self, part, i, theta, sample):
         if not 0 <= i < self.n_blocks:
             raise IndexError("block %d out of range for %d layers" % (i, self.n_blocks))
-        point = self._point(theta, sample)
+        # the records ask a full-data point for every block
+        return self._gradient_at(self._point(theta, sample), part, i,
+                                 every=i == 0 and sample is None)
+
+    def _gradient_at(self, point, part, i, every=False):
+        """Block ``i``'s gradient of one loss part at ``point``, kept on the
+        point; with ``every`` the sweep keeps every layer's pair."""
         pairs = point.grads.setdefault(part, {})
         if i not in pairs:
             sweep = relu.block_grad_g if part == "g" else relu.block_grad_h
             args = (point.params, point.X, point.y, self.task.loss)
-            if i == 0 and sample is None:  # the records ask for every block
+            if every:
                 pairs.update(enumerate(sweep(*args, None, state=point.state)))
             else:
                 pairs[i] = sweep(*args, i, state=point.state)
@@ -193,22 +216,43 @@ class MlpTaskProblem(BdcProblem):
         non-monotonically along the negative gradient with a step that halves
         on every hop.  The best visited point is returned, so the surrogate
         never increases.  Returns ``(x, gradients taken)``.
+
+        Trial points are evaluated on the block's tail.  The memo point at
+        ``(theta, sample)`` is the anchor: it gives the minibatch, the labels
+        and the split state of the layers below ``i``, and it serves the
+        start itself.  Every other trial point gets its parameters built once
+        and one forward pass from layer ``i``, which its value (the ``g``
+        part alone) and its gradient share.  No public oracle is called, so
+        the anchor stays the memo's point for the step's descent check.
         """
         theta = np.asarray(theta, dtype=float)
+        anchor = self._point(theta, sample)
         sl = self.partition.slice_of(i)
         x0 = theta[sl].copy()
-        trial = theta.copy()
+        layers = list(anchor.params.layers)
+        shape = layers[i][0].shape
+        n_w = layers[i][0].size
+        last = [x0.tobytes(), anchor]
+
+        def at(x):
+            key = x.tobytes()
+            if key != last[0]:
+                x = x.copy()  # the parameters are views into it
+                layers[i] = (x[:n_w].reshape(shape), x[n_w:])
+                params = relu.MlpParams(layers)
+                state = relu.forward_split(params, anchor.X, i, anchor.state)
+                last[:] = key, _Point(key, anchor.X, anchor.y, anchor.count,
+                                      params, state)
+            return last[1]
 
         def value(x):
-            trial[sl] = x
-            val = self.eval_g(i, trial, sample=sample) - float(np.dot(u, x))
+            val = self._part(at(x), "g") - float(np.dot(u, x))
             if rho:
                 val += 0.5 * rho * float(np.sum((x - x0) ** 2))
             return val
 
         def gradient(x):
-            trial[sl] = x
-            grad = self.grad_g_block(i, trial, sample=sample) - u
+            grad = self._gradient_at(at(x), "g", i) - u
             if rho:
                 grad = grad + rho * (x - x0)
             return grad

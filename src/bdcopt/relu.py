@@ -32,6 +32,8 @@ __all__ = [
     "forward_standard",
     "mse_bdc",
     "ce_bdc",
+    "loss_labels",
+    "loss_part",
     "block_grad_g",
     "block_grad_h",
     "log_sum_exp",
@@ -142,14 +144,27 @@ def _as_batch(x, input_dim):
     return x
 
 
-def forward_split(params, x):
-    """Run the split forward recursion; returns the full :class:`SplitState`."""
+def forward_split(params, x, start=0, lower=None):
+    """Run the split forward recursion; returns the full :class:`SplitState`.
+
+    ``start = l > 0`` runs only the tail from layer ``l``: the hidden layers
+    below ``l`` are taken from ``lower``, a pass on the same ``x`` of a
+    network whose layers below ``l`` equal these.  Their arrays are shared,
+    not copied, and every layer the tail computes has the full pass's bits.
+    """
+    if not 0 <= start < params.n_layers:
+        raise IndexError("start layer %d out of range for %d layers"
+                         % (start, params.n_layers))
     X = _as_batch(x, params.input_dim)
-    W0, b0 = params.layers[0]
-    pre = [X @ W0.T + b0]
-    z_plus = [_relu(pre[0])]
-    z_minus = [np.zeros_like(pre[0])]
-    for l in range(1, params.n_layers - 1):
+    if start == 0:
+        W0, b0 = params.layers[0]
+        pre = [X @ W0.T + b0]
+        z_plus = [_relu(pre[0])]
+        z_minus = [np.zeros_like(pre[0])]
+    else:
+        pre, z_plus, z_minus = (lower.pre[:start], lower.z_plus[:start],
+                                lower.z_minus[:start])
+    for l in range(max(start, 1), params.n_layers - 1):
         W, b = params.layers[l]
         Wp, Wm = _relu(W), _relu(-W)
         p = z_plus[-1] @ Wp.T + z_minus[-1] @ Wm.T + b
@@ -181,6 +196,55 @@ def log_sum_exp(t):
     return (m + np.log(np.sum(np.exp(t - m), axis=-1, keepdims=True)))[..., 0]
 
 
+def loss_labels(params, y, loss):
+    """Labels checked against ``loss`` and the network's output width, in the
+    form :func:`loss_part` reads them: floats ``>= 0`` for ``"mse"`` (scalar
+    output), integer class indices in ``[0, C)`` for ``"ce"`` (``C >= 2``
+    outputs)."""
+    C = params.class_count
+    if loss == "mse":
+        if C != 1:
+            raise ValueError("squared-error split expects a scalar output, "
+                             "got %d outputs" % C)
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        bad = np.flatnonzero(~(y >= 0))
+        if bad.size:
+            raise ValueError("labels must be >= 0; shift labels and outputs by a "
+                             "common constant first (row %d holds %r)"
+                             % (bad[0], float(y.flat[bad[0]])))
+        return y
+    if loss == "ce":
+        if C < 2:
+            raise ValueError("classification split expects >= 2 outputs, got %d" % C)
+        y = np.atleast_1d(np.asarray(y))
+        if y.dtype.kind not in "iu":
+            raise ValueError("labels must be integer class indices in [0, %d), "
+                             "got dtype %s" % (C, y.dtype))
+        bad = np.flatnonzero((y < 0) | (y >= C))
+        if bad.size:
+            raise ValueError("labels must be integer class indices in [0, %d) "
+                             "(row %d holds %d)" % (C, bad[0], y.flat[bad[0]]))
+        return y
+    raise ValueError("loss must be 'mse' or 'ce'")
+
+
+def loss_part(state, y, loss, part):
+    """Batch-summed convex (``part="g"``) or concave-side (``"h"``) part of
+    ``loss`` from a forward pass, without checks: ``y`` as returned by
+    :func:`loss_labels`."""
+    A, B = state.a_out, state.b_out
+    if loss == "mse":
+        A, B = A[:, 0], B[:, 0]
+        if part == "g":
+            return float(np.sum(2.0 * (A ** 2 + (B + y) ** 2)))
+        return float(np.sum((A + B + y) ** 2))
+    rows = np.arange(A.shape[0])
+    sum_b = np.sum(B, axis=1)
+    if part == "g":
+        return float(np.sum(log_sum_exp(state.output) + sum_b + B[rows, y]))
+    return float(np.sum(A[rows, y] + sum_b))
+
+
 def mse_bdc(params, x, y, state=None):
     """Blockwise-convex split of the batch-summed squared error.
 
@@ -188,18 +252,9 @@ def mse_bdc(params, x, y, state=None):
     by a recorded constant when they are not.  Returns ``(g, h)`` with
     ``g - h == sum (F - y)^2`` exactly.
     """
-    if params.class_count != 1:
-        raise ValueError("squared-error split expects a scalar output")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(y < 0):
-        raise ValueError("labels must be >= 0; shift labels and outputs by a "
-                         "common constant first")
+    y = loss_labels(params, y, "mse")
     st = state if state is not None else forward_split(params, x)
-    A = st.a_out[:, 0]
-    B = st.b_out[:, 0]
-    g = float(np.sum(2.0 * (A ** 2 + (B + y) ** 2)))
-    h = float(np.sum((A + B + y) ** 2))
-    return g, h
+    return loss_part(st, y, "mse", "g"), loss_part(st, y, "mse", "h")
 
 
 def ce_bdc(params, x, y, state=None):
@@ -208,18 +263,9 @@ def ce_bdc(params, x, y, state=None):
     ``y`` holds integer class indices.  Returns ``(g, h)`` with
     ``g - h == sum LSE(F) - F_y`` exactly.
     """
-    C = params.class_count
-    if C < 2:
-        raise ValueError("classification split expects >= 2 outputs")
-    y = np.atleast_1d(np.asarray(y))
-    if y.dtype.kind not in "iu" or np.any(y < 0) or np.any(y >= C):
-        raise ValueError("labels must be integer class indices in [0, %d)" % C)
+    y = loss_labels(params, y, "ce")
     st = state if state is not None else forward_split(params, x)
-    rows = np.arange(st.a_out.shape[0])
-    sum_b = np.sum(st.b_out, axis=1)
-    g = float(np.sum(log_sum_exp(st.output) + sum_b + st.b_out[rows, y]))
-    h = float(np.sum(st.a_out[rows, y] + sum_b))
-    return g, h
+    return loss_part(st, y, "ce", "g"), loss_part(st, y, "ce", "h")
 
 
 def _softmax(t):

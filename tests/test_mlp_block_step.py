@@ -2,9 +2,10 @@
 
 ``relu._loss_block_gradient`` used to unwind the output layer apart from the
 hidden ones, and ``MlpTaskProblem.minimize_block_surrogate`` used to track
-whether a step moved with a flag.  Copies of both are kept here as
-references: the sweep must give the same bits for every block, and the
-solver the same point and count, on kinks and ties included.
+whether a step moved with a flag and to evaluate every trial point through
+the public oracles.  Copies of both are kept here as references: the sweep
+must give the same bits for every block, and the solver the same point and
+count, on kinks and ties included.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from bdcopt.model import SampleHandle
 from bdcopt.problems.mlp import MlpTaskProblem
 from bdcopt.relu import _as_batch, _output_adjoints, _relu, _relu_deriv
 
-from test_mlp_memo import build_task, tie_case
+from test_mlp_memo import ORACLES, build_task, tie_case
 
 
 def reference_sweep(params, x, y, loss, part, block):
@@ -207,3 +208,55 @@ def test_kink_probe_frees_a_block_the_line_search_cannot_move():
 
     x, _ = prob.minimize_block_surrogate(0, theta, u, 0.0, 6, 1e-8, sample=handle)
     assert surrogate(x) < surrogate(x0) - 1e-3
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
+    # one minibatch solve per block, started as bdca_step starts it: no
+    # public oracle, and a pass from layer i at exactly the trial points
+    # where the reference, through the oracles' memo, made a full pass;
+    # theta and u stay as they were, and the step's descent check at theta
+    # is then a memo hit
+    task, theta = tie_case(loss)
+    rng = np.random.default_rng(25)
+    handle = SampleHandle(key=1, indices=rng.integers(0, len(task.labels), size=3))
+    passes = []
+    forward = relu.forward_split
+
+    def counting(params, x, start=0, lower=None):
+        passes.append((start, params.to_vector().tobytes()))
+        return forward(params, x, start, lower)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the block solver called a public oracle")
+
+    monkeypatch.setattr(relu, "forward_split", counting)
+    for i in range(task.net.n_layers):
+        ref = MlpTaskProblem(task)
+        u = ref.subgrad_h_block(i, theta, sample=handle)
+        del passes[:]
+        want = reference_minimize(ref, i, theta, u, 0.5, 6, 1e-8, sample=handle)
+        assert all(start == 0 for start, _ in passes)
+        want_points = [vector for _, vector in passes]
+
+        prob = MlpTaskProblem(task)
+        prob.subgrad_h_block(i, theta, sample=handle)
+        theta_in, u_in = theta.copy(), u.copy()
+        del passes[:]
+        with monkeypatch.context() as m:
+            for name in ORACLES:
+                m.setattr(prob, name, forbidden)
+            got = prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8,
+                                                sample=handle)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(theta, theta_in)
+        np.testing.assert_array_equal(u, u_in)
+        assert all(start == i for start, _ in passes)
+        points = [vector for _, vector in passes]
+        assert points == want_points and len(points) > 1
+        # a value and a gradient at one point share its pass
+        assert all(a != b for a, b in zip(points, points[1:]))
+
+        del passes[:]
+        prob.eval_g(i, theta, sample=handle)
+        assert passes == []

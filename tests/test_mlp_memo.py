@@ -127,6 +127,39 @@ def test_one_sweep_matches_each_block(depth, loss, grid, seed):
                 np.testing.assert_array_equal(pair[1], db)
 
 
+def check_tails(task, theta, rng):
+    """From every start layer, a tail pass over the lower layers of another
+    network with the same layers below the start gives the full pass's bits,
+    and shares those lower layers' arrays."""
+    net, x = task.net, task.inputs
+    lower = relu.forward_split(net, x)
+    for start in range(net.n_layers):
+        other = theta.copy()
+        above = slice(net.partition().slice_of(start).start, other.size)
+        other[above] = rng.permutation(other[above])  # same kinks and ties
+        params = net.with_vector(other)
+        full = relu.forward_split(params, x)
+        tail = relu.forward_split(params, x, start, lower)
+        for name in ("pre", "z_plus", "z_minus"):
+            got, want = getattr(tail, name), getattr(full, name)
+            assert len(got) == len(want)
+            for l, (a, b) in enumerate(zip(got, want)):
+                np.testing.assert_array_equal(a, b, err_msg="%s[%d]" % (name, l))
+                if l < start:
+                    assert a is getattr(lower, name)[l]
+        np.testing.assert_array_equal(tail.a_out, full.a_out)
+        np.testing.assert_array_equal(tail.b_out, full.b_out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_tail_pass_matches_full_pass(depth, loss, grid, seed):
+    rng = np.random.default_rng(seed)
+    task, theta = build_task(rng, depth, loss, grid)
+    check_tails(task, theta, rng)
+
+
 def tie_case(loss):
     # zero input row and zero biases: every hidden layer above the first
     # sees pre == z_minus == 0 on that row, and the zero biases are kinks
@@ -146,6 +179,16 @@ def tie_case(loss):
 def test_memo_on_ties_and_kinks(loss):
     task, theta = tie_case(loss)
     replay(task, theta, np.random.default_rng(22), n_calls=200)
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_tail_pass_on_ties_and_kinks(loss):
+    task, theta = tie_case(loss)
+    check_tails(task, theta, np.random.default_rng(24))
+    lower = relu.forward_split(task.net, task.inputs)
+    for start in (-1, task.net.n_layers):
+        with pytest.raises(IndexError):
+            relu.forward_split(task.net, task.inputs, start, lower)
 
 
 @pytest.mark.parametrize("loss", ["mse", "ce"])

@@ -388,6 +388,53 @@ class TestMlpProblem:
         assert task.label_shift == pytest.approx(-float(np.min(y)))
         assert np.min(task.labels) >= 0.0
 
+    @staticmethod
+    def bad_task(case):
+        rng = np.random.default_rng(19)
+        x, y = gaussian_blobs(6, 3, seed=1)
+        ce_net = relu.random_params((2, 4, 3), rng)
+        mse_net = relu.random_params((2, 4, 1), rng)
+        if case == "class out of range":
+            y = y.copy()
+            y[4] = 3
+        elif case == "float classes":
+            y = y.astype(float)
+        elif case == "ce on one output":
+            return MlpTask(inputs=x, labels=y, net=mse_net, loss="ce")
+        elif case == "mse on three outputs":
+            return MlpTask(inputs=x, labels=y.astype(float), net=ce_net, loss="mse")
+        elif case in ("negative mse label", "nan mse label"):
+            task = MlpTask(inputs=x, labels=y.astype(float), net=mse_net, loss="mse")
+            # assigned after the task shifted its labels
+            task.labels = task.labels - (1.0 if case == "negative mse label" else np.nan)
+            return task
+        elif case == "too few input columns":
+            x = x[:, :1]
+        elif case == "too few input rows":
+            x = x[:5]
+        elif case == "1-D inputs":
+            x = x[:, 0]
+        elif case == "2-D labels":
+            y = y[:, None]
+        return MlpTask(inputs=x, labels=y, net=ce_net, loss="ce")
+
+    @pytest.mark.parametrize("case, match", [
+        ("class out of range", r"in \[0, 3\) \(row 4 holds 3\)"),
+        ("float classes", "integer class indices in \\[0, 3\\), got dtype float64"),
+        ("ce on one output", "expects >= 2 outputs, got 1"),
+        ("mse on three outputs", "expects a scalar output, got 3 outputs"),
+        ("negative mse label", r"labels must be >= 0.*\(row \d+ holds -1\.0\)"),
+        ("nan mse label", r"labels must be >= 0.*\(row 0 holds nan\)"),
+        ("too few input columns", r"\(6, 2\), got \(6, 1\)"),
+        ("too few input rows", r"\(6, 2\), got \(5, 2\)"),
+        ("1-D inputs", r"\(6, 2\), got \(6,\)"),
+        ("2-D labels", r"labels must be 1-D, got shape \(6, 1\)"),
+    ])
+    def test_task_checked_when_the_problem_is_built(self, case, match):
+        task = self.bad_task(case)
+        with pytest.raises(ValueError, match=match):
+            MlpTaskProblem(task)
+
     def test_sample_rejects_empty_batch(self):
         x, y = gaussian_blobs(10, 2, seed=1)
         net = relu.random_params((2, 3, 2), np.random.default_rng(18))
