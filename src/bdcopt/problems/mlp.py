@@ -217,6 +217,23 @@ class MlpTaskProblem(BdcProblem):
         on every hop.  The best visited point is returned, so the surrogate
         never increases.  Returns ``(x, gradients taken)``.
 
+        A trial point is accepted when it lowers the value by ``need =
+        1e-12 (1 + |val|)``.  The selected gradient is a subgradient of the
+        convex surrogate, so ``value(y) >= val + <grad, y - x>``, and two
+        kinds of trial point are skipped because they cannot pass:
+
+        * a line-search step ``x - s grad`` once ``s ||grad||^2 <= need / 2``;
+          steps only shrink, so the search ends there and takes the failure
+          path as if every halving had failed;
+        * a probe ``x_j = direction * probe`` once
+          ``-direction * probe * grad[j] <= need / 2``; probes only shrink,
+          so that direction ends there, and a coordinate with ``grad[j] = 0``
+          is never probed.
+
+        The factor 1/2 absorbs the rounding of the computed values, so the
+        points still evaluated, and the result, are those of the search
+        without the cuts.
+
         Trial points are evaluated on the block's tail.  The memo point at
         ``(theta, sample)`` is the anchor: it gives the minibatch, the labels
         and the split state of the layers below ``i``, and it serves the
@@ -264,17 +281,21 @@ class MlpTaskProblem(BdcProblem):
         step = 1.0 / (1.0 + rho)
         escape = step
         evals = 0
-        def probe_kinks(x, val):
-            # coordinates sitting exactly on a kink have selected slope 0 but
-            # may still admit one-sided descent
+
+        def probe_kinks(x, val, grad, need):
+            # at a kink the selected slope grad[j] bounds the one-sided
+            # slopes from below, so a probe can only descend where
+            # -direction * grad[j] > 0; slope 0 rules out both directions
             for j in np.flatnonzero(x == 0.0):
                 for direction in (1.0, -1.0):
                     probe = step
                     for _ in range(8):
+                        if -direction * probe * grad[j] <= 0.5 * need:
+                            break
                         cand = x.copy()
                         cand[j] = direction * probe
                         cand_val = value(cand)
-                        if cand_val <= val - 1e-12 * (1 + abs(val)):
+                        if cand_val <= val - need:
                             return cand, cand_val
                         probe *= 0.25
             return None
@@ -283,17 +304,21 @@ class MlpTaskProblem(BdcProblem):
             grad = gradient(x)
             evals += 1
             gnorm = float(np.linalg.norm(grad))
+            need = 1e-12 * (1 + abs(val))
             s = step
-            # no line search once stationary; the else branch still probes
-            for _ in range(20 if gnorm > tol_eff else 0):
+            # no line search once stationary, and no step too short to drop
+            # by need; the else branch still probes
+            n = 20 if gnorm > tol_eff else 0
+            while n and s * gnorm * gnorm > 0.5 * need:
                 cand = x - s * grad
                 cand_val = value(cand)
-                if cand_val <= val - 1e-12 * (1 + abs(val)):
+                if cand_val <= val - need:
                     x, val, step = cand, cand_val, s * 1.5
                     break
                 s *= 0.5
+                n -= 1
             else:
-                hit = probe_kinks(x, val)
+                hit = probe_kinks(x, val, grad, need)
                 if hit is not None:
                     x, val = hit
                 elif gnorm <= tol_eff:

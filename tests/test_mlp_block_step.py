@@ -2,10 +2,11 @@
 
 ``relu._loss_block_gradient`` used to unwind the output layer apart from the
 hidden ones, and ``MlpTaskProblem.minimize_block_surrogate`` used to track
-whether a step moved with a flag and to evaluate every trial point through
-the public oracles.  Copies of both are kept here as references: the sweep
-must give the same bits for every block, and the solver the same point and
-count, on kinks and ties included.
+whether a step moved with a flag, to evaluate every trial point through the
+public oracles, and to evaluate trial points that convexity rules out.
+Copies of both are kept here as references: the sweep must give the same
+bits for every block, and the solver the same point and count, on kinks and
+ties included, with its trial points a subsequence of the reference's.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from bdcopt import relu
 from bdcopt.model import SampleHandle
-from bdcopt.problems.mlp import MlpTaskProblem
+from bdcopt.experiments import run_relu_experiment
+from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
 from bdcopt.relu import _as_batch, _output_adjoints, _relu, _relu_deriv
 
 from test_mlp_memo import ORACLES, build_task, tie_case
@@ -210,16 +212,69 @@ def test_kink_probe_frees_a_block_the_line_search_cannot_move():
     assert surrogate(x) < surrogate(x0) - 1e-3
 
 
-@pytest.mark.parametrize("loss", ["mse", "ce"])
-def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
-    # one minibatch solve per block, started as bdca_step starts it: no
-    # public oracle, and a pass from layer i at exactly the trial points
-    # where the reference, through the oracles' memo, made a full pass;
-    # theta and u stay as they were, and the step's descent check at theta
-    # is then a memo hit
-    task, theta = tie_case(loss)
-    rng = np.random.default_rng(25)
-    handle = SampleHandle(key=1, indices=rng.integers(0, len(task.labels), size=3))
+def traced_reference(ref, i, theta, u, rho, budget, tol, sample):
+    """``reference_minimize`` with its trial points.  Returns its result,
+    one ``(vector, search)`` per forward pass in call order, where ``search``
+    is the point whose gradient the trial point follows, and the surrogate
+    value at every point, keyed by vector.
+
+    The problem keeps one point, so a pass is made whenever an oracle call's
+    vector differs from the one before; the first call, at ``theta``, is a
+    hit when the caller has just taken ``u`` there."""
+    sl = ref.partition.slice_of(i)
+    x0 = theta[sl].copy()
+    eval_g, grad_g_block = ref.eval_g, ref.grad_g_block
+    calls, values = [], {}
+
+    def spy_value(i, trial, sample=None):
+        g = eval_g(i, trial, sample=sample)
+        x = trial[sl]
+        val = g - float(np.dot(u, x))  # the reference's own expression
+        if rho:
+            val += 0.5 * rho * float(np.sum((x - x0) ** 2))
+        values[trial.tobytes()] = val
+        calls.append((False, trial.tobytes()))
+        return g
+
+    def spy_gradient(i, trial, sample=None):
+        calls.append((True, trial.tobytes()))
+        return grad_g_block(i, trial, sample=sample)
+
+    ref.eval_g, ref.grad_g_block = spy_value, spy_gradient
+    try:
+        want = reference_minimize(ref, i, theta, u, rho, budget, tol, sample=sample)
+    finally:
+        del ref.eval_g, ref.grad_g_block
+    trials, last, search = [], theta.tobytes(), None
+    for is_gradient, key in calls:
+        if is_gradient:
+            search = key
+        if key != last:
+            trials.append((key, search))
+            last = key
+    return want, trials, values
+
+
+def skipped_trials(points, trials, values):
+    """Check that the solver's ``points`` are an ordered subsequence of the
+    reference's ``trials`` and that every trial point it skipped fails the
+    acceptance test ``value <= val - need`` of its search; return those."""
+    kept, k = set(), 0
+    for point in points:
+        while k < len(trials) and trials[k][0] != point:
+            k += 1
+        assert k < len(trials), "a pass the reference did not make"
+        kept.add(k)
+        k += 1
+    skipped = [t for k, t in enumerate(trials) if k not in kept]
+    for key, search in skipped:
+        assert search is not None and key != search
+        val = values[search]
+        assert values[key] > val - 1e-12 * (1 + abs(val))
+    return skipped
+
+
+def counting_passes(monkeypatch):
     passes = []
     forward = relu.forward_split
 
@@ -227,17 +282,33 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
         passes.append((start, params.to_vector().tobytes()))
         return forward(params, x, start, lower)
 
+    monkeypatch.setattr(relu, "forward_split", counting)
+    return passes
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
+    # one minibatch solve per block, started as bdca_step starts it: no
+    # public oracle, and a pass from layer i at trial points the reference,
+    # through the oracles' memo, also made a full pass at, skipping only
+    # points that could not be accepted; theta and u stay as they were, and
+    # the step's descent check at theta is then a memo hit
+    task, theta = tie_case(loss)
+    rng = np.random.default_rng(25)
+    handle = SampleHandle(key=1, indices=rng.integers(0, len(task.labels), size=3))
+    passes = counting_passes(monkeypatch)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("the block solver called a public oracle")
 
-    monkeypatch.setattr(relu, "forward_split", counting)
     for i in range(task.net.n_layers):
         ref = MlpTaskProblem(task)
         u = ref.subgrad_h_block(i, theta, sample=handle)
         del passes[:]
-        want = reference_minimize(ref, i, theta, u, 0.5, 6, 1e-8, sample=handle)
+        want, trials, values = traced_reference(ref, i, theta, u, 0.5, 6, 1e-8,
+                                                handle)
         assert all(start == 0 for start, _ in passes)
-        want_points = [vector for _, vector in passes]
+        assert [key for key, _ in trials] == [vector for _, vector in passes]
 
         prob = MlpTaskProblem(task)
         prob.subgrad_h_block(i, theta, sample=handle)
@@ -249,14 +320,146 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
             got = prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8,
                                                 sample=handle)
         np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
         np.testing.assert_array_equal(theta, theta_in)
         np.testing.assert_array_equal(u, u_in)
         assert all(start == i for start, _ in passes)
         points = [vector for _, vector in passes]
-        assert points == want_points and len(points) > 1
+        skipped_trials(points, trials, values)
+        assert len(points) > 1
         # a value and a gradient at one point share its pass
         assert all(a != b for a, b in zip(points, points[1:]))
 
         del passes[:]
         prob.eval_g(i, theta, sample=handle)
         assert passes == []
+
+
+def zero_bias_case():
+    # a blobs net with zero biases and a fifth of its weights at zero: the
+    # kink probe has many candidates, and near a solve's end the gradient is
+    # too small for any line-search step to be accepted
+    rng = np.random.default_rng(0)
+    x, y = gaussian_blobs(40, 3, seed=0)
+    net = relu.random_params((2, 6, 5, 3), rng)
+    theta = net.to_vector()
+    part = net.partition()
+    for l, (_, b) in enumerate(net.layers):
+        sl = part.slice_of(l)
+        weights = theta[sl.start:sl.stop - b.size]
+        weights[rng.random(weights.size) < 0.2] = 0.0
+        theta[sl.stop - b.size:sl.stop] = 0.0
+    task = MlpTask(inputs=x, labels=y, net=net.with_vector(theta.copy()), loss="ce")
+    handle = SampleHandle(key=1, indices=rng.integers(0, len(y), size=8))
+    return task, theta, handle
+
+
+def test_convexity_cuts_skip_trial_points_near_stationarity(monkeypatch):
+    # block 2 solved twice on one minibatch, the second time from the first
+    # solve's output: both cuts skip trial points there, and the point and
+    # count are still the reference's, with fewer tail passes
+    task, theta, handle = zero_bias_case()
+    i, rho, budget = 2, 0.5, 25
+    sl = task.net.partition().slice_of(i)
+    prob = MlpTaskProblem(task)
+    u = prob.subgrad_h_block(i, theta, sample=handle)
+    x, _ = prob.minimize_block_surrogate(i, theta, u, rho, budget, 1e-8,
+                                         sample=handle)
+    theta = theta.copy()
+    theta[sl] = x
+    passes = counting_passes(monkeypatch)
+
+    ref = MlpTaskProblem(task)
+    u = ref.subgrad_h_block(i, theta, sample=handle)
+    del passes[:]
+    want, trials, values = traced_reference(ref, i, theta, u, rho, budget, 1e-8,
+                                            handle)
+    prob = MlpTaskProblem(task)
+    prob.subgrad_h_block(i, theta, sample=handle)
+    del passes[:]
+    got = prob.minimize_block_surrogate(i, theta, u, rho, budget, 1e-8,
+                                        sample=handle)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    assert len(passes) < len(trials)
+
+    probes = line_steps = 0
+    for key, search in skipped_trials([v for _, v in passes], trials, values):
+        moved = np.frombuffer(key) != np.frombuffer(search)
+        if np.count_nonzero(moved) == 1 and np.frombuffer(search)[moved][0] == 0.0:
+            probes += 1
+        else:
+            line_steps += 1
+    assert probes > 0 and line_steps > 0
+
+
+def check_subgradient(task, theta, rng):
+    """``g_i(x + t d) >= g_i(x) + t <grad, d>`` along every block ``i``, on
+    the full data and on a minibatch, for ``d`` in ``-grad``, ``+-e_j`` and a
+    random direction, over four step lengths."""
+    prob = MlpTaskProblem(task)
+    handle = SampleHandle(key=1, indices=rng.integers(0, len(task.labels), size=3))
+    for sample in (None, handle):
+        for i in range(prob.n_blocks):
+            sl = prob.partition.slice_of(i)
+            g = prob.eval_g(i, theta, sample=sample)
+            grad = prob.grad_g_block(i, theta, sample=sample)
+            eye = np.eye(grad.size)
+            for d in [-grad, *eye, *-eye, rng.standard_normal(grad.size)]:
+                for t in (1.0, 0.1, 1e-3, 1e-6):
+                    trial = theta.copy()
+                    trial[sl] += t * d
+                    bound = g + t * float(np.dot(grad, d))
+                    assert (prob.eval_g(i, trial, sample=sample)
+                            >= bound - 1e-13 * (1 + abs(g))), (i, t)
+
+
+# the premise of the block solver's cuts: the selected gradient of g is a
+# subgradient along its own block, at zero weights and ties included
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_block_gradient_is_a_subgradient_of_g(depth, loss, grid, seed):
+    rng = np.random.default_rng(seed)
+    task, theta = build_task(rng, depth, loss, grid)
+    check_subgradient(task, theta, rng)
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_block_gradient_is_a_subgradient_of_g_on_ties(loss):
+    task, theta = tie_case(loss)
+    check_subgradient(task, theta, np.random.default_rng(26))
+
+
+SOLVE = dict(task="blobs", layer_dims=(16, 8), n_classes=3, theory_preset=True,
+             n_data=200, batch_size=16, epochs=1)
+
+
+def test_block_solver_tail_passes_per_gradient(monkeypatch):
+    # a bound on the block solver's work: with both cuts the theory-preset
+    # runs below make about 2.4 tail passes per gradient (seeds 0-2 pooled),
+    # where the solver without them made about 4.5
+    counts = {"passes": 0, "gradients": 0, "solving": False}
+    forward = relu.forward_split
+    solve = MlpTaskProblem.minimize_block_surrogate
+
+    def counting(*args, **kwargs):
+        if counts["solving"]:
+            counts["passes"] += 1
+        return forward(*args, **kwargs)
+
+    def solving(self, *args, **kwargs):
+        counts["solving"] = True
+        try:
+            x, n = solve(self, *args, **kwargs)
+        finally:
+            counts["solving"] = False
+        counts["gradients"] += n
+        return x, n
+
+    monkeypatch.setattr(relu, "forward_split", counting)
+    monkeypatch.setattr(MlpTaskProblem, "minimize_block_surrogate", solving)
+    for seed in range(3):
+        run_relu_experiment(seed=seed, **SOLVE)
+    assert counts["passes"] <= 3.0 * counts["gradients"]
