@@ -12,7 +12,8 @@ import numpy as np
 
 from bdcopt.experiments import run_sdl_experiment, run_sdl_gd_comparison
 
-res = run_sdl_experiment(n_seeds=3, n_outer=250)
+N_OUTER = 250
+res = run_sdl_experiment(n_seeds=3, n_outer=N_OUTER)
 
 print("planted sparsity: %.5f" % res.true_sparsity)
 print("\n%-8s %-26s %-26s" % ("", "rec error (median)", "sparsity (median)"))
@@ -21,7 +22,7 @@ for v, tag in (("l1", "l1"), ("l1_lq", "l1 - largest_Q")):
     sp = np.median(res.sparsity[v][:, -1])
     print("%-16s %-26.4f %-26.4f" % (tag, rec, sp))
 
-iters = np.linspace(0, res.n_outer, 6).astype(int)
+iters = np.linspace(0, N_OUTER, 6).astype(int)
 print("\nreconstruction error along the run (seed mean):")
 print("iter    " + "".join("%10d" % k for k in iters))
 for v in ("l1", "l1_lq"):

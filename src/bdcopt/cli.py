@@ -95,6 +95,10 @@ class Manifest:
         self._write()
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
+
+
 def _load_config_file(path, defaults):
     values = {}
     with open(path) as fh:
@@ -109,11 +113,17 @@ def _load_config_file(path, defaults):
                 raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
             ref = defaults[key]
             if isinstance(ref, bool):
-                values[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(ref, int):
-                values[key] = int(raw)
-            elif isinstance(ref, float):
-                values[key] = float(raw)
+                if raw.lower() not in _BOOLEANS:
+                    raise ValueError("%s:%d: %s must be one of true/false/yes/"
+                                     "no/1/0, got %r" % (path, lineno, key, raw))
+                values[key] = _BOOLEANS[raw.lower()]
+            elif isinstance(ref, (int, float)):
+                kind = type(ref)
+                try:
+                    values[key] = kind(raw)
+                except ValueError:
+                    raise ValueError("%s:%d: %s must be of type %s, got %r" % (
+                        path, lineno, key, kind.__name__, raw)) from None
             else:
                 values[key] = raw
     return values

@@ -35,10 +35,9 @@ __all__ = [
 
 @dataclass
 class SdlExperimentResult:
-    n_outer: int
     true_sparsity: float
-    rec: dict      # variant -> (n_seeds, n_outer + 1)
-    sparsity: dict # variant -> (n_seeds, n_outer + 1)
+    rec: dict      # variant -> (n_seeds, outer iterations + 1)
+    sparsity: dict # variant -> (n_seeds, outer iterations + 1)
 
 
 def _sdl_single_run(variant, data_rng, init_rng, m, l, n, k_nonzero, alpha, q,
@@ -92,7 +91,6 @@ def run_sdl_experiment(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
             rec[v].append(r)
             spars[v].append(s)
     return SdlExperimentResult(
-        n_outer=n_outer,
         true_sparsity=1.0 - k_nonzero / l,
         rec={v: np.array(a) for v, a in rec.items()},
         sparsity={v: np.array(a) for v, a in spars.items()})
@@ -202,7 +200,7 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
                        inner_tol=inner_tol, seed=seed, batch_size=batch_size)
     trace = run(problem, cfg, callback=callback)
     loss_rows = [(r.k, r.f, r.residual_upper) for r in trace.records]
-    if trace.final_f is not None and trace.records:
+    if trace.records:
         loss_rows.append((len(trace.records), trace.final_f,
                           residual_upper(problem, trace.final_theta)))
     return ReluRunResult(trace=trace, loss_rows=loss_rows, scatter_rows=scatter,

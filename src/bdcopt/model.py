@@ -29,9 +29,7 @@ __all__ = [
     "combine_linear",
     "combine_max",
     "combine_min",
-    "ComponentwiseBdcMap",
     "AffineBdcMap",
-    "ConjugateOracle",
     "LogSumExpOracle",
     "SingletonConjugate",
     "conjugate_compose",
@@ -64,17 +62,18 @@ class BlockDomain:
 class BallProductDomain(BlockDomain):
     """Columns of an ``m x l`` matrix (stored flat) each in the unit 2-ball."""
 
-    def __init__(self, m, l, radius=1.0):
+    def __init__(self, m, l):
         self.m = int(m)
         self.l = int(l)
-        self.radius = float(radius)
 
     def project(self, x):
         D = np.asarray(x, dtype=float).reshape(self.m, self.l).copy()
         norms = np.linalg.norm(D, axis=0)
-        over = norms > self.radius
+        over = norms > 1.0
         if np.any(over):
-            D[:, over] *= self.radius / norms[over]
+            # times the reciprocal, not a division: the emitted CSVs keep
+            # their bits
+            D[:, over] *= 1.0 / norms[over]
         return D.ravel()
 
 
@@ -268,36 +267,9 @@ def combine_min(problems):
     return combine_linear([combine_max(negated)], [-1.0])
 
 
-class ComponentwiseBdcMap:
-    """Vector map ``E(theta)`` whose components split as ``a_ij - b_ij`` per block.
-
-    For every component ``j`` and block ``i``, ``a_ij`` and ``b_ij`` are convex
-    in block ``i`` with the other blocks frozen.
-    """
-
-    partition: BlockPartition
-    n_components: int
-
-    def value(self, theta):
-        """All component values, shape ``(n_components,)``."""
-        return self.pos_part(0, theta) - self.neg_part(0, theta)
-
-    def pos_part(self, i, theta):
-        raise NotImplementedError
-
-    def neg_part(self, i, theta):
-        raise NotImplementedError
-
-    def pos_jacobian(self, i, theta):
-        """Rows are (sub)gradients of ``a_ij`` w.r.t. block ``i``; shape (m, d_i)."""
-        raise NotImplementedError
-
-    def neg_jacobian(self, i, theta):
-        raise NotImplementedError
-
-
-class AffineBdcMap(ComponentwiseBdcMap):
-    """Affine map ``M theta + q`` split entrywise into positive/negative parts."""
+class AffineBdcMap:
+    """Affine map ``M theta + q`` split entrywise into positive/negative
+    parts: a componentwise-split map for :func:`conjugate_compose`."""
 
     def __init__(self, partition, M, q=None):
         self.partition = partition
@@ -326,21 +298,7 @@ class AffineBdcMap(ComponentwiseBdcMap):
         return self._Mm[:, self.partition.slice_of(i)]
 
 
-class ConjugateOracle:
-    """Support-function style oracle: value and an achieving maximizer.
-
-    ``value(t) = max_{u in U} <u, t> - f(u)`` and ``maximizer(t)`` returns a
-    ``u*`` attaining it, so ``value(t) == <maximizer(t), t> - f(maximizer(t))``.
-    """
-
-    def value(self, t):
-        raise NotImplementedError
-
-    def maximizer(self, t):
-        raise NotImplementedError
-
-
-class LogSumExpOracle(ConjugateOracle):
+class LogSumExpOracle:
     """log-sum-exp as the conjugate of negative entropy over the simplex."""
 
     def value(self, t):
@@ -354,7 +312,7 @@ class LogSumExpOracle(ConjugateOracle):
         return e / e.sum()
 
 
-class SingletonConjugate(ConjugateOracle):
+class SingletonConjugate:
     """Conjugate over a one-point set ``U = {u0}``: an affine function of ``t``."""
 
     def __init__(self, u0, f0=0.0):
@@ -419,8 +377,20 @@ def conjugate_compose(emap, fstar, u_bounds):
 
     Parameters
     ----------
-    emap : ComponentwiseBdcMap
-    fstar : ConjugateOracle
+    emap : componentwise-split map, e.g. :class:`AffineBdcMap`
+        A vector map ``E(theta)`` whose components split as
+        ``a_ij - b_ij``, both convex in block ``i`` with the other blocks
+        frozen.  It has ``partition`` (a :class:`BlockPartition`),
+        ``n_components`` (``m``), ``value(theta)`` (all ``m`` component
+        values), ``pos_part(i, theta)`` and ``neg_part(i, theta)`` (the
+        ``a_i`` and ``b_i`` values, shape ``(m,)``), and
+        ``pos_jacobian(i, theta)`` and ``neg_jacobian(i, theta)``, whose
+        rows are (sub)gradients of ``a_ij`` and ``b_ij`` with respect to
+        block ``i``, shape ``(m, d_i)``.
+    fstar : conjugate oracle, e.g. :class:`LogSumExpOracle`
+        ``value(t) = max_{u in U} <u, t> - f(u)``, and ``maximizer(t)``
+        returns a ``u*`` attaining it, so ``value(t) == <maximizer(t), t> -
+        f(maximizer(t))``.
     u_bounds : (lower, upper)
         Arrays of per-coordinate extremes of the conjugate's feasible set.
     """

@@ -4,7 +4,7 @@ A monomial ``t1^b1 * ... * tn^bn`` of degree ``s`` expands exactly into a
 signed combination of atoms ``alpha * (u . t + kappa)^p`` over a product grid
 of indices.  For even ``s`` the atoms are pure powers of linear forms
 (``kappa = 0``, ``p = s``); for odd ``s`` the monomial is lifted to degree
-``s + 1`` with one slack variable whose value is pinned to 1, which turns the
+``s + 1`` with one homogenizing variable pinned to 1, which turns the
 atoms into even powers of affine forms.  Complementary grid indices produce
 the same atom twice, so the raw grid count halves; a zero center form (all
 exponents even) is dropped.
@@ -160,9 +160,9 @@ def polarize(monomial):
 
     Even degree ``s``: pure powers ``(u . t)^s`` from the product grid, with
     complementary grid points merged (doubled weight) and the zero center form
-    dropped.  Odd degree: the monomial is multiplied by a slack variable,
-    decomposed at degree ``s + 1`` in one extra variable, and the slack is
-    pinned to 1, yielding affine atoms ``(u . t + kappa)^(s+1)``.
+    dropped.  Odd degree: the monomial is multiplied by a homogenizing
+    variable, decomposed at degree ``s + 1`` in one extra variable, and that
+    variable is pinned to 1, yielding affine atoms ``(u . t + kappa)^(s+1)``.
 
     Returns
     -------
@@ -172,7 +172,7 @@ def polarize(monomial):
     b = monomial.exponents
     s = monomial.degree
     odd = s % 2 == 1
-    # grid exponents, prepending the slack variable for odd degree
+    # grid exponents, prepending the homogenizing variable for odd degree
     grid_b = ((1,) + b) if odd else b
     power = s + 1 if odd else s
     inv_fact = Fraction(1, factorial(power))

@@ -21,21 +21,23 @@ __all__ = [
 ]
 
 
-def sine_regression(n, seed=0, noise=0.05):
-    """1-D regression on an offset sine wave; labels are naturally >= 0."""
+def sine_regression(n, seed=0):
+    """1-D regression on an offset sine wave with noise of standard deviation
+    0.05; labels are naturally >= 0."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2.0, 2.0, size=(n, 1))
-    y = 1.5 + np.sin(np.pi * x[:, 0]) + noise * rng.standard_normal(n)
+    y = 1.5 + np.sin(np.pi * x[:, 0]) + 0.05 * rng.standard_normal(n)
     return x, y
 
 
-def gaussian_blobs(n, n_classes=3, seed=0, radius=2.0, spread=0.5):
-    """Gaussian clusters with centers on a circle; returns (x, labels)."""
+def gaussian_blobs(n, n_classes=3, seed=0):
+    """Gaussian clusters of standard deviation 0.5 with centers spaced evenly
+    on the circle ``||c|| = 2``; returns (x, labels)."""
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
-    centers = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    centers = 2.0 * np.column_stack([np.cos(angles), np.sin(angles)])
     labels = rng.integers(0, n_classes, size=n)
-    x = centers[labels] + spread * rng.standard_normal((n, 2))
+    x = centers[labels] + 0.5 * rng.standard_normal((n, 2))
     return x, labels
 
 
@@ -239,8 +241,11 @@ class MlpTaskProblem(BdcProblem):
         and the split state of the layers below ``i``, and it serves the
         start itself.  Every other trial point gets its parameters built once
         and one forward pass from layer ``i``, which its value (the ``g``
-        part alone) and its gradient share.  No public oracle is called, so
-        the anchor stays the memo's point for the step's descent check.
+        part alone) and its gradient share.  The points of the current
+        gradient's search are kept until the next gradient, so a hop onto
+        one of its step sizes reuses that candidate's pass.  No public
+        oracle is called, so the anchor stays the memo's point for the
+        step's descent check.
         """
         theta = np.asarray(theta, dtype=float)
         anchor = self._point(theta, sample)
@@ -249,18 +254,20 @@ class MlpTaskProblem(BdcProblem):
         layers = list(anchor.params.layers)
         shape = layers[i][0].shape
         n_w = layers[i][0].size
-        last = [x0.tobytes(), anchor]
+        # the current point and the trial points of its gradient's search
+        seen = {x0.tobytes(): anchor}
 
         def at(x):
             key = x.tobytes()
-            if key != last[0]:
+            point = seen.get(key)
+            if point is None:
                 x = x.copy()  # the parameters are views into it
                 layers[i] = (x[:n_w].reshape(shape), x[n_w:])
                 params = relu.MlpParams(layers)
                 state = relu.forward_split(params, anchor.X, i, anchor.state)
-                last[:] = key, _Point(key, anchor.X, anchor.y, anchor.count,
-                                      params, state)
-            return last[1]
+                point = seen[key] = _Point(key, anchor.X, anchor.y,
+                                           anchor.count, params, state)
+            return point
 
         def value(x):
             val = self._part(at(x), "g") - float(np.dot(u, x))
@@ -301,6 +308,9 @@ class MlpTaskProblem(BdcProblem):
             return None
 
         while evals < budget:
+            # x was evaluated last; a new search forgets the other points
+            key = x.tobytes()
+            seen = {key: seen[key]}
             grad = gradient(x)
             evals += 1
             gnorm = float(np.linalg.norm(grad))

@@ -208,7 +208,7 @@ class SdlProblem(BdcProblem):
         alpha = self.instance.alpha
         if i == 0:
             # u == 0 on this block; Frank-Wolfe over the column balls
-            D_new, iters, _, _ = inner_frank_wolfe_ball_product(
+            D_new, iters = inner_frank_wolfe_ball_product(
                 Y, X, D, budget, rho=rho, tol=tol)
             return D_new.ravel(), iters
 
@@ -257,8 +257,9 @@ def inner_prox_gradient(value_grad, prox, x0, budget, tol, lipschitz):
             dz = z - x
             sq = float(np.sum(dz * dz))
             val_z, grad_z = value_grad(z)
-            # slack only absorbs rounding noise of the value comparison;
-            # L never shrinks within a call, so acceptance stays honest
+            # the 1e-15 term only absorbs rounding noise of the value
+            # comparison; L never shrinks within a call, so acceptance
+            # stays honest
             if val_z <= val + float(np.dot(grad.ravel(), dz.ravel())) + 0.5 * L * sq + 1e-15 * (1 + abs(val)):
                 break
             L *= 2.0
@@ -277,13 +278,12 @@ def inner_frank_wolfe_ball_product(Y, X, D0, budget, rho=0.0, tol=0.0):
 
     The linear minimization oracle is columnwise ``-grad / ||grad||`` (a
     zero-gradient column keeps its current value), and the step exactly
-    minimizes the one-dimensional quadratic, clamped to [0, 1].  Returns
-    ``(D, iterations, final_gap, initial_gap)``.
+    minimizes the one-dimensional quadratic, clamped to [0, 1].  Stops
+    after ``budget`` iterations or once the Frank-Wolfe gap is at most
+    ``tol``.  Returns ``(D, iterations)``.
     """
     D = np.array(D0, dtype=float, copy=True)
     R = Y - D @ X
-    first_gap = None
-    gap = np.inf
     iters = 0
     for _ in range(budget):
         iters += 1
@@ -296,8 +296,6 @@ def inner_frank_wolfe_ball_product(Y, X, D0, budget, rho=0.0, tol=0.0):
         S[:, nz] = -G[:, nz] / norms[nz]
         Delta = S - D
         gap = float(np.sum(G * (D - S)))
-        if first_gap is None:
-            first_gap = gap
         curv = float(np.sum((Delta @ X) ** 2))
         if rho:
             curv += rho * float(np.sum(Delta * Delta))
@@ -308,7 +306,7 @@ def inner_frank_wolfe_ball_product(Y, X, D0, budget, rho=0.0, tol=0.0):
             break
         D = D + step * Delta
         R = R - step * (Delta @ X)
-    return D, iters, gap, first_gap if first_gap is not None else 0.0
+    return D, iters
 
 
 def gd_baseline_sdl(instance, n_steps):

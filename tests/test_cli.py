@@ -276,6 +276,40 @@ class TestConfigPrecedence:
         assert code == 1
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("word,want", [("TRUE", True), ("Yes", True),
+                                           ("1", True), ("no", False),
+                                           ("False", False), ("0", False)])
+    def test_boolean_words(self, word, want, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theory_preset=%s\nepochs=0\n" % word)
+        code, _, _ = run_cli(["relu", "--config", str(cfg),
+                              "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        manifest = json.loads((tmp_path / "relu_manifest.json").read_text())
+        assert manifest["config"]["theory_preset"] is want
+
+    def test_misspelled_boolean_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=0\ntheory_preset=ture\n")
+        code, _, err = run_cli(["relu", "--config", str(cfg),
+                                "--outdir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith("error: %s:2: theory_preset " % cfg)
+        assert "'ture'" in err
+
+    @pytest.mark.parametrize("line,kind", [("epochs=two", "int"),
+                                           ("rho=much", "float")])
+    def test_unparsable_number_names_path_line_and_key(self, line, kind, capsys,
+                                                       tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n%s\n" % line)
+        key, raw = line.split("=")
+        code, _, err = run_cli(["relu", "--config", str(cfg),
+                                "--outdir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.strip() == "error: %s:2: %s must be of type %s, got %r" % (
+            cfg, key, kind, raw)
+
 
 def test_out_dir_env_override(capsys, tmp_path, monkeypatch):
     target = tmp_path / "redirected"

@@ -291,8 +291,9 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
     # one minibatch solve per block, started as bdca_step starts it: no
     # public oracle, and a pass from layer i at trial points the reference,
     # through the oracles' memo, also made a full pass at, skipping only
-    # points that could not be accepted; theta and u stay as they were, and
-    # the step's descent check at theta is then a memo hit
+    # points that could not be accepted; no vector is passed twice within
+    # one gradient's search and hop; theta and u stay as they were, and the
+    # step's descent check at theta is then a memo hit
     task, theta = tie_case(loss)
     rng = np.random.default_rng(25)
     handle = SampleHandle(key=1, indices=rng.integers(0, len(task.labels), size=3))
@@ -313,10 +314,17 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
         prob = MlpTaskProblem(task)
         prob.subgrad_h_block(i, theta, sample=handle)
         theta_in, u_in = theta.copy(), u.copy()
+        gradient_at, searches = prob._gradient_at, []
+
+        def marking(*args, **kwargs):
+            searches.append(len(passes))  # a new search starts here
+            return gradient_at(*args, **kwargs)
+
         del passes[:]
         with monkeypatch.context() as m:
             for name in ORACLES:
                 m.setattr(prob, name, forbidden)
+            m.setattr(prob, "_gradient_at", marking)
             got = prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8,
                                                 sample=handle)
         np.testing.assert_array_equal(got[0], want[0])
@@ -327,8 +335,11 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
         points = [vector for _, vector in passes]
         skipped_trials(points, trials, values)
         assert len(points) > 1
-        # a value and a gradient at one point share its pass
-        assert all(a != b for a, b in zip(points, points[1:]))
+        # a value and a gradient at one point share its pass, and a hop onto
+        # a candidate of the search before shares that candidate's
+        bounds = searches + [len(points)]
+        for start, stop in zip(bounds, bounds[1:]):
+            assert len(set(points[start:stop])) == stop - start
 
         del passes[:]
         prob.eval_g(i, theta, sample=handle)

@@ -1,7 +1,8 @@
-"""Whole-process checks: the import footprint, the exported names and the
-demo scripts."""
+"""Whole-process checks: the import footprint, the exported names, the names
+the benchmark's tracer patches and the demo scripts."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -51,6 +52,20 @@ def test_problems_import_loads_no_solvers(tmp_path):
 def test_demo_runs(demo, tmp_path):
     proc = _python([str(ROOT / "demos" / demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_patches_existing_names():
+    # perfbench/tracing.py patches bdcopt's functions and methods by name; a
+    # renamed or deleted one fails here rather than in a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from bdcopt import experiments, solvers
+
+    with tracing.instrument(tracing.Tracer()):
+        assert experiments.run is not solvers.run
+    assert experiments.run is solvers.run
 
 
 def test_every_exported_name_resolves():

@@ -220,12 +220,6 @@ class TestRun:
         fs = np.append(trace.column("f"), trace.final_f)
         assert np.all(np.diff(fs) <= 2 * cfg.inner_tol + 1e-12)
 
-    def test_cyclic_rule_visits_blocks_in_order(self):
-        part = BlockPartition([1, 1, 1])
-        prob = identity_quadratic(part, [1.0, 2.0, 3.0])
-        trace = run(prob, SolverConfig(n_iters=6, seed=0, block_rule="cyclic"))
-        assert [r.block for r in trace.records] == [0, 1, 2, 0, 1, 2]
-
     def test_non_finite_f_names_iteration_block_and_value(self):
         class NanAwayFromStart(QuadraticDcProblem):
             # h, which the step never reads, turns NaN once the iterate
@@ -235,7 +229,8 @@ class TestRun:
 
         part = BlockPartition([1, 1])
         prob = NanAwayFromStart(part, np.eye(2), np.array([1.0, 2.0]))
-        cfg = SolverConfig(n_iters=3, seed=0, block_rule="cyclic")
+        cfg = SolverConfig(n_iters=3, seed=0)
+        # seed 0 draws block 0, then block 1
         with pytest.raises(ValueError, match=r"non-finite f at k=1, block 1: nan"):
             run(prob, cfg)
 
@@ -302,6 +297,18 @@ class TestInnerProxGradient:
         np.testing.assert_array_equal(theta, prob.initial_point())
 
 
+def frank_wolfe_gap(Y, D):
+    """The Frank-Wolfe gap of ``0.5 ||Y - D||_F^2`` over the unit column
+    balls at ``D``: ``<G, D - S>`` with ``G`` the gradient and ``S`` the
+    columnwise minimizer ``-G / ||G||`` of ``<G, .>``."""
+    G = D - Y
+    norms = np.linalg.norm(G, axis=0)
+    S = D.copy()
+    nz = norms > 0
+    S[:, nz] = -G[:, nz] / norms[nz]
+    return float(np.sum(G * (D - S)))
+
+
 class TestFrankWolfe:
     def test_identity_codes_recover_targets(self):
         # separable projection; the boundary optimum makes the rate sublinear,
@@ -312,9 +319,9 @@ class TestFrankWolfe:
         D0 = rng.standard_normal((4, 6))
         D0 /= np.linalg.norm(D0, axis=0) * 1.5
         err0 = np.linalg.norm(D0 - Y)
-        D, _, gap, gap0 = inner_frank_wolfe_ball_product(Y, np.eye(6), D0, 400)
+        D, _ = inner_frank_wolfe_ball_product(Y, np.eye(6), D0, 400)
         assert np.linalg.norm(D - Y) <= min(1e-3, 1e-2 * err0)
-        assert gap <= gap0
+        assert frank_wolfe_gap(Y, D) <= frank_wolfe_gap(Y, D0)
 
     def test_matches_projected_gradient_long_run(self):
         rng = np.random.default_rng(9)
