@@ -99,6 +99,47 @@ _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
 
 
+def _parse_widths(text):
+    try:
+        widths = tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        widths = ()
+    if not widths or min(widths) < 1:
+        raise ValueError("widths must be comma-separated positive integers, "
+                         "got %r" % text)
+    return widths
+
+
+def _parse_dims(text):
+    try:
+        dims = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        dims = ()
+    if not 2 <= len(dims) <= 4 or min(dims) < 1:
+        raise ValueError("dims must be 2 to 4 comma-separated positive "
+                         "integers, got %r" % text)
+    return dims
+
+
+def _one_of(key, choices):
+    def parse(text):
+        if text not in choices:
+            raise ValueError("%s must be one of %s, got %r" % (
+                key, ", ".join(map(repr, choices)), text))
+        return text
+    return parse
+
+
+# string keys of a fixed form, checked where a config file or flag sets them
+_STRING_PARSERS = {
+    "widths": _parse_widths,
+    "dims": _parse_dims,
+    "task": _one_of("task", ("blobs", "sine")),
+    "variant": _one_of("variant", ("l1", "l1_lq", "both")),
+    "ell": _one_of("ell", ("constant", "affine")),
+}
+
+
 def _load_config_file(path, defaults):
     values = {}
     with open(path) as fh:
@@ -125,6 +166,11 @@ def _load_config_file(path, defaults):
                     raise ValueError("%s:%d: %s must be of type %s, got %r" % (
                         path, lineno, key, kind.__name__, raw)) from None
             else:
+                if key in _STRING_PARSERS:
+                    try:
+                        _STRING_PARSERS[key](raw)
+                    except ValueError as exc:
+                        raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
                 values[key] = raw
     return values
 
@@ -137,6 +183,8 @@ def _resolve(defaults, args):
     for key in defaults:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
+            if key in _STRING_PARSERS:
+                _STRING_PARSERS[key](val)
             cfg[key] = val
     return cfg
 
@@ -236,8 +284,6 @@ def cmd_sdl(args, manifest):
     cfg = _resolve(SDL_DEFAULTS, args)
     out = _outdir(cfg)
     variants = ("l1", "l1_lq") if cfg["variant"] == "both" else (cfg["variant"],)
-    if any(v not in ("l1", "l1_lq") for v in variants):
-        raise ValueError("variant must be 'l1', 'l1_lq' or 'both'")
     if args.compare_gd:  # the GD comparison always runs the l1_lq penalty
         check_lq_q(cfg["q"], cfg["l"])
     manifest.start(out, cfg, list(range(cfg["seeds"])))
@@ -301,7 +347,7 @@ def cmd_relu(args, manifest):
     cfg = _resolve(RELU_DEFAULTS, args)
     out = _outdir(cfg)
     manifest.start(out, cfg, [cfg["seed"]])
-    widths = tuple(int(t) for t in str(cfg["widths"]).split(",") if t.strip())
+    widths = _parse_widths(cfg["widths"])
     res = experiments.run_relu_experiment(
         task=cfg["task"], layer_dims=widths, n_data=cfg["n_data"],
         n_classes=cfg["classes"], epochs=cfg["epochs"],
@@ -342,12 +388,7 @@ TENSOR_DEFAULTS = {
 def cmd_tensor(args, manifest):
     cfg = _resolve(TENSOR_DEFAULTS, args)
     out = _outdir(cfg)
-    try:
-        dims = tuple(int(t) for t in str(cfg["dims"]).split(","))
-        if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
-            raise ValueError
-    except ValueError:
-        raise ValueError("dims must be 2 to 4 comma-separated positive integers")
+    dims = _parse_dims(cfg["dims"])
     manifest.start(out, cfg, [cfg["seed"]])
     rows, per_update, _, _ = experiments.run_tensor_experiment(
         dims=dims, rank=cfg["rank"], sweeps=cfg["sweeps"], seed=cfg["seed"],
@@ -372,10 +413,8 @@ def cmd_plan_rho(args, manifest):
     manifest.start(_outdir(cfg), cfg, [])
     if cfg["ell"] == "constant":
         ell = lambda u: cfg["ell_l0"]
-    elif cfg["ell"] == "affine":
-        ell = lambda u: cfg["ell_a"] + cfg["ell_c"] * u
     else:
-        raise ValueError("ell must be 'constant' or 'affine'")
+        ell = lambda u: cfg["ell_a"] + cfg["ell_c"] * u
     plan = plan_rho(ell, cfg["G"], cfg["R"])
     print("E=%r" % float(plan.E))
     print("L_eff=%r" % float(plan.L_eff))

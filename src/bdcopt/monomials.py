@@ -178,14 +178,13 @@ def polarize(monomial):
     inv_fact = Fraction(1, factorial(power))
 
     atoms = []
-    seen = set()
     for v in itertools.product(*(range(bi + 1) for bi in grid_b)):
         comp = tuple(bi - vi for bi, vi in zip(grid_b, v))
-        if v == comp:
-            continue  # zero form at the grid center
-        if comp in seen:
-            continue  # complementary pair already emitted
-        seen.add(v)
+        # the product runs in lexicographic order, so the smaller point of a
+        # complementary pair comes first; the grid center (zero form) has
+        # comp == v
+        if comp <= v:
+            continue
         coeffs = [Fraction(bi, 2) - vi for bi, vi in zip(grid_b, v)]
         weight = 2 * inv_fact * (-1) ** sum(v) * prod(comb(bi, vi) for bi, vi in zip(grid_b, v))
         if odd:

@@ -109,11 +109,12 @@ class MlpParams:
             raise ValueError("vector length does not match parameter count")
         return MlpParams(layers)
 
-def random_params(layer_dims, rng, scale=None):
-    """Random network with the given neuron counts, e.g. ``(2, 8, 8, 3)``."""
+def random_params(layer_dims, rng):
+    """Random network with the given neuron counts, e.g. ``(2, 8, 8, 3)``:
+    standard normal weights and biases scaled by ``1/sqrt(fan-in)``."""
     layers = []
     for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-        s = scale if scale is not None else 1.0 / np.sqrt(d_in)
+        s = 1.0 / np.sqrt(d_in)
         layers.append((s * rng.standard_normal((d_out, d_in)),
                        s * rng.standard_normal(d_out)))
     return MlpParams(layers)

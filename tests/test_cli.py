@@ -133,6 +133,15 @@ class TestReluCommand:
         assert manifest["status"] == "failed"
         assert not (tmp_path / "relu_loss_seed0.csv").exists()
 
+    @pytest.mark.parametrize("value", ["16,x", "8,-3", ","])
+    def test_bad_widths_flag_names_the_key(self, capsys, tmp_path, value):
+        code, _, err = run_cli(["relu", "--widths=" + value,
+                                "--outdir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.splitlines() == [
+            "error: widths must be comma-separated positive integers, got %r"
+            % value]
+
 
 class TestSdlCommand:
     def test_small_run_outputs(self, capsys, tmp_path):
@@ -309,6 +318,22 @@ class TestConfigPrecedence:
         assert code == 1
         assert err.strip() == "error: %s:2: %s must be of type %s, got %r" % (
             cfg, key, kind, raw)
+
+    @pytest.mark.parametrize("command,line", [("relu", "widths=16,x"),
+                                              ("tensor", "dims=4"),
+                                              ("relu", "task=blob"),
+                                              ("sdl", "variant=l2"),
+                                              ("plan-rho", "ell=bogus")])
+    def test_bad_string_value_names_path_line_and_key(self, command, line,
+                                                      capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n%s\n" % line)
+        key, raw = line.split("=")
+        code, _, err = run_cli([command, "--config", str(cfg),
+                                "--outdir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith("error: %s:2: %s must be " % (cfg, key))
+        assert err.strip().endswith("got %r" % raw)
 
 
 def test_out_dir_env_override(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
 """Whole-process checks: the import footprint, the exported names, the names
-the benchmark's tracer patches and the demo scripts."""
+the benchmark's tracer patches and counts, and the demo scripts."""
 
 import importlib
 import importlib.util
@@ -54,18 +54,38 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_benchmark_tracer_patches_existing_names():
-    # perfbench/tracing.py patches bdcopt's functions and methods by name; a
-    # renamed or deleted one fails here rather than in a traced benchmark run
+def _benchmark_tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_patches_existing_names():
+    # perfbench/tracing.py patches bdcopt's functions and methods by name; a
+    # renamed or deleted one fails here rather than in a traced benchmark run
+    tracing = _benchmark_tracing()
     from bdcopt import experiments, solvers
 
     with tracing.instrument(tracing.Tracer()):
         assert experiments.run is not solvers.run
     assert experiments.run is solvers.run
+
+
+def test_traced_code_solver_takes_one_gradient_per_iteration():
+    tracing = _benchmark_tracing()
+    from bdcopt import experiments
+
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        experiments.run_sdl_experiment(n_outer=2, n_seeds=1)
+    spans = tracer.spans
+    # the code-block solves are the "inner" spans that hold a prox-gradient run
+    code_solves = {s[3] for s in spans if s[0] == "inner.prox_gradient"}
+    iterations = sum(spans[k][4] for k in code_solves)
+    assert iterations > 0
+    calls = tracing.layer_metrics(spans)["inner.prox_gradient.value_grad_calls"]
+    assert calls == iterations
 
 
 def test_every_exported_name_resolves():

@@ -38,13 +38,13 @@ class TestBdcaStep:
 
     def test_scalar_soft_threshold(self):
         # min 0.5 (x - 1)^2 + |x| has the closed form soft(1, 1) = 0
-        def value_grad(x):
-            return 0.5 * float((x[0] - 1.0) ** 2), np.array([x[0] - 1.0])
+        def grad(x):
+            return np.array([x[0] - 1.0])
 
         def prox(x, t):
             return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
-        x, _ = inner_prox_gradient(value_grad, prox, np.array([0.7]), 200, 1e-12,
+        x, _ = inner_prox_gradient(grad, prox, np.array([0.7]), 200, 1e-12,
                                    lipschitz=1.0)
         assert x[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -251,38 +251,33 @@ class TestInnerProxGradient:
         A = rng.standard_normal((12, 5))
         b = rng.standard_normal(12)
 
-        def value_grad(x):
-            r = A @ x - b
-            return 0.5 * float(r @ r), A.T @ r
+        def grad(x):
+            return A.T @ (A @ x - b)
 
-        x, _ = inner_prox_gradient(value_grad, lambda x, t: x, np.zeros(5), 3000,
-                                   1e-12, lipschitz=1.0)
+        x, _ = inner_prox_gradient(grad, lambda x, t: x, np.zeros(5), 3000, 1e-12,
+                                   lipschitz=float(np.linalg.norm(A, 2)) ** 2)
         want = np.linalg.solve(A.T @ A, A.T @ b)
         np.testing.assert_allclose(x, want, atol=1e-8)
 
     def test_projection_onto_unit_ball(self):
         z = np.array([3.0, 4.0])
 
-        def value_grad(x):
-            d = x - z
-            return 0.5 * float(d @ d), d
+        def grad(x):
+            return x - z
 
         def project(x, t):
             n = np.linalg.norm(x)
             return x / max(1.0, n)
 
-        x, _ = inner_prox_gradient(value_grad, project, np.zeros(2), 500, 1e-12,
+        x, _ = inner_prox_gradient(grad, project, np.zeros(2), 500, 1e-12,
                                    lipschitz=1.0)
         np.testing.assert_allclose(x, z / 5.0, atol=1e-10)
 
 
     @pytest.mark.parametrize("lipschitz", [0.0, -1.0, float("nan")])
     def test_nonpositive_lipschitz_rejected(self, lipschitz):
-        def value_grad(x):
-            return 0.5 * float(x @ x), x
-
         with pytest.raises(ValueError, match="lipschitz must be > 0"):
-            inner_prox_gradient(value_grad, lambda x, t: x, np.ones(2), 5, 1e-12,
+            inner_prox_gradient(lambda x: x, lambda x, t: x, np.ones(2), 5, 1e-12,
                                 lipschitz=lipschitz)
 
     def test_zero_dictionary_code_step(self):
