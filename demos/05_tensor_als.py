@@ -2,7 +2,11 @@
 
 With one block per factor matrix the concave side vanishes and each block
 surrogate is a linear least-squares problem solved exactly, which is the
-classical alternating least-squares sweep.  On a planted rank-2 tensor the
+classical alternating least-squares sweep.  The solve is in Gram form: the
+rank-by-rank normal equations ``F (K^T K) = T_(i) K``, with ``K`` the
+Khatri-Rao product of the other factors, solved by minimum-norm least
+squares, and the tensor is rebuilt as one matrix product ``F_1 @ K.T``.
+On a planted rank-2 tensor the
 sweeps drive the relative error to numerical zero, and the objective cannot
 increase at any block update because each update is an exact minimization.
 """

@@ -2,8 +2,12 @@
 
 One block per factor matrix; the concave side is identically zero and the
 block surrogate has a closed-form least-squares solution, so block steps are
-exact minimizations (the alternating least-squares update).  The oracles
-share one residual per point: ``eval_f``, ``eval_g``, ``grad_g_block`` and
+exact minimizations (the alternating least-squares update).  Both hot paths
+are in Gram form (Kolda & Bader, SIAM Review 51(3), 2009): the reconstruction
+is one matrix product ``theta_1 @ K.T`` with the Khatri-Rao product ``K`` of
+the other factors, and the block update solves the ``r x r`` normal equations
+built from ``K^T K`` and the MTTKRP ``T_(i) K``.  The oracles share one
+residual per point: ``eval_f``, ``eval_g``, ``grad_g_block`` and
 ``relative_error`` read the last point's ``reconstruction - T`` instead of
 rebuilding the tensor.  The problem reads only the tensor it was built with,
 which it makes read-only.
@@ -11,7 +15,6 @@ which it makes read-only.
 
 from dataclasses import dataclass
 from functools import reduce
-import string
 
 import numpy as np
 
@@ -22,11 +25,11 @@ __all__ = ["cp_reconstruct", "CpInstance", "CpProblem"]
 
 
 def cp_reconstruct(factors):
-    """Full tensor ``sum_r outer(theta_1[:, r], ..., theta_n[:, r])``."""
-    n = len(factors)
-    letters = string.ascii_lowercase[:n]
-    expr = ",".join(c + "z" for c in letters) + "->" + letters
-    return np.einsum(expr, *factors)
+    """Full tensor ``sum_r outer(theta_1[:, r], ..., theta_n[:, r])`` of two
+    or more factors, as ``theta_1 @ K.T`` with ``K`` the Khatri-Rao product of
+    the others: row-major, like ``_unfold`` and ``_khatri_rao``."""
+    shape = tuple(F.shape[0] for F in factors)
+    return (factors[0] @ reduce(_khatri_rao, factors[1:]).T).reshape(shape)
 
 
 def _unfold(T, mode):
@@ -126,16 +129,18 @@ class CpProblem(BdcProblem):
         return np.zeros(self.partition.block_dims[i])
 
     def minimize_block_surrogate(self, i, theta, u, rho, budget, tol, sample=None):
+        """Exact block minimizer of ``0.5 ||T - recon||^2 - <u, F_i> +
+        rho/2 ||F_i - theta_i||^2``: the ``r x r`` normal equations
+        ``F_i (K^T K + rho I) = T_(i) K + u + rho theta_i``, solved by
+        minimum-norm least squares, so a singular ``K^T K`` (a zero factor
+        column at ``rho = 0``) gives the minimum-norm minimizer, as
+        ``lstsq(K, T_(i)^T)`` would."""
         factors = self.unpack(theta)
         K = _khatri_rao_others(factors, i)
-        Ti = _unfold(self.tensor, i)
-        if rho == 0 and not np.any(u):
-            sol, *_ = np.linalg.lstsq(K, Ti.T, rcond=None)  # exact block minimizer
-            Fi = sol.T
-        else:
-            M = K.T @ K + rho * np.eye(self.rank)
-            rhs = Ti @ K + np.asarray(u).reshape(factors[i].shape) + rho * factors[i]
-            Fi = np.linalg.solve(M, rhs.T).T
+        M = K.T @ K + rho * np.eye(self.rank)
+        rhs = (_unfold(self.tensor, i) @ K + np.asarray(u).reshape(factors[i].shape)
+               + rho * factors[i])
+        Fi = np.linalg.lstsq(M, rhs.T, rcond=None)[0].T
         return Fi.ravel(), 1
 
     def relative_error(self, theta):

@@ -112,6 +112,10 @@ class MlpParams:
 def random_params(layer_dims, rng):
     """Random network with the given neuron counts, e.g. ``(2, 8, 8, 3)``:
     standard normal weights and biases scaled by ``1/sqrt(fan-in)``."""
+    for k, d in enumerate(layer_dims):
+        if d < 1:
+            raise ValueError("layer %d has width %r; widths must be positive"
+                             % (k, d))
     layers = []
     for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
         s = 1.0 / np.sqrt(d_in)

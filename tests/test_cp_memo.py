@@ -53,13 +53,9 @@ def reference(inst, name, i, theta, u, rho):
     if name == "grad_g_block":
         R = cp._unfold(cp_reconstruct(factors) - T, i)
         return (R @ K).ravel()
-    Ti = cp._unfold(T, i)
-    if rho == 0 and not np.any(u):
-        sol, *_ = np.linalg.lstsq(K, Ti.T, rcond=None)
-        return sol.T.ravel()
     M = K.T @ K + rho * np.eye(inst.rank)
-    rhs = Ti @ K + u.reshape(factors[i].shape) + rho * factors[i]
-    return np.linalg.solve(M, rhs.T).T.ravel()
+    rhs = cp._unfold(T, i) @ K + u.reshape(factors[i].shape) + rho * factors[i]
+    return np.linalg.lstsq(M, rhs.T, rcond=None)[0].T.ravel()
 
 
 def call(prob, name, i, theta, u, rho):

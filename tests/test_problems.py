@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +12,8 @@ from bdcopt.problems import (CpInstance, CpProblem, MlpTask, MlpTaskProblem,
                              lq_subgrad, sdl_synthetic)
 from bdcopt.problems.cp import _khatri_rao, _khatri_rao_others, _unfold
 from bdcopt.solvers import SolverConfig, bdca_step, run
+
+EPS = np.finfo(float).eps
 
 
 class TestSdlSynthetic:
@@ -322,6 +326,68 @@ class TestCp:
         theta, _ = bdca_step(prob, theta, 1)
         grad = prob.grad_g_block(1, theta)
         assert np.linalg.norm(grad) <= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.sampled_from([1, 5]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @example(2, 1, True, 0)
+    @example(3, 5, False, 1)
+    @example(4, 5, True, 2)
+    def test_reconstruction_is_sum_of_rank_one_outer_products(
+            self, n_modes, rank, zero_column, seed):
+        rng = np.random.default_rng(seed)
+        factors = [rng.standard_normal((int(rng.integers(1, 7)), rank))
+                   for _ in range(n_modes)]
+        if zero_column:
+            factors[int(rng.integers(n_modes))][:, int(rng.integers(rank))] = 0.0
+        want, size = 0.0, 0.0  # the outer-product sum and its scale
+        for cols in zip(*(F.T for F in factors)):
+            want = want + reduce(np.multiply.outer, cols)
+            size = size + reduce(np.multiply.outer, [np.abs(c) for c in cols])
+        got = cp_reconstruct(factors)
+        assert got.shape == tuple(F.shape[0] for F in factors)
+        assert np.all(np.abs(got - want) <= 2 * n_modes * rank * EPS * size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 5), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_block_solve_is_stationary(self, n_modes, rank, zero_column, seed):
+        # rho = 0, u = 0: the block's gradient after the solve is rounding
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(m) for m in rng.integers(rank + 1, 8, size=n_modes))
+        prob = cp_problem(rng.standard_normal(shape), rank, seed)
+        theta = prob.initial_point()
+        i = int(rng.integers(n_modes))
+        factors = prob.unpack(theta)
+        if zero_column:  # K^T K singular
+            j = (i + 1) % n_modes
+            factors[j][:, int(rng.integers(rank))] = 0.0
+            theta = prob.pack(factors)
+        K = _khatri_rao_others(factors, i)
+        u = np.zeros(prob.partition.block_dims[i])
+        x, _ = prob.minimize_block_surrogate(i, theta, u, 0.0, 1, 1e-8)
+        new = theta.copy()
+        new[prob.partition.slice_of(i)] = x
+        scale = np.linalg.norm(prob.tensor) * np.linalg.norm(K)
+        assert np.linalg.norm(prob.grad_g_block(i, new)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_modes", [2, 3, 4])
+    def test_rank_deficient_solve_is_minimum_norm_least_squares(self, n_modes):
+        # a zero column in another factor zeroes a column of K; the block
+        # solve returns lstsq(K, T_(i)^T)'s minimum-norm solution
+        rng = np.random.default_rng(20 + n_modes)
+        shape = (5, 6, 4, 3)[:n_modes]
+        prob = cp_problem(rng.standard_normal(shape), 4, seed=n_modes)
+        for i in range(n_modes):
+            factors = prob.unpack(prob.initial_point())
+            factors[(i + 1) % n_modes][:, 2] = 0.0
+            theta = prob.pack(factors)
+            K = _khatri_rao_others(factors, i)
+            want = np.linalg.lstsq(K, _unfold(prob.tensor, i).T, rcond=None)[0].T
+            x, _ = prob.minimize_block_surrogate(i, theta, np.zeros(want.size),
+                                                 0.0, 1, 1e-8)
+            np.testing.assert_allclose(x.reshape(want.shape), want,
+                                       rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_instance_shape_validation(self):
         rng = np.random.default_rng(12)

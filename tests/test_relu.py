@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,18 @@ class TestForwardSplit:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             forward_split(tiny_net(), np.ones(3))
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((2, 0, 3), "layer 1 has width 0"),
+    ((2, -3, 3), "layer 1 has width -3"),
+])
+def test_random_params_rejects_nonpositive_width(dims, message):
+    # checked before any draw: no divide-by-zero warning, no numpy error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            random_params(dims, np.random.default_rng(0))
 
 
 class TestLossSplits:
