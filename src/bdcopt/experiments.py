@@ -170,11 +170,16 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
     smoothness estimate of the convex side along the realized update of the
     selected block (log gradient norm vs log estimate scatter).
     With ``theory_preset`` the proximal weight and minibatch size scale with
-    sqrt(total iterations).  A ``batch_size`` below 1 raises before any
-    solve, with or without the preset.
+    sqrt(total iterations).  A ``batch_size`` below 1, a negative ``stride``
+    (0 records no estimates) or a ``delta`` outside ``(0, 1]`` raises before
+    any solve, with or without the preset.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1, got %r" % (batch_size,))
+    if stride < 0:
+        raise ValueError("stride must be >= 0, got %r" % (stride,))
+    if not 0 < delta <= 1:
+        raise ValueError("delta must lie in (0, 1], got %r" % (delta,))
     mlp_task = _build_task(task, layer_dims, n_data, n_classes,
                            substream(seed, "data"), substream(seed, "init"))
     problem = MlpTaskProblem(mlp_task)

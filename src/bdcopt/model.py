@@ -134,14 +134,21 @@ class BdcProblem:
         """
         raise NotImplementedError("problem declares no inner solver")
 
+    def residual_blocks(self, theta, sample=None):
+        """Per-block stationarity vectors ``z_i = grad g_i - chosen subgrad
+        h_i``, one oracle pair per block; a problem that can form the
+        differences more cheaply overrides this."""
+        return [
+            self.grad_g_block(i, theta, sample=sample)
+            - self.subgrad_h_block(i, theta, sample=sample)
+            for i in range(self.n_blocks)
+        ]
+
 
 def residual_blocks(problem, theta, sample=None):
-    """Per-block stationarity vectors ``z_i = grad g_i - chosen subgrad h_i``."""
-    return [
-        problem.grad_g_block(i, theta, sample=sample)
-        - problem.subgrad_h_block(i, theta, sample=sample)
-        for i in range(problem.n_blocks)
-    ]
+    """Per-block stationarity vectors ``z_i = grad g_i - chosen subgrad h_i``
+    (:meth:`BdcProblem.residual_blocks`)."""
+    return problem.residual_blocks(theta, sample=sample)
 
 
 def residual_upper(problem, theta):
@@ -149,7 +156,10 @@ def residual_upper(problem, theta):
 
     Stacks the per-block vectors ``grad g_i - u_i`` built from the problem's
     deterministic subgradient selection and returns the 2-norm.  The bound is
-    tight whenever every ``h_i`` is differentiable at ``theta``.
+    tight whenever every ``h_i`` is differentiable at ``theta``.  The vectors
+    come from the problem's own ``residual_blocks``, which may form the
+    differences directly (``MlpTaskProblem`` does, in one reverse sweep), so
+    they can differ from the oracle pairs' difference by rounding.
     """
     z = np.concatenate(residual_blocks(problem, theta))
     return float(np.linalg.norm(z))

@@ -67,15 +67,18 @@ class MlpTask:
 
 class _Point:
     """One evaluated point: its parameters and split forward pass, plus its
-    loss parts and each part's block gradients once asked for."""
+    loss parts, each part's block gradients and the stationarity vectors
+    once asked for."""
 
-    __slots__ = ("key", "X", "y", "count", "params", "state", "parts", "grads")
+    __slots__ = ("key", "X", "y", "count", "params", "state", "parts", "grads",
+                 "residual")
 
     def __init__(self, key, X, y, count, params, state):
         self.key, self.X, self.y, self.count = key, X, y, count
         self.params, self.state = params, state
         self.parts = None
         self.grads = {}
+        self.residual = None
 
 
 class MlpTaskProblem(BdcProblem):
@@ -83,12 +86,14 @@ class MlpTaskProblem(BdcProblem):
     point ``(theta, minibatch)``.
 
     The last point evaluated is kept: its split forward pass and, once asked
-    for, its loss parts and each part's block gradients.  A call at the same
-    ``theta`` bytes and minibatch indices reads them instead of recomputing.
-    A gradient of block 0 needs a reverse sweep through every layer; on the
-    full data that sweep keeps every layer's gradient (the per-iteration
-    records then pay one sweep per part), while a minibatch gradient, like a
-    gradient of a higher block, sweeps only down to the block it asks for.
+    for, its loss parts, each part's block gradients and the stationarity
+    vectors.  A call at the same ``theta`` bytes and minibatch indices reads
+    them instead of recomputing.  A block gradient sweeps only down to the
+    block it asks for.  The stationarity vectors ``grad g_i - grad h_i`` of
+    the per-iteration records come from one plain reverse sweep
+    (:func:`relu.residual_grads`): the two parts' output adjoints differ by
+    ``(d, -d)``, so the difference needs no split sweep of either part, and
+    it equals the oracle pairs' difference up to rounding.
     The block solver evaluates its trial points on the block's tail and
     leaves the kept point as it found it (see
     :meth:`minimize_block_surrogate`).
@@ -170,21 +175,16 @@ class MlpTaskProblem(BdcProblem):
     def _block_gradient(self, part, i, theta, sample):
         if not 0 <= i < self.n_blocks:
             raise IndexError("block %d out of range for %d layers" % (i, self.n_blocks))
-        # the records ask a full-data point for every block
-        return self._gradient_at(self._point(theta, sample), part, i,
-                                 every=i == 0 and sample is None)
+        return self._gradient_at(self._point(theta, sample), part, i)
 
-    def _gradient_at(self, point, part, i, every=False):
+    def _gradient_at(self, point, part, i):
         """Block ``i``'s gradient of one loss part at ``point``, kept on the
-        point; with ``every`` the sweep keeps every layer's pair."""
+        point."""
         pairs = point.grads.setdefault(part, {})
         if i not in pairs:
             sweep = relu.block_grad_g if part == "g" else relu.block_grad_h
-            args = (point.params, point.X, point.y, self.task.loss)
-            if every:
-                pairs.update(enumerate(sweep(*args, None, state=point.state)))
-            else:
-                pairs[i] = sweep(*args, i, state=point.state)
+            pairs[i] = sweep(point.params, point.X, point.y, self.task.loss, i,
+                             state=point.state)
         dW, db = pairs[i]
         return np.concatenate([dW.ravel(), db]) / point.count
 
@@ -203,6 +203,16 @@ class MlpTaskProblem(BdcProblem):
 
     def subgrad_h_block(self, i, theta, sample=None):
         return self._block_gradient("h", i, theta, sample)
+
+    def residual_blocks(self, theta, sample=None):
+        """Every block's ``grad g_i - grad h_i`` from one reverse sweep of
+        the difference, kept on the point; fresh arrays on every call."""
+        point = self._point(theta, sample)
+        if point.residual is None:
+            point.residual = relu.residual_grads(point.params, point.X, point.y,
+                                                 self.task.loss, state=point.state)
+        return [np.concatenate([dW.ravel(), db]) / point.count
+                for dW, db in point.residual]
 
     # -- inner solver ----------------------------------------------------------
     def minimize_block_surrogate(self, i, theta, u, rho, budget, tol, sample=None):

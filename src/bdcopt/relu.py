@@ -20,6 +20,12 @@ block solver's cuts rest on this, and
 ``tests/test_mlp_block_step.py::test_block_gradient_is_a_subgradient_of_g``
 checks it at kinks and ties.  For a block ``l`` only layers ``>= l`` are
 traversed; one sweep to layer 0 gives every block's gradient at once.
+
+The stationarity vectors ``grad g - grad h`` need no split sweep: the two
+parts' output adjoints differ by ``(d, -d)``, and the split sweep keeps such
+a pair antisymmetric, so :func:`residual_grads` gets every block's
+difference from one plain backprop through ``W`` with the same kink
+selections.
 """
 
 from dataclasses import dataclass
@@ -40,6 +46,7 @@ __all__ = [
     "loss_part",
     "block_grad_g",
     "block_grad_h",
+    "residual_grads",
     "log_sum_exp",
     "save_params_csv",
     "load_params_csv",
@@ -343,6 +350,49 @@ def _loss_block_gradient(params, x, y, loss, part, block, state):
         dp = _relu_deriv(state.pre[0]) * dZp  # z_minus[0] is constant zero
         grads[0] = (dp.T @ X, dp.sum(axis=0))
     return grads if block is None else grads[block]
+
+
+def residual_grads(params, x, y, loss, state=None):
+    """Every layer's ``(dW, db)`` of ``g - h`` from one plain reverse sweep:
+    the difference of :func:`block_grad_g` and :func:`block_grad_h` up to
+    rounding.
+
+    The two parts' output adjoints differ by ``(d, -d)``, with ``d =
+    softmax(F) - e_y`` for ``"ce"`` and ``d = 2 (F - y)`` for ``"mse"``, and
+    the split sweep maps an antisymmetric pair ``(e, -e)`` to another one.
+    So the sweep of the difference is backprop through ``W`` with the
+    split's kink selections: the factor ``[W != 0]`` on the weights of
+    layers >= 1, ``[b != 0]`` on the output bias, the hidden mask ``pre >=
+    z-``, ``relu'(0) = 0`` at layer 0, and input activations ``z+ - z-``.
+    ``state`` reuses a forward pass of ``params`` on ``x``.
+    """
+    X = _as_batch(x, params.input_dim)
+    if state is None:
+        state = forward_split(params, X)
+    y = np.atleast_1d(np.asarray(y))
+    F = state.output
+    if loss == "mse":
+        d = 2.0 * (F - y.reshape(-1, 1))
+    elif loss == "ce":
+        d = _softmax(F)
+        d[np.arange(F.shape[0]), y] -= 1.0
+    else:
+        raise ValueError("loss must be 'mse' or 'ce'")
+    L = params.n_layers
+    grads = [None] * L
+    for l in range(L - 1, 0, -1):
+        W, b = params.layers[l]
+        if l < L - 1:  # z+ = max(p, z-), ties to p, as in the split sweep
+            d = (state.pre[l] >= state.z_minus[l]) * e
+        dW = (W != 0.0) * (d.T @ (state.z_plus[l - 1] - state.z_minus[l - 1]))
+        db = d.sum(axis=0)
+        if l == L - 1:
+            db = (b != 0.0) * db
+        grads[l] = (dW, db)
+        e = d @ W
+    d = _relu_deriv(state.pre[0]) * e
+    grads[0] = (d.T @ X, d.sum(axis=0))
+    return grads
 
 
 def block_grad_g(params, x, y, loss, block, state=None):

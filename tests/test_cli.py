@@ -133,6 +133,23 @@ class TestReluCommand:
         assert manifest["status"] == "failed"
         assert not (tmp_path / "relu_loss_seed0.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--stride", "-5"], "stride must be >= 0, got -5"),
+        (["--delta", "2", "--stride", "0"], "delta must lie in (0, 1], got 2.0"),
+        (["--delta", "0"], "delta must lie in (0, 1], got 0.0"),
+        (["--delta", "-0.5", "--theory-preset"], "delta must lie in (0, 1], got -0.5"),
+    ], ids=["negative_stride", "delta_at_zero_stride", "zero_delta",
+            "negative_delta_with_preset"])
+    def test_bad_stride_or_delta_fails_before_any_solve(
+            self, capsys, tmp_path, flags, message):
+        code, _, err = run_cli(["relu", *flags, "--outdir", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.splitlines() == ["error: " + message]
+        manifest = json.loads((tmp_path / "relu_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert not (tmp_path / "relu_loss_seed0.csv").exists()
+        assert not (tmp_path / "relu_smoothness_seed0.csv").exists()
+
     @pytest.mark.parametrize("value", ["16,x", "8,-3", ","])
     def test_bad_widths_flag_names_the_key(self, capsys, tmp_path, value):
         code, _, err = run_cli(["relu", "--widths=" + value,

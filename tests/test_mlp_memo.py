@@ -1,11 +1,19 @@
 """The MLP problem's one-evaluation-per-point memo against the per-call
-computation it replaced.
+computation it replaced, and its one-sweep stationarity vectors against the
+two split sweeps they replaced.
 
 ``MlpTaskProblem`` keeps the last point it evaluated (its split forward pass,
-loss parts and block gradients).  Every oracle result must stay bit-identical
-to evaluating that call alone, whatever came before it: other minibatches,
-other points, a ``theta`` array edited in place between calls, or a caller
-that wrote into a returned gradient.
+loss parts, block gradients and stationarity vectors).  Every oracle result
+must stay bit-identical to evaluating that call alone, whatever came before
+it: other minibatches, other points, a ``theta`` array edited in place
+between calls, or a caller that wrote into a returned gradient.
+
+The records' vectors ``grad g_i - grad h_i`` come from one plain reverse
+sweep (``relu.residual_grads``): the two parts' output adjoints differ by
+``(d, -d)``, so the difference needs neither part's split sweep.  The sweep
+sums in another order, so it must match the generic body (the difference of
+the ``g`` and ``h`` sweeps) to rounding, ``1e-12`` of ``|g| + |h|`` per
+block, at ties and kinks too.
 """
 
 import numpy as np
@@ -13,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdcopt import relu
-from bdcopt.model import SampleHandle
+from bdcopt.model import BdcProblem, SampleHandle
 from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
 from bdcopt.solvers import SolverConfig, run
 
@@ -191,6 +199,45 @@ def test_tail_pass_on_ties_and_kinks(loss):
             relu.forward_split(task.net, task.inputs, start, lower)
 
 
+def check_residual(task, theta, rng):
+    """The problem's one-sweep stationarity vectors against the generic body,
+    on the full data and on minibatch handles (one with a repeated row):
+    each block within 1e-12 of ``|g| + |h|``, and a repeat at the same point
+    is an equal, fresh copy."""
+    prob = MlpTaskProblem(task)
+    n = len(task.labels)
+    handles = [SampleHandle(key=1, indices=rng.integers(0, n, size=3)),
+               SampleHandle(key=2, indices=[0, 0, n - 1])]
+    for sample in [None] + handles:
+        got = prob.residual_blocks(theta, sample=sample)
+        want = BdcProblem.residual_blocks(prob, theta, sample=sample)
+        assert len(got) == prob.n_blocks
+        for i, (z, w) in enumerate(zip(got, want)):
+            scale = (np.max(np.abs(prob.grad_g_block(i, theta, sample=sample)))
+                     + np.max(np.abs(prob.subgrad_h_block(i, theta, sample=sample))))
+            assert np.max(np.abs(z - w)) <= 1e-12 * scale, (i, sample)
+        first = [z.copy() for z in got]
+        for z in got:
+            z[...] = np.nan  # must not reach the repeat
+        for z, w in zip(prob.residual_blocks(theta, sample=sample), first):
+            np.testing.assert_array_equal(z, w)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_residual_sweep_matches_split_sweeps(depth, loss, grid, seed):
+    rng = np.random.default_rng(seed)
+    task, theta = build_task(rng, depth, loss, grid)
+    check_residual(task, theta, rng)
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_residual_sweep_on_ties_and_kinks(loss):
+    task, theta = tie_case(loss)
+    check_residual(task, theta, np.random.default_rng(25))
+
+
 @pytest.mark.parametrize("loss", ["mse", "ce"])
 def test_block_range_checked(loss):
     task, theta = tie_case(loss)
@@ -211,7 +258,7 @@ def test_stochastic_step_reuses_the_noise_subgradient(monkeypatch):
     # run() takes the minibatch subgradient for the noise norm, then the
     # step asks for it again at the same point: the repeat is a memo hit
     prob = blobs_problem()
-    counts = {"forward": 0, "sweep": 0}
+    counts = {"forward": 0, "sweep": 0, "residual": 0}
 
     def counting(fn, kind):
         def wrapped(*args, **kwargs):
@@ -222,32 +269,33 @@ def test_stochastic_step_reuses_the_noise_subgradient(monkeypatch):
     monkeypatch.setattr(relu, "forward_split", counting(relu.forward_split, "forward"))
     monkeypatch.setattr(relu, "block_grad_g", counting(relu.block_grad_g, "sweep"))
     monkeypatch.setattr(relu, "block_grad_h", counting(relu.block_grad_h, "sweep"))
+    monkeypatch.setattr(relu, "residual_grads",
+                        counting(relu.residual_grads, "residual"))
     log = []
-    for name in ORACLES:
+    for name in ORACLES + ("residual_blocks",):
         def logged(*args, _fn=getattr(prob, name), _name=name, **kwargs):
             before = dict(counts)
             out = _fn(*args, **kwargs)
             log.append((_name, kwargs.get("sample") is not None,
-                        counts["forward"] - before["forward"],
-                        counts["sweep"] - before["sweep"]))
+                        *(counts[k] - before[k] for k in counts)))
             return out
         monkeypatch.setattr(prob, name, logged)
 
     run(prob, SolverConfig(n_iters=1, rho=2.0, inner_budget=3, batch_size=4))
     repeats = [e for e in log if e[0] == "subgrad_h_block" and e[1]]
     assert len(repeats) == 2
-    assert repeats[1][2:] == (0, 0)
-    # the record's full-data oracles at theta_0 share one forward pass and
-    # one sweep per part, however many blocks they ask for
+    assert repeats[1][2:] == (0, 0, 0)
+    # the record at theta_0 makes one forward pass and one residual sweep
+    # for every block's stationarity vector, and no sweep of either part
     first_sampled = next(k for k, e in enumerate(log) if e[1])
     diag = log[:first_sampled]
-    assert len(diag) == 2 * prob.n_blocks + 3
-    assert sum(e[2] for e in diag) == 1 and sum(e[3] for e in diag) == 2
+    assert [e[0] for e in diag] == ["residual_blocks", "eval_f", "eval_g", "eval_h"]
+    assert [sum(e[k] for e in diag) for k in (2, 3, 4)] == [1, 0, 1]
 
 
 def test_minibatch_block0_pair_sweeps_only_block0():
-    # on a minibatch a block-0 pair stops at block 0; on the full data the
-    # block-0 sweep keeps every layer for the record's other blocks
+    # a block-0 pair keeps block 0 only, on a minibatch and on the full data
+    # alike: the records take every block from the residual sweep instead
     prob = blobs_problem()
     theta = prob.initial_point()
     handle = SampleHandle(key=1, indices=np.arange(8))
@@ -256,7 +304,8 @@ def test_minibatch_block0_pair_sweeps_only_block0():
     assert {part: sorted(pairs) for part, pairs in prob._last.grads.items()} == {
         "g": [0], "h": [0]}
     prob.grad_g_block(0, theta)
-    assert sorted(prob._last.grads["g"]) == list(range(prob.n_blocks))
+    assert {part: sorted(pairs) for part, pairs in prob._last.grads.items()} == {
+        "g": [0]}
 
 
 def test_task_arrays_are_read_only():

@@ -1,5 +1,6 @@
 """Whole-process checks: the import footprint, the exported names, the names
-the benchmark's tracer patches and counts, and the demo scripts."""
+the benchmark's tracer patches and counts, the benchmark workloads'
+correctness checks, and the demo scripts."""
 
 import importlib
 import importlib.util
@@ -54,12 +55,16 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _benchmark_tracing():
+def _benchmark_module(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+        "perfbench_" + name, ROOT / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _benchmark_tracing():
+    return _benchmark_module("tracing")
 
 
 def test_benchmark_tracer_patches_existing_names():
@@ -86,6 +91,17 @@ def test_traced_code_solver_takes_one_gradient_per_iteration():
     assert iterations > 0
     calls = tracing.layer_metrics(spans)["inner.prox_gradient.value_grad_calls"]
     assert calls == iterations
+
+
+@pytest.mark.parametrize("workload", ["sdl", "relu_sqrtk", "tensor_als"])
+def test_benchmark_workload_passes_its_checks_and_repeats(workload):
+    # perfbench/workloads.py holds each workload's correctness checks (step
+    # bounds, losses against a plain forward pass, recomputed objectives); a
+    # change to the outputs they read fails here rather than in a benchmark run
+    solve, fingerprint, check, _ = _benchmark_module("workloads").WORKLOADS[workload]
+    out = solve(0)
+    assert check(out, 0) == []
+    assert fingerprint(solve(0)) == fingerprint(out)
 
 
 def test_every_exported_name_resolves():
