@@ -206,7 +206,11 @@ def _parse_exponents(text):
 def _parse_grouping(text, n_vars):
     groups = []
     for part in text.split("|"):
-        idx = tuple(int(t) - 1 for t in part.split(",") if t.strip())
+        try:
+            idx = tuple(int(t) - 1 for t in part.split(",") if t.strip())
+        except ValueError:
+            raise ValueError("group must be |-separated lists of 1-based "
+                             "indices, got %r" % text) from None
         if any(j < 0 or j >= n_vars for j in idx):
             raise ValueError("group index out of range in %r" % part)
         groups.append(idx)
@@ -284,9 +288,12 @@ def cmd_sdl(args, manifest):
     cfg = _resolve(SDL_DEFAULTS, args)
     out = _outdir(cfg)
     variants = ("l1", "l1_lq") if cfg["variant"] == "both" else (cfg["variant"],)
-    if args.compare_gd:  # the GD comparison always runs the l1_lq penalty
-        check_lq_q(cfg["q"], cfg["l"])
     manifest.start(out, cfg, list(range(cfg["seeds"])))
+    if args.compare_gd:  # the GD comparison's checks, before the main sweep
+        check_lq_q(cfg["q"], cfg["l"])  # it always runs the l1_lq penalty
+        for key, low in (("gd_iters", 0), ("gd_seeds", 1)):
+            if cfg[key] < low:
+                raise ValueError("%s must be >= %d, got %r" % (key, low, cfg[key]))
 
     res = experiments.run_sdl_experiment(
         m=cfg["m"], l=cfg["l"], n=cfg["n"], k_nonzero=cfg["k_nonzero"],

@@ -29,6 +29,12 @@ __all__ = [
     "tensor_stalled",
 ]
 
+
+def _at_least(name, value, low):
+    if value < low:
+        raise ValueError("%s must be >= %d, got %r" % (name, low, value))
+
+
 # ---------------------------------------------------------------------------
 # sparse dictionary learning
 # ---------------------------------------------------------------------------
@@ -66,7 +72,7 @@ def _sdl_single_run(variant, data_rng, init_rng, m, l, n, k_nonzero, alpha, q,
         oracle_calls += inner
         r, s = metrics(theta)
         recs.append(r); spars.append(s)
-    return np.array(recs), np.array(spars), prob, theta, oracle_calls, inst
+    return np.array(recs), np.array(spars), prob, theta, oracle_calls
 
 
 def run_sdl_experiment(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
@@ -77,8 +83,11 @@ def run_sdl_experiment(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
 
     Reconstruction error is ``||Y - D X||_F / ||Y||_F``; sparsity counts exact
     zeros in the code matrix (the soft-threshold step produces exact zeros).
-    An invalid ``q`` for the ``l1_lq`` variant raises before any run starts.
+    A negative ``n_outer``, an ``n_seeds`` below 1 or an invalid ``q`` for
+    the ``l1_lq`` variant raises before any run starts.
     """
+    _at_least("n_outer", n_outer, 0)
+    _at_least("n_seeds", n_seeds, 1)
     if "l1_lq" in variants:
         check_lq_q(q, l)
     rec = {v: [] for v in variants}
@@ -117,14 +126,17 @@ def run_sdl_gd_comparison(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
 
     One oracle call is one block-gradient evaluation: block-DC spends its
     inner iterations, the baseline spends one call per joint step.  Returns
-    per-seed final objectives and the call budget.
+    per-seed final objectives and the call budget.  A negative ``n_outer``
+    or an ``n_seeds`` below 1 raises before any run starts.
     """
+    _at_least("n_outer", n_outer, 0)
+    _at_least("n_seeds", n_seeds, 1)
     rows = []
     for j in range(n_seeds):
-        _, _, prob, theta, calls, inst = _sdl_single_run(
+        _, _, prob, theta, calls = _sdl_single_run(
             "l1_lq", substream(seed, "data%d" % j), substream(seed, "init%d" % j),
             m, l, n, k_nonzero, alpha, q, n_outer, inner_x, inner_d, inner_tol)
-        gd_vals = gd_baseline_sdl(inst, calls)
+        gd_vals = gd_baseline_sdl(prob.instance, calls)
         rows.append({"seed": j, "oracle_calls": calls,
                      "bdca_final": float(prob.eval_f(theta)),
                      "gd_final": float(gd_vals[-1])})
@@ -170,14 +182,13 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
     smoothness estimate of the convex side along the realized update of the
     selected block (log gradient norm vs log estimate scatter).
     With ``theory_preset`` the proximal weight and minibatch size scale with
-    sqrt(total iterations).  A ``batch_size`` below 1, a negative ``stride``
-    (0 records no estimates) or a ``delta`` outside ``(0, 1]`` raises before
-    any solve, with or without the preset.
+    sqrt(total iterations).  An ``n_data`` or ``batch_size`` below 1, a
+    negative ``stride`` (0 records no estimates) or a ``delta`` outside
+    ``(0, 1]`` raises before any solve, with or without the preset.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1, got %r" % (batch_size,))
-    if stride < 0:
-        raise ValueError("stride must be >= 0, got %r" % (stride,))
+    _at_least("n_data", n_data, 1)
+    _at_least("batch_size", batch_size, 1)
+    _at_least("stride", stride, 0)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1], got %r" % (delta,))
     mlp_task = _build_task(task, layer_dims, n_data, n_classes,
@@ -227,9 +238,13 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0,
     here escapes it: at 40 sweeps on dims (20, 30, 40) with rank 5, about one
     seed in six (seeds 8, 12, 28, 32, 34, 35 and 36 of 0-40) ends at relative
     error 0.26-0.47.  ``tensor_stalled(rows, noise)`` gives the verdict.
+    Bad ``dims``, a ``rank`` below 1 or negative ``sweeps`` raise before any
+    solve.
     """
     if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
         raise ValueError("dims must be 2 to 4 positive mode sizes")
+    _at_least("rank", rank, 1)
+    _at_least("sweeps", sweeps, 0)
     rng_data = substream(seed, "data")
     true = [rng_data.standard_normal((m, rank)) for m in dims]
     T = cp_reconstruct(true)

@@ -172,11 +172,6 @@ class MlpTaskProblem(BdcProblem):
         """Dataset mean of one loss part at ``point``."""
         return relu.loss_part(point.state, point.y, self.task.loss, part) / point.count
 
-    def _block_gradient(self, part, i, theta, sample):
-        if not 0 <= i < self.n_blocks:
-            raise IndexError("block %d out of range for %d layers" % (i, self.n_blocks))
-        return self._gradient_at(self._point(theta, sample), part, i)
-
     def _gradient_at(self, point, part, i):
         """Block ``i``'s gradient of one loss part at ``point``, kept on the
         point."""
@@ -199,10 +194,10 @@ class MlpTaskProblem(BdcProblem):
         return self._split(theta, sample)[1]
 
     def grad_g_block(self, i, theta, sample=None):
-        return self._block_gradient("g", i, theta, sample)
+        return self._gradient_at(self._point(theta, sample), "g", i)
 
     def subgrad_h_block(self, i, theta, sample=None):
-        return self._block_gradient("h", i, theta, sample)
+        return self._gradient_at(self._point(theta, sample), "h", i)
 
     def residual_blocks(self, theta, sample=None):
         """Every block's ``grad g_i - grad h_i`` from one reverse sweep of

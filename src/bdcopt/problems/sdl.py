@@ -40,6 +40,8 @@ def sdl_synthetic(m=10, l=32, n=100, k_nonzero=5, seed=0):
     every column of ``X*`` has exactly ``k_nonzero`` standard normal entries
     at uniformly chosen positions.  Deterministic given ``seed``.
     """
+    if k_nonzero < 1:
+        raise ValueError("k_nonzero must be >= 1, got %r" % (k_nonzero,))
     if k_nonzero > l:
         raise ValueError("k_nonzero cannot exceed the number of atoms")
     rng = np.random.default_rng(seed)

@@ -18,8 +18,8 @@ selections are deterministic: entrywise ``relu'(0) := 0``, and ties in
 convex part along the block, so ``g(x + t d) >= g(x) + t <grad, d>``; the MLP
 block solver's cuts rest on this, and
 ``tests/test_mlp_block_step.py::test_block_gradient_is_a_subgradient_of_g``
-checks it at kinks and ties.  For a block ``l`` only layers ``>= l`` are
-traversed; one sweep to layer 0 gives every block's gradient at once.
+checks it at kinks and ties.  A block ``l``'s sweep traverses only layers
+``>= l`` and stops at layer ``l``.
 
 The stationarity vectors ``grad g - grad h`` need no split sweep: the two
 parts' output adjoints differ by ``(d, -d)``, and the split sweep keeps such
@@ -314,42 +314,35 @@ def _output_adjoints(state, y, loss, part):
 
 
 def _loss_block_gradient(params, x, y, loss, part, block, state):
-    """One top-down reverse sweep: every layer's ``(dW, db)`` when ``block``
-    is None, else only layer ``block``'s, stopping there.  Layers above the
-    lowest one needed are unwound the same way in both cases, so the pair
-    for a block is the same bits either way."""
+    """One top-down reverse sweep to layer ``block``: its ``(dW, db)``,
+    returned as soon as the sweep forms it."""
     L = params.n_layers
-    if block is not None and not 0 <= block < L:
+    if not 0 <= block < L:
         raise IndexError("block %d out of range for %d layers" % (block, L))
     X = _as_batch(x, params.input_dim)
     if state is None:
         state = forward_split(params, X)
     # the output pair (A, B) enters the sweep as a layer's (p, z-) pair
     dp, dzm = _output_adjoints(state, np.atleast_1d(np.asarray(y)), loss, part)
-    lowest = 0 if block is None else block
-    grads = [None] * L
-    # layers top-down, output first; only layers >= lowest are touched
-    for l in range(L - 1, max(lowest, 1) - 1, -1):
+    # layers top-down, output first; only layers >= block are touched
+    for l in range(L - 1, 0, -1):
         W, b = params.layers[l]
         if l < L - 1:  # a hidden layer's z+ = max(p, z-)
             mask = (state.pre[l] >= state.z_minus[l]).astype(float)
             dp, dzm = mask * dZp, dZm + (1.0 - mask) * dZp
-        if block is None or block == l:
+        if l == block:
             Zp_in, Zm_in = state.z_plus[l - 1], state.z_minus[l - 1]
             dW = (_relu_deriv(W) * (dp.T @ Zp_in + dzm.T @ Zm_in)
                   - _relu_deriv(-W) * (dp.T @ Zm_in + dzm.T @ Zp_in))
             db = dp.sum(axis=0)
             if l == L - 1:  # the output bias is split as relu(b) - relu(-b)
                 db = _relu_deriv(b) * db - _relu_deriv(-b) * dzm.sum(axis=0)
-            grads[l] = (dW, db)
-        if l > lowest:
-            Wp, Wm = _relu(W), _relu(-W)
-            dZp = dp @ Wp + dzm @ Wm
-            dZm = dp @ Wm + dzm @ Wp
-    if lowest == 0:
-        dp = _relu_deriv(state.pre[0]) * dZp  # z_minus[0] is constant zero
-        grads[0] = (dp.T @ X, dp.sum(axis=0))
-    return grads if block is None else grads[block]
+            return dW, db
+        Wp, Wm = _relu(W), _relu(-W)
+        dZp = dp @ Wp + dzm @ Wm
+        dZm = dp @ Wm + dzm @ Wp
+    dp = _relu_deriv(state.pre[0]) * dZp  # z_minus[0] is constant zero
+    return dp.T @ X, dp.sum(axis=0)
 
 
 def residual_grads(params, x, y, loss, state=None):
@@ -398,8 +391,7 @@ def residual_grads(params, x, y, loss, state=None):
 def block_grad_g(params, x, y, loss, block, state=None):
     """Subgradient of the batch-summed convex part w.r.t. layer ``block``,
     shaped like ``(W, b)``.  Matches central finite differences on smooth
-    regions.  ``block=None`` returns every layer's pair from one sweep;
-    ``state`` reuses a forward pass of ``params`` on ``x``."""
+    regions.  ``state`` reuses a forward pass of ``params`` on ``x``."""
     return _loss_block_gradient(params, x, y, loss, "g", block, state)
 
 

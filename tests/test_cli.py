@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 import bdcopt
-from bdcopt.cli import main
+from bdcopt import experiments, monomials
+from bdcopt.cli import (MONOMIAL_DEFAULTS, RELU_DEFAULTS, SDL_DEFAULTS,
+                        TENSOR_DEFAULTS, _parse_dims, _parse_widths, main)
 
 
 def run_cli(argv, capsys):
@@ -43,10 +46,14 @@ class TestMonomialCommand:
         assert len(lines) == 8  # header + 7 atoms
 
     def test_bad_group_is_error(self, capsys, tmp_path):
-        code, _, err = run_cli(["monomial", "--b", "1,1", "--group", "1|1",
-                                "--outdir", str(tmp_path)], capsys)
-        assert code == 1
-        assert err.startswith("error:")
+        for group in ("1|1", "1,x"):
+            code, _, err = run_cli(["monomial", "--b", "1,1", "--group", group,
+                                    "--outdir", str(tmp_path)], capsys)
+            assert code == 1
+            assert err.startswith("error:")
+        assert err.splitlines() == [
+            "error: group must be |-separated lists of 1-based indices, "
+            "got '1,x'"]
 
     def test_merged_count_reported_separately(self, capsys, tmp_path):
         code, out, _ = run_cli(["monomial", "--b", "2,4", "--merged-count",
@@ -351,6 +358,62 @@ class TestConfigPrecedence:
         assert code == 1
         assert err.startswith("error: %s:2: %s must be " % (cfg, key))
         assert err.strip().endswith("got %r" % raw)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sdl", "--iters", "-1"], "n_outer must be >= 0, got -1"),
+    (["sdl", "--seeds", "0"], "n_seeds must be >= 1, got 0"),
+    (["sdl", "--k-nonzero", "0"], "k_nonzero must be >= 1, got 0"),
+    (["sdl", "--compare-gd", "--gd-iters", "-1"], "gd_iters must be >= 0, got -1"),
+    (["sdl", "--compare-gd", "--gd-seeds", "0"], "gd_seeds must be >= 1, got 0"),
+    (["tensor", "--sweeps", "-2"], "sweeps must be >= 0, got -2"),
+    (["tensor", "--rank", "0"], "rank must be >= 1, got 0"),
+    (["relu", "--n-data", "0"], "n_data must be >= 1, got 0"),
+], ids=["sdl_iters", "sdl_seeds", "sdl_k_nonzero", "gd_iters", "gd_seeds",
+        "tensor_sweeps", "tensor_rank", "relu_n_data"])
+def test_bad_count_fails_before_any_solve(capsys, tmp_path, argv, message):
+    code, _, err = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: " + message]
+    manifest = json.loads((tmp_path / ("%s_manifest.json" % argv[0])).read_text())
+    assert manifest["status"] == "failed"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_protocol_defaults_match_driver_defaults():
+    """Each CLI default equals the keyword default of the driver it feeds,
+    so calling a driver bare runs the CLI's protocol."""
+    def defaults(fn):
+        return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+
+    sdl = defaults(experiments.run_sdl_experiment)
+    gd = defaults(experiments.run_sdl_gd_comparison)
+    counts = {"iters": "n_outer", "seeds": "n_seeds"}
+    for key, value in SDL_DEFAULTS.items():
+        if key in ("variant", "outdir"):  # no driver keyword of that form
+            continue
+        if key.startswith("gd_"):
+            assert gd[counts[key[3:]]] == value, key
+        elif key in counts:
+            assert sdl[counts[key]] == value, key
+        else:  # fed to both drivers
+            assert sdl[key] == gd[key] == value, key
+
+    relu = defaults(experiments.run_relu_experiment)
+    names = {"widths": "layer_dims", "classes": "n_classes"}
+    for key, value in RELU_DEFAULTS.items():
+        if key != "outdir":
+            value = _parse_widths(value) if key == "widths" else value
+            assert relu[names.get(key, key)] == value, key
+
+    tensor = defaults(experiments.run_tensor_experiment)
+    for key, value in TENSOR_DEFAULTS.items():
+        if key != "outdir":
+            assert tensor[key] == (_parse_dims(value) if key == "dims" else value), key
+
+    verify = defaults(monomials.verify_identity)
+    for key in ("trials", "tol"):
+        assert verify[key] == MONOMIAL_DEFAULTS[key], key
 
 
 def test_out_dir_env_override(capsys, tmp_path, monkeypatch):

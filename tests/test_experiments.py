@@ -51,6 +51,17 @@ def test_gd_comparison_counts_oracle_calls():
         assert np.isfinite(r["bdca_final"]) and np.isfinite(r["gd_final"])
 
 
+def test_gd_comparison_checks_counts_before_any_step(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(experiments, "bdca_step", no_step)
+    with pytest.raises(ValueError, match=r"n_outer must be >= 0, got -1"):
+        run_sdl_gd_comparison(n_outer=-1)
+    with pytest.raises(ValueError, match=r"n_seeds must be >= 1, got 0"):
+        run_sdl_gd_comparison(n_seeds=0)
+
+
 def test_relu_experiment_sine_task_descends():
     res = run_relu_experiment(task="sine", layer_dims=(8,), n_data=80,
                               epochs=4, batch_size=16, rho=1.0, stride=5,

@@ -115,26 +115,6 @@ def test_memo_matches_reference(depth, loss, grid, seed):
     replay(task, theta0, rng)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
-def test_one_sweep_matches_each_block(depth, loss, grid, seed):
-    rng = np.random.default_rng(seed)
-    task, theta = build_task(rng, depth, loss, grid)
-    params = task.net
-    x, y = task.inputs, task.labels
-    state = relu.forward_split(params, x)
-    for fn in (relu.block_grad_g, relu.block_grad_h):
-        sweep = fn(params, x, y, loss, None)
-        shared = fn(params, x, y, loss, None, state=state)
-        assert len(sweep) == params.n_layers
-        for l in range(params.n_layers):
-            dW, db = fn(params, x, y, loss, l)
-            for pair in (sweep[l], shared[l], fn(params, x, y, loss, l, state=state)):
-                np.testing.assert_array_equal(pair[0], dW)
-                np.testing.assert_array_equal(pair[1], db)
-
-
 def check_tails(task, theta, rng):
     """From every start layer, a tail pass over the lower layers of another
     network with the same layers below the start gives the full pass's bits,

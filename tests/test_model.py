@@ -7,6 +7,7 @@ from bdcopt.model import (AffineBdcMap, BdcProblem, LogSumExpOracle,
                           combine_min, conjugate_compose, residual_upper)
 from bdcopt.problems import (QuadraticDcProblem, QuadraticMinusL1Problem,
                              SdlInstance, SdlProblem, sdl_synthetic)
+from bdcopt.problems.cp import CpInstance, CpProblem
 from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
 from bdcopt import relu
 
@@ -28,7 +29,15 @@ def sample_problems():
     xs, ys = gaussian_blobs(24, 3, seed=7)
     net = relu.random_params((2, 6, 3), rng)
     mlp = MlpTaskProblem(MlpTask(inputs=xs, labels=ys, net=net, loss="ce"))
-    return [quad, qml, sdl, mlp]
+    dims, rank = (3, 4, 2), 2
+    cp = CpProblem(CpInstance(tensor=rng.standard_normal(dims), rank=rank,
+                              factors=[rng.standard_normal((m, rank)) for m in dims]))
+    pair = [quad, qml]
+    emap = AffineBdcMap(PART, rng.standard_normal((4, PART.total_dim)),
+                        rng.standard_normal(4))
+    lse = conjugate_compose(emap, LogSumExpOracle(), (np.zeros(4), np.ones(4)))
+    return [quad, qml, sdl, mlp, cp, combine_linear(pair, [0.7, -1.3]),
+            combine_max(pair), combine_min(pair), lse]
 
 
 class TestDecompositionConsistency:
