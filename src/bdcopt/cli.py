@@ -228,6 +228,8 @@ def cmd_monomial(args, manifest):
     cfg = _resolve(MONOMIAL_DEFAULTS, args)
     out = _outdir(cfg)
     manifest.start(out, dict(cfg, b=",".join(map(str, args.b))), [0])
+    if cfg["trials"] < 1:  # before any atom is printed
+        raise ValueError("trials must be >= 1, got %r" % (cfg["trials"],))
     m = Monomial(args.b)
     names = ["t%d" % (j + 1) for j in range(m.n_vars)]
 

@@ -31,7 +31,7 @@ __all__ = [
 
 
 def _at_least(name, value, low):
-    if value < low:
+    if not value >= low:
         raise ValueError("%s must be >= %d, got %r" % (name, low, value))
 
 
@@ -44,6 +44,12 @@ class SdlExperimentResult:
     true_sparsity: float
     rec: dict      # variant -> (n_seeds, outer iterations + 1)
     sparsity: dict # variant -> (n_seeds, outer iterations + 1)
+
+
+def _check_sdl_counts(m, l, n, n_outer, n_seeds):
+    for name, value in (("m", m), ("l", l), ("n", n), ("n_seeds", n_seeds)):
+        _at_least(name, value, 1)
+    _at_least("n_outer", n_outer, 0)
 
 
 def _sdl_single_run(variant, data_rng, init_rng, m, l, n, k_nonzero, alpha, q,
@@ -83,11 +89,10 @@ def run_sdl_experiment(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
 
     Reconstruction error is ``||Y - D X||_F / ||Y||_F``; sparsity counts exact
     zeros in the code matrix (the soft-threshold step produces exact zeros).
-    A negative ``n_outer``, an ``n_seeds`` below 1 or an invalid ``q`` for
-    the ``l1_lq`` variant raises before any run starts.
+    An ``m``, ``l``, ``n`` or ``n_seeds`` below 1, a negative ``n_outer`` or
+    an invalid ``q`` for the ``l1_lq`` variant raises before any run starts.
     """
-    _at_least("n_outer", n_outer, 0)
-    _at_least("n_seeds", n_seeds, 1)
+    _check_sdl_counts(m, l, n, n_outer, n_seeds)
     if "l1_lq" in variants:
         check_lq_q(q, l)
     rec = {v: [] for v in variants}
@@ -126,11 +131,11 @@ def run_sdl_gd_comparison(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
 
     One oracle call is one block-gradient evaluation: block-DC spends its
     inner iterations, the baseline spends one call per joint step.  Returns
-    per-seed final objectives and the call budget.  A negative ``n_outer``
-    or an ``n_seeds`` below 1 raises before any run starts.
+    per-seed final objectives and the call budget.  An ``m``, ``l``, ``n``
+    or ``n_seeds`` below 1 or a negative ``n_outer`` raises before any run
+    starts.
     """
-    _at_least("n_outer", n_outer, 0)
-    _at_least("n_seeds", n_seeds, 1)
+    _check_sdl_counts(m, l, n, n_outer, n_seeds)
     rows = []
     for j in range(n_seeds):
         _, _, prob, theta, calls = _sdl_single_run(
@@ -183,10 +188,12 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
     selected block (log gradient norm vs log estimate scatter).
     With ``theory_preset`` the proximal weight and minibatch size scale with
     sqrt(total iterations).  An ``n_data`` or ``batch_size`` below 1, a
-    negative ``stride`` (0 records no estimates) or a ``delta`` outside
-    ``(0, 1]`` raises before any solve, with or without the preset.
+    negative ``epochs`` or ``stride`` (0 records no estimates) or a
+    ``delta`` outside ``(0, 1]`` raises before any solve, with or without
+    the preset.
     """
     _at_least("n_data", n_data, 1)
+    _at_least("epochs", epochs, 0)
     _at_least("batch_size", batch_size, 1)
     _at_least("stride", stride, 0)
     if not 0 < delta <= 1:
@@ -238,13 +245,14 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0,
     here escapes it: at 40 sweeps on dims (20, 30, 40) with rank 5, about one
     seed in six (seeds 8, 12, 28, 32, 34, 35 and 36 of 0-40) ends at relative
     error 0.26-0.47.  ``tensor_stalled(rows, noise)`` gives the verdict.
-    Bad ``dims``, a ``rank`` below 1 or negative ``sweeps`` raise before any
-    solve.
+    Bad ``dims``, a ``rank`` below 1, negative ``sweeps`` or a negative or
+    NaN ``noise`` raise before any solve.
     """
     if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
         raise ValueError("dims must be 2 to 4 positive mode sizes")
     _at_least("rank", rank, 1)
     _at_least("sweeps", sweeps, 0)
+    _at_least("noise", noise, 0)
     rng_data = substream(seed, "data")
     true = [rng_data.standard_normal((m, rank)) for m in dims]
     T = cp_reconstruct(true)

@@ -296,13 +296,24 @@ def inner_frank_wolfe_ball_product(Y, X, D0, budget, rho=0.0, tol=0.0):
     return D, iters
 
 
+def _sq_spectral_norm(A):
+    """``||A||_2^2`` as the largest eigenvalue of the Gram matrix on the
+    smaller side of ``A`` (``A A^T`` when ``A`` has no more rows than columns,
+    else ``A^T A``)."""
+    G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    return np.linalg.eigvalsh(G)[-1]
+
+
 def gd_baseline_sdl(instance, n_steps):
     """Joint full-batch subgradient descent baseline.
 
     Every step updates D and X together with the adaptive step size
     ``1 / (||D||_2^2 + ||X||_2^2)`` and re-projects dictionary columns onto
-    the unit ball.  Returns the objective value before each step plus the
-    final one (length ``n_steps + 1``), equal bit for bit to ``eval_f``.
+    the unit ball.  Each squared spectral norm is the largest eigenvalue of
+    the Gram matrix on the smaller side (the 10 x 10 ``D D^T`` and the
+    32 x 32 ``X X^T`` at the protocol sizes), not an SVD; the two agree to
+    rounding.  Returns the objective value before each step plus the final
+    one (length ``n_steps + 1``), equal bit for bit to ``eval_f``.
     Each iterate forms one residual ``D X - Y`` and one top-Q ordering of X,
     shared by its objective value and its step; the concave side has no
     dictionary part.
@@ -318,7 +329,7 @@ def gd_baseline_sdl(instance, n_steps):
         vals.append(prob._objective(X, R, top))
         if k == n_steps:
             break
-        eta = 1.0 / (np.linalg.norm(D, 2) ** 2 + np.linalg.norm(X, 2) ** 2)
+        eta = 1.0 / (_sq_spectral_norm(D) + _sq_spectral_norm(X))
         gx = D.T @ R + alpha * np.sign(X)
         if top is not None:
             gx = gx - alpha * _lq_signs(X, top)

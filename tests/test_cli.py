@@ -369,11 +369,23 @@ class TestConfigPrecedence:
     (["tensor", "--sweeps", "-2"], "sweeps must be >= 0, got -2"),
     (["tensor", "--rank", "0"], "rank must be >= 1, got 0"),
     (["relu", "--n-data", "0"], "n_data must be >= 1, got 0"),
+    (["sdl", "--m", "0"], "m must be >= 1, got 0"),
+    (["sdl", "--l", "0"], "l must be >= 1, got 0"),
+    (["sdl", "--n", "0"], "n must be >= 1, got 0"),
+    (["tensor", "--noise", "-0.1", "--sweeps", "40"],
+     "noise must be >= 0, got -0.1"),
+    (["tensor", "--noise", "nan"], "noise must be >= 0, got nan"),
+    (["relu", "--epochs", "-1"], "epochs must be >= 0, got -1"),
+    (["monomial", "--b", "2,2", "--trials", "0", "--csv", "atoms.csv"],
+     "trials must be >= 1, got 0"),
 ], ids=["sdl_iters", "sdl_seeds", "sdl_k_nonzero", "gd_iters", "gd_seeds",
-        "tensor_sweeps", "tensor_rank", "relu_n_data"])
+        "tensor_sweeps", "tensor_rank", "relu_n_data", "sdl_m", "sdl_l",
+        "sdl_n", "tensor_noise", "tensor_noise_nan", "relu_epochs",
+        "monomial_trials"])
 def test_bad_count_fails_before_any_solve(capsys, tmp_path, argv, message):
-    code, _, err = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
+    code, out, err = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
     assert code == 1
+    assert out == ""  # nothing printed: no atom, no progress line
     assert err.splitlines() == ["error: " + message]
     manifest = json.loads((tmp_path / ("%s_manifest.json" % argv[0])).read_text())
     assert manifest["status"] == "failed"

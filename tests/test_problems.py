@@ -11,6 +11,7 @@ from bdcopt.problems import (CpInstance, CpProblem, MlpTask, MlpTaskProblem,
                              gaussian_blobs, gd_baseline_sdl, lq_norm,
                              lq_subgrad, sdl_synthetic)
 from bdcopt.problems.cp import _khatri_rao, _khatri_rao_others, _unfold
+from bdcopt.problems.sdl import _sq_spectral_norm
 from bdcopt.solvers import SolverConfig, bdca_step, run
 
 EPS = np.finfo(float).eps
@@ -215,6 +216,60 @@ class TestSdlProblem:
             assert np.max(np.linalg.norm(D, axis=0)) <= 1 + 1e-10
 
 
+class TestSqSpectralNorm:
+    """The GD step's ``||A||_2^2`` from the smaller Gram matrix against the
+    SVD norm it replaced."""
+
+    @staticmethod
+    def check(A):
+        got = _sq_spectral_norm(A)
+        want = np.linalg.norm(A, 2) ** 2
+        assert got >= 0
+        assert abs(got - want) <= 1e-13 * want, (got, want, A.shape)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from(["dense", "sparse", "rank_one"]))
+    @example(3, 9, 0, "sparse")   # rows < cols: A A^T
+    @example(9, 3, 0, "sparse")   # rows > cols: A^T A
+    @example(5, 5, 1, "rank_one")
+    @example(1, 7, 2, "dense")
+    def test_matches_svd_norm(self, rows, cols, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "rank_one":
+            A = np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
+        else:
+            A = rng.standard_normal((rows, cols))
+            if kind == "sparse":
+                A[rng.random(A.shape) < 0.8] = 0.0
+        self.check(A)
+        self.check(A.T)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=10),
+                      elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])))
+    def test_matches_svd_norm_on_tied_entries(self, A):
+        self.check(A)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_svd_norm_on_protocol_codes(self, seed):
+        _, D, X = sdl_synthetic(seed=seed)   # D 10 x 32, X 32 x 100, 5 per column
+        for A in (D, X, X.T, 0.1 * X):
+            self.check(A)
+
+    def test_takes_the_gram_matrix_on_the_smaller_side(self):
+        _, D, X = sdl_synthetic(seed=3)
+        for A in (D, X, D.T, X.T):
+            small = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+            assert small.shape[0] == min(A.shape)
+            assert _sq_spectral_norm(A) == np.linalg.eigvalsh(small)[-1]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 8), (8, 3), (10, 32), (32, 100)])
+    def test_zero_matrix_is_exactly_zero(self, shape):
+        assert _sq_spectral_norm(np.zeros(shape)) == 0.0
+        assert _sq_spectral_norm(-np.zeros(shape)) == 0.0
+
+
 class TestGdBaseline:
     def test_zero_gradient_state_is_fixed(self):
         rng = np.random.default_rng(4)
@@ -227,7 +282,7 @@ class TestGdBaseline:
 
     def test_step_size_finite_and_positive(self):
         Y, D, X = sdl_synthetic(5, 6, 8, 2, seed=5)
-        eta = 1.0 / (np.linalg.norm(D, 2) ** 2 + np.linalg.norm(X, 2) ** 2)
+        eta = 1.0 / (_sq_spectral_norm(D) + _sq_spectral_norm(X))
         assert 0 < eta < np.inf
 
     @pytest.mark.parametrize("variant,q", [("l1_lq", 3), ("l1_lq", 9), ("l1", 3)])
@@ -242,7 +297,9 @@ class TestGdBaseline:
         sl_d, sl_x = prob.partition.slice_of(0), prob.partition.slice_of(1)
         for _ in range(25):
             D, X = prob.unpack(theta)
-            eta = 1.0 / (np.linalg.norm(D, 2) ** 2 + np.linalg.norm(X, 2) ** 2)
+            # D is 6 x 10 and X is 10 x 12: both Gram matrices are A A^T
+            eta = 1.0 / (np.linalg.eigvalsh(D @ D.T)[-1]
+                         + np.linalg.eigvalsh(X @ X.T)[-1])
             gd = prob.grad_g_block(0, theta) - prob.subgrad_h_block(0, theta)
             gx = prob.grad_g_block(1, theta) - prob.subgrad_h_block(1, theta)
             theta = theta.copy()
