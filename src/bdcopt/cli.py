@@ -178,10 +178,10 @@ def _load_config_file(path, defaults):
 def _resolve(defaults, args):
     """defaults < config file < explicit flags."""
     cfg = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         cfg.update(_load_config_file(args.config, defaults))
     for key in defaults:
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key)
         if val is not None:
             if key in _STRING_PARSERS:
                 _STRING_PARSERS[key](val)
@@ -292,10 +292,12 @@ def cmd_sdl(args, manifest):
     variants = ("l1", "l1_lq") if cfg["variant"] == "both" else (cfg["variant"],)
     manifest.start(out, cfg, list(range(cfg["seeds"])))
     if args.compare_gd:  # the GD comparison's checks, before the main sweep
+        # the sizes first, in the order run_sdl_experiment checks them
+        for key in ("m", "l", "n"):
+            experiments._at_least(key, cfg[key], 1)
         check_lq_q(cfg["q"], cfg["l"])  # it always runs the l1_lq penalty
         for key, low in (("gd_iters", 0), ("gd_seeds", 1)):
-            if cfg[key] < low:
-                raise ValueError("%s must be >= %d, got %r" % (key, low, cfg[key]))
+            experiments._at_least(key, cfg[key], low)
 
     res = experiments.run_sdl_experiment(
         m=cfg["m"], l=cfg["l"], n=cfg["n"], k_nonzero=cfg["k_nonzero"],

@@ -188,11 +188,13 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
     selected block (log gradient norm vs log estimate scatter).
     With ``theory_preset`` the proximal weight and minibatch size scale with
     sqrt(total iterations).  An ``n_data`` or ``batch_size`` below 1, a
-    negative ``epochs`` or ``stride`` (0 records no estimates) or a
-    ``delta`` outside ``(0, 1]`` raises before any solve, with or without
-    the preset.
+    negative ``epochs`` or ``stride`` (0 records no estimates), a ``delta``
+    outside ``(0, 1]`` or, for ``blobs``, ``n_classes`` below 2 raises before
+    any solve, with or without the preset.
     """
     _at_least("n_data", n_data, 1)
+    if task == "blobs":  # sine regression has no classes
+        _at_least("n_classes", n_classes, 2)
     _at_least("epochs", epochs, 0)
     _at_least("batch_size", batch_size, 1)
     _at_least("stride", stride, 0)
@@ -245,14 +247,16 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0,
     here escapes it: at 40 sweeps on dims (20, 30, 40) with rank 5, about one
     seed in six (seeds 8, 12, 28, 32, 34, 35 and 36 of 0-40) ends at relative
     error 0.26-0.47.  ``tensor_stalled(rows, noise)`` gives the verdict.
-    Bad ``dims``, a ``rank`` below 1, negative ``sweeps`` or a negative or
-    NaN ``noise`` raise before any solve.
+    Bad ``dims``, a ``rank`` below 1, negative ``sweeps`` or a negative,
+    NaN or infinite ``noise`` raise before any solve.
     """
     if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
         raise ValueError("dims must be 2 to 4 positive mode sizes")
     _at_least("rank", rank, 1)
     _at_least("sweeps", sweeps, 0)
     _at_least("noise", noise, 0)
+    if not np.isfinite(noise):
+        raise ValueError("noise must be finite, got %r" % (noise,))
     rng_data = substream(seed, "data")
     true = [rng_data.standard_normal((m, rank)) for m in dims]
     T = cp_reconstruct(true)

@@ -7,7 +7,8 @@ touch problems through this capability surface:
 
 * scalar evaluations ``eval_f``, ``eval_g(i, .)``, ``eval_h(i, .)``,
 * first-order oracles ``grad_g_block`` and ``subgrad_h_block``,
-* an optional per-block domain (a projection oracle),
+* an optional per-block domain, ``None`` or an object whose ``project(x)``
+  projects onto the block's constraint set (:class:`BallProductDomain`),
 * an optional replayable sampling interface for stochastic variants.
 
 ``subgrad_h_block`` must return one *deterministic* element of the convex
@@ -22,7 +23,6 @@ from .blocks import BlockPartition
 __all__ = [
     "BdcProblem",
     "SampleHandle",
-    "BlockDomain",
     "BallProductDomain",
     "residual_blocks",
     "residual_upper",
@@ -52,15 +52,9 @@ class SampleHandle:
         return "SampleHandle(key=%d, n=%d)" % (self.key, len(self.indices))
 
 
-class BlockDomain:
-    """Constraint set of one block; unconstrained blocks use ``None`` instead."""
-
-    def project(self, x):
-        raise NotImplementedError
-
-
-class BallProductDomain(BlockDomain):
-    """Columns of an ``m x l`` matrix (stored flat) each in the unit 2-ball."""
+class BallProductDomain:
+    """Constraint set of one block: the columns of an ``m x l`` matrix
+    (stored flat), each in the unit 2-ball."""
 
     def __init__(self, m, l):
         self.m = int(m)
@@ -113,7 +107,8 @@ class BdcProblem:
 
     # -- structure ----------------------------------------------------------
     def block_domain(self, i):
-        """Constraint set of block ``i`` or ``None`` when unconstrained."""
+        """Constraint set of block ``i`` (an object with ``project(x)``) or
+        ``None`` when unconstrained."""
         return None
 
     def initial_point(self):

@@ -353,9 +353,6 @@ def gap_L(problem, theta, z, L):
         dom = problem.block_domain(i)
         if dom is not None:
             sl = problem.partition.slice_of(i)
-            try:
-                x_star[sl] = dom.project(x_star[sl])
-            except NotImplementedError as exc:
-                raise ValueError("block %d domain has no projection oracle" % i) from exc
+            x_star[sl] = dom.project(x_star[sl])
     diff = theta - x_star
     return float(np.dot(z, diff) - 0.5 * L * np.dot(diff, diff))

@@ -378,10 +378,13 @@ class TestConfigPrecedence:
     (["relu", "--epochs", "-1"], "epochs must be >= 0, got -1"),
     (["monomial", "--b", "2,2", "--trials", "0", "--csv", "atoms.csv"],
      "trials must be >= 1, got 0"),
+    (["sdl", "--l", "0", "--compare-gd"], "l must be >= 1, got 0"),
+    (["tensor", "--noise", "inf", "--sweeps", "2"], "noise must be finite, got inf"),
+    (["relu", "--classes", "0"], "n_classes must be >= 2, got 0"),
 ], ids=["sdl_iters", "sdl_seeds", "sdl_k_nonzero", "gd_iters", "gd_seeds",
         "tensor_sweeps", "tensor_rank", "relu_n_data", "sdl_m", "sdl_l",
         "sdl_n", "tensor_noise", "tensor_noise_nan", "relu_epochs",
-        "monomial_trials"])
+        "monomial_trials", "gd_sdl_l", "tensor_noise_inf", "relu_classes"])
 def test_bad_count_fails_before_any_solve(capsys, tmp_path, argv, message):
     code, out, err = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
     assert code == 1

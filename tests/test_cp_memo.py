@@ -1,10 +1,10 @@
 """The CP problem's one-residual-per-point memo against the per-call
 computation it replaced.
 
-``CpProblem`` keeps the residual ``reconstruction - T`` of the last point it
-evaluated.  Every oracle result must stay bit-identical to evaluating that
-call alone, whatever came before it: other points, a ``theta`` array edited
-in place between calls, or a caller that wrote into a returned gradient.
+The contract suite's replay (``test_oracle_contract.replay``) drives the
+memo and compares every call with ``reference``, the call computed alone.
+What stays here is the CP's own: one reconstruction per update, and the
+tensor the problem reads.
 """
 
 import numpy as np
@@ -55,48 +55,17 @@ def reference(inst, name, i, theta, u, rho):
         return (R @ K).ravel()
     M = K.T @ K + rho * np.eye(inst.rank)
     rhs = cp._unfold(T, i) @ K + u.reshape(factors[i].shape) + rho * factors[i]
-    return np.linalg.lstsq(M, rhs.T, rcond=None)[0].T.ravel()
-
-
-def call(prob, name, i, theta, u, rho):
-    if name in ("eval_f", "relative_error"):
-        return getattr(prob, name)(theta)
-    if name == "minimize_block_surrogate":
-        x, iters = prob.minimize_block_surrogate(i, theta, u, rho, 10, 1e-8)
-        assert iters == 1
-        return x
-    return getattr(prob, name)(i, theta)
+    return np.linalg.lstsq(M, rhs.T, rcond=None)[0].T.ravel(), 1
 
 
 def replay(inst, rng, n_calls=40):
-    """Interleaved oracle calls on one problem over three points, each
-    checked against the reference and a fresh problem that evaluates it
-    first."""
-    prob = CpProblem(inst)
-    theta0 = prob.initial_point()
-    other = theta0 + rng.choice(GRID, size=theta0.size)
-    trial = theta0.copy()  # edited in place, as an inner solver's trial vector
-    points = [theta0, other, trial]
-    for _ in range(n_calls):
-        if rng.random() < 0.3:
-            sl = prob.partition.slice_of(int(rng.integers(prob.n_blocks)))
-            trial[sl] = rng.choice(GRID, size=sl.stop - sl.start)
-        name = ORACLES[int(rng.integers(len(ORACLES)))]
-        i = int(rng.integers(prob.n_blocks))
-        theta = points[int(rng.integers(len(points)))]
-        dim = prob.partition.block_dims[i]
-        rho = float(rng.choice([0.0, 0.5, 2.0]))
-        # rho = 0 with u != 0 may face a singular K^T K (the zero column)
-        u = rng.choice(GRID, size=dim) if rho and rng.random() < 0.5 else np.zeros(dim)
-        got = call(prob, name, i, theta, u, rho)
-        want = reference(inst, name, i, theta, u, rho)
-        fresh = call(CpProblem(inst), name, i, theta, u, rho)
-        if isinstance(want, float):
-            assert got == want and fresh == want, (name, i)
-        else:
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(fresh, want)
-            got[...] = np.nan  # must not reach later results
+    """The contract suite's replay on one instance, with the reference as an
+    extra bit-for-bit comparison."""
+    # imported here: the suite imports build_instance from this module
+    from test_oracle_contract import replay as contract_replay
+    contract_replay(lambda: CpProblem(inst), rng, ORACLES, n_calls=n_calls,
+                    reference=lambda name, i, theta, sample=None, u=None, rho=0.0:
+                    reference(inst, name, i, theta, u, rho))
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,19 +107,12 @@ def test_tensor_is_read_only():
 def test_reassigned_tensor_is_not_read():
     # the problem keeps the tensor it was built with; a new array assigned
     # to the instance afterwards reaches no oracle, memoized or not
+    from test_oracle_contract import replay
     rng = np.random.default_rng(11)
     inst = build_instance(rng, 3, 2, grid=False)
     original = CpInstance(tensor=inst.tensor.copy(), rank=inst.rank,
                           factors=[F.copy() for F in inst.factors])
-    prob, ref = CpProblem(inst), CpProblem(original)
-    theta0 = prob.initial_point()
-    prob.eval_f(theta0)  # a point evaluated before the reassignment
+    prob = CpProblem(inst)
+    prob.eval_f(prob.initial_point())  # a point evaluated before the reassignment
     inst.tensor = rng.standard_normal(inst.tensor.shape)
-    other = theta0 + rng.standard_normal(theta0.size)
-    for theta in (theta0, other, theta0):
-        for name in ORACLES:
-            for i in range(prob.n_blocks):
-                u = np.zeros(prob.partition.block_dims[i])
-                got = call(prob, name, i, theta, u, 0.5)
-                want = call(ref, name, i, theta, u, 0.5)
-                np.testing.assert_array_equal(got, want, err_msg=name)
+    replay(lambda: CpProblem(original), rng, ORACLES, n_calls=60, prob=prob)

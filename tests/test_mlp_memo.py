@@ -1,19 +1,14 @@
-"""The MLP problem's one-evaluation-per-point memo against the per-call
-computation it replaced, and its one-sweep stationarity vectors against the
-two split sweeps they replaced.
+"""The MLP problem's one-evaluation-per-point memo and its one-sweep
+stationarity vectors, on hypothesis-drawn tasks and at ties and kinks.
 
-``MlpTaskProblem`` keeps the last point it evaluated (its split forward pass,
-loss parts, block gradients and stationarity vectors).  Every oracle result
-must stay bit-identical to evaluating that call alone, whatever came before
-it: other minibatches, other points, a ``theta`` array edited in place
-between calls, or a caller that wrote into a returned gradient.
-
-The records' vectors ``grad g_i - grad h_i`` come from one plain reverse
-sweep (``relu.residual_grads``): the two parts' output adjoints differ by
-``(d, -d)``, so the difference needs neither part's split sweep.  The sweep
-sums in another order, so it must match the generic body (the difference of
-the ``g`` and ``h`` sweeps) to rounding, ``1e-12`` of ``|g| + |h|`` per
-block, at ties and kinks too.
+The contract suite's replay (``test_oracle_contract.replay``) drives the
+memo with four minibatches and compares every call with ``reference``, the
+call computed alone.  What stays here is the MLP's own: the tail pass from
+any start layer, the records' one reverse sweep against the generic body
+(``1e-12`` of ``|g| + |h|`` per block), the block range, the sweeps a
+stochastic step makes, and the task arrays the problem reads.
+``build_task``, ``tie_case``, ``ORACLES`` and ``reference`` also serve
+``test_mlp_block_step.py`` and the suite's fixtures.
 """
 
 import numpy as np
@@ -21,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdcopt import relu
-from bdcopt.model import BdcProblem, SampleHandle
+from bdcopt.model import SampleHandle
 from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
 from bdcopt.solvers import SolverConfig, run
 
@@ -70,40 +65,19 @@ def reference(task, name, i, theta, sample):
     return np.concatenate([dW.ravel(), db]) / len(y)
 
 
-def call(prob, name, i, theta, sample):
-    if name == "eval_f":
-        return getattr(prob, name)(theta)
-    return getattr(prob, name)(i, theta, sample=sample)
-
-
-def replay(task, theta0, rng, n_calls=40):
-    """Interleaved oracle calls on one problem, each checked against the
-    reference and against a fresh problem that evaluates it first."""
-    prob = MlpTaskProblem(task)
+def replay(task, rng, n_calls=40):
+    """The contract suite's replay on one task, with the reference as an
+    extra bit-for-bit comparison; every call but ``eval_f`` takes one of
+    four minibatches, two of them with the same rows under other keys."""
+    # imported here: the suite imports build_task and tie_case from this module
+    from test_oracle_contract import replay as contract_replay
     n = len(task.labels)
     h1 = SampleHandle(key=1, indices=rng.integers(0, n, size=3))
     samples = [None, h1, SampleHandle(key=2, indices=h1.indices),
                SampleHandle(key=3, indices=rng.integers(0, n, size=4))]
-    other = theta0 + rng.choice(GRID, size=theta0.size)
-    trial = theta0.copy()  # edited in place, as the inner solver's trial vector
-    points = [theta0, other, trial]
-    for _ in range(n_calls):
-        if rng.random() < 0.3:
-            sl = prob.partition.slice_of(int(rng.integers(prob.n_blocks)))
-            trial[sl] = rng.choice(GRID, size=sl.stop - sl.start)
-        name = ORACLES[int(rng.integers(len(ORACLES)))]
-        i = int(rng.integers(prob.n_blocks))
-        theta = points[int(rng.integers(len(points)))]
-        sample = None if name == "eval_f" else samples[int(rng.integers(len(samples)))]
-        got = call(prob, name, i, theta, sample)
-        want = reference(task, name, i, theta, sample)
-        fresh = call(MlpTaskProblem(task), name, i, theta, sample)
-        if name.startswith("eval"):
-            assert got == want and fresh == want, (name, i)
-        else:
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(fresh, want)
-            got[...] = np.nan  # must not reach later results
+    contract_replay(lambda: MlpTaskProblem(task), rng, ORACLES, samples, n_calls,
+                    lambda name, i, theta, sample=None:
+                    reference(task, name, i, theta, sample))
 
 
 @settings(max_examples=120, deadline=None)
@@ -111,8 +85,7 @@ def replay(task, theta0, rng, n_calls=40):
        st.integers(0, 2 ** 32 - 1))
 def test_memo_matches_reference(depth, loss, grid, seed):
     rng = np.random.default_rng(seed)
-    task, theta0 = build_task(rng, depth, loss, grid)
-    replay(task, theta0, rng)
+    replay(build_task(rng, depth, loss, grid)[0], rng)
 
 
 def check_tails(task, theta, rng):
@@ -165,8 +138,7 @@ def tie_case(loss):
 
 @pytest.mark.parametrize("loss", ["mse", "ce"])
 def test_memo_on_ties_and_kinks(loss):
-    task, theta = tie_case(loss)
-    replay(task, theta, np.random.default_rng(22), n_calls=200)
+    replay(tie_case(loss)[0], np.random.default_rng(22), n_calls=200)
 
 
 @pytest.mark.parametrize("loss", ["mse", "ce"])
@@ -180,22 +152,18 @@ def test_tail_pass_on_ties_and_kinks(loss):
 
 
 def check_residual(task, theta, rng):
-    """The problem's one-sweep stationarity vectors against the generic body,
-    on the full data and on minibatch handles (one with a repeated row):
-    each block within 1e-12 of ``|g| + |h|``, and a repeat at the same point
-    is an equal, fresh copy."""
+    """The contract suite's check of the one-sweep stationarity vectors
+    against the generic body, on the full data and on minibatch handles (one
+    with a repeated row), and a repeat at the same point is an equal, fresh
+    copy."""
+    from test_oracle_contract import check_residual_blocks
     prob = MlpTaskProblem(task)
     n = len(task.labels)
     handles = [SampleHandle(key=1, indices=rng.integers(0, n, size=3)),
                SampleHandle(key=2, indices=[0, 0, n - 1])]
     for sample in [None] + handles:
+        check_residual_blocks(prob, theta, sample)
         got = prob.residual_blocks(theta, sample=sample)
-        want = BdcProblem.residual_blocks(prob, theta, sample=sample)
-        assert len(got) == prob.n_blocks
-        for i, (z, w) in enumerate(zip(got, want)):
-            scale = (np.max(np.abs(prob.grad_g_block(i, theta, sample=sample)))
-                     + np.max(np.abs(prob.subgrad_h_block(i, theta, sample=sample))))
-            assert np.max(np.abs(z - w)) <= 1e-12 * scale, (i, sample)
         first = [z.copy() for z in got]
         for z in got:
             z[...] = np.nan  # must not reach the repeat
@@ -225,7 +193,7 @@ def test_block_range_checked(loss):
     for i in (-1, prob.n_blocks):
         for name in ("grad_g_block", "subgrad_h_block"):
             with pytest.raises(IndexError):
-                call(prob, name, i, theta, None)
+                getattr(prob, name)(i, theta)
 
 
 def blobs_problem(n=40):
@@ -301,25 +269,10 @@ def test_task_arrays_are_read_only():
 def test_reassigned_task_arrays_are_not_read():
     # the problem keeps the inputs and labels it was built with; new arrays
     # assigned to the task afterwards reach no oracle, memoized or not
-    prob, ref = blobs_problem(), blobs_problem()
-    theta0 = prob.initial_point()
-    handle = SampleHandle(key=1, indices=np.arange(0, 40, 3))
-    prob.eval_f(theta0)  # a point evaluated before the reassignment
-    x, y = gaussian_blobs(40, 3, seed=9)
-    prob.task.inputs, prob.task.labels = x, y
-    other = theta0 + 0.1 * np.random.default_rng(2).standard_normal(theta0.size)
-    for theta in (theta0, other, theta0):
-        for sample in (None, handle, None):
-            assert prob.eval_f(theta) == ref.eval_f(theta)
-            for i in range(prob.n_blocks):
-                for name in ORACLES[1:]:
-                    np.testing.assert_array_equal(
-                        getattr(prob, name)(i, theta, sample=sample),
-                        getattr(ref, name)(i, theta, sample=sample), err_msg=name)
-                u = ref.subgrad_h_block(i, theta, sample=sample)
-                got = prob.minimize_block_surrogate(i, theta, u, 1.0, 3, 1e-8,
-                                                    sample=sample)
-                want = ref.minimize_block_surrogate(i, theta, u, 1.0, 3, 1e-8,
-                                                    sample=sample)
-                np.testing.assert_array_equal(got[0], want[0])
-                assert got[1] == want[1]
+    from test_oracle_contract import CALLS, replay
+    prob = blobs_problem()
+    prob.eval_f(prob.initial_point())  # a point evaluated before the reassignment
+    prob.task.inputs, prob.task.labels = gaussian_blobs(40, 3, seed=9)
+    samples = [None, SampleHandle(key=1, indices=np.arange(0, 40, 3))]
+    replay(blobs_problem, np.random.default_rng(2), CALLS + ("minimize_block_surrogate",),
+           samples, n_calls=100, prob=prob)

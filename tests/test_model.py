@@ -1,3 +1,8 @@
+"""What the model computes beyond the oracle contract: the stationarity
+bound, the combinators, conjugate composition and the sampled active piece
+of a maximum.  The contract itself is ``test_oracle_contract.py``'s.
+"""
+
 import numpy as np
 import pytest
 
@@ -5,82 +10,12 @@ from bdcopt.blocks import BlockPartition
 from bdcopt.model import (AffineBdcMap, BdcProblem, LogSumExpOracle,
                           SingletonConjugate, combine_linear, combine_max,
                           combine_min, conjugate_compose, residual_upper)
-from bdcopt.problems import (QuadraticDcProblem, QuadraticMinusL1Problem,
-                             SdlInstance, SdlProblem, sdl_synthetic)
-from bdcopt.problems.cp import CpInstance, CpProblem
+from bdcopt.problems import QuadraticDcProblem, SdlInstance, SdlProblem, sdl_synthetic
 from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
 from bdcopt import relu
+from test_oracle_contract import check_dc_split
 
 PART = BlockPartition([3, 2, 4])
-
-
-def random_point(problem, rng, scale=1.0):
-    return scale * rng.standard_normal(problem.partition.total_dim)
-
-
-def sample_problems():
-    rng = np.random.default_rng(42)
-    quad = QuadraticDcProblem.random(PART, rng)
-    qml = QuadraticMinusL1Problem(PART, rng.standard_normal((12, 9)),
-                                  rng.standard_normal(12), 0.4)
-    Y, D, X = sdl_synthetic(6, 8, 12, 3, seed=5)
-    sdl = SdlProblem(SdlInstance(Y=Y, D=D, X=X + 0.1 * rng.standard_normal(X.shape),
-                                 alpha=0.2, Q=3, variant="l1_lq"))
-    xs, ys = gaussian_blobs(24, 3, seed=7)
-    net = relu.random_params((2, 6, 3), rng)
-    mlp = MlpTaskProblem(MlpTask(inputs=xs, labels=ys, net=net, loss="ce"))
-    dims, rank = (3, 4, 2), 2
-    cp = CpProblem(CpInstance(tensor=rng.standard_normal(dims), rank=rank,
-                              factors=[rng.standard_normal((m, rank)) for m in dims]))
-    pair = [quad, qml]
-    emap = AffineBdcMap(PART, rng.standard_normal((4, PART.total_dim)),
-                        rng.standard_normal(4))
-    lse = conjugate_compose(emap, LogSumExpOracle(), (np.zeros(4), np.ones(4)))
-    return [quad, qml, sdl, mlp, cp, combine_linear(pair, [0.7, -1.3]),
-            combine_max(pair), combine_min(pair), lse]
-
-
-class TestDecompositionConsistency:
-    def test_g_minus_h_equals_f(self):
-        rng = np.random.default_rng(0)
-        for prob in sample_problems():
-            for _ in range(20):
-                theta = random_point(prob, rng)
-                f = prob.eval_f(theta)
-                for i in range(prob.n_blocks):
-                    gap = prob.eval_g(i, theta) - prob.eval_h(i, theta) - f
-                    assert abs(gap) <= 1e-10 * (1 + abs(f))
-
-    def test_midpoint_convexity_of_g_and_h(self):
-        rng = np.random.default_rng(1)
-        for prob in sample_problems():
-            for _ in range(10):
-                base = random_point(prob, rng)
-                i = int(rng.integers(prob.n_blocks))
-                sl = prob.partition.slice_of(i)
-                t1, t2 = base.copy(), base.copy()
-                t1[sl] = rng.standard_normal(prob.partition.block_dims[i])
-                t2[sl] = rng.standard_normal(prob.partition.block_dims[i])
-                mid = base.copy()
-                mid[sl] = 0.5 * (t1[sl] + t2[sl])
-                for orc in (prob.eval_g, prob.eval_h):
-                    lhs = orc(i, mid)
-                    rhs = 0.5 * orc(i, t1) + 0.5 * orc(i, t2)
-                    assert lhs <= rhs + 1e-9
-
-    def test_h_subgradient_inequality(self):
-        rng = np.random.default_rng(2)
-        for prob in sample_problems():
-            for _ in range(10):
-                base = random_point(prob, rng)
-                i = int(rng.integers(prob.n_blocks))
-                sl = prob.partition.slice_of(i)
-                u = prob.subgrad_h_block(i, base)
-                other = base.copy()
-                other[sl] = rng.standard_normal(prob.partition.block_dims[i])
-                lhs = prob.eval_h(i, other)
-                rhs = prob.eval_h(i, base) + float(u @ (other[sl] - base[sl]))
-                assert lhs >= rhs - 1e-9
 
 
 class TestResidualUpper:
@@ -213,18 +148,9 @@ class TestCombinators:
             assert abs(mn.eval_f(theta) - min(f1, f2)) <= 1e-10 * (1 + abs(min(f1, f2)))
 
     def test_max_parts_stay_convex(self):
-        mx = combine_max([self.p1, self.p2])
         rng = np.random.default_rng(7)
-        for _ in range(30):
-            base = rng.standard_normal(9)
-            i = int(rng.integers(3))
-            sl = PART.slice_of(i)
-            t1, t2, mid = base.copy(), base.copy(), base.copy()
-            t1[sl] = rng.standard_normal(PART.block_dims[i])
-            t2[sl] = rng.standard_normal(PART.block_dims[i])
-            mid[sl] = 0.5 * (t1[sl] + t2[sl])
-            for orc in (mx.eval_g, mx.eval_h):
-                assert orc(i, mid) <= 0.5 * orc(i, t1) + 0.5 * orc(i, t2) + 1e-9
+        check_dc_split(combine_max([self.p1, self.p2]),
+                       [rng.standard_normal(9) for _ in range(30)], rng)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -297,14 +223,9 @@ class TestConjugateCompose:
 
     def test_h_midpoint_convexity(self):
         rng = np.random.default_rng(12)
-        part = BlockPartition([3])
-        emap = AffineBdcMap(part, rng.standard_normal((2, 3)))
+        emap = AffineBdcMap(BlockPartition([3]), rng.standard_normal((2, 3)))
         prob = conjugate_compose(emap, LogSumExpOracle(), (np.zeros(2), np.ones(2)))
-        for _ in range(30):
-            t1, t2 = rng.standard_normal(3), rng.standard_normal(3)
-            mid = 0.5 * (t1 + t2)
-            assert prob.eval_h(0, mid) <= (0.5 * prob.eval_h(0, t1)
-                                           + 0.5 * prob.eval_h(0, t2) + 1e-9)
+        check_dc_split(prob, [rng.standard_normal(3) for _ in range(30)], rng)
 
     def test_rejects_unbounded_set(self):
         part = BlockPartition([2])
@@ -315,20 +236,6 @@ class TestConjugateCompose:
 
 
 class TestSampleReplay:
-    def test_same_handle_same_values(self):
-        xs, ys = gaussian_blobs(30, 3, seed=1)
-        net = relu.random_params((2, 5, 3), np.random.default_rng(2))
-        prob = MlpTaskProblem(MlpTask(inputs=xs, labels=ys, net=net, loss="ce"))
-        rng = np.random.default_rng(3)
-        handle = prob.sample(rng, batch_size=8)
-        theta = prob.initial_point()
-        first = (prob.eval_g(0, theta, sample=handle),
-                 prob.grad_g_block(1, theta, sample=handle))
-        second = (prob.eval_g(0, theta, sample=handle),
-                  prob.grad_g_block(1, theta, sample=handle))
-        assert first[0] == second[0]
-        np.testing.assert_array_equal(first[1], second[1])
-
     def test_max_gradient_follows_the_sampled_active_piece(self):
         # on a minibatch, eval_g maximizes the sampled pieces
         # g_r + sum_s h_s - h_r; its gradient must take the same piece even
