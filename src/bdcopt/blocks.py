@@ -1,5 +1,6 @@
-"""Coordinate-block bookkeeping: partitions, and the one full-precision CSV
-format every emitted table uses.
+"""Coordinate-block bookkeeping: partitions, the one full-precision CSV
+format every emitted table uses, and the one rule every numeric setting
+keeps.
 
 A partition splits the coordinates of a dense vector into contiguous,
 non-overlapping blocks.  Blocks are addressed by ``(offset, length)`` views,
@@ -9,10 +10,20 @@ never by selection matrices, so extraction is O(1) slicing.
 import numpy as np
 
 __all__ = [
+    "at_least",
     "BlockPartition",
     "write_csv",
     "vector_from_csv_row",
 ]
+
+
+def at_least(name, value, low):
+    """The setting rule: ``value`` is a finite number ``>= low`` (NaN fails
+    the comparison and gets its message; ``+inf`` gets its own)."""
+    if not value >= low:
+        raise ValueError("%s must be >= %d, got %r" % (name, low, value))
+    if value == np.inf:
+        raise ValueError("%s must be finite, got %r" % (name, value))
 
 
 class BlockPartition:

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import experiments
 from . import relu as relu_mod
-from .blocks import write_csv
+from .blocks import at_least, write_csv
 from .monomials import (Monomial, atoms_to_csv, bdc_block_decompose,
-                        dc_atom_bounds, merge_proportional, polarize,
-                        verify_identity)
+                        check_verify_settings, dc_atom_bounds,
+                        merge_proportional, polarize, verify_identity)
 from .problems.sdl import check_lq_q
 from .solvers import plan_rho
 
@@ -228,8 +228,7 @@ def cmd_monomial(args, manifest):
     cfg = _resolve(MONOMIAL_DEFAULTS, args)
     out = _outdir(cfg)
     manifest.start(out, dict(cfg, b=",".join(map(str, args.b))), [0])
-    if cfg["trials"] < 1:  # before any atom is printed
-        raise ValueError("trials must be >= 1, got %r" % (cfg["trials"],))
+    check_verify_settings(cfg["trials"], cfg["tol"])  # before any atom is printed
     m = Monomial(args.b)
     names = ["t%d" % (j + 1) for j in range(m.n_vars)]
 
@@ -294,10 +293,10 @@ def cmd_sdl(args, manifest):
     if args.compare_gd:  # the GD comparison's checks, before the main sweep
         # the sizes first, in the order run_sdl_experiment checks them
         for key in ("m", "l", "n"):
-            experiments._at_least(key, cfg[key], 1)
+            at_least(key, cfg[key], 1)
         check_lq_q(cfg["q"], cfg["l"])  # it always runs the l1_lq penalty
         for key, low in (("gd_iters", 0), ("gd_seeds", 1)):
-            experiments._at_least(key, cfg[key], low)
+            at_least(key, cfg[key], low)
 
     res = experiments.run_sdl_experiment(
         m=cfg["m"], l=cfg["l"], n=cfg["n"], k_nonzero=cfg["k_nonzero"],
@@ -339,11 +338,6 @@ def cmd_sdl(args, manifest):
             os.path.join(out, "sdl_gd_compare.csv"),
             ["seed", "oracle_calls", "bdca_final", "gd_final"],
             [(r["seed"], r["oracle_calls"], r["bdca_final"], r["gd_final"]) for r in rows]))
-
-    # internal gate: sparsity values must be valid proportions
-    for v in variants:
-        if not np.all((res.sparsity[v] >= 0) & (res.sparsity[v] <= 1)):
-            raise ValueError("sparsity out of [0, 1] for variant %s" % v)
 
 
 RELU_DEFAULTS = {
@@ -422,6 +416,8 @@ PLAN_RHO_DEFAULTS = {
 def cmd_plan_rho(args, manifest):
     cfg = _resolve(PLAN_RHO_DEFAULTS, args)
     manifest.start(_outdir(cfg), cfg, [])
+    for key in ("ell_l0", "ell_a", "ell_c"):
+        at_least(key, cfg[key], 0)
     if cfg["ell"] == "constant":
         ell = lambda u: cfg["ell_l0"]
     else:

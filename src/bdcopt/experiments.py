@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import relu
+from .blocks import at_least
 from .model import residual_upper
 from .problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs, sine_regression
 from .problems.sdl import (SdlInstance, SdlProblem, check_lq_q, gd_baseline_sdl,
@@ -30,11 +31,6 @@ __all__ = [
 ]
 
 
-def _at_least(name, value, low):
-    if not value >= low:
-        raise ValueError("%s must be >= %d, got %r" % (name, low, value))
-
-
 # ---------------------------------------------------------------------------
 # sparse dictionary learning
 # ---------------------------------------------------------------------------
@@ -46,10 +42,11 @@ class SdlExperimentResult:
     sparsity: dict # variant -> (n_seeds, outer iterations + 1)
 
 
-def _check_sdl_counts(m, l, n, n_outer, n_seeds):
+def _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol):
     for name, value in (("m", m), ("l", l), ("n", n), ("n_seeds", n_seeds)):
-        _at_least(name, value, 1)
-    _at_least("n_outer", n_outer, 0)
+        at_least(name, value, 1)
+    at_least("n_outer", n_outer, 0)
+    at_least("inner_tol", inner_tol, 0)
 
 
 def _sdl_single_run(variant, data_rng, init_rng, m, l, n, k_nonzero, alpha, q,
@@ -89,10 +86,11 @@ def run_sdl_experiment(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
 
     Reconstruction error is ``||Y - D X||_F / ||Y||_F``; sparsity counts exact
     zeros in the code matrix (the soft-threshold step produces exact zeros).
-    An ``m``, ``l``, ``n`` or ``n_seeds`` below 1, a negative ``n_outer`` or
-    an invalid ``q`` for the ``l1_lq`` variant raises before any run starts.
+    An ``m``, ``l``, ``n`` or ``n_seeds`` below 1, a negative ``n_outer``, a
+    negative or non-finite ``inner_tol`` or an invalid ``q`` for the
+    ``l1_lq`` variant raises before any run starts.
     """
-    _check_sdl_counts(m, l, n, n_outer, n_seeds)
+    _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol)
     if "l1_lq" in variants:
         check_lq_q(q, l)
     rec = {v: [] for v in variants}
@@ -132,10 +130,10 @@ def run_sdl_gd_comparison(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
     One oracle call is one block-gradient evaluation: block-DC spends its
     inner iterations, the baseline spends one call per joint step.  Returns
     per-seed final objectives and the call budget.  An ``m``, ``l``, ``n``
-    or ``n_seeds`` below 1 or a negative ``n_outer`` raises before any run
-    starts.
+    or ``n_seeds`` below 1, a negative ``n_outer`` or a negative or
+    non-finite ``inner_tol`` raises before any run starts.
     """
-    _check_sdl_counts(m, l, n, n_outer, n_seeds)
+    _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol)
     rows = []
     for j in range(n_seeds):
         _, _, prob, theta, calls = _sdl_single_run(
@@ -188,16 +186,20 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
     selected block (log gradient norm vs log estimate scatter).
     With ``theory_preset`` the proximal weight and minibatch size scale with
     sqrt(total iterations).  An ``n_data`` or ``batch_size`` below 1, a
-    negative ``epochs`` or ``stride`` (0 records no estimates), a ``delta``
-    outside ``(0, 1]`` or, for ``blobs``, ``n_classes`` below 2 raises before
-    any solve, with or without the preset.
+    negative ``epochs`` or ``stride`` (0 records no estimates), a negative or
+    non-finite ``rho``, ``rho_coeff`` or ``batch_coeff``, a ``delta`` outside
+    ``(0, 1]`` or, for ``blobs``, ``n_classes`` below 2 raises before any
+    solve, with or without the preset.
     """
-    _at_least("n_data", n_data, 1)
+    at_least("n_data", n_data, 1)
     if task == "blobs":  # sine regression has no classes
-        _at_least("n_classes", n_classes, 2)
-    _at_least("epochs", epochs, 0)
-    _at_least("batch_size", batch_size, 1)
-    _at_least("stride", stride, 0)
+        at_least("n_classes", n_classes, 2)
+    at_least("epochs", epochs, 0)
+    at_least("batch_size", batch_size, 1)
+    at_least("stride", stride, 0)
+    at_least("rho", rho, 0)  # as given: the preset replaces it
+    at_least("rho_coeff", rho_coeff, 0)
+    at_least("batch_coeff", batch_coeff, 0)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1], got %r" % (delta,))
     mlp_task = _build_task(task, layer_dims, n_data, n_classes,
@@ -248,27 +250,29 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0,
     seed in six (seeds 8, 12, 28, 32, 34, 35 and 36 of 0-40) ends at relative
     error 0.26-0.47.  ``tensor_stalled(rows, noise)`` gives the verdict.
     Bad ``dims``, a ``rank`` below 1, negative ``sweeps`` or a negative,
-    NaN or infinite ``noise`` raise before any solve.
+    NaN or infinite ``noise`` raise before any solve, and so does a noise
+    large enough to make the starting objective overflow.
     """
     if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
         raise ValueError("dims must be 2 to 4 positive mode sizes")
-    _at_least("rank", rank, 1)
-    _at_least("sweeps", sweeps, 0)
-    _at_least("noise", noise, 0)
-    if not np.isfinite(noise):
-        raise ValueError("noise must be finite, got %r" % (noise,))
+    at_least("rank", rank, 1)
+    at_least("sweeps", sweeps, 0)
+    at_least("noise", noise, 0)
     rng_data = substream(seed, "data")
     true = [rng_data.standard_normal((m, rank)) for m in dims]
     T = cp_reconstruct(true)
-    if noise:
-        T = T + noise * rng_data.standard_normal(T.shape)
     rng_init = substream(seed, "init")
     factors = [rng_init.standard_normal((m, rank)) for m in dims]
-    prob = CpProblem(CpInstance(tensor=T, rank=rank, factors=factors))
-
-    theta = prob.initial_point()
-    rows = [(0, prob.eval_f(theta), prob.relative_error(theta))]
-    per_update = [prob.eval_f(theta)]
+    with np.errstate(over="ignore"):  # an overflow fails just below, as inf
+        if noise:
+            T = T + noise * rng_data.standard_normal(T.shape)
+        prob = CpProblem(CpInstance(tensor=T, rank=rank, factors=factors))
+        theta = prob.initial_point()
+        f0 = prob.eval_f(theta)
+    if not np.isfinite(f0):
+        raise ValueError("non-finite objective at sweep 0: %r" % (f0,))
+    rows = [(0, f0, prob.relative_error(theta))]
+    per_update = [f0]
     for sweep in range(1, sweeps + 1):
         for i in range(len(dims)):
             theta, _ = bdca_step(prob, theta, i)

@@ -17,11 +17,11 @@ catastrophically in floating point.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, isfinite, lcm, prod
 
 import numpy as np
 
-from .blocks import write_csv
+from .blocks import at_least, write_csv
 
 __all__ = [
     "Monomial",
@@ -33,6 +33,7 @@ __all__ = [
     "dc_atom_bounds",
     "bdc_block_decompose",
     "verify_identity",
+    "check_verify_settings",
     "expand_exact",
     "atoms_to_csv",
 ]
@@ -287,6 +288,14 @@ def bdc_block_decompose(monomial, grouping):
     return BlockDecomposition(parts=parts, target=monomial)
 
 
+def check_verify_settings(trials, tol):
+    """Reject a ``trials`` below 1 and a non-finite ``tol``; a negative
+    ``tol`` is allowed and fails every verification."""
+    at_least("trials", trials, 1)
+    if not isfinite(tol):
+        raise ValueError("tol must be finite, got %r" % (tol,))
+
+
 def verify_identity(dec, monomial, trials=100, tol=1e-6, seed=0):
     """Check a decomposition against the monomial at random points.
 
@@ -298,8 +307,7 @@ def verify_identity(dec, monomial, trials=100, tol=1e-6, seed=0):
     -------
     (passed, max_rel_err) : (bool, float)
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_verify_settings(trials, tol)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-2.0, 2.0, size=(trials, monomial.n_vars))
     want = monomial.evaluate(pts)

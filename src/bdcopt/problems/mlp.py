@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..blocks import at_least
 from ..model import BdcProblem, SampleHandle
 from .. import relu
 
@@ -143,8 +144,8 @@ class MlpTaskProblem(BdcProblem):
         # key drawn from the caller's generator: replayable, no shared state
         if batch_size is None:
             batch_size = 1
-        elif batch_size < 1:
-            raise ValueError("batch_size must be >= 1, got %r" % (batch_size,))
+        else:
+            at_least("batch_size", batch_size, 1)
         idx = rng.integers(0, self.n_data, size=batch_size)  # i.i.d. draws
         return SampleHandle(key=int(rng.integers(2 ** 31)), indices=idx)
 

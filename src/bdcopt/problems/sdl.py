@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model import BallProductDomain, BdcProblem
-from ..blocks import BlockPartition
+from ..blocks import BlockPartition, at_least
 
 __all__ = [
     "sdl_synthetic",
@@ -40,8 +40,7 @@ def sdl_synthetic(m=10, l=32, n=100, k_nonzero=5, seed=0):
     every column of ``X*`` has exactly ``k_nonzero`` standard normal entries
     at uniformly chosen positions.  Deterministic given ``seed``.
     """
-    if k_nonzero < 1:
-        raise ValueError("k_nonzero must be >= 1, got %r" % (k_nonzero,))
+    at_least("k_nonzero", k_nonzero, 1)
     if k_nonzero > l:
         raise ValueError("k_nonzero cannot exceed the number of atoms")
     rng = np.random.default_rng(seed)
@@ -126,8 +125,7 @@ class SdlInstance:
             raise ValueError("inconsistent Y/D/X shapes")
         if self.variant == "l1_lq":
             check_lq_q(self.Q, l)
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0, got %r" % (self.alpha,))
+        at_least("alpha", self.alpha, 0)
         norms = np.linalg.norm(self.D, axis=0)
         if np.any(norms > 1.0 + 1e-10):
             raise ValueError("dictionary columns must satisfy ||d_j|| <= 1")

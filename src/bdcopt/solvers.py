@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import write_csv
+from .blocks import at_least, write_csv
 from .model import residual_blocks
 
 __all__ = [
@@ -45,6 +45,7 @@ class InnerSolverDivergence(RuntimeError):
 
 def substream(master_seed, name):
     """Named, replayable random substream derived from one master seed."""
+    at_least("seed", master_seed, 0)
     return np.random.default_rng([int(master_seed), zlib.crc32(name.encode())])
 
 
@@ -66,14 +67,12 @@ class SolverConfig:
     batch_size: int | None = None
 
     def __post_init__(self):
-        if self.n_iters < 0:
-            raise ValueError("n_iters must be >= 0")
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
-        if self.inner_budget < 1:
-            raise ValueError("inner_budget must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        at_least("n_iters", self.n_iters, 0)
+        at_least("rho", self.rho, 0)
+        at_least("inner_budget", self.inner_budget, 1)
+        at_least("inner_tol", self.inner_tol, 0)
+        if self.batch_size is not None:
+            at_least("batch_size", self.batch_size, 1)
 
 
 @dataclass
@@ -124,12 +123,12 @@ def bdca_step(problem, theta, i, rho=0.0, budget=100, tol=1e-8, sample=None):
     A ``sample`` handle makes it the stochastic step: every oracle of the
     step is evaluated on that minibatch.  Returns ``(theta_new, inner_iters)``
     and raises ``InnerSolverDivergence`` when the surrogate did not descend
-    or either surrogate value is NaN.
+    or either surrogate value is NaN.  A ``rho`` or ``tol`` that is negative
+    or not finite, or a ``budget`` below 1, raises ``ValueError``.
     """
-    if not rho >= 0:
-        raise ValueError("rho must be >= 0, got %r" % (rho,))
-    if budget < 1:
-        raise ValueError("inner budget must be >= 1, got %r" % (budget,))
+    at_least("rho", rho, 0)
+    at_least("inner budget", budget, 1)
+    at_least("tol", tol, 0)
     theta = np.asarray(theta, dtype=float)
     sl = problem.partition.slice_of(i)
     x0 = theta[sl].copy()
@@ -249,8 +248,8 @@ def compute_E(ell, G):
     ``ell`` must be continuous, nondecreasing and positive, and subquadratic
     (``ell(t)/t^2 -> 0``); the caller asserts this.
     """
-    if G <= 0:
-        raise ValueError("G must be positive")
+    if not 0 < G < math.inf:
+        raise ValueError("G must be positive and finite, got %r" % (G,))
 
     def excess(u):
         return u * u - 2.0 * float(ell(2.0 * u)) * G
@@ -284,8 +283,7 @@ def rho_from(E, L_eff, R):
 
 
 def plan_rho(ell, G, R):
-    if R < 0:
-        raise ValueError("R must be >= 0, got %r" % R)
+    at_least("R", R, 0)
     E = compute_E(ell, G)
     L_eff = float(ell(2.0 * E))
     plan = RhoPlan(G=float(G), R=float(R), ell=ell, E=E, L_eff=L_eff,

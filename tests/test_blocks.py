@@ -3,6 +3,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdcopt.blocks import BlockPartition, vector_from_csv_row, write_csv
+from bdcopt.monomials import Monomial, polarize, verify_identity
+from bdcopt.problems import QuadraticDcProblem, SdlInstance, sdl_synthetic
+from bdcopt.solvers import SolverConfig, bdca_step, compute_E
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name, call", [
+    ("tol", lambda: bdca_step(QuadraticDcProblem.random(
+        BlockPartition([2, 1]), np.random.default_rng(0)), np.zeros(3), 0, tol=NAN)),
+    ("rho", lambda: SolverConfig(n_iters=1, rho=INF)),
+    ("inner_tol", lambda: SolverConfig(n_iters=1, inner_tol=NAN)),
+    ("alpha", lambda: SdlInstance(*sdl_synthetic(4, 5, 6, 2, seed=0), alpha=INF)),
+    ("G", lambda: compute_E(lambda u: 1.0, INF)),
+    ("tol", lambda: verify_identity(polarize(Monomial((1, 1))), Monomial((1, 1)),
+                                    tol=NAN)),
+], ids=["bdca_step", "config_rho", "config_inner_tol", "sdl_alpha", "compute_E",
+        "verify_identity"])
+def test_library_entries_reject_non_finite_settings(name, call):
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 def test_partition_invariants():

@@ -8,8 +8,9 @@ import pytest
 
 import bdcopt
 from bdcopt import experiments, monomials
-from bdcopt.cli import (MONOMIAL_DEFAULTS, RELU_DEFAULTS, SDL_DEFAULTS,
-                        TENSOR_DEFAULTS, _parse_dims, _parse_widths, main)
+from bdcopt.cli import (MONOMIAL_DEFAULTS, PLAN_RHO_DEFAULTS, RELU_DEFAULTS,
+                        SDL_DEFAULTS, TENSOR_DEFAULTS, _parse_dims, _parse_widths,
+                        main)
 
 
 def run_cli(argv, capsys):
@@ -145,8 +146,9 @@ class TestReluCommand:
         (["--delta", "2", "--stride", "0"], "delta must lie in (0, 1], got 2.0"),
         (["--delta", "0"], "delta must lie in (0, 1], got 0.0"),
         (["--delta", "-0.5", "--theory-preset"], "delta must lie in (0, 1], got -0.5"),
+        (["--rho", "nan", "--theory-preset"], "rho must be >= 0, got nan"),
     ], ids=["negative_stride", "delta_at_zero_stride", "zero_delta",
-            "negative_delta_with_preset"])
+            "negative_delta_with_preset", "nan_rho_with_preset"])
     def test_bad_stride_or_delta_fails_before_any_solve(
             self, capsys, tmp_path, flags, message):
         code, _, err = run_cli(["relu", *flags, "--outdir", str(tmp_path)], capsys)
@@ -381,15 +383,40 @@ class TestConfigPrecedence:
     (["sdl", "--l", "0", "--compare-gd"], "l must be >= 1, got 0"),
     (["tensor", "--noise", "inf", "--sweeps", "2"], "noise must be finite, got inf"),
     (["relu", "--classes", "0"], "n_classes must be >= 2, got 0"),
+    (["tensor", "--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["sdl_iters", "sdl_seeds", "sdl_k_nonzero", "gd_iters", "gd_seeds",
         "tensor_sweeps", "tensor_rank", "relu_n_data", "sdl_m", "sdl_l",
         "sdl_n", "tensor_noise", "tensor_noise_nan", "relu_epochs",
-        "monomial_trials", "gd_sdl_l", "tensor_noise_inf", "relu_classes"])
+        "monomial_trials", "gd_sdl_l", "tensor_noise_inf", "relu_classes",
+        "tensor_seed"])
 def test_bad_count_fails_before_any_solve(capsys, tmp_path, argv, message):
     code, out, err = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
     assert code == 1
     assert out == ""  # nothing printed: no atom, no progress line
     assert err.splitlines() == ["error: " + message]
+    manifest = json.loads((tmp_path / ("%s_manifest.json" % argv[0])).read_text())
+    assert manifest["status"] == "failed"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+FLOAT_SETTINGS = [(argv, key) for argv, defaults in (
+    (["monomial", "--b", "2,2"], MONOMIAL_DEFAULTS), (["sdl"], SDL_DEFAULTS),
+    (["relu"], RELU_DEFAULTS), (["tensor"], TENSOR_DEFAULTS),
+    (["plan-rho"], PLAN_RHO_DEFAULTS)) for key, value in defaults.items()
+    if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv, key", FLOAT_SETTINGS,
+                         ids=["%s-%s" % (argv[0], key) for argv, key in FLOAT_SETTINGS])
+def test_non_finite_float_setting_fails_before_any_solve(capsys, tmp_path, argv,
+                                                         key, value):
+    flag = "--" + key.replace("_", "-")
+    code, out, err = run_cli([*argv, flag, value, "--outdir", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
     manifest = json.loads((tmp_path / ("%s_manifest.json" % argv[0])).read_text())
     assert manifest["status"] == "failed"
     assert not list(tmp_path.glob("*.csv"))

@@ -13,7 +13,6 @@ from bdcopt.model import (AffineBdcMap, BdcProblem, LogSumExpOracle,
 from bdcopt.problems import QuadraticDcProblem, SdlInstance, SdlProblem, sdl_synthetic
 from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
 from bdcopt import relu
-from test_oracle_contract import check_dc_split
 
 PART = BlockPartition([3, 2, 4])
 
@@ -147,11 +146,6 @@ class TestCombinators:
             assert abs(mx.eval_f(theta) - max(f1, f2)) <= 1e-10 * (1 + abs(max(f1, f2)))
             assert abs(mn.eval_f(theta) - min(f1, f2)) <= 1e-10 * (1 + abs(min(f1, f2)))
 
-    def test_max_parts_stay_convex(self):
-        rng = np.random.default_rng(7)
-        check_dc_split(combine_max([self.p1, self.p2]),
-                       [rng.standard_normal(9) for _ in range(30)], rng)
-
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             combine_max([])
@@ -202,30 +196,6 @@ class TestConjugateCompose:
             for i in range(2):
                 got = prob.eval_g(i, theta) - prob.eval_h(i, theta)
                 assert got == pytest.approx(want, rel=1e-12)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(11)
-        part = BlockPartition([2, 2])
-        M = rng.standard_normal((3, 4))
-        emap = AffineBdcMap(part, M, rng.standard_normal(3))
-        prob = conjugate_compose(emap, LogSumExpOracle(), (np.zeros(3), np.ones(3)))
-        theta = rng.standard_normal(4)
-        eps = 1e-6
-        for i in range(2):
-            sl = part.slice_of(i)
-            grad = prob.grad_g_block(i, theta)
-            for j, col in enumerate(range(sl.start, sl.stop)):
-                tp, tm = theta.copy(), theta.copy()
-                tp[col] += eps
-                tm[col] -= eps
-                fd = (prob.eval_g(i, tp) - prob.eval_g(i, tm)) / (2 * eps)
-                assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-    def test_h_midpoint_convexity(self):
-        rng = np.random.default_rng(12)
-        emap = AffineBdcMap(BlockPartition([3]), rng.standard_normal((2, 3)))
-        prob = conjugate_compose(emap, LogSumExpOracle(), (np.zeros(2), np.ones(2)))
-        check_dc_split(prob, [rng.standard_normal(3) for _ in range(30)], rng)
 
     def test_rejects_unbounded_set(self):
         part = BlockPartition([2])

@@ -13,12 +13,17 @@ E. :func:`replay`, bit for bit against fresh problems;
 F. with an inner solver, ``bdca_step`` at ``rho`` 0 and 0.5 does not raise
    ``f`` and leaves the other blocks' bits alone;
 G. with a sampler, a handle's oracles equal, to 1e-12 relative, those of a
-   problem built on its rows.
+   problem built on its rows;
+H. ``grad_g_block`` and ``subgrad_h_block`` equal central differences of
+   ``eval_g`` and ``eval_h`` (step 1e-6) within ``1e-5 max(1, max|fd|)``,
+   at the Gaussian points only: the start and the grid moves sit on kinks;
+I. the gradient inequality of ``g_i``, within 1e-9, written with C.
 
 A new problem or fast path gets them all from one line in ``FIXTURES``.
 """
 
 import importlib
+import itertools
 import pkgutil
 
 import numpy as np
@@ -40,6 +45,7 @@ GRID = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 PART = BlockPartition([3, 2, 4])
 CALLS = ("eval_f", "eval_g", "eval_h", "grad_g_block", "subgrad_h_block",
          "residual_blocks")
+PARTS = (("eval_g", "grad_g_block"), ("eval_h", "subgrad_h_block"))
 
 
 def quadratics():
@@ -176,8 +182,8 @@ def replay(build, rng, names, samples=(None,), n_calls=40, reference=None, prob=
 
 
 def check_dc_split(prob, thetas, rng):
-    """A, B and C at every point, block by block, towards grid moves of the
-    block at odd points and Gaussian ones at even points."""
+    """A, B, C and I at every point, block by block, towards grid moves of
+    the block at odd points and Gaussian ones at even points."""
     for k, theta in enumerate(thetas):
         f = prob.eval_f(theta)
         for i in range(prob.n_blocks):
@@ -188,11 +194,12 @@ def check_dc_split(prob, thetas, rng):
             t1[sl], t2[sl] = (rng.choice(GRID, size=(2, dim)) if k % 2
                               else rng.standard_normal((2, dim)))
             mid[sl] = 0.5 * (t1[sl] + t2[sl])
-            for part in (prob.eval_g, prob.eval_h):
+            for value, grad in PARTS:
+                part = getattr(prob, value)
                 assert part(i, mid) <= 0.5 * part(i, t1) + 0.5 * part(i, t2) + 1e-9, (k, i)
-            u = prob.subgrad_h_block(i, theta)
-            bound = prob.eval_h(i, theta) + float(u @ (t1[sl] - theta[sl]))
-            assert prob.eval_h(i, t1) >= bound - 1e-9, (k, i)
+                u = getattr(prob, grad)(i, theta)
+                bound = part(i, theta) + float(u @ (t1[sl] - theta[sl]))
+                assert part(i, t1) >= bound - 1e-9, (k, i, grad)
 
 
 def check_residual_blocks(prob, theta, sample=None):
@@ -211,6 +218,22 @@ def check_residual_blocks(prob, theta, sample=None):
 def test_parts_are_a_convex_split_of_f(name):
     prob, rng = FIXTURES[name](), np.random.default_rng(0)
     check_dc_split(prob, points(prob, rng, 20), rng)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_gradients_match_central_differences(name):
+    prob, rng = FIXTURES[name](), np.random.default_rng(1)
+    for theta in points(prob, rng, 7)[2::2]:  # the Gaussian points
+        for i, (value, grad) in itertools.product(range(prob.n_blocks), PARTS):
+            part, sl = getattr(prob, value), prob.partition.slice_of(i)
+            fd = np.empty(sl.stop - sl.start)
+            for j in range(fd.size):
+                up, down = theta.copy(), theta.copy()
+                up[sl.start + j] += 1e-6
+                down[sl.start + j] -= 1e-6
+                fd[j] = (part(i, up) - part(i, down)) / 2e-6
+            err = np.max(np.abs(getattr(prob, grad)(i, theta) - fd))
+            assert err <= 1e-5 * max(1.0, np.max(np.abs(fd))), (i, grad, err)
 
 
 @pytest.mark.parametrize("name", FIXTURES)

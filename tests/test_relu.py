@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bdcopt import relu
-from bdcopt.relu import (MlpParams, block_grad_g, block_grad_h, ce_bdc,
-                         forward_split, forward_standard, load_params_csv,
-                         log_sum_exp, mse_bdc, random_params, save_params_csv)
+from bdcopt.relu import (MlpParams, block_grad_g, ce_bdc, forward_split,
+                         forward_standard, load_params_csv, log_sum_exp,
+                         mse_bdc, random_params, save_params_csv)
 
 
 def tiny_net():
@@ -144,66 +144,7 @@ class TestLossSplits:
             ce_bdc(p, np.zeros((1, 2)), np.array([3]))
 
 
-def away_from_kinks(params, x, margin=1e-3):
-    st = forward_split(params, x)
-    gaps = [np.min(np.abs(st.pre[0]))]
-    for l in range(1, len(st.pre)):
-        gaps.append(np.min(np.abs(st.pre[l] - st.z_minus[l])))
-    for W, b in params.layers:
-        gaps.append(np.min(np.abs(W)))
-        gaps.append(np.min(np.abs(b)))
-    return min(gaps) > margin
-
-
-def kink_free_case(rng, dims):
-    # weights bounded away from zero so the entrywise relu masks are stable
-    for _ in range(50):
-        layers = []
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            W = rng.uniform(0.1, 1.0, size=(d_out, d_in)) * rng.choice([-1, 1], size=(d_out, d_in))
-            b = rng.uniform(0.1, 0.5, size=d_out) * rng.choice([-1, 1], size=d_out)
-            layers.append((W, b))
-        p = MlpParams(layers)
-        x = rng.standard_normal((4, dims[0]))
-        if away_from_kinks(p, x):
-            return p, x
-    raise AssertionError("could not sample a kink-free configuration")
-
-
 class TestBlockGradients:
-    def central_difference(self, params, x, y, loss, part, block, h=1e-5):
-        fn = {"g": 0, "h": 1}[part]
-        obj = mse_bdc if loss == "mse" else ce_bdc
-
-        def value(theta):
-            return obj(params.with_vector(theta), x, y)[fn]
-
-        theta = params.to_vector()
-        off = sum(W.size + b.size for W, b in params.layers[:block])
-        nb = params.layers[block][0].size + params.layers[block][1].size
-        fd = np.zeros(nb)
-        for j in range(nb):
-            tp, tm = theta.copy(), theta.copy()
-            tp[off + j] += h
-            tm[off + j] -= h
-            fd[j] = (value(tp) - value(tm)) / (2 * h)
-        return fd
-
-    def test_matches_finite_differences_away_from_kinks(self):
-        rng = np.random.default_rng(8)
-        for loss, dims, labels in (("mse", (2, 4, 3, 1), None),
-                                   ("ce", (2, 4, 3, 3), 3)):
-            p, x = kink_free_case(rng, dims)
-            y = (np.abs(rng.standard_normal(4)) + 0.5 if labels is None
-                 else rng.integers(0, labels, size=4))
-            for block in range(p.n_layers):
-                for part, fn in (("g", block_grad_g), ("h", block_grad_h)):
-                    dW, db = fn(p, x, y, loss, block)
-                    got = np.concatenate([dW.ravel(), db])
-                    fd = self.central_difference(p, x, y, loss, part, block)
-                    scale = max(1.0, float(np.max(np.abs(fd))))
-                    assert np.max(np.abs(got - fd)) / scale <= 1e-5
-
     def test_zero_input_zero_bias_gives_zero_first_layer_gradient(self):
         rng = np.random.default_rng(9)
         p = random_params((3, 5, 1), rng)
@@ -211,24 +152,6 @@ class TestBlockGradients:
         dW, db = block_grad_g(p, np.zeros((2, 3)), np.array([1.0, 2.0]), "mse", 0)
         np.testing.assert_array_equal(dW, np.zeros_like(dW))
         np.testing.assert_array_equal(db, np.zeros_like(db))
-
-    def test_h_subgradient_inequality_within_block(self):
-        rng = np.random.default_rng(10)
-        p = random_params((2, 5, 4, 3), rng)
-        x = rng.standard_normal((6, 2))
-        y = rng.integers(0, 3, size=6)
-        theta = p.to_vector()
-        part = p.partition()
-        for _ in range(40):
-            block = int(rng.integers(p.n_layers))
-            sl = part.slice_of(block)
-            dW, db = block_grad_h(p, x, y, "ce", block)
-            u = np.concatenate([dW.ravel(), db])
-            other = theta.copy()
-            other[sl] = theta[sl] + rng.standard_normal(sl.stop - sl.start)
-            h1 = ce_bdc(p, x, y)[1]
-            h2 = ce_bdc(p.with_vector(other), x, y)[1]
-            assert h2 >= h1 + float(u @ (other[sl] - theta[sl])) - 1e-8
 
     def test_blockwise_midpoint_convexity_of_outputs(self):
         rng = np.random.default_rng(11)
