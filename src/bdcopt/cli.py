@@ -53,10 +53,24 @@ def _environment():
     return env
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float, in lists and dicts too, as the
+    string ``"nan"``, ``"inf"`` or ``"-inf"``, which strict JSON allows."""
+    if isinstance(value, float) and not np.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 class Manifest:
     """``<subcommand>_manifest.json``: a subcommand ``start``s it once its
     output directory and config are known, appends what it writes to
-    ``outputs``, and ``main`` closes it."""
+    ``outputs``, and ``main`` closes it.  The file is strict JSON: a
+    non-finite float, such as a rejected ``alpha=nan``, is written as the
+    string ``"nan"``, ``"inf"`` or ``"-inf"``."""
 
     def __init__(self, subcommand):
         self.subcommand = subcommand
@@ -80,7 +94,8 @@ class Manifest:
 
     def _write(self):
         with open(self.path, "w") as fh:
-            json.dump(self.payload, fh, indent=2, sort_keys=True)
+            json.dump(_strict_json(self.payload), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
 
     def close(self, error=None):

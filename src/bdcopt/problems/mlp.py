@@ -97,7 +97,9 @@ class MlpTaskProblem(BdcProblem):
     it equals the oracle pairs' difference up to rounding.
     The block solver evaluates its trial points on the block's tail and
     leaves the kept point as it found it (see
-    :meth:`minimize_block_surrogate`).
+    :meth:`minimize_block_surrogate`).  The kept points' parameters are
+    views into private read-only copies of their vectors, so the split
+    weights cached on them cannot go stale.
 
     The task is checked once, here: the inputs, the labels and the output
     width must fit the loss, so no oracle checks them again.  The task's
@@ -157,8 +159,11 @@ class MlpTaskProblem(BdcProblem):
         if point is None or point.key != key:
             X, y, count = self._subset(sample)
             # a private copy: callers mutate their theta (the inner solver's
-            # trial vector), and the parameters are views into it
-            params = self.params(theta.copy())
+            # trial vector), and the parameters are views into it; read-only,
+            # so the split weights kept on the parameters cannot go stale
+            theta = theta.copy()
+            theta.flags.writeable = False
+            params = self.params(theta)
             point = _Point(key, X, y, count, params, relu.forward_split(params, X))
             self._last = point
         return point
@@ -246,8 +251,10 @@ class MlpTaskProblem(BdcProblem):
         ``(theta, sample)`` is the anchor: it gives the minibatch, the labels
         and the split state of the layers below ``i``, and it serves the
         start itself.  Every other trial point gets its parameters built once
-        and one forward pass from layer ``i``, which its value (the ``g``
-        part alone) and its gradient share.  The points of the current
+        (:meth:`relu.MlpParams.with_block`: the frozen layers' arrays and
+        split weights are the anchor's) and one forward pass from layer
+        ``i``, which its value (the ``g`` part alone) and its gradient share,
+        with the output's ``exp`` computed once.  The points of the current
         gradient's search are kept until the next gradient, so a hop onto
         one of its step sizes reuses that candidate's pass.  No public
         oracle is called, so the anchor stays the memo's point for the
@@ -257,9 +264,8 @@ class MlpTaskProblem(BdcProblem):
         anchor = self._point(theta, sample)
         sl = self.partition.slice_of(i)
         x0 = theta[sl].copy()
-        layers = list(anchor.params.layers)
-        shape = layers[i][0].shape
-        n_w = layers[i][0].size
+        shape = anchor.params.layers[i][0].shape
+        n_w = anchor.params.layers[i][0].size
         # the current point and the trial points of its gradient's search
         seen = {x0.tobytes(): anchor}
 
@@ -268,8 +274,9 @@ class MlpTaskProblem(BdcProblem):
             point = seen.get(key)
             if point is None:
                 x = x.copy()  # the parameters are views into it
-                layers[i] = (x[:n_w].reshape(shape), x[n_w:])
-                params = relu.MlpParams(layers)
+                x.flags.writeable = False
+                params = anchor.params.with_block(i, x[:n_w].reshape(shape),
+                                                  x[n_w:])
                 state = relu.forward_split(params, anchor.X, i, anchor.state)
                 point = seen[key] = _Point(key, anchor.X, anchor.y,
                                            anchor.count, params, state)
@@ -278,7 +285,7 @@ class MlpTaskProblem(BdcProblem):
         def value(x):
             val = self._part(at(x), "g") - float(np.dot(u, x))
             if rho:
-                val += 0.5 * rho * float(np.sum((x - x0) ** 2))
+                val += 0.5 * rho * float(((x - x0) ** 2).sum())
             return val
 
         def gradient(x):

@@ -21,6 +21,16 @@ block solver's cuts rest on this, and
 checks it at kinks and ties.  A block ``l``'s sweep traverses only layers
 ``>= l`` and stops at layer ``l``.
 
+A block solve evaluates many trial points that differ in one layer only,
+so the pass pays only for what moves.  :class:`MlpParams` keeps each
+layer's split weights ``(relu(W), relu(-W))`` once computed, and
+:meth:`MlpParams.with_block` builds a trial point's parameters sharing the
+other layers' arrays and split weights; :func:`forward_split` from layer
+``l`` reuses a pass's layers below ``l``; and a :class:`SplitState` keeps
+the rowwise ``exp`` of its output that the cross-entropy value, its
+adjoint and :func:`residual_grads` share.  Each reuse gives the bits of
+the computation it replaces.
+
 The stationarity vectors ``grad g - grad h`` need no split sweep: the two
 parts' output adjoints differ by ``(d, -d)``, and the split sweep keeps such
 a pair antisymmetric, so :func:`residual_grads` gets every block's
@@ -28,7 +38,7 @@ difference from one plain backprop through ``W`` with the same kink
 selections.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,15 +72,25 @@ def _relu_deriv(x):
     return (x > 0).astype(float)
 
 
+def _split_pair(x):
+    """``(relu(x), relu(-x))``: the nonnegative parts of a weight array."""
+    return _relu(x), _relu(-x)
+
+
 @dataclass
 class MlpParams:
     """Fully-connected ReLU network parameters; one block per layer.
 
     ``layers[l] = (W, b)`` with ``W`` of shape ``(d_out, d_in)``.  The last
     layer is linear with ``class_count`` outputs (1 for regression).
+
+    A layer's split weights are computed on first use and kept (see
+    :meth:`split`), so the arrays must not be edited once a pass has read
+    them; build new parameters instead.
     """
 
     layers: list
+    _split: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.layers) < 2:
@@ -82,6 +102,30 @@ class MlpParams:
                 raise ValueError("layer %d has inconsistent shapes" % l)
             if l > 0 and W.shape[1] != self.layers[l - 1][0].shape[0]:
                 raise ValueError("layer %d input dim does not chain" % l)
+        self._split = [None] * len(self.layers)
+
+    def split(self, l):
+        """Layer ``l``'s ``(relu(W), relu(-W))``, computed on first use and
+        kept; the output layer's pair is followed by ``(relu(b), relu(-b))``."""
+        pairs = self._split[l]
+        if pairs is None:
+            W, b = self.layers[l]
+            pairs = _split_pair(W)
+            if l == len(self.layers) - 1:
+                pairs += _split_pair(b)
+            self._split[l] = pairs
+        return pairs
+
+    def with_block(self, l, W, b):
+        """These parameters with layer ``l`` replaced by ``(W, b)``, float
+        arrays of that layer's shapes.  Every other layer's arrays and split
+        weights are shared with this set, and nothing is checked again."""
+        child = object.__new__(MlpParams)
+        child.layers = list(self.layers)
+        child.layers[l] = (W, b)
+        child._split = list(self._split)
+        child._split[l] = None
+        return child
 
     @property
     def n_layers(self):
@@ -102,14 +146,15 @@ class MlpParams:
         return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in self.layers])
 
     def with_vector(self, theta):
-        """New parameter set with values taken from a flat vector."""
+        """New parameter set with values taken from a flat vector; its
+        arrays are views into ``theta``."""
         theta = np.asarray(theta, dtype=float)
         layers = []
         pos = 0
         for W, b in self.layers:
             w_new = theta[pos:pos + W.size].reshape(W.shape)
             pos += W.size
-            b_new = theta[pos:pos + b.size].copy()
+            b_new = theta[pos:pos + b.size]
             pos += b.size
             layers.append((w_new, b_new))
         if pos != theta.size:
@@ -145,10 +190,22 @@ class SplitState:
     z_minus: list
     a_out: np.ndarray
     b_out: np.ndarray
+    _exp: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def output(self):
         return self.a_out - self.b_out
+
+    def exp_rows(self):
+        """``(m, E, s)`` of the output ``F``: the rowwise max ``m``, ``E =
+        exp(F - m)`` and its row sums ``s``, each with a trailing axis;
+        computed on first use and kept."""
+        if self._exp is None:
+            F = self.output
+            m = F.max(axis=-1, keepdims=True)
+            E = np.exp(F - m)
+            self._exp = (m, E, E.sum(axis=-1, keepdims=True))
+        return self._exp
 
 
 def _as_batch(x, input_dim):
@@ -181,17 +238,15 @@ def forward_split(params, x, start=0, lower=None):
         pre, z_plus, z_minus = (lower.pre[:start], lower.z_plus[:start],
                                 lower.z_minus[:start])
     for l in range(max(start, 1), params.n_layers - 1):
-        W, b = params.layers[l]
-        Wp, Wm = _relu(W), _relu(-W)
-        p = z_plus[-1] @ Wp.T + z_minus[-1] @ Wm.T + b
+        Wp, Wm = params.split(l)
+        p = z_plus[-1] @ Wp.T + z_minus[-1] @ Wm.T + params.layers[l][1]
         zm = z_minus[-1] @ Wp.T + z_plus[-1] @ Wm.T
         pre.append(p)
         z_minus.append(zm)
         z_plus.append(np.maximum(p, zm))
-    WL, bL = params.layers[-1]
-    WLp, WLm = _relu(WL), _relu(-WL)
-    a_out = z_plus[-1] @ WLp.T + z_minus[-1] @ WLm.T + _relu(bL)
-    b_out = z_minus[-1] @ WLp.T + z_plus[-1] @ WLm.T + _relu(-bL)
+    WLp, WLm, bLp, bLm = params.split(params.n_layers - 1)
+    a_out = z_plus[-1] @ WLp.T + z_minus[-1] @ WLm.T + bLp
+    b_out = z_minus[-1] @ WLp.T + z_plus[-1] @ WLm.T + bLm
     return SplitState(pre=pre, z_plus=z_plus, z_minus=z_minus, a_out=a_out, b_out=b_out)
 
 
@@ -252,13 +307,15 @@ def loss_part(state, y, loss, part):
     if loss == "mse":
         A, B = A[:, 0], B[:, 0]
         if part == "g":
-            return float(np.sum(2.0 * (A ** 2 + (B + y) ** 2)))
-        return float(np.sum((A + B + y) ** 2))
+            return float((2.0 * (A ** 2 + (B + y) ** 2)).sum())
+        return float(((A + B + y) ** 2).sum())
     rows = np.arange(A.shape[0])
-    sum_b = np.sum(B, axis=1)
+    sum_b = B.sum(axis=1)
     if part == "g":
-        return float(np.sum(log_sum_exp(state.output) + sum_b + B[rows, y]))
-    return float(np.sum(A[rows, y] + sum_b))
+        m, _, s = state.exp_rows()
+        lse = (m + np.log(s))[:, 0]  # log_sum_exp of the output
+        return float((lse + sum_b + B[rows, y]).sum())
+    return float((A[rows, y] + sum_b).sum())
 
 
 def mse_bdc(params, x, y, state=None):
@@ -284,11 +341,6 @@ def ce_bdc(params, x, y, state=None):
     return loss_part(st, y, "ce", "g"), loss_part(st, y, "ce", "h")
 
 
-def _softmax(t):
-    e = np.exp(t - np.max(t, axis=1, keepdims=True))
-    return e / np.sum(e, axis=1, keepdims=True)
-
-
 def _output_adjoints(state, y, loss, part):
     """d(part)/dA and d(part)/dB per sample; both entrywise nonnegative, so
     the chain rule below stays inside the convex subdifferential calculus."""
@@ -303,7 +355,8 @@ def _output_adjoints(state, y, loss, part):
     if loss == "ce":
         rows = np.arange(N)
         if part == "g":
-            S = _softmax(state.output)
+            _, E, s = state.exp_rows()
+            S = E / s  # softmax of the output
             dB = 1.0 - S
             dB[rows, y] += 1.0
             return S, dB
@@ -326,11 +379,11 @@ def _loss_block_gradient(params, x, y, loss, part, block, state):
     dp, dzm = _output_adjoints(state, np.atleast_1d(np.asarray(y)), loss, part)
     # layers top-down, output first; only layers >= block are touched
     for l in range(L - 1, 0, -1):
-        W, b = params.layers[l]
         if l < L - 1:  # a hidden layer's z+ = max(p, z-)
             mask = (state.pre[l] >= state.z_minus[l]).astype(float)
             dp, dzm = mask * dZp, dZm + (1.0 - mask) * dZp
         if l == block:
+            W, b = params.layers[l]
             Zp_in, Zm_in = state.z_plus[l - 1], state.z_minus[l - 1]
             dW = (_relu_deriv(W) * (dp.T @ Zp_in + dzm.T @ Zm_in)
                   - _relu_deriv(-W) * (dp.T @ Zm_in + dzm.T @ Zp_in))
@@ -338,7 +391,7 @@ def _loss_block_gradient(params, x, y, loss, part, block, state):
             if l == L - 1:  # the output bias is split as relu(b) - relu(-b)
                 db = _relu_deriv(b) * db - _relu_deriv(-b) * dzm.sum(axis=0)
             return dW, db
-        Wp, Wm = _relu(W), _relu(-W)
+        Wp, Wm = params.split(l)[:2]
         dZp = dp @ Wp + dzm @ Wm
         dZm = dp @ Wm + dzm @ Wp
     dp = _relu_deriv(state.pre[0]) * dZp  # z_minus[0] is constant zero
@@ -367,7 +420,8 @@ def residual_grads(params, x, y, loss, state=None):
     if loss == "mse":
         d = 2.0 * (F - y.reshape(-1, 1))
     elif loss == "ce":
-        d = _softmax(F)
+        _, E, s = state.exp_rows()
+        d = E / s
         d[np.arange(F.shape[0]), y] -= 1.0
     else:
         raise ValueError("loss must be 'mse' or 'ce'")

@@ -246,7 +246,11 @@ def compute_E(ell, G):
     to a relative width of 1e-10.
 
     ``ell`` must be continuous, nondecreasing and positive, and subquadratic
-    (``ell(t)/t^2 -> 0``); the caller asserts this.
+    (``ell(t)/t^2 -> 0``); the caller asserts this.  When ``2 ell(2u) G``
+    overflows before ``u^2`` passes it, the error says ``E exceeds the float
+    range`` if ``ell(2u)/u^2`` was still falling at the last probes (an
+    ``ell`` that looks subquadratic, such as a huge slope), else ``ell not
+    subquadratic on probed range``.
     """
     if not 0 < G < math.inf:
         raise ValueError("G must be positive and finite, got %r" % (G,))
@@ -254,13 +258,24 @@ def compute_E(ell, G):
     def excess(u):
         return u * u - 2.0 * float(ell(2.0 * u)) * G
 
-    hi = 1.0
-    # nan (overflow minus overflow) compares false, so keep doubling on it
-    # until hi itself overflows
-    while not excess(hi) > 0:
-        hi *= 2.0
-        if not np.isfinite(hi):
+    hi, last, ratio = 1.0, math.inf, math.inf
+    while True:
+        rhs = 2.0 * float(ell(2.0 * hi)) * G
+        if hi * hi - rhs > 0:
+            break
+        if not math.isfinite(rhs):
+            # 2 ell(2u) G overflows before u^2 passes it, so no E can be
+            # bracketed.  If 2 ell(2u) G / u^2 was still falling at the
+            # last finite probe, ell looks subquadratic there and E lies
+            # beyond the float range; otherwise ell does not look
+            # subquadratic at all.
+            if rhs == math.inf and ratio < last:
+                raise ValueError("E exceeds the float range: 2 ell(2u) G "
+                                 "overflows at u=%r while ell(2u)/u^2 still "
+                                 "falls" % hi)
             raise ValueError("ell not subquadratic on probed range")
+        last, ratio = ratio, rhs / hi / hi
+        hi *= 2.0
     lo = hi / 2.0
     while excess(lo) > 0:
         lo /= 2.0

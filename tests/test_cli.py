@@ -242,6 +242,20 @@ class TestManifestLifecycle:
         assert "error: " + manifest["error"] == err.strip()
         assert manifest["wall_s"] is not None
 
+    def test_non_finite_config_is_strict_json(self, capsys, tmp_path):
+        code, _, err = run_cli(["sdl", "--alpha", "nan", "--outdir", str(tmp_path)],
+                               capsys)
+        assert code == 1
+        text = (tmp_path / "sdl_manifest.json").read_text()
+
+        def reject(constant):
+            raise ValueError("non-standard JSON constant %s" % constant)
+
+        manifest = json.loads(text, parse_constant=reject)
+        assert manifest["status"] == "failed"
+        assert manifest["config"]["alpha"] == "nan"
+        assert "error: " + manifest["error"] == err.strip()
+
     def test_failed_verify_gate_is_not_complete(self, capsys, tmp_path):
         code, out, err = run_cli(["monomial", "--b", "2,4", "--verify", "--tol", "-1",
                                   "--outdir", str(tmp_path)], capsys)
@@ -273,11 +287,14 @@ class TestPlanRhoCommand:
         assert float(values["rho_min"]) == pytest.approx(6.0, rel=1e-8)
 
     def test_quadratic_growth_rejected(self, capsys, tmp_path):
+        # an affine ell is subquadratic, but with this slope E lies beyond
+        # what 2 ell(2u) G can reach before it overflows
         code, _, err = run_cli(["plan-rho", "--G", "1.0", "--ell", "affine",
                                 "--ell-a", "1.0", "--ell-c", "1e300",
                                 "--outdir", str(tmp_path)], capsys)
-        # affine with an astronomically large slope still brackets; use a
-        # bogus kind instead for the error path
+        assert code == 1
+        assert err.startswith("error: E exceeds the float range")
+        assert "subquadratic" not in err
         code2, _, err2 = run_cli(["plan-rho", "--ell", "bogus",
                                   "--outdir", str(tmp_path)], capsys)
         assert code2 == 1 and "ell" in err2

@@ -7,6 +7,12 @@ public oracles, and to evaluate trial points that convexity rules out.
 Copies of both are kept here as references: the sweep must give the same
 bits for every block, and the solver the same point and count, on kinks and
 ties included, with its trial points a subsequence of the reference's.
+
+The trial-point pass used to recompute every layer's ``relu(W)`` and
+``relu(-W)`` and the output's ``exp`` at every use.  Copies of that forward
+pass, loss part and output adjoint are kept too, and the pass that reuses
+them must give their bits on fresh parameters, on a trial point's
+``with_block`` parameters and from every start layer.
 """
 
 import numpy as np
@@ -19,15 +25,86 @@ from bdcopt.experiments import run_relu_experiment
 from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
 from bdcopt.relu import _as_batch, _output_adjoints, _relu, _relu_deriv
 
-from test_mlp_memo import ORACLES, build_task, tie_case
+from test_mlp_memo import GRID, ORACLES, blobs_problem, build_task, tie_case
+
+
+def reference_forward(params, x):
+    """The split forward pass with each layer's ``relu(+-W)`` recomputed."""
+    X = _as_batch(x, params.input_dim)
+    W0, b0 = params.layers[0]
+    pre = [X @ W0.T + b0]
+    z_plus = [_relu(pre[0])]
+    z_minus = [np.zeros_like(pre[0])]
+    for l in range(1, params.n_layers - 1):
+        W, b = params.layers[l]
+        Wp, Wm = _relu(W), _relu(-W)
+        p = z_plus[-1] @ Wp.T + z_minus[-1] @ Wm.T + b
+        zm = z_minus[-1] @ Wp.T + z_plus[-1] @ Wm.T
+        pre.append(p)
+        z_minus.append(zm)
+        z_plus.append(np.maximum(p, zm))
+    WL, bL = params.layers[-1]
+    WLp, WLm = _relu(WL), _relu(-WL)
+    a_out = z_plus[-1] @ WLp.T + z_minus[-1] @ WLm.T + _relu(bL)
+    b_out = z_minus[-1] @ WLp.T + z_plus[-1] @ WLm.T + _relu(-bL)
+    return relu.SplitState(pre=pre, z_plus=z_plus, z_minus=z_minus, a_out=a_out,
+                           b_out=b_out)
+
+
+def reference_log_sum_exp(t):
+    t = np.asarray(t, dtype=float)
+    m = np.max(t, axis=-1, keepdims=True)
+    return (m + np.log(np.sum(np.exp(t - m), axis=-1, keepdims=True)))[..., 0]
+
+
+def reference_softmax(t):
+    e = np.exp(t - np.max(t, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+def reference_loss_part(state, y, loss, part):
+    A, B = state.a_out, state.b_out
+    if loss == "mse":
+        A, B = A[:, 0], B[:, 0]
+        if part == "g":
+            return float(np.sum(2.0 * (A ** 2 + (B + y) ** 2)))
+        return float(np.sum((A + B + y) ** 2))
+    rows = np.arange(A.shape[0])
+    sum_b = np.sum(B, axis=1)
+    if part == "g":
+        F = state.a_out - state.b_out
+        return float(np.sum(reference_log_sum_exp(F) + sum_b + B[rows, y]))
+    return float(np.sum(A[rows, y] + sum_b))
+
+
+def reference_adjoints(state, y, loss, part):
+    """d(part)/dA and d(part)/dB with the softmax computed afresh."""
+    A, B = state.a_out, state.b_out
+    N = A.shape[0]
+    if loss == "mse":
+        y = np.asarray(y, dtype=float).reshape(N, 1)
+        if part == "g":
+            return 4.0 * A, 4.0 * (B + y)
+        s = 2.0 * (A + B + y)
+        return s, s.copy()
+    rows = np.arange(N)
+    if part == "g":
+        S = reference_softmax(state.a_out - state.b_out)
+        dB = 1.0 - S
+        dB[rows, y] += 1.0
+        return S, dB
+    dA = np.zeros_like(A)
+    dA[rows, y] = 1.0
+    return dA, np.ones_like(B)
 
 
 def reference_sweep(params, x, y, loss, part, block):
-    """The reverse sweep with the output layer unwound on its own."""
+    """The reverse sweep with the output layer unwound on its own, over the
+    reference forward pass and output adjoints."""
     L = params.n_layers
     X = _as_batch(x, params.input_dim)
-    state = relu.forward_split(params, X)
-    dA, dB = _output_adjoints(state, np.atleast_1d(np.asarray(y)), loss, part)
+    state = reference_forward(params, X)
+    dA, dB = reference_adjoints(state, np.atleast_1d(np.asarray(y)), loss, part)
 
     WL, bL = params.layers[-1]
     if block == L - 1:
@@ -145,6 +222,110 @@ def test_one_loop_sweep_matches_reference(depth, loss, grid, seed):
             got = fn(params, x, y, loss, l)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
+
+
+def assert_same_bits(got, want, what):
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def check_fast_path(task, theta, rng):
+    """The pass with kept split weights and ``exp`` against the reference on
+    fresh parameters and on every block's ``with_block`` child (grid values,
+    zeros included), each from every start layer: the states, both loss
+    parts and both parts' output adjoints have the reference's bits, taken
+    in either order, and so do both parts' block gradients."""
+    loss, X = task.loss, task.inputs
+    fresh = task.net.with_vector(theta.copy())
+    y = relu.loss_labels(fresh, task.labels, loss)
+    below = relu.forward_split(fresh, X)
+    nets = [(fresh, None)]
+    for l, (W, b) in enumerate(fresh.layers):
+        nets.append((fresh.with_block(l, rng.choice(GRID, size=W.shape),
+                                      rng.choice(GRID, size=b.shape)), l))
+    for params, block in nets:
+        want = reference_forward(params, X)
+        full = relu.forward_split(params, X)
+        for start in range(params.n_layers):
+            # a child's tail may start on the parent's pass up to its block
+            lower = below if block is not None and start <= block else full
+            state = relu.forward_split(params, X, start, lower)
+            for name in ("pre", "z_plus", "z_minus"):
+                for l, (a, b) in enumerate(zip(getattr(state, name),
+                                               getattr(want, name))):
+                    assert_same_bits(a, b, "%s[%d]" % (name, l))
+            assert_same_bits(state.a_out, want.a_out, "a_out")
+            assert_same_bits(state.b_out, want.b_out, "b_out")
+            order = ("value", "adjoint")[::1 if start % 2 else -1]
+            for part in ("g", "h"):
+                for kind in order:
+                    if kind == "value":
+                        assert (relu.loss_part(state, y, loss, part)
+                                == reference_loss_part(want, y, loss, part))
+                    else:
+                        got = _output_adjoints(state, y, loss, part)
+                        ref = reference_adjoints(want, y, loss, part)
+                        assert_same_bits(got[0], ref[0], "dA")
+                        assert_same_bits(got[1], ref[1], "dB")
+        for part, fn in (("g", relu.block_grad_g), ("h", relu.block_grad_h)):
+            for l in range(params.n_layers):
+                got = fn(params, X, y, loss, l, state=full)
+                ref = reference_sweep(params, X, y, loss, part, l)
+                assert_same_bits(got[0], ref[0], "dW%d" % l)
+                assert_same_bits(got[1], ref[1], "db%d" % l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_fast_path_matches_reference(depth, loss, grid, seed):
+    rng = np.random.default_rng(seed)
+    task, theta = build_task(rng, depth, loss, grid)
+    check_fast_path(task, theta, rng)
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_fast_path_matches_reference_on_ties(loss):
+    task, theta = tie_case(loss)
+    check_fast_path(task, theta, np.random.default_rng(27))
+
+
+def test_block_solve_computes_frozen_split_weights_at_most_once(monkeypatch):
+    # per block solve of a (2, 5, 4, 3) net on its 40 rows (its weight
+    # shapes differ, so a spied shape names its layer): a
+    # frozen layer's split weights are computed at most once, and the
+    # block's own once per trial point's tail pass (never for layer 0, whose
+    # pass reads W directly)
+    prob0 = blobs_problem()
+    theta = prob0.initial_point()
+    shapes = [W.shape for W, _ in prob0.template.layers]
+    out_bias = prob0.template.layers[-1][1].shape
+    pairs, passes = [], []
+    split_pair, forward = relu._split_pair, relu.forward_split
+
+    def spy_pair(x):
+        # the output bias is split with the output layer's weights
+        pairs.append(len(shapes) - 1 if x.shape == out_bias else shapes.index(x.shape))
+        return split_pair(x)
+
+    def spy_forward(params, x, start=0, lower=None):
+        passes.append(start)
+        return forward(params, x, start, lower)
+
+    monkeypatch.setattr(relu, "_split_pair", spy_pair)
+    monkeypatch.setattr(relu, "forward_split", spy_forward)
+    for i in range(len(shapes)):
+        prob = MlpTaskProblem(prob0.task)
+        u = prob.subgrad_h_block(i, theta)
+        del pairs[:], passes[:]
+        prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8)
+        assert len(passes) > 1 and set(passes) == {i}
+        per_layer = [pairs.count(l) for l in range(len(shapes))]
+        own = 0 if i == 0 else len(passes) * (2 if i == len(shapes) - 1 else 1)
+        assert per_layer[i] == own
+        frozen = [n for l, n in enumerate(per_layer) if l != i]
+        assert max(frozen) <= (2 if i < len(shapes) - 1 else 1)
+        assert sum(frozen) == 0  # the anchor's full pass computed them
 
 
 def check_solver(task, theta, rng, budget=6):

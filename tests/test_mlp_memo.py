@@ -266,6 +266,22 @@ def test_task_arrays_are_read_only():
     assert prob.eval_f(prob.initial_point()) == before
 
 
+def test_kept_point_parameters_are_read_only():
+    # the split weights kept on a point's parameters cannot go stale: its
+    # weights and biases are views into a private read-only vector
+    prob = blobs_problem(10)
+    theta = prob.initial_point()
+    before = prob.eval_f(theta)
+    params = prob._last.params
+    with pytest.raises(ValueError, match="assignment destination is read-only"):
+        params.layers[0][0][0, 0] = 1.0
+    with pytest.raises(ValueError, match="assignment destination is read-only"):
+        params.layers[-1][1][0] = 1.0
+    theta[-1] += 1.0  # the caller's vector stays writable and its own
+    assert prob.eval_f(theta) != before
+    assert prob.eval_f(prob.initial_point()) == before
+
+
 def test_reassigned_task_arrays_are_not_read():
     # the problem keeps the inputs and labels it was built with; new arrays
     # assigned to the task afterwards reach no oracle, memoized or not

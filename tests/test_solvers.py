@@ -370,6 +370,13 @@ class TestPlanner:
         with pytest.raises(ValueError, match="subquadratic"):
             compute_E(lambda u: 1.0 + u * u, 1.0)
 
+    def test_huge_slope_exceeds_float_range(self):
+        # affine is subquadratic; its E lies beyond where 2 ell(2u) G is finite
+        with pytest.raises(ValueError, match="E exceeds the float range"):
+            compute_E(lambda u: 1.0 + 1e300 * u, 1.0)
+        with pytest.raises(ValueError, match="subquadratic"):
+            compute_E(lambda u: 1.0 + u ** 3, 1.0)
+
     def test_rho_from_requires_positive_E(self):
         with pytest.raises(ValueError):
             rho_from(0.0, 1.0, 1.0)
