@@ -9,7 +9,11 @@ touch problems through this capability surface:
 * first-order oracles ``grad_g_block`` and ``subgrad_h_block``,
 * an optional per-block domain, ``None`` or an object whose ``project(x)``
   projects onto the block's constraint set (:class:`BallProductDomain`),
-* an optional replayable sampling interface for stochastic variants.
+* an optional replayable sampling interface for stochastic variants:
+  ``sample(rng, batch_size)`` draws a :class:`SampleHandle`, and
+  ``on(handle)`` is the problem on that draw's rows, so the stochastic step
+  is the plain step on the minibatch problem,
+  ``bdca_step(problem.on(handle), ...)``.
 
 ``subgrad_h_block`` must return one *deterministic* element of the convex
 subdifferential; any fixed selection is valid for the majorization step, and
@@ -78,8 +82,10 @@ class BdcProblem:
     oracles below.  All oracles receive the full parameter vector ``theta`` as
     a flat 1-D array of length ``partition.total_dim``.
 
-    Deterministic problems ignore the optional ``sample`` argument; stochastic
-    problems must be replayable: identical handles yield identical values.
+    A stochastic problem draws minibatch handles with :meth:`sample`, and
+    :meth:`on` gives the problem on a handle's rows, whose oracles are the
+    minibatch estimates; it must be replayable: identical handles yield
+    identical values.  A deterministic problem is its own minibatch problem.
     """
 
     partition: BlockPartition
@@ -92,17 +98,17 @@ class BdcProblem:
     def eval_f(self, theta):
         raise NotImplementedError
 
-    def eval_g(self, i, theta, sample=None):
+    def eval_g(self, i, theta):
         raise NotImplementedError
 
-    def eval_h(self, i, theta, sample=None):
+    def eval_h(self, i, theta):
         raise NotImplementedError
 
     # -- first-order oracles (length d_i arrays) ---------------------------
-    def grad_g_block(self, i, theta, sample=None):
+    def grad_g_block(self, i, theta):
         raise NotImplementedError
 
-    def subgrad_h_block(self, i, theta, sample=None):
+    def subgrad_h_block(self, i, theta):
         raise NotImplementedError
 
     # -- structure ----------------------------------------------------------
@@ -119,7 +125,12 @@ class BdcProblem:
         """Draw a replayable :class:`SampleHandle`; stochastic problems only."""
         raise NotImplementedError("problem has no stochastic oracle")
 
-    def minimize_block_surrogate(self, i, theta, u, rho, budget, tol, sample=None):
+    def on(self, handle):
+        """The problem on the rows of ``handle``; a deterministic problem has
+        no rows to pick and is its own minibatch problem."""
+        return self
+
+    def minimize_block_surrogate(self, i, theta, u, rho, budget, tol):
         """Approximately minimize the block surrogate
 
             g_i(x; rest) - <u, x> + rho/2 ||x - theta_i||^2   over the block domain,
@@ -129,21 +140,20 @@ class BdcProblem:
         """
         raise NotImplementedError("problem declares no inner solver")
 
-    def residual_blocks(self, theta, sample=None):
+    def residual_blocks(self, theta):
         """Per-block stationarity vectors ``z_i = grad g_i - chosen subgrad
         h_i``, one oracle pair per block; a problem that can form the
         differences more cheaply overrides this."""
         return [
-            self.grad_g_block(i, theta, sample=sample)
-            - self.subgrad_h_block(i, theta, sample=sample)
+            self.grad_g_block(i, theta) - self.subgrad_h_block(i, theta)
             for i in range(self.n_blocks)
         ]
 
 
-def residual_blocks(problem, theta, sample=None):
+def residual_blocks(problem, theta):
     """Per-block stationarity vectors ``z_i = grad g_i - chosen subgrad h_i``
     (:meth:`BdcProblem.residual_blocks`)."""
-    return problem.residual_blocks(theta, sample=sample)
+    return problem.residual_blocks(theta)
 
 
 def residual_upper(problem, theta):
@@ -184,32 +194,36 @@ class _LinearCombination(BdcProblem):
         self.problems = list(problems)
         self.weights = [float(a) for a in weights]
 
+    def on(self, handle):
+        return _LinearCombination([p.on(handle) for p in self.problems],
+                                  self.weights)
+
     def eval_f(self, theta):
         return sum(a * p.eval_f(theta) for a, p in zip(self.weights, self.problems))
 
-    def _signed_sum(self, same, swapped, i, theta, sample, total=0.0):
+    def _signed_sum(self, same, swapped, i, theta, total=0.0):
         """``total + sum a+ p.same(...) + a- p.swapped(...)``: the named
         block oracles, each part weighted and the negative ones swapped."""
         for a, p in zip(self.weights, self.problems):
             if a > 0:
-                total = total + a * getattr(p, same)(i, theta, sample=sample)
+                total = total + a * getattr(p, same)(i, theta)
             elif a < 0:
-                total = total + -a * getattr(p, swapped)(i, theta, sample=sample)
+                total = total + -a * getattr(p, swapped)(i, theta)
         return total
 
-    def eval_g(self, i, theta, sample=None):
-        return self._signed_sum("eval_g", "eval_h", i, theta, sample)
+    def eval_g(self, i, theta):
+        return self._signed_sum("eval_g", "eval_h", i, theta)
 
-    def eval_h(self, i, theta, sample=None):
-        return self._signed_sum("eval_h", "eval_g", i, theta, sample)
+    def eval_h(self, i, theta):
+        return self._signed_sum("eval_h", "eval_g", i, theta)
 
-    def grad_g_block(self, i, theta, sample=None):
+    def grad_g_block(self, i, theta):
         return self._signed_sum("grad_g_block", "subgrad_h_block", i, theta,
-                                sample, np.zeros(self.partition.block_dims[i]))
+                                np.zeros(self.partition.block_dims[i]))
 
-    def subgrad_h_block(self, i, theta, sample=None):
+    def subgrad_h_block(self, i, theta):
         return self._signed_sum("subgrad_h_block", "grad_g_block", i, theta,
-                                sample, np.zeros(self.partition.block_dims[i]))
+                                np.zeros(self.partition.block_dims[i]))
 
 
 def combine_linear(problems, weights):
@@ -224,50 +238,49 @@ class _PointwiseMax(BdcProblem):
         self.partition = _check_shared_partition(problems)
         self.problems = list(problems)
 
+    def on(self, handle):
+        return _PointwiseMax([p.on(handle) for p in self.problems])
+
     def eval_f(self, theta):
         return max(p.eval_f(theta) for p in self.problems)
 
-    def _pieces(self, i, theta, sample):
+    def _pieces(self, i, theta):
         """The values ``g_r + sum_s h_s - h_r`` whose maximum is ``g_i``."""
-        hs = [p.eval_h(i, theta, sample=sample) for p in self.problems]
+        hs = [p.eval_h(i, theta) for p in self.problems]
         total_h = sum(hs)
-        gs = [p.eval_g(i, theta, sample=sample) for p in self.problems]
+        gs = [p.eval_g(i, theta) for p in self.problems]
         return [g + total_h - h for g, h in zip(gs, hs)]
 
-    def eval_g(self, i, theta, sample=None):
-        return max(self._pieces(i, theta, sample))
+    def eval_g(self, i, theta):
+        return max(self._pieces(i, theta))
 
-    def eval_h(self, i, theta, sample=None):
-        return sum(p.eval_h(i, theta, sample=sample) for p in self.problems)
+    def eval_h(self, i, theta):
+        return sum(p.eval_h(i, theta) for p in self.problems)
 
-    def grad_g_block(self, i, theta, sample=None):
-        # the active piece of the same (possibly sampled) values eval_g
-        # maximizes; the lowest index wins a tie
-        r = int(np.argmax(self._pieces(i, theta, sample)))
-        out = self.problems[r].grad_g_block(i, theta, sample=sample).copy()
+    def grad_g_block(self, i, theta):
+        # the active piece of the same values eval_g maximizes; the lowest
+        # index wins a tie
+        r = int(np.argmax(self._pieces(i, theta)))
+        out = self.problems[r].grad_g_block(i, theta).copy()
         for s, p in enumerate(self.problems):
             if s != r:
-                out += p.subgrad_h_block(i, theta, sample=sample)
+                out += p.subgrad_h_block(i, theta)
         return out
 
-    def subgrad_h_block(self, i, theta, sample=None):
+    def subgrad_h_block(self, i, theta):
         out = np.zeros(self.partition.block_dims[i])
         for p in self.problems:
-            out += p.subgrad_h_block(i, theta, sample=sample)
+            out += p.subgrad_h_block(i, theta)
         return out
 
 
 def combine_max(problems):
     """Pointwise maximum of multi-block DC problems."""
-    if not problems:
-        raise ValueError("need at least one problem")
     return _PointwiseMax(problems)
 
 
 def combine_min(problems):
     """Pointwise minimum, realized as the negated maximum of negations."""
-    if not problems:
-        raise ValueError("need at least one problem")
     negated = [combine_linear([p], [-1.0]) for p in problems]
     return combine_linear([combine_max(negated)], [-1.0])
 
@@ -347,21 +360,21 @@ class _ConjugateComposition(BdcProblem):
     def eval_f(self, theta):
         return float(self.fstar.value(self.emap.value(theta)))
 
-    def eval_h(self, i, theta, sample=None):
+    def eval_h(self, i, theta):
         return float(
             self.c_plus @ self.emap.pos_part(i, theta)
             + self.d_plus @ self.emap.neg_part(i, theta)
         )
 
-    def eval_g(self, i, theta, sample=None):
+    def eval_g(self, i, theta):
         return self.eval_f(theta) + self.eval_h(i, theta)
 
-    def subgrad_h_block(self, i, theta, sample=None):
+    def subgrad_h_block(self, i, theta):
         Ja = self.emap.pos_jacobian(i, theta)
         Jb = self.emap.neg_jacobian(i, theta)
         return Ja.T @ self.c_plus + Jb.T @ self.d_plus
 
-    def grad_g_block(self, i, theta, sample=None):
+    def grad_g_block(self, i, theta):
         # Danskin direction through the achieving maximizer u*, plus grad h.
         u_star = self.fstar.maximizer(self.emap.value(theta))
         Ja = self.emap.pos_jacobian(i, theta)

@@ -115,20 +115,20 @@ class CpProblem(BdcProblem):
     def eval_f(self, theta):
         return self._residual(theta)[1]
 
-    def eval_g(self, i, theta, sample=None):
+    def eval_g(self, i, theta):
         return self.eval_f(theta)
 
-    def eval_h(self, i, theta, sample=None):
+    def eval_h(self, i, theta):
         return 0.0
 
-    def grad_g_block(self, i, theta, sample=None):
+    def grad_g_block(self, i, theta):
         K = _khatri_rao_others(self.unpack(theta), i)
         return (_unfold(self._residual(theta)[0], i) @ K).ravel()
 
-    def subgrad_h_block(self, i, theta, sample=None):
+    def subgrad_h_block(self, i, theta):
         return np.zeros(self.partition.block_dims[i])
 
-    def minimize_block_surrogate(self, i, theta, u, rho, budget, tol, sample=None):
+    def minimize_block_surrogate(self, i, theta, u, rho, budget, tol):
         """Exact block minimizer of ``0.5 ||T - recon||^2 - <u, F_i> +
         rho/2 ||F_i - theta_i||^2``: the ``r x r`` normal equations
         ``F_i (K^T K + rho I) = T_(i) K + u + rho theta_i``, solved by

@@ -3,7 +3,8 @@
 One block per layer; the blockwise-convex loss split comes from the split
 forward recursion.  Scalar oracles report dataset means (the per-sample sums
 divided by the evaluated set size), and minibatch handles replay exactly:
-a handle is just a recorded index tuple, drawn i.i.d. with replacement.
+a handle is just a recorded index tuple, drawn i.i.d. with replacement, and
+``problem.on(handle)`` is the same problem on those rows.
 """
 
 from dataclasses import dataclass, field
@@ -71,12 +72,10 @@ class _Point:
     loss parts, each part's block gradients and the stationarity vectors
     once asked for."""
 
-    __slots__ = ("key", "X", "y", "count", "params", "state", "parts", "grads",
-                 "residual")
+    __slots__ = ("key", "params", "state", "parts", "grads", "residual")
 
-    def __init__(self, key, X, y, count, params, state):
-        self.key, self.X, self.y, self.count = key, X, y, count
-        self.params, self.state = params, state
+    def __init__(self, key, params, state):
+        self.key, self.params, self.state = key, params, state
         self.parts = None
         self.grads = {}
         self.residual = None
@@ -84,17 +83,20 @@ class _Point:
 
 class MlpTaskProblem(BdcProblem):
     """Block DC problem of one task; the oracles share one evaluation per
-    point ``(theta, minibatch)``.
+    point ``theta``.
 
     The last point evaluated is kept: its split forward pass and, once asked
     for, its loss parts, each part's block gradients and the stationarity
-    vectors.  A call at the same ``theta`` bytes and minibatch indices reads
-    them instead of recomputing.  A block gradient sweeps only down to the
-    block it asks for.  The stationarity vectors ``grad g_i - grad h_i`` of
-    the per-iteration records come from one plain reverse sweep
-    (:func:`relu.residual_grads`): the two parts' output adjoints differ by
-    ``(d, -d)``, so the difference needs no split sweep of either part, and
-    it equals the oracle pairs' difference up to rounding.
+    vectors.  A call at the same ``theta`` bytes reads them instead of
+    recomputing.  A minibatch is the problem on its rows,
+    ``problem.on(handle)``, with a memo of its own, so a stochastic step
+    leaves the full-data point of the records in place: there are two memo
+    points, the full data's and the current minibatch's.  A block gradient
+    sweeps only down to the block it asks for.  The stationarity vectors
+    ``grad g_i - grad h_i`` of the per-iteration records come from one plain
+    reverse sweep (:func:`relu.residual_grads`): the two parts' output
+    adjoints differ by ``(d, -d)``, so the difference needs no split sweep of
+    either part, and it equals the oracle pairs' difference up to rounding.
     The block solver evaluates its trial points on the block's tail and
     leaves the kept point as it found it (see
     :meth:`minimize_block_surrogate`).  The kept points' parameters are
@@ -130,17 +132,25 @@ class MlpTaskProblem(BdcProblem):
         self.n_data = len(self.labels)
         self._last = None
 
+    def on(self, handle):
+        """The problem on the rows ``handle.indices`` (repeats kept), with
+        an empty memo of its own; the task was checked when this problem
+        was built."""
+        idx = list(handle.indices)
+        view = object.__new__(MlpTaskProblem)
+        view.task, view.template, view.partition = (
+            self.task, self.template, self.partition)
+        view.inputs, view.labels = self.inputs[idx], self.labels[idx]
+        view.inputs.flags.writeable = view.labels.flags.writeable = False
+        view.n_data = len(idx)
+        view._last = None
+        return view
+
     def initial_point(self):
         return self.template.to_vector()
 
     def params(self, theta):
         return self.template.with_vector(theta)
-
-    def _subset(self, sample):
-        if sample is None:
-            return self.inputs, self.labels, self.n_data
-        idx = list(sample.indices)
-        return self.inputs[idx], self.labels[idx], len(idx)
 
     def sample(self, rng, batch_size=None):
         # key drawn from the caller's generator: replayable, no shared state
@@ -152,31 +162,32 @@ class MlpTaskProblem(BdcProblem):
         return SampleHandle(key=int(rng.integers(2 ** 31)), indices=idx)
 
     # -- oracles -------------------------------------------------------------
-    def _point(self, theta, sample):
+    def _point(self, theta):
         theta = np.asarray(theta, dtype=float)
-        key = (theta.tobytes(), None if sample is None else sample.indices)
+        key = theta.tobytes()
         point = self._last
         if point is None or point.key != key:
-            X, y, count = self._subset(sample)
+            self._last = point = None  # free the old point before the new one
             # a private copy: callers mutate their theta (the inner solver's
             # trial vector), and the parameters are views into it; read-only,
             # so the split weights kept on the parameters cannot go stale
             theta = theta.copy()
             theta.flags.writeable = False
             params = self.params(theta)
-            point = _Point(key, X, y, count, params, relu.forward_split(params, X))
+            point = _Point(key, params, relu.forward_split(params, self.inputs))
             self._last = point
         return point
 
-    def _split(self, theta, sample):
-        point = self._point(theta, sample)
+    def _split(self, theta):
+        point = self._point(theta)
         if point.parts is None:
             point.parts = (self._part(point, "g"), self._part(point, "h"))
         return point.parts
 
     def _part(self, point, part):
         """Dataset mean of one loss part at ``point``."""
-        return relu.loss_part(point.state, point.y, self.task.loss, part) / point.count
+        return (relu.loss_part(point.state, self.labels, self.task.loss, part)
+                / self.n_data)
 
     def _gradient_at(self, point, part, i):
         """Block ``i``'s gradient of one loss part at ``point``, kept on the
@@ -184,39 +195,40 @@ class MlpTaskProblem(BdcProblem):
         pairs = point.grads.setdefault(part, {})
         if i not in pairs:
             sweep = relu.block_grad_g if part == "g" else relu.block_grad_h
-            pairs[i] = sweep(point.params, point.X, point.y, self.task.loss, i,
-                             state=point.state)
+            pairs[i] = sweep(point.params, self.inputs, self.labels,
+                             self.task.loss, i, state=point.state)
         dW, db = pairs[i]
-        return np.concatenate([dW.ravel(), db]) / point.count
+        return np.concatenate([dW.ravel(), db]) / self.n_data
 
     def eval_f(self, theta):
-        g, h = self._split(theta, None)
+        g, h = self._split(theta)
         return g - h
 
-    def eval_g(self, i, theta, sample=None):
-        return self._split(theta, sample)[0]
+    def eval_g(self, i, theta):
+        return self._split(theta)[0]
 
-    def eval_h(self, i, theta, sample=None):
-        return self._split(theta, sample)[1]
+    def eval_h(self, i, theta):
+        return self._split(theta)[1]
 
-    def grad_g_block(self, i, theta, sample=None):
-        return self._gradient_at(self._point(theta, sample), "g", i)
+    def grad_g_block(self, i, theta):
+        return self._gradient_at(self._point(theta), "g", i)
 
-    def subgrad_h_block(self, i, theta, sample=None):
-        return self._gradient_at(self._point(theta, sample), "h", i)
+    def subgrad_h_block(self, i, theta):
+        return self._gradient_at(self._point(theta), "h", i)
 
-    def residual_blocks(self, theta, sample=None):
+    def residual_blocks(self, theta):
         """Every block's ``grad g_i - grad h_i`` from one reverse sweep of
         the difference, kept on the point; fresh arrays on every call."""
-        point = self._point(theta, sample)
+        point = self._point(theta)
         if point.residual is None:
-            point.residual = relu.residual_grads(point.params, point.X, point.y,
-                                                 self.task.loss, state=point.state)
-        return [np.concatenate([dW.ravel(), db]) / point.count
+            point.residual = relu.residual_grads(point.params, self.inputs,
+                                                 self.labels, self.task.loss,
+                                                 state=point.state)
+        return [np.concatenate([dW.ravel(), db]) / self.n_data
                 for dW, db in point.residual]
 
     # -- inner solver ----------------------------------------------------------
-    def minimize_block_surrogate(self, i, theta, u, rho, budget, tol, sample=None):
+    def minimize_block_surrogate(self, i, theta, u, rho, budget, tol):
         """Descent on the block surrogate, robust to the split's convex kinks.
 
         The surrogate is convex but only piecewise smooth, so the fixed
@@ -248,9 +260,9 @@ class MlpTaskProblem(BdcProblem):
         without the cuts.
 
         Trial points are evaluated on the block's tail.  The memo point at
-        ``(theta, sample)`` is the anchor: it gives the minibatch, the labels
-        and the split state of the layers below ``i``, and it serves the
-        start itself.  Every other trial point gets its parameters built once
+        ``theta`` is the anchor: it gives the split state of the layers
+        below ``i``, and it serves the start itself.  Every other trial point
+        gets its parameters built once
         (:meth:`relu.MlpParams.with_block`: the frozen layers' arrays and
         split weights are the anchor's) and one forward pass from layer
         ``i``, which its value (the ``g`` part alone) and its gradient share,
@@ -261,7 +273,7 @@ class MlpTaskProblem(BdcProblem):
         step's descent check.
         """
         theta = np.asarray(theta, dtype=float)
-        anchor = self._point(theta, sample)
+        anchor = self._point(theta)
         sl = self.partition.slice_of(i)
         x0 = theta[sl].copy()
         shape = anchor.params.layers[i][0].shape
@@ -277,9 +289,8 @@ class MlpTaskProblem(BdcProblem):
                 x.flags.writeable = False
                 params = anchor.params.with_block(i, x[:n_w].reshape(shape),
                                                   x[n_w:])
-                state = relu.forward_split(params, anchor.X, i, anchor.state)
-                point = seen[key] = _Point(key, anchor.X, anchor.y,
-                                           anchor.count, params, state)
+                state = relu.forward_split(params, self.inputs, i, anchor.state)
+                point = seen[key] = _Point(key, params, state)
             return point
 
         def value(x):

@@ -178,22 +178,22 @@ class SdlProblem(BdcProblem):
         D, X = self.unpack(theta)
         return self._objective(X, D @ X - self.instance.Y, self._top(X))
 
-    def eval_g(self, i, theta, sample=None):
+    def eval_g(self, i, theta):
         D, X = self.unpack(theta)
         return self._objective(X, D @ X - self.instance.Y, None)
 
-    def eval_h(self, i, theta, sample=None):
+    def eval_h(self, i, theta):
         _, X = self.unpack(theta)
         return self.instance.alpha * self._lq(X, self._top(X))
 
-    def grad_g_block(self, i, theta, sample=None):
+    def grad_g_block(self, i, theta):
         D, X = self.unpack(theta)
         R = D @ X - self.instance.Y
         if i == 0:
             return (R @ X.T).ravel()
         return (D.T @ R + self.instance.alpha * np.sign(X)).ravel()
 
-    def subgrad_h_block(self, i, theta, sample=None):
+    def subgrad_h_block(self, i, theta):
         if i == 0 or self.instance.variant == "l1":
             return np.zeros(self.partition.block_dims[i])
         _, X = self.unpack(theta)
@@ -201,7 +201,7 @@ class SdlProblem(BdcProblem):
         return (self.instance.alpha * S).ravel()
 
     # -- inner solvers ---------------------------------------------------------
-    def minimize_block_surrogate(self, i, theta, u, rho, budget, tol, sample=None):
+    def minimize_block_surrogate(self, i, theta, u, rho, budget, tol):
         D, X = self.unpack(theta)
         Y = self.instance.Y
         alpha = self.instance.alpha

@@ -27,11 +27,11 @@ class _LeastSquaresDcProblem(BdcProblem):
     def eval_f(self, theta):
         return self.eval_g(0, theta) - self.eval_h(0, theta)
 
-    def eval_g(self, i, theta, sample=None):
+    def eval_g(self, i, theta):
         r = self.A @ theta - self.b
         return 0.5 * float(r @ r)
 
-    def grad_g_block(self, i, theta, sample=None):
+    def grad_g_block(self, i, theta):
         sl = self.partition.slice_of(i)
         return self.A[:, sl].T @ (self.A @ theta - self.b)
 
@@ -41,7 +41,7 @@ class _LeastSquaresDcProblem(BdcProblem):
         Ai = self.A[:, sl]
         return float(np.linalg.norm(Ai.T @ Ai, 2))
 
-    def minimize_block_surrogate(self, i, theta, u, rho, budget, tol, sample=None):
+    def minimize_block_surrogate(self, i, theta, u, rho, budget, tol):
         # argmin_x 0.5||A_i x + r_rest - b||^2 - <u,x> + rho/2 ||x - x0||^2
         sl = self.partition.slice_of(i)
         theta = np.asarray(theta, dtype=float)
@@ -79,11 +79,11 @@ class QuadraticDcProblem(_LeastSquaresDcProblem):
             C = e = None
         return cls(partition, A, b, C, e)
 
-    def eval_h(self, i, theta, sample=None):
+    def eval_h(self, i, theta):
         r = self.C @ theta - self.e
         return 0.5 * float(r @ r)
 
-    def subgrad_h_block(self, i, theta, sample=None):
+    def subgrad_h_block(self, i, theta):
         sl = self.partition.slice_of(i)
         return self.C[:, sl].T @ (self.C @ theta - self.e)
 
@@ -100,9 +100,9 @@ class QuadraticMinusL1Problem(_LeastSquaresDcProblem):
         super().__init__(partition, A, b)
         self.mu = float(mu)
 
-    def eval_h(self, i, theta, sample=None):
+    def eval_h(self, i, theta):
         return self.mu * float(np.sum(np.abs(theta)))
 
-    def subgrad_h_block(self, i, theta, sample=None):
+    def subgrad_h_block(self, i, theta):
         sl = self.partition.slice_of(i)
         return self.mu * np.sign(np.asarray(theta)[sl])

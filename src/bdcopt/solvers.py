@@ -3,9 +3,10 @@
 One block step, ``bdca_step``, serves every loop: take one deterministic
 subgradient of the concave part on the chosen block, minimize the resulting
 convex surrogate over that block, and check that it descended.  The step is
-plain when rho = 0, proximal when rho > 0, and stochastic when given a
-minibatch handle.  ``run`` picks the blocks and records each iteration; the
-experiment drivers call the step directly.
+plain when rho = 0 and proximal when rho > 0; the stochastic step is the same
+step on the minibatch problem, ``bdca_step(problem.on(handle), ...)``.
+``run`` picks the blocks and records each iteration; the experiment drivers
+call the step directly.
 Each problem supplies its own inner solver.  The module also houses the
 rho/E planning utility, the local smoothness estimator, and the projected
 stationarity gap.
@@ -113,18 +114,19 @@ class IterTrace:
                   ([getattr(r, c) for c in columns] for r in self.records))
 
 
-def bdca_step(problem, theta, i, rho=0.0, budget=100, tol=1e-8, sample=None):
+def bdca_step(problem, theta, i, rho=0.0, budget=100, tol=1e-8):
     """One block-DC step on block ``i``: take one subgradient ``u`` of h_i,
     minimize the convex surrogate ``g_i - <u, .> + rho/2 ||. - theta_i||^2``
     over the block, and check that the surrogate descended.
 
     ``rho = 0`` is the plain step.  ``rho > 0`` is the proximal step, which
     also guarantees ``||theta_new - theta|| <= (2/rho) ||grad g_i - u_i||``.
-    A ``sample`` handle makes it the stochastic step: every oracle of the
-    step is evaluated on that minibatch.  Returns ``(theta_new, inner_iters)``
-    and raises ``InnerSolverDivergence`` when the surrogate did not descend
-    or either surrogate value is NaN.  A ``rho`` or ``tol`` that is negative
-    or not finite, or a ``budget`` below 1, raises ``ValueError``.
+    On a minibatch problem ``problem.on(handle)`` it is the stochastic step:
+    every oracle of the step is evaluated on that minibatch.  Returns
+    ``(theta_new, inner_iters)`` and raises ``InnerSolverDivergence`` when
+    the surrogate did not descend or either surrogate value is NaN.  A
+    ``rho`` or ``tol`` that is negative or not finite, or a ``budget`` below
+    1, raises ``ValueError``.
     """
     at_least("rho", rho, 0)
     at_least("inner budget", budget, 1)
@@ -132,13 +134,12 @@ def bdca_step(problem, theta, i, rho=0.0, budget=100, tol=1e-8, sample=None):
     theta = np.asarray(theta, dtype=float)
     sl = problem.partition.slice_of(i)
     x0 = theta[sl].copy()
-    u = problem.subgrad_h_block(i, theta, sample=sample)
-    x_new, inner = problem.minimize_block_surrogate(
-        i, theta, u, rho, budget, tol, sample=sample)
+    u = problem.subgrad_h_block(i, theta)
+    x_new, inner = problem.minimize_block_surrogate(i, theta, u, rho, budget, tol)
     theta_new = theta.copy()
     theta_new[sl] = x_new
-    s_old = problem.eval_g(i, theta, sample=sample) - float(np.dot(u, x0))
-    s_new = problem.eval_g(i, theta_new, sample=sample) - float(np.dot(u, x_new))
+    s_old = problem.eval_g(i, theta) - float(np.dot(u, x0))
+    s_new = problem.eval_g(i, theta_new) - float(np.dot(u, x_new))
     if rho:
         s_new += 0.5 * rho * float(np.sum((x_new - x0) ** 2))
     if not s_new <= s_old + max(tol, 1e-12) * (1.0 + abs(s_old)):
@@ -151,7 +152,10 @@ def run(problem, config, theta0=None, callback=None):
     """Run the configured solver and return the iteration trace.
 
     The run is deterministic given the config: block choices and minibatch
-    draws flow from named substreams of ``config.seed``.  Each record holds
+    draws flow from named substreams of ``config.seed``.  A stochastic
+    iteration draws a handle and steps on the minibatch problem
+    ``problem.on(handle)``, which keeps its own evaluations, so the
+    full-data point of the records outlives the step.  Each record holds
     the state *before* the step (f, per-block g/h, residual) plus the step
     itself (norm, inner iterations).  ``callback(k, theta_next, record)`` is
     invoked after every iteration.  A non-finite ``f`` or step norm raises
@@ -175,17 +179,15 @@ def run(problem, config, theta0=None, callback=None):
         g_val = float(problem.eval_g(i, theta))
         h_val = float(problem.eval_h(i, theta))
 
-        handle = None
-        noise_norm = None
+        step, handle, noise_norm = problem, None, None
         if stochastic:
             handle = problem.sample(rng_batches, config.batch_size)
-            z_hat = (problem.grad_g_block(i, theta, sample=handle)
-                     - problem.subgrad_h_block(i, theta, sample=handle))
+            step = problem.on(handle)
+            z_hat = step.grad_g_block(i, theta) - step.subgrad_h_block(i, theta)
             noise_norm = float(np.linalg.norm(z_hat - zs[i]))
 
         theta_next, inner = bdca_step(
-            problem, theta, i, config.rho, config.inner_budget,
-            config.inner_tol, sample=handle)
+            step, theta, i, config.rho, config.inner_budget, config.inner_tol)
         step_norm = float(np.linalg.norm(theta_next - theta))
         if not math.isfinite(step_norm):
             raise ValueError(
@@ -292,8 +294,8 @@ def compute_E(ell, G):
 
 def rho_from(E, L_eff, R):
     """Minimal proximal weight ``L_eff * 2 (E + R) / E``."""
-    if E <= 0:
-        raise ValueError("E must be positive")
+    if not 0 < E < math.inf:
+        raise ValueError("E must be positive and finite, got %r" % (E,))
     return L_eff * 2.0 * (E + R) / E
 
 
@@ -325,8 +327,8 @@ def sqrt_k_preset(n_iters, rho_coeff=0.5, batch_coeff=0.5):
 def smoothness_estimate(problem, theta_k, theta_next, i, delta=0.25):
     """Secant estimate of the local smoothness of g_i along the last update.
 
-    Probes ``gamma in {delta, 2 delta, ..., 1}`` along ``d = block update``
-    and returns the largest gradient-variation ratio
+    Probes ``gamma = k delta`` for ``k = 1, ..., floor(1 / delta)`` along
+    ``d = block update`` and returns the largest gradient-variation ratio
     ``||grad g_i(theta + gamma d) - grad g_i(theta)|| / (gamma ||d||)``.
     Returns 0 when the block did not move.
     """
@@ -357,8 +359,8 @@ def gap_L(problem, theta, z, L):
     The maximizer is the blockwise projection of ``theta - z / L``; without
     constraints the gap equals ``||z||^2 / (2 L)``.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if not 0 < L < math.inf:
+        raise ValueError("L must be positive and finite, got %r" % (L,))
     theta = np.asarray(theta, dtype=float)
     z = np.asarray(z, dtype=float)
     x_star = theta - z / L

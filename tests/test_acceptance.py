@@ -342,8 +342,9 @@ def test_criterion_13_unbiasedness_and_variance():
     vs = np.empty((M, u_full.size))
     for m in range(M):
         h = prob.sample(rng, batch_size=8)
-        us[m] = prob.subgrad_h_block(i, theta, sample=h)
-        vs[m] = prob.grad_g_block(i, theta, sample=h) - us[m]
+        batch = prob.on(h)
+        us[m] = batch.subgrad_h_block(i, theta)
+        vs[m] = batch.grad_g_block(i, theta) - us[m]
     err_u = float(np.linalg.norm(us.mean(0) - u_full))
     env_u = 3.0 * float(np.sqrt(np.mean(np.sum((us - us.mean(0)) ** 2, 1)))) / np.sqrt(M)
     err_z = float(np.linalg.norm(vs.mean(0) - z_full))
@@ -355,8 +356,8 @@ def test_criterion_13_unbiasedness_and_variance():
         acc = 0.0
         for _ in range(1500):
             h = prob.sample(rng, batch_size=int(b))
-            vh = prob.grad_g_block(i, theta, sample=h) - prob.subgrad_h_block(
-                i, theta, sample=h)
+            batch = prob.on(h)
+            vh = batch.grad_g_block(i, theta) - batch.subgrad_h_block(i, theta)
             acc += float(np.sum((vh - z_full) ** 2))
         sig2.append(acc / 1500)
     sig2 = np.array(sig2)

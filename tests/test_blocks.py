@@ -5,22 +5,29 @@ from hypothesis import given, settings, strategies as st
 from bdcopt.blocks import BlockPartition, vector_from_csv_row, write_csv
 from bdcopt.monomials import Monomial, polarize, verify_identity
 from bdcopt.problems import QuadraticDcProblem, SdlInstance, sdl_synthetic
-from bdcopt.solvers import SolverConfig, bdca_step, compute_E
+from bdcopt.solvers import SolverConfig, bdca_step, compute_E, gap_L, rho_from
 
 NAN, INF = float("nan"), float("inf")
 
 
+def quadratic():
+    return QuadraticDcProblem.random(BlockPartition([2, 1]), np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("name, call", [
-    ("tol", lambda: bdca_step(QuadraticDcProblem.random(
-        BlockPartition([2, 1]), np.random.default_rng(0)), np.zeros(3), 0, tol=NAN)),
+    ("tol", lambda: bdca_step(quadratic(), np.zeros(3), 0, tol=NAN)),
     ("rho", lambda: SolverConfig(n_iters=1, rho=INF)),
     ("inner_tol", lambda: SolverConfig(n_iters=1, inner_tol=NAN)),
     ("alpha", lambda: SdlInstance(*sdl_synthetic(4, 5, 6, 2, seed=0), alpha=INF)),
     ("G", lambda: compute_E(lambda u: 1.0, INF)),
     ("tol", lambda: verify_identity(polarize(Monomial((1, 1))), Monomial((1, 1)),
                                     tol=NAN)),
+    ("L", lambda: gap_L(quadratic(), np.zeros(3), np.ones(3), NAN)),
+    ("L", lambda: gap_L(quadratic(), np.zeros(3), np.ones(3), INF)),
+    ("E", lambda: rho_from(NAN, 1.0, 0.0)),
+    ("E", lambda: rho_from(INF, 1.0, 0.0)),
 ], ids=["bdca_step", "config_rho", "config_inner_tol", "sdl_alpha", "compute_E",
-        "verify_identity"])
+        "verify_identity", "gap_L_nan", "gap_L_inf", "rho_from_nan", "rho_from_inf"])
 def test_library_entries_reject_non_finite_settings(name, call):
     with pytest.raises(ValueError, match=name):
         call()

@@ -134,7 +134,7 @@ def reference_sweep(params, x, y, loss, part, block):
     return dp.T @ X, dp.sum(axis=0)
 
 
-def reference_minimize(prob, i, theta, u, rho, budget, tol, sample=None):
+def reference_minimize(prob, i, theta, u, rho, budget, tol):
     """The block solver as it was, with a ``moved`` flag between the line
     search, the kink probe and the hop."""
     theta = np.asarray(theta, dtype=float)
@@ -144,14 +144,14 @@ def reference_minimize(prob, i, theta, u, rho, budget, tol, sample=None):
 
     def value(x):
         trial[sl] = x
-        val = prob.eval_g(i, trial, sample=sample) - float(np.dot(u, x))
+        val = prob.eval_g(i, trial) - float(np.dot(u, x))
         if rho:
             val += 0.5 * rho * float(np.sum((x - x0) ** 2))
         return val
 
     def gradient(x):
         trial[sl] = x
-        grad = prob.grad_g_block(i, trial, sample=sample) - u
+        grad = prob.grad_g_block(i, trial) - u
         if rho:
             grad = grad + rho * (x - x0)
         return grad
@@ -333,14 +333,12 @@ def check_solver(task, theta, rng, budget=6):
     the solver and its reference return the same point and count."""
     prob, ref = MlpTaskProblem(task), MlpTaskProblem(task)
     handle = SampleHandle(key=1, indices=rng.integers(0, len(task.labels), size=4))
-    for sample in (None, handle):
+    for rows, ref_rows in ((prob, ref), (prob.on(handle), ref.on(handle))):
         for i in range(prob.n_blocks):
-            u = prob.subgrad_h_block(i, theta, sample=sample)
+            u = rows.subgrad_h_block(i, theta)
             for rho in (0.0, 0.5, 2.0):
-                got = prob.minimize_block_surrogate(i, theta, u, rho, budget,
-                                                    1e-8, sample=sample)
-                want = reference_minimize(ref, i, theta, u, rho, budget, 1e-8,
-                                          sample=sample)
+                got = rows.minimize_block_surrogate(i, theta, u, rho, budget, 1e-8)
+                want = reference_minimize(ref_rows, i, theta, u, rho, budget, 1e-8)
                 np.testing.assert_array_equal(got[0], want[0])
                 assert got[1] == want[1]
 
@@ -368,21 +366,22 @@ def test_kink_probe_frees_a_block_the_line_search_cannot_move():
     task, theta = build_task(rng, 4, "mse", grid=True)
     prob = MlpTaskProblem(task)
     handle = SampleHandle(key=1, indices=rng.integers(0, len(task.labels), size=4))
+    batch = prob.on(handle)
     sl = prob.partition.slice_of(0)
     x0 = theta[sl]
     assert np.count_nonzero(x0 == 0.0) > 0
-    u = prob.subgrad_h_block(0, theta, sample=handle)
+    u = batch.subgrad_h_block(0, theta)
 
     def surrogate(x):
         trial = theta.copy()
         trial[sl] = x
-        return prob.eval_g(0, trial, sample=handle) - float(np.dot(u, x))
+        return batch.eval_g(0, trial) - float(np.dot(u, x))
 
-    x, _ = prob.minimize_block_surrogate(0, theta, u, 0.0, 6, 1e-8, sample=handle)
+    x, _ = batch.minimize_block_surrogate(0, theta, u, 0.0, 6, 1e-8)
     assert surrogate(x) < surrogate(x0) - 1e-3
 
 
-def traced_reference(ref, i, theta, u, rho, budget, tol, sample):
+def traced_reference(ref, i, theta, u, rho, budget, tol):
     """``reference_minimize`` with its trial points.  Returns its result,
     one ``(vector, search)`` per forward pass in call order, where ``search``
     is the point whose gradient the trial point follows, and the surrogate
@@ -396,8 +395,8 @@ def traced_reference(ref, i, theta, u, rho, budget, tol, sample):
     eval_g, grad_g_block = ref.eval_g, ref.grad_g_block
     calls, values = [], {}
 
-    def spy_value(i, trial, sample=None):
-        g = eval_g(i, trial, sample=sample)
+    def spy_value(i, trial):
+        g = eval_g(i, trial)
         x = trial[sl]
         val = g - float(np.dot(u, x))  # the reference's own expression
         if rho:
@@ -406,13 +405,13 @@ def traced_reference(ref, i, theta, u, rho, budget, tol, sample):
         calls.append((False, trial.tobytes()))
         return g
 
-    def spy_gradient(i, trial, sample=None):
+    def spy_gradient(i, trial):
         calls.append((True, trial.tobytes()))
-        return grad_g_block(i, trial, sample=sample)
+        return grad_g_block(i, trial)
 
     ref.eval_g, ref.grad_g_block = spy_value, spy_gradient
     try:
-        want = reference_minimize(ref, i, theta, u, rho, budget, tol, sample=sample)
+        want = reference_minimize(ref, i, theta, u, rho, budget, tol)
     finally:
         del ref.eval_g, ref.grad_g_block
     trials, last, search = [], theta.tobytes(), None
@@ -473,16 +472,15 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
         raise AssertionError("the block solver called a public oracle")
 
     for i in range(task.net.n_layers):
-        ref = MlpTaskProblem(task)
-        u = ref.subgrad_h_block(i, theta, sample=handle)
+        ref = MlpTaskProblem(task).on(handle)
+        u = ref.subgrad_h_block(i, theta)
         del passes[:]
-        want, trials, values = traced_reference(ref, i, theta, u, 0.5, 6, 1e-8,
-                                                handle)
+        want, trials, values = traced_reference(ref, i, theta, u, 0.5, 6, 1e-8)
         assert all(start == 0 for start, _ in passes)
         assert [key for key, _ in trials] == [vector for _, vector in passes]
 
-        prob = MlpTaskProblem(task)
-        prob.subgrad_h_block(i, theta, sample=handle)
+        prob = MlpTaskProblem(task).on(handle)
+        prob.subgrad_h_block(i, theta)
         theta_in, u_in = theta.copy(), u.copy()
         gradient_at, searches = prob._gradient_at, []
 
@@ -495,8 +493,7 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
             for name in ORACLES:
                 m.setattr(prob, name, forbidden)
             m.setattr(prob, "_gradient_at", marking)
-            got = prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8,
-                                                sample=handle)
+            got = prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8)
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
         np.testing.assert_array_equal(theta, theta_in)
@@ -512,7 +509,7 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
             assert len(set(points[start:stop])) == stop - start
 
         del passes[:]
-        prob.eval_g(i, theta, sample=handle)
+        prob.eval_g(i, theta)
         assert passes == []
 
 
@@ -542,24 +539,21 @@ def test_convexity_cuts_skip_trial_points_near_stationarity(monkeypatch):
     task, theta, handle = zero_bias_case()
     i, rho, budget = 2, 0.5, 25
     sl = task.net.partition().slice_of(i)
-    prob = MlpTaskProblem(task)
-    u = prob.subgrad_h_block(i, theta, sample=handle)
-    x, _ = prob.minimize_block_surrogate(i, theta, u, rho, budget, 1e-8,
-                                         sample=handle)
+    prob = MlpTaskProblem(task).on(handle)
+    u = prob.subgrad_h_block(i, theta)
+    x, _ = prob.minimize_block_surrogate(i, theta, u, rho, budget, 1e-8)
     theta = theta.copy()
     theta[sl] = x
     passes = counting_passes(monkeypatch)
 
-    ref = MlpTaskProblem(task)
-    u = ref.subgrad_h_block(i, theta, sample=handle)
+    ref = MlpTaskProblem(task).on(handle)
+    u = ref.subgrad_h_block(i, theta)
     del passes[:]
-    want, trials, values = traced_reference(ref, i, theta, u, rho, budget, 1e-8,
-                                            handle)
-    prob = MlpTaskProblem(task)
-    prob.subgrad_h_block(i, theta, sample=handle)
+    want, trials, values = traced_reference(ref, i, theta, u, rho, budget, 1e-8)
+    prob = MlpTaskProblem(task).on(handle)
+    prob.subgrad_h_block(i, theta)
     del passes[:]
-    got = prob.minimize_block_surrogate(i, theta, u, rho, budget, 1e-8,
-                                        sample=handle)
+    got = prob.minimize_block_surrogate(i, theta, u, rho, budget, 1e-8)
     np.testing.assert_array_equal(got[0], want[0])
     assert got[1] == want[1]
     assert len(passes) < len(trials)
@@ -580,18 +574,18 @@ def check_subgradient(task, theta, rng):
     random direction, over four step lengths."""
     prob = MlpTaskProblem(task)
     handle = SampleHandle(key=1, indices=rng.integers(0, len(task.labels), size=3))
-    for sample in (None, handle):
+    for rows in (prob, prob.on(handle)):
         for i in range(prob.n_blocks):
             sl = prob.partition.slice_of(i)
-            g = prob.eval_g(i, theta, sample=sample)
-            grad = prob.grad_g_block(i, theta, sample=sample)
+            g = rows.eval_g(i, theta)
+            grad = rows.grad_g_block(i, theta)
             eye = np.eye(grad.size)
             for d in [-grad, *eye, *-eye, rng.standard_normal(grad.size)]:
                 for t in (1.0, 0.1, 1e-3, 1e-6):
                     trial = theta.copy()
                     trial[sl] += t * d
                     bound = g + t * float(np.dot(grad, d))
-                    assert (prob.eval_g(i, trial, sample=sample)
+                    assert (rows.eval_g(i, trial)
                             >= bound - 1e-13 * (1 + abs(g))), (i, t)
 
 

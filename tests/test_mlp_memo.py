@@ -156,18 +156,19 @@ def check_residual(task, theta, rng):
     against the generic body, on the full data and on minibatch handles (one
     with a repeated row), and a repeat at the same point is an equal, fresh
     copy."""
-    from test_oracle_contract import check_residual_blocks
+    from test_oracle_contract import check_residual_blocks, on
     prob = MlpTaskProblem(task)
     n = len(task.labels)
     handles = [SampleHandle(key=1, indices=rng.integers(0, n, size=3)),
                SampleHandle(key=2, indices=[0, 0, n - 1])]
     for sample in [None] + handles:
         check_residual_blocks(prob, theta, sample)
-        got = prob.residual_blocks(theta, sample=sample)
+        rows = on(prob, sample)
+        got = rows.residual_blocks(theta)
         first = [z.copy() for z in got]
         for z in got:
             z[...] = np.nan  # must not reach the repeat
-        for z, w in zip(prob.residual_blocks(theta, sample=sample), first):
+        for z, w in zip(rows.residual_blocks(theta), first):
             np.testing.assert_array_equal(z, w)
 
 
@@ -220,14 +221,16 @@ def test_stochastic_step_reuses_the_noise_subgradient(monkeypatch):
     monkeypatch.setattr(relu, "residual_grads",
                         counting(relu.residual_grads, "residual"))
     log = []
+    # logged on the class: the step's calls go to the minibatch problem
     for name in ORACLES + ("residual_blocks",):
-        def logged(*args, _fn=getattr(prob, name), _name=name, **kwargs):
+        def logged(self, *args, _fn=getattr(MlpTaskProblem, name), _name=name,
+                   **kwargs):
             before = dict(counts)
-            out = _fn(*args, **kwargs)
-            log.append((_name, kwargs.get("sample") is not None,
+            out = _fn(self, *args, **kwargs)
+            log.append((_name, self is not prob,
                         *(counts[k] - before[k] for k in counts)))
             return out
-        monkeypatch.setattr(prob, name, logged)
+        monkeypatch.setattr(MlpTaskProblem, name, logged)
 
     run(prob, SolverConfig(n_iters=1, rho=2.0, inner_budget=3, batch_size=4))
     repeats = [e for e in log if e[0] == "subgrad_h_block" and e[1]]
@@ -246,14 +249,45 @@ def test_minibatch_block0_pair_sweeps_only_block0():
     # alike: the records take every block from the residual sweep instead
     prob = blobs_problem()
     theta = prob.initial_point()
-    handle = SampleHandle(key=1, indices=np.arange(8))
-    prob.subgrad_h_block(0, theta, sample=handle)
-    prob.grad_g_block(0, theta, sample=handle)
-    assert {part: sorted(pairs) for part, pairs in prob._last.grads.items()} == {
+    batch = prob.on(SampleHandle(key=1, indices=np.arange(8)))
+    batch.subgrad_h_block(0, theta)
+    batch.grad_g_block(0, theta)
+    assert {part: sorted(pairs) for part, pairs in batch._last.grads.items()} == {
         "g": [0], "h": [0]}
     prob.grad_g_block(0, theta)
     assert {part: sorted(pairs) for part, pairs in prob._last.grads.items()} == {
         "g": [0]}
+
+
+def test_minibatch_step_keeps_the_full_data_point(monkeypatch):
+    # the step runs on prob.on(handle), whose memo is its own: after it the
+    # full-data point of the record at theta_0 is still kept, and calls on
+    # another minibatch problem leave it in place
+    prob = blobs_problem()
+    theta0 = prob.initial_point()
+    passes = []
+    forward_split = relu.forward_split
+
+    def counting(*args, **kwargs):
+        passes.append(args[1].shape[0])
+        return forward_split(*args, **kwargs)
+
+    monkeypatch.setattr(relu, "forward_split", counting)
+    new_passes = []
+
+    def callback(k, theta_next, record):
+        kept, before = prob._last, len(passes)
+        prob.grad_g_block(record.block, theta0)
+        new_passes.append(passes[before:])
+        batch = prob.on(SampleHandle(key=1, indices=np.arange(8)))
+        for name in ORACLES[1:]:
+            getattr(batch, name)(record.block, theta_next)
+        batch.residual_blocks(theta0)
+        assert prob._last is kept and kept.key == theta0.tobytes()
+
+    run(prob, SolverConfig(n_iters=1, rho=2.0, inner_budget=3, batch_size=4),
+        callback=callback)
+    assert new_passes == [[]]
 
 
 def test_task_arrays_are_read_only():

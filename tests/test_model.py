@@ -1,6 +1,6 @@
 """What the model computes beyond the oracle contract: the stationarity
-bound, the combinators, conjugate composition and the sampled active piece
-of a maximum.  The contract itself is ``test_oracle_contract.py``'s.
+bound, the combinators on the full data and on a minibatch, conjugate
+composition and the sampled active piece of a maximum.  The contract itself is ``test_oracle_contract.py``'s.
 """
 
 import numpy as np
@@ -32,16 +32,16 @@ class TestResidualUpper:
             def eval_f(self, theta):
                 return abs(float(theta[0]))
 
-            def eval_g(self, i, theta, sample=None):
+            def eval_g(self, i, theta):
                 return abs(float(theta[0]))
 
-            def eval_h(self, i, theta, sample=None):
+            def eval_h(self, i, theta):
                 return 0.0
 
-            def grad_g_block(self, i, theta, sample=None):
+            def grad_g_block(self, i, theta):
                 return np.array([np.sign(float(theta[0]))])
 
-            def subgrad_h_block(self, i, theta, sample=None):
+            def subgrad_h_block(self, i, theta):
                 return np.zeros(1)
 
         assert residual_upper(AbsProblem(), np.array([1.0])) == pytest.approx(1.0)
@@ -222,17 +222,37 @@ class TestSampleReplay:
         for _ in range(60):
             handle = parts[0].sample(rng, batch_size=5)
             i = int(rng.integers(mx.n_blocks))
-            gs = [p.eval_g(i, theta, sample=handle) for p in parts]
-            hs = [p.eval_h(i, theta, sample=handle) for p in parts]
+            gs = [p.on(handle).eval_g(i, theta) for p in parts]
+            hs = [p.on(handle).eval_h(i, theta) for p in parts]
             pieces = [g + sum(hs) - h for g, h in zip(gs, hs)]
             r = pieces.index(max(pieces))
-            assert mx.eval_g(i, theta, sample=handle) == pieces[r]
-            want = (parts[r].grad_g_block(i, theta, sample=handle)
-                    + parts[1 - r].subgrad_h_block(i, theta, sample=handle))
+            assert mx.on(handle).eval_g(i, theta) == pieces[r]
+            want = (parts[r].on(handle).grad_g_block(i, theta)
+                    + parts[1 - r].on(handle).subgrad_h_block(i, theta))
             np.testing.assert_array_equal(
-                mx.grad_g_block(i, theta, sample=handle), want)
+                mx.on(handle).grad_g_block(i, theta), want)
             differs += r != full
         assert differs > 0
+
+    def test_linear_combination_on_a_minibatch_combines_its_parts_on_it(self):
+        # combine_linear(...).on(handle) is the combination of the parts'
+        # minibatch problems, with the negative weight's roles swapped
+        net = relu.random_params((2, 4, 3), np.random.default_rng(5))
+        parts = [MlpTaskProblem(MlpTask(*gaussian_blobs(20, 3, seed=seed),
+                                        net=net, loss="ce"))
+                 for seed in (6, 7)]
+        lin = combine_linear(parts, [0.7, -1.3])
+        theta = parts[0].initial_point()
+        handle = parts[0].sample(np.random.default_rng(8), batch_size=5)
+        batch, rows = lin.on(handle), [p.on(handle) for p in parts]
+        assert batch is not lin
+        for i in range(lin.n_blocks):
+            assert batch.eval_g(i, theta) == (0.7 * rows[0].eval_g(i, theta)
+                                              + 1.3 * rows[1].eval_h(i, theta))
+            np.testing.assert_array_equal(
+                batch.subgrad_h_block(i, theta),
+                0.7 * rows[0].subgrad_h_block(i, theta)
+                + 1.3 * rows[1].grad_g_block(i, theta))
 
     def test_deterministic_problem_has_no_sampler(self):
         prob = QuadraticDcProblem.random(PART, np.random.default_rng(0))

@@ -12,8 +12,8 @@ D. ``residual_blocks`` equal to the generic body: exactly, or within
 E. :func:`replay`, bit for bit against fresh problems;
 F. with an inner solver, ``bdca_step`` at ``rho`` 0 and 0.5 does not raise
    ``f`` and leaves the other blocks' bits alone;
-G. with a sampler, a handle's oracles equal, to 1e-12 relative, those of a
-   problem built on its rows;
+G. with a sampler, the oracles of ``prob.on(handle)`` equal, to 1e-12
+   relative, those of a problem built on the handle's rows;
 H. ``grad_g_block`` and ``subgrad_h_block`` equal central differences of
    ``eval_g`` and ``eval_h`` (step 1e-6) within ``1e-5 max(1, max|fd|)``,
    at the Gaussian points only: the start and the grid moves sit on kinks;
@@ -118,15 +118,20 @@ def handles(prob, rng):
                      if declares(prob, "sample") else [])
 
 
-def call(prob, name, i, theta, sample=None, u=None, rho=0.0):
+def on(prob, sample):
+    """``prob`` on the full data (``sample`` None) or on a handle's rows."""
+    return prob if sample is None else prob.on(sample)
+
+
+def call(prob, name, i, theta, u=None, rho=0.0):
     """One oracle call by name; the block solver's result is its pair."""
     if name in ("eval_f", "relative_error"):
         return getattr(prob, name)(theta)
     if name == "residual_blocks":
-        return prob.residual_blocks(theta, sample=sample)
+        return prob.residual_blocks(theta)
     if name == "minimize_block_surrogate":
-        return prob.minimize_block_surrogate(i, theta, u, rho, 10, 1e-8, sample=sample)
-    return getattr(prob, name)(i, theta, sample=sample)
+        return prob.minimize_block_surrogate(i, theta, u, rho, 10, 1e-8)
+    return getattr(prob, name)(i, theta)
 
 
 def leaves(result):
@@ -146,11 +151,14 @@ def assert_same(got, want):
 def replay(build, rng, names, samples=(None,), n_calls=40, reference=None, prob=None):
     """(E) Interleaved calls on ``prob`` (default: a built one) at its start,
     a grid move of it and a trial vector edited in place between calls.
-    Every call but ``eval_f`` takes one of ``samples``, and the block solver
-    a ``rho`` and a ``u``.  Each call gives the bits of the same call on a
-    fresh problem (and of ``reference``, if given), leaves ``theta`` as it
-    was, and NaN written into what it returned must reach no later result."""
+    Every call but ``eval_f`` goes to ``prob`` on one of ``samples`` (one
+    minibatch problem per handle, kept for the whole replay), and the block
+    solver takes a ``rho`` and a ``u``.  Each call gives the bits of the same
+    call on a fresh problem (and of ``reference``, if given), leaves
+    ``theta`` as it was, and NaN written into what it returned must reach no
+    later result."""
     prob = build() if prob is None else prob
+    views = [on(prob, sample) for sample in samples]
     dims = prob.partition.block_dims
     theta0 = start(prob)
     trial = theta0.copy()
@@ -162,20 +170,21 @@ def replay(build, rng, names, samples=(None,), n_calls=40, reference=None, prob=
         name = names[int(rng.integers(len(names)))]
         i = int(rng.integers(prob.n_blocks))
         theta = at[int(rng.integers(len(at)))]
-        kwargs = {}
+        kwargs, sample, view = {}, None, prob
         if name != "eval_f":
-            kwargs["sample"] = samples[int(rng.integers(len(samples)))]
+            k = int(rng.integers(len(samples)))
+            sample, view = samples[k], views[k]
         if name == "minimize_block_surrogate":
             rho = float(rng.choice([0.0, 0.5, 2.0]))
             # u = 0 at rho = 0, where K^T K may be singular (a zero CP factor column)
             u = rng.choice(GRID, size=dims[i]) if rho else np.zeros(dims[i])
             kwargs.update(rho=rho, u=u)
         before = theta.tobytes()
-        got = call(prob, name, i, theta, **kwargs)
+        got = call(view, name, i, theta, **kwargs)
         assert theta.tobytes() == before, name
-        assert_same(got, call(build(), name, i, theta, **kwargs))
+        assert_same(got, call(on(build(), sample), name, i, theta, **kwargs))
         if reference is not None:
-            assert_same(got, reference(name, i, theta, **kwargs))
+            assert_same(got, reference(name, i, theta, sample=sample, **kwargs))
         for a in leaves(got):
             if isinstance(a, np.ndarray):
                 a[...] = np.nan  # must not reach later results
@@ -204,13 +213,14 @@ def check_dc_split(prob, thetas, rng):
 
 def check_residual_blocks(prob, theta, sample=None):
     """D at one point, on the full data or one minibatch."""
-    got = prob.residual_blocks(theta, sample=sample)
-    want = BdcProblem.residual_blocks(prob, theta, sample=sample)
+    prob = on(prob, sample)
+    got = prob.residual_blocks(theta)
+    want = BdcProblem.residual_blocks(prob, theta)
     assert len(got) == len(want) == prob.n_blocks
     tol = 1e-12 if isinstance(prob, MlpTaskProblem) else 0.0
     for i, (z, w) in enumerate(zip(got, want)):
-        scale = (np.max(np.abs(prob.grad_g_block(i, theta, sample=sample)))
-                 + np.max(np.abs(prob.subgrad_h_block(i, theta, sample=sample))))
+        scale = (np.max(np.abs(prob.grad_g_block(i, theta)))
+                 + np.max(np.abs(prob.subgrad_h_block(i, theta))))
         assert z.shape == w.shape and np.max(np.abs(z - w)) <= tol * scale, (i, sample)
 
 
@@ -276,7 +286,7 @@ def test_handle_equals_a_problem_on_its_rows(name):
                                       net=task.net, loss=task.loss))
         for oracle in CALLS[1:]:
             for i in range(prob.n_blocks):
-                got = np.hstack(leaves(call(prob, oracle, i, theta, sample=handle)))
+                got = np.hstack(leaves(call(prob.on(handle), oracle, i, theta)))
                 want = np.hstack(leaves(call(rows, oracle, i, theta)))
                 np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=oracle)
 

@@ -93,6 +93,19 @@ def test_traced_code_solver_takes_one_gradient_per_iteration():
     assert calls == iterations
 
 
+def test_traced_stochastic_run_counts_every_inner_solve():
+    # the tracer patches the problem classes, so a minibatch problem of
+    # another class would drop the inner.* metrics without an error
+    tracing = _benchmark_tracing()
+    from bdcopt import experiments
+
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        res = experiments.run_relu_experiment(n_data=20, batch_size=5, epochs=1,
+                                              layer_dims=(4,), stride=0)
+    assert len(res.trace) == 4
+    assert tracing.layer_metrics(tracer.spans)["inner.calls"] == len(res.trace)
+
+
 @pytest.mark.parametrize("workload", ["sdl", "relu_sqrtk", "tensor_als"])
 def test_benchmark_workload_passes_its_checks_and_repeats(workload):
     # perfbench/workloads.py holds each workload's correctness checks (step

@@ -50,7 +50,7 @@ class TestBdcaStep:
 
     def test_divergent_inner_solver_aborts(self):
         class Broken(QuadraticDcProblem):
-            def minimize_block_surrogate(self, i, theta, u, rho, budget, tol, sample=None):
+            def minimize_block_surrogate(self, i, theta, u, rho, budget, tol):
                 sl = self.partition.slice_of(i)
                 return np.asarray(theta)[sl] + 10.0, 1
 
@@ -130,8 +130,7 @@ class TestStochasticStep:
         theta = prob.initial_point()
         full = SampleHandle(key=0, indices=range(prob.n_data))
         det, _ = bdca_step(prob, theta, 1, rho=2.0, budget=20, tol=1e-10)
-        sto, _ = bdca_step(prob, theta, 1, rho=2.0, budget=20, tol=1e-10,
-                           sample=full)
+        sto, _ = bdca_step(prob.on(full), theta, 1, rho=2.0, budget=20, tol=1e-10)
         np.testing.assert_allclose(sto, det, atol=1e-12)
 
     def test_requires_stochastic_oracle(self):
@@ -180,8 +179,8 @@ class TestRunReplay:
         for r in trace.records:
             handle = prob.sample(batches, cfg.batch_size)
             assert handle.key == r.sample_key
-            theta, _ = bdca_step(prob, theta, r.block, cfg.rho, cfg.inner_budget,
-                                 cfg.inner_tol, sample=handle)
+            theta, _ = bdca_step(prob.on(handle), theta, r.block, cfg.rho,
+                                 cfg.inner_budget, cfg.inner_tol)
         np.testing.assert_array_equal(theta, trace.final_theta)
 
 
@@ -224,7 +223,7 @@ class TestRun:
         class NanAwayFromStart(QuadraticDcProblem):
             # h, which the step never reads, turns NaN once the iterate
             # leaves the zero start
-            def eval_h(self, i, theta, sample=None):
+            def eval_h(self, i, theta):
                 return np.nan if np.any(theta) else super().eval_h(i, theta)
 
         part = BlockPartition([1, 1])
@@ -403,16 +402,16 @@ class TestSmoothnessEstimate:
             def eval_f(self, theta):
                 return float(theta[0] ** 4)
 
-            def eval_g(self, i, theta, sample=None):
+            def eval_g(self, i, theta):
                 return float(theta[0] ** 4)
 
-            def eval_h(self, i, theta, sample=None):
+            def eval_h(self, i, theta):
                 return 0.0
 
-            def grad_g_block(self, i, theta, sample=None):
+            def grad_g_block(self, i, theta):
                 return np.array([4.0 * theta[0] ** 3])
 
-            def subgrad_h_block(self, i, theta, sample=None):
+            def subgrad_h_block(self, i, theta):
                 return np.zeros(1)
 
         prob = Quartic()
