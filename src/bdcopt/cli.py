@@ -116,7 +116,7 @@ _BOOLEANS = {"true": True, "yes": True, "1": True,
 
 def _parse_widths(text):
     try:
-        widths = tuple(int(t) for t in text.split(",") if t.strip())
+        widths = tuple(int(t) for t in text.split(","))
     except ValueError:
         widths = ()
     if not widths or min(widths) < 1:
@@ -222,7 +222,7 @@ def _parse_grouping(text, n_vars):
     groups = []
     for part in text.split("|"):
         try:
-            idx = tuple(int(t) - 1 for t in part.split(",") if t.strip())
+            idx = tuple(int(t) - 1 for t in part.split(","))
         except ValueError:
             raise ValueError("group must be |-separated lists of 1-based "
                              "indices, got %r" % text) from None

@@ -67,9 +67,9 @@ class QuadraticDcProblem(_LeastSquaresDcProblem):
         self.e = np.zeros(self.C.shape[0]) if e is None else np.asarray(e, dtype=float)
 
     @classmethod
-    def random(cls, partition, rng, rows=None, concave=True):
+    def random(cls, partition, rng, concave=True):
         d = partition.total_dim
-        rows = rows or d + 4
+        rows = d + 4
         A = rng.standard_normal((rows, d))
         b = rng.standard_normal(rows)
         if concave:

@@ -469,17 +469,10 @@ def load_params_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         values = vector_from_csv_row(fh.readline())
-    layers = []
-    pos = 0
-    pending_w = None
-    for name in header:
-        tag, shape = name.split(":")
-        if tag.startswith("W"):
-            r, c = (int(v) for v in shape.split("x"))
-            pending_w = values[pos:pos + r * c].reshape(r, c)
-            pos += r * c
-        else:
-            d = int(shape)
-            layers.append((pending_w, values[pos:pos + d]))
-            pos += d
-    return MlpParams(layers)
+    arrays, pos = [], 0
+    for name in header:  # W1:16x2, b1:16, W2:..., in block order
+        shape = tuple(int(v) for v in name.split(":")[1].split("x"))
+        size = int(np.prod(shape))
+        arrays.append(values[pos:pos + size].reshape(shape))
+        pos += size
+    return MlpParams(list(zip(arrays[::2], arrays[1::2])))

@@ -333,7 +333,7 @@ def smoothness_estimate(problem, theta_k, theta_next, i, delta=0.25):
     Returns 0 when the block did not move.
     """
     if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
+        raise ValueError("delta must lie in (0, 1], got %r" % (delta,))
     theta_k = np.asarray(theta_k, dtype=float)
     sl = problem.partition.slice_of(i)
     d = np.asarray(theta_next, dtype=float)[sl] - theta_k[sl]

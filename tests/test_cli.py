@@ -11,12 +11,33 @@ from bdcopt import experiments, monomials
 from bdcopt.cli import (MONOMIAL_DEFAULTS, PLAN_RHO_DEFAULTS, RELU_DEFAULTS,
                         SDL_DEFAULTS, TENSOR_DEFAULTS, _parse_dims, _parse_widths,
                         main)
+from bdcopt.relu import load_params_csv
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def reject(constant):
+    raise ValueError("non-standard JSON constant %s" % constant)
+
+
+def run_failing(argv, capsys, tmp_path):
+    """Run a command that must fail: exit 1, one ``error:`` line, a
+    ``failed`` manifest in strict JSON that holds the same error, and no
+    CSV.  Returns the printed output, the error and the manifest."""
+    code, out, err = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    text = (tmp_path / ("%s_manifest.json" % argv[0])).read_text()
+    manifest = json.loads(text, parse_constant=reject)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == lines[0][len("error: "):]
+    assert not list(tmp_path.glob("*.csv"))
+    return out, manifest["error"], manifest
 
 
 class TestMonomialCommand:
@@ -47,14 +68,11 @@ class TestMonomialCommand:
         assert len(lines) == 8  # header + 7 atoms
 
     def test_bad_group_is_error(self, capsys, tmp_path):
-        for group in ("1|1", "1,x"):
-            code, _, err = run_cli(["monomial", "--b", "1,1", "--group", group,
-                                    "--outdir", str(tmp_path)], capsys)
-            assert code == 1
-            assert err.startswith("error:")
-        assert err.splitlines() == [
-            "error: group must be |-separated lists of 1-based indices, "
-            "got '1,x'"]
+        errors = [run_failing(["monomial", "--b", "1,1", "--group", group],
+                              capsys, tmp_path)[1] for group in ("1|1", "1,x", "1|2|")]
+        assert errors[1:] == [
+            "group must be |-separated lists of 1-based indices, got %r" % group
+            for group in ("1,x", "1|2|")]
 
     def test_merged_count_reported_separately(self, capsys, tmp_path):
         code, out, _ = run_cli(["monomial", "--b", "2,4", "--merged-count",
@@ -121,7 +139,6 @@ class TestReluCommand:
                           "step_norm,inner_iters")
 
     def test_save_params_round_trips(self, capsys, tmp_path):
-        from bdcopt.relu import load_params_csv
         code, _, _ = run_cli(["relu", "--epochs", "1", "--n-data", "40",
                               "--widths", "5", "--save-params",
                               "--outdir", str(tmp_path)], capsys)
@@ -133,13 +150,9 @@ class TestReluCommand:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_bad_batch_size_with_theory_preset_is_one_line_error(
             self, capsys, tmp_path, value):
-        code, _, err = run_cli(["relu", "--theory-preset", "--batch-size", value,
-                                "--outdir", str(tmp_path)], capsys)
-        assert code == 1
-        assert err.splitlines() == ["error: batch_size must be >= 1, got %s" % value]
-        manifest = json.loads((tmp_path / "relu_manifest.json").read_text())
-        assert manifest["status"] == "failed"
-        assert not (tmp_path / "relu_loss_seed0.csv").exists()
+        _, error, _ = run_failing(["relu", "--theory-preset", "--batch-size", value],
+                                  capsys, tmp_path)
+        assert error == "batch_size must be >= 1, got %s" % value
 
     @pytest.mark.parametrize("flags, message", [
         (["--stride", "-5"], "stride must be >= 0, got -5"),
@@ -151,15 +164,9 @@ class TestReluCommand:
             "negative_delta_with_preset", "nan_rho_with_preset"])
     def test_bad_stride_or_delta_fails_before_any_solve(
             self, capsys, tmp_path, flags, message):
-        code, _, err = run_cli(["relu", *flags, "--outdir", str(tmp_path)], capsys)
-        assert code == 1
-        assert err.splitlines() == ["error: " + message]
-        manifest = json.loads((tmp_path / "relu_manifest.json").read_text())
-        assert manifest["status"] == "failed"
-        assert not (tmp_path / "relu_loss_seed0.csv").exists()
-        assert not (tmp_path / "relu_smoothness_seed0.csv").exists()
+        assert run_failing(["relu", *flags], capsys, tmp_path)[1] == message
 
-    @pytest.mark.parametrize("value", ["16,x", "8,-3", ","])
+    @pytest.mark.parametrize("value", ["16,x", "8,-3", ",", "6,,4", "16,8,"])
     def test_bad_widths_flag_names_the_key(self, capsys, tmp_path, value):
         code, _, err = run_cli(["relu", "--widths=" + value,
                                 "--outdir", str(tmp_path)], capsys)
@@ -206,27 +213,20 @@ class TestSdlCommand:
     ])
     def test_bad_q_or_alpha_is_one_line_error(self, capsys, tmp_path, flag, value,
                                               message):
-        code, _, err = run_cli(["sdl", "--iters", "2", "--seeds", "1",
-                                flag, value, "--outdir", str(tmp_path)], capsys)
-        assert code == 1
-        assert err.splitlines() == ["error: " + message]
-        assert not (tmp_path / "sdl_rec_errors.csv").exists()
+        _, error, _ = run_failing(["sdl", "--iters", "2", "--seeds", "1", flag, value],
+                                  capsys, tmp_path)
+        assert error == message
 
     def test_zero_inner_budget_is_one_line_error(self, capsys, tmp_path):
-        code, _, err = run_cli(["sdl", "--inner-x", "0", "--inner-d", "0",
-                                "--iters", "3", "--seeds", "1", "--variant", "l1",
-                                "--outdir", str(tmp_path)], capsys)
-        assert code == 1
-        assert err.splitlines() == ["error: inner budget must be >= 1, got 0"]
-        manifest = json.loads((tmp_path / "sdl_manifest.json").read_text())
-        assert manifest["status"] == "failed"
-        assert not (tmp_path / "sdl_rec_errors.csv").exists()
+        _, error, _ = run_failing(["sdl", "--inner-x", "0", "--inner-d", "0",
+                                   "--iters", "3", "--seeds", "1", "--variant", "l1"],
+                                  capsys, tmp_path)
+        assert error == "inner budget must be >= 1, got 0"
 
     def test_compare_gd_checks_q_before_the_l1_sweep(self, capsys, tmp_path):
-        code, _, err = run_cli(["sdl", "--variant", "l1", "--compare-gd", "--q", "40",
-                                "--outdir", str(tmp_path)], capsys)
-        assert code == 1 and "Q=40 with l=32" in err
-        assert not (tmp_path / "sdl_rec_errors.csv").exists()
+        _, error, _ = run_failing(["sdl", "--variant", "l1", "--compare-gd",
+                                   "--q", "40"], capsys, tmp_path)
+        assert "Q=40 with l=32" in error
 
 
 class TestManifestLifecycle:
@@ -234,36 +234,18 @@ class TestManifestLifecycle:
         return json.loads(path.read_text())
 
     def test_failure_after_start_is_recorded(self, capsys, tmp_path):
-        code, _, err = run_cli(["sdl", "--alpha", "-1", "--outdir", str(tmp_path)],
-                               capsys)
-        assert code == 1
-        manifest = self.read(tmp_path / "sdl_manifest.json")
-        assert manifest["status"] == "failed"
-        assert "error: " + manifest["error"] == err.strip()
+        _, _, manifest = run_failing(["sdl", "--alpha", "-1"], capsys, tmp_path)
         assert manifest["wall_s"] is not None
 
     def test_non_finite_config_is_strict_json(self, capsys, tmp_path):
-        code, _, err = run_cli(["sdl", "--alpha", "nan", "--outdir", str(tmp_path)],
-                               capsys)
-        assert code == 1
-        text = (tmp_path / "sdl_manifest.json").read_text()
-
-        def reject(constant):
-            raise ValueError("non-standard JSON constant %s" % constant)
-
-        manifest = json.loads(text, parse_constant=reject)
-        assert manifest["status"] == "failed"
+        _, _, manifest = run_failing(["sdl", "--alpha", "nan"], capsys, tmp_path)
         assert manifest["config"]["alpha"] == "nan"
-        assert "error: " + manifest["error"] == err.strip()
 
     def test_failed_verify_gate_is_not_complete(self, capsys, tmp_path):
-        code, out, err = run_cli(["monomial", "--b", "2,4", "--verify", "--tol", "-1",
-                                  "--outdir", str(tmp_path)], capsys)
-        assert code == 1 and "verify=fail" in out
-        manifest = self.read(tmp_path / "monomial_manifest.json")
-        assert manifest["status"] == "failed"
-        assert manifest["error"].startswith("identity verification failed")
-        assert err.strip() == "error: " + manifest["error"]
+        out, error, manifest = run_failing(["monomial", "--b", "2,4", "--verify",
+                                            "--tol", "-1"], capsys, tmp_path)
+        assert "verify=fail" in out
+        assert error.startswith("identity verification failed")
         assert manifest["wall_s"] is not None
 
     def test_success_lists_outputs(self, capsys, tmp_path):
@@ -300,11 +282,10 @@ class TestPlanRhoCommand:
         assert code2 == 1 and "ell" in err2
 
     def test_negative_R_is_one_line_error(self, capsys, tmp_path):
-        code, out, err = run_cli(["plan-rho", "--G", "2", "--R", "-1",
-                                  "--outdir", str(tmp_path)], capsys)
-        assert code == 1
+        out, error, _ = run_failing(["plan-rho", "--G", "2", "--R", "-1"], capsys,
+                                    tmp_path)
         assert "rho_min" not in out
-        assert err.splitlines() == ["error: R must be >= 0, got -1.0"]
+        assert error == "R must be >= 0, got -1.0"
 
 
 class TestConfigPrecedence:
@@ -407,13 +388,9 @@ class TestConfigPrecedence:
         "monomial_trials", "gd_sdl_l", "tensor_noise_inf", "relu_classes",
         "tensor_seed"])
 def test_bad_count_fails_before_any_solve(capsys, tmp_path, argv, message):
-    code, out, err = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
-    assert code == 1
+    out, error, _ = run_failing(argv, capsys, tmp_path)
     assert out == ""  # nothing printed: no atom, no progress line
-    assert err.splitlines() == ["error: " + message]
-    manifest = json.loads((tmp_path / ("%s_manifest.json" % argv[0])).read_text())
-    assert manifest["status"] == "failed"
-    assert not list(tmp_path.glob("*.csv"))
+    assert error == message
 
 
 FLOAT_SETTINGS = [(argv, key) for argv, defaults in (
@@ -429,14 +406,9 @@ FLOAT_SETTINGS = [(argv, key) for argv, defaults in (
 def test_non_finite_float_setting_fails_before_any_solve(capsys, tmp_path, argv,
                                                          key, value):
     flag = "--" + key.replace("_", "-")
-    code, out, err = run_cli([*argv, flag, value, "--outdir", str(tmp_path)], capsys)
-    assert code == 1
+    out, error, _ = run_failing([*argv, flag, value], capsys, tmp_path)
     assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
-    manifest = json.loads((tmp_path / ("%s_manifest.json" % argv[0])).read_text())
-    assert manifest["status"] == "failed"
-    assert not list(tmp_path.glob("*.csv"))
+    assert key in error
 
 
 def test_protocol_defaults_match_driver_defaults():

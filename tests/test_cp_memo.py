@@ -1,10 +1,10 @@
 """The CP problem's one-residual-per-point memo against the per-call
 computation it replaced.
 
-The contract suite's replay (``test_oracle_contract.replay``) drives the
-memo and compares every call with ``reference``, the call computed alone.
-What stays here is the CP's own: one reconstruction per update, and the
-tensor the problem reads.
+The contract suite's replay (``cases.replay``) drives the memo and compares
+every call with ``reference``, the call computed alone.  What stays here is
+the CP's own: one reconstruction per update, and the tensor the problem
+reads.
 """
 
 import numpy as np
@@ -14,26 +14,10 @@ from hypothesis import given, settings, strategies as st
 from bdcopt import experiments
 from bdcopt.problems import cp
 from bdcopt.problems.cp import CpInstance, CpProblem, cp_reconstruct
+from cases import build_instance, replay
 
-GRID = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-ORACLES = ("eval_f", "eval_g", "eval_h", "grad_g_block", "relative_error",
-           "minimize_block_surrogate")
-
-
-def build_instance(rng, n_modes, rank, grid):
-    """Random instance whose factors hit ties and zeros: grid values or
-    Gaussians with zeroed entries, and one all-zero factor column."""
-    shape = tuple(int(m) for m in rng.integers(1, 5, size=n_modes))
-    draw = ((lambda size: rng.choice(GRID, size=size)) if grid
-            else (lambda size: rng.standard_normal(size)))
-    T = draw(shape)
-    T.flat[0] = 1.0  # a nonzero tensor, so relative_error is defined
-    factors = [draw((m, rank)) for m in shape]
-    if not grid:
-        for F in factors:
-            F[rng.random(F.shape) < 0.2] = 0.0
-    factors[int(rng.integers(n_modes))][:, int(rng.integers(rank))] = 0.0
-    return CpInstance(tensor=T, rank=rank, factors=factors)
+CP_ORACLES = ("eval_f", "eval_g", "eval_h", "grad_g_block", "relative_error",
+              "minimize_block_surrogate")
 
 
 def reference(inst, name, i, theta, u, rho):
@@ -58,22 +42,17 @@ def reference(inst, name, i, theta, u, rho):
     return np.linalg.lstsq(M, rhs.T, rcond=None)[0].T.ravel(), 1
 
 
-def replay(inst, rng, n_calls=40):
-    """The contract suite's replay on one instance, with the reference as an
-    extra bit-for-bit comparison."""
-    # imported here: the suite imports build_instance from this module
-    from test_oracle_contract import replay as contract_replay
-    contract_replay(lambda: CpProblem(inst), rng, ORACLES, n_calls=n_calls,
-                    reference=lambda name, i, theta, sample=None, u=None, rho=0.0:
-                    reference(inst, name, i, theta, u, rho))
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 4), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
 def test_memo_matches_reference(n_modes, rank, grid, seed):
+    # the contract suite's replay, with the reference as an extra
+    # bit-for-bit comparison
     rng = np.random.default_rng(seed)
-    replay(build_instance(rng, n_modes, rank, grid), rng)
+    inst = build_instance(rng, n_modes, rank, grid)
+    replay(lambda: CpProblem(inst), rng, CP_ORACLES,
+           reference=lambda name, i, theta, sample=None, u=None, rho=0.0:
+           reference(inst, name, i, theta, u, rho))
 
 
 @pytest.mark.parametrize("sweeps", [1, 4])
@@ -107,7 +86,6 @@ def test_tensor_is_read_only():
 def test_reassigned_tensor_is_not_read():
     # the problem keeps the tensor it was built with; a new array assigned
     # to the instance afterwards reaches no oracle, memoized or not
-    from test_oracle_contract import replay
     rng = np.random.default_rng(11)
     inst = build_instance(rng, 3, 2, grid=False)
     original = CpInstance(tensor=inst.tensor.copy(), rank=inst.rank,
@@ -115,4 +93,4 @@ def test_reassigned_tensor_is_not_read():
     prob = CpProblem(inst)
     prob.eval_f(prob.initial_point())  # a point evaluated before the reassignment
     inst.tensor = rng.standard_normal(inst.tensor.shape)
-    replay(lambda: CpProblem(original), rng, ORACLES, n_calls=60, prob=prob)
+    replay(lambda: CpProblem(original), rng, CP_ORACLES, n_calls=60, prob=prob)

@@ -17,15 +17,14 @@ them must give their bits on fresh parameters, on a trial point's
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from bdcopt import relu
 from bdcopt.model import SampleHandle
 from bdcopt.experiments import run_relu_experiment
 from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
 from bdcopt.relu import _as_batch, _output_adjoints, _relu, _relu_deriv
-
-from test_mlp_memo import GRID, ORACLES, blobs_problem, build_task, tie_case
+from cases import GRID, MLP_CASES, ORACLES, blobs, build_task, tie_case
 
 
 def reference_forward(params, x):
@@ -211,8 +210,7 @@ def reference_minimize(prob, i, theta, u, rho, budget, tol):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
+@given(*MLP_CASES)
 def test_one_loop_sweep_matches_reference(depth, loss, grid, seed):
     task, _ = build_task(np.random.default_rng(seed), depth, loss, grid)
     params, x, y = task.net, task.inputs, task.labels
@@ -276,8 +274,7 @@ def check_fast_path(task, theta, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
+@given(*MLP_CASES)
 def test_fast_path_matches_reference(depth, loss, grid, seed):
     rng = np.random.default_rng(seed)
     task, theta = build_task(rng, depth, loss, grid)
@@ -296,7 +293,7 @@ def test_block_solve_computes_frozen_split_weights_at_most_once(monkeypatch):
     # frozen layer's split weights are computed at most once, and the
     # block's own once per trial point's tail pass (never for layer 0, whose
     # pass reads W directly)
-    prob0 = blobs_problem()
+    prob0 = blobs(40, 4, (2, 5, 4, 3), 5)
     theta = prob0.initial_point()
     shapes = [W.shape for W, _ in prob0.template.layers]
     out_bias = prob0.template.layers[-1][1].shape
@@ -344,8 +341,7 @@ def check_solver(task, theta, rng, budget=6):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
+@given(*MLP_CASES)
 def test_solver_matches_reference(depth, loss, grid, seed):
     rng = np.random.default_rng(seed)
     task, theta = build_task(rng, depth, loss, grid)
@@ -593,8 +589,7 @@ def check_subgradient(task, theta, rng):
 # subgradient along its own block, at zero weights and ties included
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
+@given(*MLP_CASES)
 def test_block_gradient_is_a_subgradient_of_g(depth, loss, grid, seed):
     rng = np.random.default_rng(seed)
     task, theta = build_task(rng, depth, loss, grid)

@@ -1,50 +1,24 @@
 """The MLP problem's one-evaluation-per-point memo and its one-sweep
 stationarity vectors, on hypothesis-drawn tasks and at ties and kinks.
 
-The contract suite's replay (``test_oracle_contract.replay``) drives the
-memo with four minibatches and compares every call with ``reference``, the
-call computed alone.  What stays here is the MLP's own: the tail pass from
-any start layer, the records' one reverse sweep against the generic body
-(``1e-12`` of ``|g| + |h|`` per block), the block range, the sweeps a
-stochastic step makes, and the task arrays the problem reads.
-``build_task``, ``tie_case``, ``ORACLES`` and ``reference`` also serve
-``test_mlp_block_step.py`` and the suite's fixtures.
+The contract suite's replay (``cases.replay``) drives the memo with four
+minibatches and compares every call with ``reference``, the call computed
+alone.  What stays here is the MLP's own: the tail pass from any start
+layer, the records' one reverse sweep against the generic body (``1e-12`` of
+``|g| + |h|`` per block, ``cases.check_residual_blocks``), the block range,
+the sweeps a stochastic step makes, and the task arrays the problem reads.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from bdcopt import relu
 from bdcopt.model import SampleHandle
-from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
+from bdcopt.problems.mlp import MlpTaskProblem, gaussian_blobs
 from bdcopt.solvers import SolverConfig, run
-
-ORACLES = ("eval_f", "eval_g", "eval_h", "grad_g_block", "subgrad_h_block")
-GRID = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-
-
-def build_task(rng, depth, loss, grid, n_rows=6):
-    """Random task whose parameters and inputs hit the split's kinks: zero
-    weights and biases, and (on the grid) exact ties ``pre == z_minus``."""
-    dims = [int(rng.integers(1, 4))] + [int(rng.integers(1, 5))
-                                        for _ in range(depth - 1)]
-    dims.append(1 if loss == "mse" else int(rng.integers(2, 4)))
-    net = relu.random_params(dims, rng)
-    if grid:
-        x = rng.choice(GRID, size=(n_rows, dims[0]))
-        theta = rng.choice(GRID, size=net.partition().total_dim)
-    else:
-        x = rng.standard_normal((n_rows, dims[0]))
-        theta = rng.standard_normal(net.partition().total_dim)
-        theta[rng.random(theta.size) < 0.2] = 0.0
-    x[0] = 0.0
-    if loss == "mse":
-        y = rng.choice(GRID[2:], size=n_rows)
-    else:
-        y = rng.integers(0, dims[-1], size=n_rows)
-    task = MlpTask(inputs=x, labels=y, net=net.with_vector(theta.copy()), loss=loss)
-    return task, theta
+from cases import (CALLS, MLP_CASES, ORACLES, blobs, build_task,
+                   check_residual_blocks, on, replay, tie_case)
 
 
 def reference(task, name, i, theta, sample):
@@ -65,27 +39,23 @@ def reference(task, name, i, theta, sample):
     return np.concatenate([dW.ravel(), db]) / len(y)
 
 
-def replay(task, rng, n_calls=40):
+def replay_task(task, rng, n_calls=40):
     """The contract suite's replay on one task, with the reference as an
     extra bit-for-bit comparison; every call but ``eval_f`` takes one of
     four minibatches, two of them with the same rows under other keys."""
-    # imported here: the suite imports build_task and tie_case from this module
-    from test_oracle_contract import replay as contract_replay
     n = len(task.labels)
     h1 = SampleHandle(key=1, indices=rng.integers(0, n, size=3))
     samples = [None, h1, SampleHandle(key=2, indices=h1.indices),
                SampleHandle(key=3, indices=rng.integers(0, n, size=4))]
-    contract_replay(lambda: MlpTaskProblem(task), rng, ORACLES, samples, n_calls,
-                    lambda name, i, theta, sample=None:
-                    reference(task, name, i, theta, sample))
+    replay(lambda: MlpTaskProblem(task), rng, ORACLES, samples, n_calls,
+           lambda name, i, theta, sample=None: reference(task, name, i, theta, sample))
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
+@given(*MLP_CASES)
 def test_memo_matches_reference(depth, loss, grid, seed):
     rng = np.random.default_rng(seed)
-    replay(build_task(rng, depth, loss, grid)[0], rng)
+    replay_task(build_task(rng, depth, loss, grid)[0], rng)
 
 
 def check_tails(task, theta, rng):
@@ -113,32 +83,16 @@ def check_tails(task, theta, rng):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
+@given(*MLP_CASES)
 def test_tail_pass_matches_full_pass(depth, loss, grid, seed):
     rng = np.random.default_rng(seed)
     task, theta = build_task(rng, depth, loss, grid)
     check_tails(task, theta, rng)
 
 
-def tie_case(loss):
-    # zero input row and zero biases: every hidden layer above the first
-    # sees pre == z_minus == 0 on that row, and the zero biases are kinks
-    rng = np.random.default_rng(21)
-    task, theta = build_task(rng, 4, loss, grid=True)
-    part = task.net.partition()
-    for l, (W, b) in enumerate(task.net.layers):
-        sl = part.slice_of(l)
-        theta[sl.stop - b.size:sl.stop] = 0.0
-    task.net = task.net.with_vector(theta.copy())
-    st_ = relu.forward_split(task.net, task.inputs)
-    assert any(np.any(st_.pre[l] == st_.z_minus[l]) for l in range(1, len(st_.pre)))
-    return task, theta
-
-
 @pytest.mark.parametrize("loss", ["mse", "ce"])
 def test_memo_on_ties_and_kinks(loss):
-    replay(tie_case(loss)[0], np.random.default_rng(22), n_calls=200)
+    replay_task(tie_case(loss)[0], np.random.default_rng(22), n_calls=200)
 
 
 @pytest.mark.parametrize("loss", ["mse", "ce"])
@@ -156,7 +110,6 @@ def check_residual(task, theta, rng):
     against the generic body, on the full data and on minibatch handles (one
     with a repeated row), and a repeat at the same point is an equal, fresh
     copy."""
-    from test_oracle_contract import check_residual_blocks, on
     prob = MlpTaskProblem(task)
     n = len(task.labels)
     handles = [SampleHandle(key=1, indices=rng.integers(0, n, size=3)),
@@ -173,8 +126,7 @@ def check_residual(task, theta, rng):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(2, 4), st.sampled_from(["mse", "ce"]), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
+@given(*MLP_CASES)
 def test_residual_sweep_matches_split_sweeps(depth, loss, grid, seed):
     rng = np.random.default_rng(seed)
     task, theta = build_task(rng, depth, loss, grid)
@@ -197,16 +149,10 @@ def test_block_range_checked(loss):
                 getattr(prob, name)(i, theta)
 
 
-def blobs_problem(n=40):
-    x, y = gaussian_blobs(n, 3, seed=4)
-    net = relu.random_params((2, 5, 4, 3), np.random.default_rng(5))
-    return MlpTaskProblem(MlpTask(inputs=x, labels=y, net=net, loss="ce"))
-
-
 def test_stochastic_step_reuses_the_noise_subgradient(monkeypatch):
     # run() takes the minibatch subgradient for the noise norm, then the
     # step asks for it again at the same point: the repeat is a memo hit
-    prob = blobs_problem()
+    prob = blobs(40, 4, (2, 5, 4, 3), 5)
     counts = {"forward": 0, "sweep": 0, "residual": 0}
 
     def counting(fn, kind):
@@ -247,7 +193,7 @@ def test_stochastic_step_reuses_the_noise_subgradient(monkeypatch):
 def test_minibatch_block0_pair_sweeps_only_block0():
     # a block-0 pair keeps block 0 only, on a minibatch and on the full data
     # alike: the records take every block from the residual sweep instead
-    prob = blobs_problem()
+    prob = blobs(40, 4, (2, 5, 4, 3), 5)
     theta = prob.initial_point()
     batch = prob.on(SampleHandle(key=1, indices=np.arange(8)))
     batch.subgrad_h_block(0, theta)
@@ -263,7 +209,7 @@ def test_minibatch_step_keeps_the_full_data_point(monkeypatch):
     # the step runs on prob.on(handle), whose memo is its own: after it the
     # full-data point of the record at theta_0 is still kept, and calls on
     # another minibatch problem leave it in place
-    prob = blobs_problem()
+    prob = blobs(40, 4, (2, 5, 4, 3), 5)
     theta0 = prob.initial_point()
     passes = []
     forward_split = relu.forward_split
@@ -291,7 +237,7 @@ def test_minibatch_step_keeps_the_full_data_point(monkeypatch):
 
 
 def test_task_arrays_are_read_only():
-    prob = blobs_problem(10)
+    prob = blobs(10, 4, (2, 5, 4, 3), 5)
     before = prob.eval_f(prob.initial_point())
     with pytest.raises(ValueError):
         prob.task.inputs[0, 0] = 100.0
@@ -303,7 +249,7 @@ def test_task_arrays_are_read_only():
 def test_kept_point_parameters_are_read_only():
     # the split weights kept on a point's parameters cannot go stale: its
     # weights and biases are views into a private read-only vector
-    prob = blobs_problem(10)
+    prob = blobs(10, 4, (2, 5, 4, 3), 5)
     theta = prob.initial_point()
     before = prob.eval_f(theta)
     params = prob._last.params
@@ -319,10 +265,9 @@ def test_kept_point_parameters_are_read_only():
 def test_reassigned_task_arrays_are_not_read():
     # the problem keeps the inputs and labels it was built with; new arrays
     # assigned to the task afterwards reach no oracle, memoized or not
-    from test_oracle_contract import CALLS, replay
-    prob = blobs_problem()
+    prob = blobs(40, 4, (2, 5, 4, 3), 5)
     prob.eval_f(prob.initial_point())  # a point evaluated before the reassignment
     prob.task.inputs, prob.task.labels = gaussian_blobs(40, 3, seed=9)
     samples = [None, SampleHandle(key=1, indices=np.arange(0, 40, 3))]
-    replay(blobs_problem, np.random.default_rng(2), CALLS + ("minimize_block_surrogate",),
-           samples, n_calls=100, prob=prob)
+    replay(lambda: blobs(40, 4, (2, 5, 4, 3), 5), np.random.default_rng(2),
+           CALLS + ("minimize_block_surrogate",), samples, n_calls=100, prob=prob)

@@ -11,8 +11,7 @@ from bdcopt.model import (AffineBdcMap, BdcProblem, LogSumExpOracle,
                           SingletonConjugate, combine_linear, combine_max,
                           combine_min, conjugate_compose, residual_upper)
 from bdcopt.problems import QuadraticDcProblem, SdlInstance, SdlProblem, sdl_synthetic
-from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
-from bdcopt import relu
+from cases import blobs
 
 PART = BlockPartition([3, 2, 4])
 
@@ -210,10 +209,7 @@ class TestSampleReplay:
         # on a minibatch, eval_g maximizes the sampled pieces
         # g_r + sum_s h_s - h_r; its gradient must take the same piece even
         # where the full-data objectives pick the other one
-        net = relu.random_params((2, 5, 3), np.random.default_rng(2))
-        parts = [MlpTaskProblem(MlpTask(*gaussian_blobs(30, 3, seed=seed),
-                                        net=net, loss="ce"))
-                 for seed in (1, 4)]
+        parts = [blobs(30, seed, (2, 5, 3), 2) for seed in (1, 4)]
         mx = combine_max(parts)
         theta = mx.problems[0].initial_point()
         full = int(np.argmax([p.eval_f(theta) for p in parts]))
@@ -237,10 +233,7 @@ class TestSampleReplay:
     def test_linear_combination_on_a_minibatch_combines_its_parts_on_it(self):
         # combine_linear(...).on(handle) is the combination of the parts'
         # minibatch problems, with the negative weight's roles swapped
-        net = relu.random_params((2, 4, 3), np.random.default_rng(5))
-        parts = [MlpTaskProblem(MlpTask(*gaussian_blobs(20, 3, seed=seed),
-                                        net=net, loss="ce"))
-                 for seed in (6, 7)]
+        parts = [blobs(20, seed, (2, 4, 3), 5) for seed in (6, 7)]
         lin = combine_linear(parts, [0.7, -1.3])
         theta = parts[0].initial_point()
         handle = parts[0].sample(np.random.default_rng(8), batch_size=5)

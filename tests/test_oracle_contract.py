@@ -8,8 +8,9 @@ A. ``f = g_i - h_i`` on every block, within ``1e-10 (1 + |f|)``;
 B. ``g_i`` and ``h_i`` midpoint convex along the block, within 1e-9;
 C. the subgradient inequality of ``h_i``, within 1e-9;
 D. ``residual_blocks`` equal to the generic body: exactly, or within
-   ``1e-12 (max|grad g_i| + max|grad h_i|)`` per block for the MLP's sweep;
-E. :func:`replay`, bit for bit against fresh problems;
+   ``1e-12 (max|grad g_i| + max|grad h_i|)`` per block for the MLP's sweep
+   (``cases.check_residual_blocks``);
+E. ``cases.replay``, bit for bit against fresh problems;
 F. with an inner solver, ``bdca_step`` at ``rho`` 0 and 0.5 does not raise
    ``f`` and leaves the other blocks' bits alone;
 G. with a sampler, the oracles of ``prob.on(handle)`` equal, to 1e-12
@@ -20,6 +21,8 @@ H. ``grad_g_block`` and ``subgrad_h_block`` equal central differences of
 I. the gradient inequality of ``g_i``, within 1e-9, written with C.
 
 A new problem or fast path gets them all from one line in ``FIXTURES``.
+The builders, the replay harness and check D live in ``cases.py``, which
+the memo modules share; no test module imports another.
 """
 
 import importlib
@@ -30,21 +33,17 @@ import numpy as np
 import pytest
 
 import bdcopt
-from bdcopt import relu
 from bdcopt.blocks import BlockPartition
 from bdcopt.model import (AffineBdcMap, BdcProblem, LogSumExpOracle, combine_linear,
                           combine_max, combine_min, conjugate_compose)
 from bdcopt.problems import (CpProblem, MlpTask, MlpTaskProblem, QuadraticDcProblem,
-                             QuadraticMinusL1Problem, SdlInstance, SdlProblem,
-                             gaussian_blobs, sdl_synthetic)
+                             QuadraticMinusL1Problem)
 from bdcopt.solvers import bdca_step
-from test_cp_memo import build_instance
-from test_mlp_memo import build_task, tie_case
+from cases import (CALLS, GRID, blobs, build_instance, build_task, call,
+                   check_residual_blocks, declares, leaves, replay, sdl, start,
+                   tie_case)
 
-GRID = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 PART = BlockPartition([3, 2, 4])
-CALLS = ("eval_f", "eval_g", "eval_h", "grad_g_block", "subgrad_h_block",
-         "residual_blocks")
 PARTS = (("eval_g", "grad_g_block"), ("eval_h", "subgrad_h_block"))
 
 
@@ -52,18 +51,6 @@ def quadratics():
     rng = np.random.default_rng(42)
     return [QuadraticDcProblem.random(PART, rng), QuadraticMinusL1Problem(
         PART, rng.standard_normal((12, 9)), rng.standard_normal(12), 0.4)]
-
-
-def sdl(variant):
-    Y, D, X = sdl_synthetic(6, 8, 12, 3, seed=0)
-    X = X + 0.3 * np.random.default_rng(100).standard_normal(X.shape)
-    return SdlProblem(SdlInstance(Y=Y, D=D, X=X, alpha=0.2, Q=3, variant=variant))
-
-
-def blobs(n, data_seed, dims, net_seed):
-    x, y = gaussian_blobs(n, 3, seed=data_seed)
-    net = relu.random_params(dims, np.random.default_rng(net_seed))
-    return MlpTaskProblem(MlpTask(inputs=x, labels=y, net=net, loss="ce"))
 
 
 def log_sum_exp():
@@ -92,18 +79,8 @@ FIXTURES = {
 }
 
 
-def declares(prob, method):
-    return getattr(type(prob), method) is not getattr(BdcProblem, method)
-
-
 SOLVERS = [n for n, build in FIXTURES.items() if declares(build(), "minimize_block_surrogate")]
 SAMPLERS = [n for n, build in FIXTURES.items() if declares(build(), "sample")]
-
-
-def start(prob):  # the combinators declare no initial point
-    if declares(prob, "initial_point"):
-        return prob.initial_point()
-    return np.zeros(prob.partition.total_dim)
 
 
 def points(prob, rng, n):
@@ -116,78 +93,6 @@ def handles(prob, rng):
     """The full data and, for a sampler, minibatches of 3 and 8 draws."""
     return [None] + ([prob.sample(rng, 3), prob.sample(rng, 8)]
                      if declares(prob, "sample") else [])
-
-
-def on(prob, sample):
-    """``prob`` on the full data (``sample`` None) or on a handle's rows."""
-    return prob if sample is None else prob.on(sample)
-
-
-def call(prob, name, i, theta, u=None, rho=0.0):
-    """One oracle call by name; the block solver's result is its pair."""
-    if name in ("eval_f", "relative_error"):
-        return getattr(prob, name)(theta)
-    if name == "residual_blocks":
-        return prob.residual_blocks(theta)
-    if name == "minimize_block_surrogate":
-        return prob.minimize_block_surrogate(i, theta, u, rho, 10, 1e-8)
-    return getattr(prob, name)(i, theta)
-
-
-def leaves(result):
-    return list(result) if isinstance(result, (list, tuple)) else [result]
-
-
-def assert_same(got, want):
-    """Oracle results (numbers, arrays, or lists and pairs of them) equal
-    bit for bit."""
-    got, want = leaves(got), leaves(want)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b, strict=True)
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
-
-def replay(build, rng, names, samples=(None,), n_calls=40, reference=None, prob=None):
-    """(E) Interleaved calls on ``prob`` (default: a built one) at its start,
-    a grid move of it and a trial vector edited in place between calls.
-    Every call but ``eval_f`` goes to ``prob`` on one of ``samples`` (one
-    minibatch problem per handle, kept for the whole replay), and the block
-    solver takes a ``rho`` and a ``u``.  Each call gives the bits of the same
-    call on a fresh problem (and of ``reference``, if given), leaves
-    ``theta`` as it was, and NaN written into what it returned must reach no
-    later result."""
-    prob = build() if prob is None else prob
-    views = [on(prob, sample) for sample in samples]
-    dims = prob.partition.block_dims
-    theta0 = start(prob)
-    trial = theta0.copy()
-    at = [theta0, theta0 + rng.choice(GRID, size=theta0.size), trial]
-    for _ in range(n_calls):
-        if rng.random() < 0.3:
-            sl = prob.partition.slice_of(int(rng.integers(prob.n_blocks)))
-            trial[sl] = rng.choice(GRID, size=sl.stop - sl.start)
-        name = names[int(rng.integers(len(names)))]
-        i = int(rng.integers(prob.n_blocks))
-        theta = at[int(rng.integers(len(at)))]
-        kwargs, sample, view = {}, None, prob
-        if name != "eval_f":
-            k = int(rng.integers(len(samples)))
-            sample, view = samples[k], views[k]
-        if name == "minimize_block_surrogate":
-            rho = float(rng.choice([0.0, 0.5, 2.0]))
-            # u = 0 at rho = 0, where K^T K may be singular (a zero CP factor column)
-            u = rng.choice(GRID, size=dims[i]) if rho else np.zeros(dims[i])
-            kwargs.update(rho=rho, u=u)
-        before = theta.tobytes()
-        got = call(view, name, i, theta, **kwargs)
-        assert theta.tobytes() == before, name
-        assert_same(got, call(on(build(), sample), name, i, theta, **kwargs))
-        if reference is not None:
-            assert_same(got, reference(name, i, theta, sample=sample, **kwargs))
-        for a in leaves(got):
-            if isinstance(a, np.ndarray):
-                a[...] = np.nan  # must not reach later results
 
 
 def check_dc_split(prob, thetas, rng):
@@ -209,19 +114,6 @@ def check_dc_split(prob, thetas, rng):
                 u = getattr(prob, grad)(i, theta)
                 bound = part(i, theta) + float(u @ (t1[sl] - theta[sl]))
                 assert part(i, t1) >= bound - 1e-9, (k, i, grad)
-
-
-def check_residual_blocks(prob, theta, sample=None):
-    """D at one point, on the full data or one minibatch."""
-    prob = on(prob, sample)
-    got = prob.residual_blocks(theta)
-    want = BdcProblem.residual_blocks(prob, theta)
-    assert len(got) == len(want) == prob.n_blocks
-    tol = 1e-12 if isinstance(prob, MlpTaskProblem) else 0.0
-    for i, (z, w) in enumerate(zip(got, want)):
-        scale = (np.max(np.abs(prob.grad_g_block(i, theta)))
-                 + np.max(np.abs(prob.subgrad_h_block(i, theta))))
-        assert z.shape == w.shape and np.max(np.abs(z - w)) <= tol * scale, (i, sample)
 
 
 @pytest.mark.parametrize("name", FIXTURES)

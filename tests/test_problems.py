@@ -13,6 +13,7 @@ from bdcopt.problems import (CpInstance, CpProblem, MlpTask, MlpTaskProblem,
 from bdcopt.problems.cp import _khatri_rao, _khatri_rao_others, _unfold
 from bdcopt.problems.sdl import _sq_spectral_norm
 from bdcopt.solvers import SolverConfig, bdca_step, run
+from cases import blobs, sdl
 
 EPS = np.finfo(float).eps
 
@@ -155,15 +156,8 @@ class TestSdlInstance:
 
 
 class TestSdlProblem:
-    def build(self, variant="l1_lq", alpha=0.2, seed=0):
-        Y, D, X = sdl_synthetic(6, 8, 12, 3, seed=seed)
-        rng = np.random.default_rng(seed + 100)
-        return SdlProblem(SdlInstance(
-            Y=Y, D=D, X=X + 0.3 * rng.standard_normal(X.shape),
-            alpha=alpha, Q=3, variant=variant))
-
     def test_plain_l1_variant_has_zero_concave_side(self):
-        prob = self.build(variant="l1")
+        prob = sdl(variant="l1")
         rng = np.random.default_rng(3)
         theta = rng.standard_normal(prob.partition.total_dim)
         for i in range(2):
@@ -172,7 +166,7 @@ class TestSdlProblem:
                                           np.zeros(prob.partition.block_dims[i]))
 
     def test_zero_alpha_gives_alternating_least_squares(self):
-        prob = self.build(variant="l1", alpha=0.0)
+        prob = sdl(variant="l1", alpha=0.0)
         theta = prob.initial_point()
         theta, _ = bdca_step(prob, theta, 1, budget=4000, tol=1e-12)
         D, X = prob.unpack(theta)
@@ -182,7 +176,7 @@ class TestSdlProblem:
         assert fit == pytest.approx(fit_ls, abs=1e-7)
 
     def test_lq_subgradient_support_size(self):
-        prob = self.build()
+        prob = sdl()
         theta = prob.initial_point()
         u = prob.subgrad_h_block(1, theta).reshape(8, 12)
         np.testing.assert_array_equal((u != 0).sum(axis=0), np.full(12, 3))
@@ -190,14 +184,14 @@ class TestSdlProblem:
     def test_code_step_produces_exact_zeros(self):
         # the soft-threshold proximal step zeroes small coordinates exactly,
         # so sparsity can be measured without thresholding
-        prob = self.build(alpha=0.6)
+        prob = sdl(alpha=0.6)
         theta = prob.initial_point()
         theta, _ = bdca_step(prob, theta, 1, budget=50)
         _, X = prob.unpack(theta)
         assert np.mean(X == 0.0) > 0.2
 
     def test_dictionary_update_stays_feasible(self):
-        prob = self.build()
+        prob = sdl()
         theta = prob.initial_point()
         for _ in range(5):
             theta, _ = bdca_step(prob, theta, 1, budget=10)
@@ -546,9 +540,7 @@ class TestMlpProblem:
             prob.sample(rng, 0)
 
     def test_solver_run_descends(self):
-        x, y = gaussian_blobs(40, 3, seed=4)
-        net = relu.random_params((2, 8, 3), np.random.default_rng(17))
-        prob = MlpTaskProblem(MlpTask(inputs=x, labels=y, net=net, loss="ce"))
+        prob = blobs(40, 4, (2, 8, 3), 17)
         trace = run(prob, SolverConfig(n_iters=30, rho=1.0, seed=5,
                                        inner_budget=10))
         assert trace.final_f < trace.records[0].f

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from bdcopt import relu
 from bdcopt.relu import (MlpParams, block_grad_g, ce_bdc, forward_split,
                          forward_standard, load_params_csv, log_sum_exp,
                          mse_bdc, random_params, save_params_csv)

@@ -1,7 +1,8 @@
 """Whole-process checks: the import footprint, the exported names, the names
 the benchmark's tracer patches and counts, the benchmark workloads'
-correctness checks, and the demo scripts."""
+correctness checks, the demo scripts, and test modules that run alone."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import bdcopt
+from bdcopt import experiments, solvers
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(bdcopt.__file__).resolve().parent.parent
@@ -71,7 +73,6 @@ def test_benchmark_tracer_patches_existing_names():
     # perfbench/tracing.py patches bdcopt's functions and methods by name; a
     # renamed or deleted one fails here rather than in a traced benchmark run
     tracing = _benchmark_tracing()
-    from bdcopt import experiments, solvers
 
     with tracing.instrument(tracing.Tracer()):
         assert experiments.run is not solvers.run
@@ -80,7 +81,6 @@ def test_benchmark_tracer_patches_existing_names():
 
 def test_traced_code_solver_takes_one_gradient_per_iteration():
     tracing = _benchmark_tracing()
-    from bdcopt import experiments
 
     with tracing.instrument(tracing.Tracer()) as tracer:
         experiments.run_sdl_experiment(n_outer=2, n_seeds=1)
@@ -97,7 +97,6 @@ def test_traced_stochastic_run_counts_every_inner_solve():
     # the tracer patches the problem classes, so a minibatch problem of
     # another class would drop the inner.* metrics without an error
     tracing = _benchmark_tracing()
-    from bdcopt import experiments
 
     with tracing.instrument(tracing.Tracer()) as tracer:
         res = experiments.run_relu_experiment(n_data=20, batch_size=5, epochs=1,
@@ -124,3 +123,19 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, "%s.__all__ names %s" % (name, missing)
+
+
+def test_no_test_module_imports_another():
+    # what two test modules share lives in tests/cases.py, so each one runs
+    # alone: an import of a test module (which may run its @given decorators
+    # inside another's @given test) fails here
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [a.name for a in node.names]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0].startswith("test_")], (
+                "%s:%d imports %s" % (path.name, node.lineno, ", ".join(names)))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdcopt.blocks import BlockPartition
-from bdcopt.model import BallProductDomain, BdcProblem
+from bdcopt.model import BallProductDomain, BdcProblem, SampleHandle
 from bdcopt.problems import (CpInstance, CpProblem, QuadraticDcProblem,
                              QuadraticMinusL1Problem, SdlInstance, SdlProblem,
                              cp_reconstruct, sdl_synthetic)
@@ -13,9 +13,7 @@ from bdcopt.solvers import (InnerSolverDivergence, SolverConfig,
                             audit_step_bound, bdca_step, compute_E, gap_L,
                             plan_rho, rho_from, run, smoothness_estimate,
                             substream)
-from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
-from bdcopt.model import SampleHandle
-from bdcopt import relu
+from cases import blobs
 
 
 def identity_quadratic(part, c):
@@ -115,18 +113,9 @@ class TestProxStep:
         assert audit_step_bound(trace, rho) >= 0.0
 
 
-def blobs_problem():
-    xs, ys = gaussian_blobs(24, 3, seed=3)
-    net = relu.random_params((2, 5, 3), np.random.default_rng(4))
-    return MlpTaskProblem(MlpTask(inputs=xs, labels=ys, net=net, loss="ce"))
-
-
 class TestStochasticStep:
-    def build(self):
-        return blobs_problem()
-
     def test_full_batch_handle_matches_deterministic_step(self):
-        prob = self.build()
+        prob = blobs(24, 3, (2, 5, 3), 4)
         theta = prob.initial_point()
         full = SampleHandle(key=0, indices=range(prob.n_data))
         det, _ = bdca_step(prob, theta, 1, rho=2.0, budget=20, tol=1e-10)
@@ -141,7 +130,7 @@ class TestStochasticStep:
             run(prob, cfg)
 
     def test_stochastic_replay_on_shared_problem_object(self):
-        prob = self.build()
+        prob = blobs(24, 3, (2, 5, 3), 4)
         cfg = SolverConfig(n_iters=10, rho=1.5, seed=9, batch_size=8,
                            inner_budget=8)
         t1 = run(prob, cfg)
@@ -170,7 +159,7 @@ class TestRunReplay:
         np.testing.assert_array_equal(theta, trace.final_theta)
 
     def test_stochastic_mlp_run_replays(self):
-        prob = blobs_problem()
+        prob = blobs(24, 3, (2, 5, 3), 4)
         cfg = SolverConfig(n_iters=12, rho=1.5, seed=7, batch_size=6,
                            inner_budget=8)
         trace = run(prob, cfg)
@@ -425,6 +414,13 @@ class TestSmoothnessEstimate:
         prob = identity_quadratic(part, [0.0, 0.0])
         theta = np.ones(2)
         assert smoothness_estimate(prob, theta, theta, 0) == 0.0
+
+    @pytest.mark.parametrize("delta", [0.0, 2.0, float("nan")])
+    def test_delta_outside_unit_interval_names_the_value(self, delta):
+        prob = identity_quadratic(BlockPartition([2]), [0.0, 0.0])
+        message = r"^delta must lie in \(0, 1\], got %r$" % delta
+        with pytest.raises(ValueError, match=message):
+            smoothness_estimate(prob, np.zeros(2), np.ones(2), 0, delta=delta)
 
 
 class TestGapL:
