@@ -3,11 +3,17 @@
 Subcommands: ``monomial``, ``sdl``, ``relu``, ``tensor``, ``plan-rho``.
 Configuration precedence is built-in defaults < ``--config`` file (flat
 ``key=value`` lines) < command-line flags; every config key has a flag of the
-same name.  All emitted CSVs are deterministic given the configuration.  The
-run manifest is written when a run starts and closed by ``main`` whatever the
-exit: "complete" on exit 0, else "failed" with the error text, and with the
-wall time and the outputs either way.  ``BDC_OUT_DIR`` overrides the output
-directory.
+same name.  One converter, ``_convert``, turns every setting's text into its
+value, from a flag and a config line alike: by the key's parser (``widths``,
+``dims``, ``task``, ``variant``, ``ell``), else by the type of its default
+(a boolean word, ``int`` or ``float``).  ``main`` owns the run: it resolves
+the settings, starts the manifest, runs the subcommand on the resolved
+config and closes the manifest, "complete" on exit 0, else "failed" with the
+error text, and with the wall time and the outputs either way.  Every bad
+setting (a flag's or a config line's text, a missing or unreadable config
+file, a value out of range) exits 1 with one ``error:`` line and a "failed"
+manifest.  All emitted CSVs are deterministic given the configuration.
+``BDC_OUT_DIR`` overrides the output directory.
 """
 
 import argparse
@@ -66,11 +72,13 @@ def _strict_json(value):
 
 
 class Manifest:
-    """``<subcommand>_manifest.json``: a subcommand ``start``s it once its
-    output directory and config are known, appends what it writes to
-    ``outputs``, and ``main`` closes it.  The file is strict JSON: a
-    non-finite float, such as a rejected ``alpha=nan``, is written as the
-    string ``"nan"``, ``"inf"`` or ``"-inf"``."""
+    """``<subcommand>_manifest.json`` in the run's output directory.  ``main``
+    ``start``s it with the resolved config, or with the flags as given, as
+    text, when the settings do not resolve; a subcommand writes each output
+    through ``output`` or ``csv``, which record it; and ``main`` closes it.
+    The file is strict JSON: a non-finite float, such as a rejected
+    ``alpha=nan``, is written as the string ``"nan"``, ``"inf"`` or
+    ``"-inf"``."""
 
     def __init__(self, subcommand):
         self.subcommand = subcommand
@@ -78,7 +86,11 @@ class Manifest:
         self.outputs = []
 
     def start(self, outdir, config, seeds):
-        self.path = os.path.join(outdir, "%s_manifest.json" % self.subcommand)
+        """Write the running manifest to ``BDC_OUT_DIR``, else ``outdir``,
+        else the working directory, which then holds the run's outputs."""
+        self.outdir = os.environ.get("BDC_OUT_DIR") or outdir or "."
+        os.makedirs(self.outdir, exist_ok=True)
+        self.path = os.path.join(self.outdir, "%s_manifest.json" % self.subcommand)
         self.payload = {
             "subcommand": self.subcommand,
             "config": config,
@@ -97,6 +109,15 @@ class Manifest:
             json.dump(_strict_json(self.payload), fh, indent=2, sort_keys=True,
                       allow_nan=False)
             fh.write("\n")
+
+    def output(self, name, write):
+        """Write output ``name`` of the run with ``write(path)``, then record it."""
+        path = os.path.join(self.outdir, name)
+        write(path)
+        self.outputs.append(path)
+
+    def csv(self, name, header, rows):
+        self.output(name, lambda path: write_csv(path, header, rows))
 
     def close(self, error=None):
         """Record the outcome; a manifest that never started writes nothing."""
@@ -145,14 +166,33 @@ def _one_of(key, choices):
     return parse
 
 
-# string keys of a fixed form, checked where a config file or flag sets them
-_STRING_PARSERS = {
+# keys whose text a parser reads, in place of the type of their default
+_PARSERS = {
     "widths": _parse_widths,
     "dims": _parse_dims,
     "task": _one_of("task", ("blobs", "sine")),
     "variant": _one_of("variant", ("l1", "l1_lq", "both")),
     "ell": _one_of("ell", ("constant", "affine")),
 }
+
+
+def _convert(key, text, default):
+    """The value of setting ``key`` from its text, a flag's or a config
+    line's: by the key's parser, else by the type of its ``default``."""
+    if key in _PARSERS:
+        return _PARSERS[key](text)
+    if isinstance(default, bool):
+        if text.lower() not in _BOOLEANS:
+            raise ValueError("%s must be one of true/false/yes/no/1/0, got %r"
+                             % (key, text))
+        return _BOOLEANS[text.lower()]
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(text)
+        except ValueError:
+            raise ValueError("%s must be of type %s, got %r" % (
+                key, type(default).__name__, text)) from None
+    return text
 
 
 def _load_config_file(path, defaults):
@@ -162,60 +202,37 @@ def _load_config_file(path, defaults):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = "%s:%d: " % (path, lineno)
             if "=" not in line:
-                raise ValueError("%s:%d: expected key=value" % (path, lineno))
-            key, raw = (t.strip() for t in line.split("=", 1))
+                raise ValueError(where + "expected key=value")
+            key, text = (t.strip() for t in line.split("=", 1))
             if key not in defaults:
-                raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
-            ref = defaults[key]
-            if isinstance(ref, bool):
-                if raw.lower() not in _BOOLEANS:
-                    raise ValueError("%s:%d: %s must be one of true/false/yes/"
-                                     "no/1/0, got %r" % (path, lineno, key, raw))
-                values[key] = _BOOLEANS[raw.lower()]
-            elif isinstance(ref, (int, float)):
-                kind = type(ref)
-                try:
-                    values[key] = kind(raw)
-                except ValueError:
-                    raise ValueError("%s:%d: %s must be of type %s, got %r" % (
-                        path, lineno, key, kind.__name__, raw)) from None
-            else:
-                if key in _STRING_PARSERS:
-                    try:
-                        _STRING_PARSERS[key](raw)
-                    except ValueError as exc:
-                        raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
-                values[key] = raw
+                raise ValueError(where + "unknown key %r" % key)
+            try:
+                values[key] = _convert(key, text, defaults[key])
+            except ValueError as exc:
+                raise ValueError(where + str(exc)) from None
     return values
 
 
 def _resolve(defaults, args):
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags, each text through ``_convert``."""
     cfg = dict(defaults)
     if args.config:
         cfg.update(_load_config_file(args.config, defaults))
-    for key in defaults:
-        val = getattr(args, key)
-        if val is not None:
-            if key in _STRING_PARSERS:
-                _STRING_PARSERS[key](val)
-            cfg[key] = val
+    for key, default in defaults.items():
+        text = getattr(args, key)
+        if text is not None:
+            cfg[key] = _convert(key, text, default)
     return cfg
-
-
-def _outdir(cfg):
-    out = os.environ.get("BDC_OUT_DIR") or cfg.get("outdir") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _parse_exponents(text):
     try:
-        b = tuple(int(t) for t in text.split(","))
+        return tuple(int(t) for t in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError("exponents must be comma-separated integers")
-    return b
+        raise ValueError("b must be comma-separated integers, got %r"
+                         % text) from None
 
 
 def _parse_grouping(text, n_vars):
@@ -239,12 +256,17 @@ def _parse_grouping(text, n_vars):
 MONOMIAL_DEFAULTS = {"trials": 100, "tol": 1e-6, "outdir": ""}
 
 
-def cmd_monomial(args, manifest):
-    cfg = _resolve(MONOMIAL_DEFAULTS, args)
-    out = _outdir(cfg)
-    manifest.start(out, dict(cfg, b=",".join(map(str, args.b))), [0])
+def cmd_monomial(cfg, args, manifest):
+    m = Monomial(_parse_exponents(args.b))
+    # a flag the chosen mode would ignore is an error: --bounds prints the
+    # bounds only, and --group has no single atom list to export or merge
+    for flag, others in (("bounds", ("verify", "csv", "group", "merged_count")),
+                         ("group", ("csv", "merged_count"))):
+        for other in others:
+            if getattr(args, flag) and getattr(args, other):
+                raise ValueError("--%s cannot be used with --%s"
+                                 % (flag, other.replace("_", "-")))
     check_verify_settings(cfg["trials"], cfg["tol"])  # before any atom is printed
-    m = Monomial(args.b)
     names = ["t%d" % (j + 1) for j in range(m.n_vars)]
 
     def atom_str(atom, local_names):
@@ -280,9 +302,7 @@ def cmd_monomial(args, manifest):
         for atom in dec.atoms:
             print(atom_str(atom, names))
         if args.csv:
-            path = os.path.join(out, args.csv)
-            atoms_to_csv(dec, path)
-            manifest.outputs.append(path)
+            manifest.output(args.csv, lambda path: atoms_to_csv(dec, path))
 
     ok, err = verify_identity(dec, m, trials=cfg["trials"], tol=cfg["tol"])
     print("max_rel_err=%r" % float(err))
@@ -300,11 +320,8 @@ SDL_DEFAULTS = {
 }
 
 
-def cmd_sdl(args, manifest):
-    cfg = _resolve(SDL_DEFAULTS, args)
-    out = _outdir(cfg)
+def cmd_sdl(cfg, args, manifest):
     variants = ("l1", "l1_lq") if cfg["variant"] == "both" else (cfg["variant"],)
-    manifest.start(out, cfg, list(range(cfg["seeds"])))
     if args.compare_gd:  # the GD comparison's checks, before the main sweep
         # the sizes first, in the order run_sdl_experiment checks them
         for key in ("m", "l", "n"):
@@ -338,10 +355,9 @@ def cmd_sdl(args, manifest):
             cols.append(np.full(len(iters), extra[1]))
         return header, list(zip(*cols))
 
-    header, rows = table(res.rec)
-    manifest.outputs.append(write_csv(os.path.join(out, "sdl_rec_errors.csv"), header, rows))
-    header, rows = table(res.sparsity, extra=("true_sparsity", res.true_sparsity))
-    manifest.outputs.append(write_csv(os.path.join(out, "sdl_sparsities.csv"), header, rows))
+    manifest.csv("sdl_rec_errors.csv", *table(res.rec))
+    manifest.csv("sdl_sparsities.csv",
+                 *table(res.sparsity, extra=("true_sparsity", res.true_sparsity)))
 
     if args.compare_gd:
         rows = experiments.run_sdl_gd_comparison(
@@ -349,49 +365,39 @@ def cmd_sdl(args, manifest):
             alpha=cfg["alpha"], q=cfg["q"], n_outer=cfg["gd_iters"],
             n_seeds=cfg["gd_seeds"], seed=cfg["seed"], inner_x=cfg["inner_x"],
             inner_d=cfg["inner_d"], inner_tol=cfg["inner_tol"])
-        manifest.outputs.append(write_csv(
-            os.path.join(out, "sdl_gd_compare.csv"),
-            ["seed", "oracle_calls", "bdca_final", "gd_final"],
-            [(r["seed"], r["oracle_calls"], r["bdca_final"], r["gd_final"]) for r in rows]))
+        manifest.csv(
+            "sdl_gd_compare.csv", ["seed", "oracle_calls", "bdca_final", "gd_final"],
+            [(r["seed"], r["oracle_calls"], r["bdca_final"], r["gd_final"]) for r in rows])
 
 
 RELU_DEFAULTS = {
-    "task": "blobs", "widths": "16,8", "n_data": 200, "classes": 3,
+    "task": "blobs", "widths": (16, 8), "n_data": 200, "classes": 3,
     "epochs": 5, "batch_size": 16, "rho": 1.0, "theory_preset": False,
     "rho_coeff": 0.5, "batch_coeff": 0.5, "inner_budget": 25,
     "inner_tol": 1e-8, "stride": 10, "delta": 0.25, "seed": 0, "outdir": "",
 }
 
 
-def cmd_relu(args, manifest):
-    cfg = _resolve(RELU_DEFAULTS, args)
-    out = _outdir(cfg)
-    manifest.start(out, cfg, [cfg["seed"]])
-    widths = _parse_widths(cfg["widths"])
+def cmd_relu(cfg, args, manifest):
     res = experiments.run_relu_experiment(
-        task=cfg["task"], layer_dims=widths, n_data=cfg["n_data"],
+        task=cfg["task"], layer_dims=cfg["widths"], n_data=cfg["n_data"],
         n_classes=cfg["classes"], epochs=cfg["epochs"],
         batch_size=cfg["batch_size"], rho=cfg["rho"],
         theory_preset=cfg["theory_preset"], rho_coeff=cfg["rho_coeff"],
         batch_coeff=cfg["batch_coeff"], inner_budget=cfg["inner_budget"],
         inner_tol=cfg["inner_tol"], stride=cfg["stride"], delta=cfg["delta"],
         seed=cfg["seed"])
-    manifest.outputs += [
-        write_csv(os.path.join(out, "relu_loss_seed%d.csv" % cfg["seed"]),
-                  ["k", "loss", "residual_upper"], res.loss_rows),
-        write_csv(os.path.join(out, "relu_smoothness_seed%d.csv" % cfg["seed"]),
-                  ["logG", "logLhat", "t", "block"],
-                  [(a, b, int(t), int(bl)) for a, b, t, bl in res.scatter_rows]),
-    ]
+    seed = cfg["seed"]
+    manifest.csv("relu_loss_seed%d.csv" % seed, ["k", "loss", "residual_upper"],
+                 res.loss_rows)
+    manifest.csv("relu_smoothness_seed%d.csv" % seed, ["logG", "logLhat", "t", "block"],
+                 [(a, b, int(t), int(bl)) for a, b, t, bl in res.scatter_rows])
     if args.dump_trace:
-        path = os.path.join(out, "relu_trace_seed%d.csv" % cfg["seed"])
-        res.trace.write_csv(path)
-        manifest.outputs.append(path)
+        manifest.output("relu_trace_seed%d.csv" % seed, res.trace.write_csv)
     if args.save_params:
-        path = os.path.join(out, "relu_params_seed%d.csv" % cfg["seed"])
         final = res.problem.params(res.trace.final_theta)
-        relu_mod.save_params_csv(final, path)
-        manifest.outputs.append(path)
+        manifest.output("relu_params_seed%d.csv" % seed,
+                        lambda path: relu_mod.save_params_csv(final, path))
     # internal gate: every recorded value finite
     if res.loss_rows and not np.all(np.isfinite([r[1] for r in res.loss_rows])):
         raise ValueError("non-finite loss encountered")
@@ -400,21 +406,16 @@ def cmd_relu(args, manifest):
 
 
 TENSOR_DEFAULTS = {
-    "dims": "4,5,6", "rank": 2, "sweeps": 200, "seed": 0, "noise": 0.0,
+    "dims": (4, 5, 6), "rank": 2, "sweeps": 200, "seed": 0, "noise": 0.0,
     "outdir": "",
 }
 
 
-def cmd_tensor(args, manifest):
-    cfg = _resolve(TENSOR_DEFAULTS, args)
-    out = _outdir(cfg)
-    dims = _parse_dims(cfg["dims"])
-    manifest.start(out, cfg, [cfg["seed"]])
+def cmd_tensor(cfg, args, manifest):
     rows, per_update, _, _ = experiments.run_tensor_experiment(
-        dims=dims, rank=cfg["rank"], sweeps=cfg["sweeps"], seed=cfg["seed"],
+        dims=cfg["dims"], rank=cfg["rank"], sweeps=cfg["sweeps"], seed=cfg["seed"],
         noise=cfg["noise"])
-    manifest.outputs.append(write_csv(os.path.join(out, "tensor_trace.csv"),
-                                      ["sweep", "objective", "rel_error"], rows))
+    manifest.csv("tensor_trace.csv", ["sweep", "objective", "rel_error"], rows)
     manifest.payload["final_rel_error"] = rows[-1][2]
     manifest.payload["stalled"] = experiments.tensor_stalled(rows, cfg["noise"])
     # internal gate: exact block minimization must never increase the objective
@@ -428,9 +429,7 @@ PLAN_RHO_DEFAULTS = {
 }
 
 
-def cmd_plan_rho(args, manifest):
-    cfg = _resolve(PLAN_RHO_DEFAULTS, args)
-    manifest.start(_outdir(cfg), cfg, [])
+def cmd_plan_rho(cfg, args, manifest):
     for key in ("ell_l0", "ell_a", "ell_c"):
         at_least(key, cfg[key], 0)
     if cfg["ell"] == "constant":
@@ -445,18 +444,18 @@ def cmd_plan_rho(args, manifest):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, defaults):
+def _add_settings(sub, defaults, run, seeds):
+    """``--config`` and one flag per setting, each kept as text for
+    ``_convert``; a boolean flag given bare reads ``true``.  ``seeds`` maps
+    a resolved config to the seeds its manifest records."""
     sub.add_argument("--config", help="flat key=value config file")
-    for key, ref in defaults.items():
+    for key, default in defaults.items():
         flag = "--" + key.replace("_", "-")
-        if isinstance(ref, bool):
-            sub.add_argument(flag, dest=key, action="store_true", default=None)
-        elif isinstance(ref, int):
-            sub.add_argument(flag, dest=key, type=int, default=None)
-        elif isinstance(ref, float):
-            sub.add_argument(flag, dest=key, type=float, default=None)
+        if isinstance(default, bool):
+            sub.add_argument(flag, dest=key, nargs="?", const="true")
         else:
-            sub.add_argument(flag, dest=key, type=str, default=None)
+            sub.add_argument(flag, dest=key)
+    sub.set_defaults(run=run, defaults=defaults, seeds_of=seeds)
 
 
 def build_parser():
@@ -465,7 +464,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     mono = subs.add_parser("monomial", help="decompositions and atom bounds")
-    mono.add_argument("--b", type=_parse_exponents, required=True,
+    mono.add_argument("--b", required=True,
                       help="comma-separated exponents, e.g. 1,1,2,4")
     mono.add_argument("--group", help="variable groups, 1-based, e.g. 1,2|3,4")
     mono.add_argument("--bounds", action="store_true", help="print atom-count bounds only")
@@ -473,47 +472,55 @@ def build_parser():
     mono.add_argument("--merged-count", action="store_true",
                       help="also report the count after merging proportional atoms")
     mono.add_argument("--csv", help="export atoms to this CSV file")
-    _add_common(mono, MONOMIAL_DEFAULTS)
-    mono.set_defaults(func=cmd_monomial)
+    _add_settings(mono, MONOMIAL_DEFAULTS, cmd_monomial, lambda cfg: [0])
 
     sdl = subs.add_parser("sdl", help="sparse dictionary learning experiment")
     sdl.add_argument("--compare-gd", action="store_true",
                      help="also run the joint gradient-descent baseline")
-    _add_common(sdl, SDL_DEFAULTS)
-    sdl.set_defaults(func=cmd_sdl)
+    _add_settings(sdl, SDL_DEFAULTS, cmd_sdl, lambda cfg: range(cfg["seeds"]))
 
     relu_p = subs.add_parser("relu", help="toy split-network training")
     relu_p.add_argument("--dump-trace", action="store_true",
                         help="also write the per-iteration solver trace")
     relu_p.add_argument("--save-params", action="store_true",
                         help="checkpoint the trained parameters as CSV")
-    _add_common(relu_p, RELU_DEFAULTS)
-    relu_p.set_defaults(func=cmd_relu)
+    _add_settings(relu_p, RELU_DEFAULTS, cmd_relu, lambda cfg: [cfg["seed"]])
 
     tensor = subs.add_parser("tensor", help="alternating least-squares factorization")
-    _add_common(tensor, TENSOR_DEFAULTS)
-    tensor.set_defaults(func=cmd_tensor)
+    _add_settings(tensor, TENSOR_DEFAULTS, cmd_tensor, lambda cfg: [cfg["seed"]])
 
     plan = subs.add_parser("plan-rho", help="gradient-bound and proximal-weight planner")
-    _add_common(plan, PLAN_RHO_DEFAULTS)
-    plan.set_defaults(func=cmd_plan_rho)
+    _add_settings(plan, PLAN_RHO_DEFAULTS, cmd_plan_rho, lambda cfg: [])
     return parser
 
 
 def main(argv=None):
     """Run one subcommand; returns the exit status.
 
-    A subcommand signals failure by raising.  ``ValueError`` and
-    ``FileNotFoundError`` become exit 1 with one ``error:`` line; anything
-    else propagates.  Either way the manifest is closed as "failed" with the
-    error text; on success it is closed as "complete" and each output path
-    is printed.
+    ``main`` resolves the settings, starts the manifest, calls the
+    subcommand with the resolved config and closes the manifest.  A
+    ``ValueError`` or ``OSError`` on the way, from a setting's text, the
+    config file, a range check or a subcommand's own gate, becomes exit 1
+    with one ``error:`` line and a "failed" manifest; when the settings do
+    not resolve, that manifest records the flags as given, as text.
+    Anything else propagates after the manifest is closed as "failed".  On
+    success the manifest is closed as "complete" and each output path is
+    printed.
     """
     args = build_parser().parse_args(argv)
     manifest = Manifest(args.command)
     try:
-        args.func(args, manifest)
-    except (ValueError, FileNotFoundError) as exc:
+        try:
+            cfg = _resolve(args.defaults, args)
+        except (ValueError, OSError):
+            manifest.start(args.outdir, {key: text for key, text in vars(args).items()
+                                         if isinstance(text, str) and key != "command"}, [])
+            raise
+        # the monomial's exponents are recorded as given
+        manifest.start(cfg["outdir"], dict(cfg, b=args.b) if "b" in args else cfg,
+                       args.seeds_of(cfg))
+        args.run(cfg, args, manifest)
+    except (ValueError, OSError) as exc:
         manifest.close(error=str(exc))
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -14,8 +14,8 @@ from . import relu
 from .blocks import at_least
 from .model import residual_upper
 from .problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs, sine_regression
-from .problems.sdl import (SdlInstance, SdlProblem, check_lq_q, gd_baseline_sdl,
-                           sdl_synthetic)
+from .problems.sdl import (VARIANTS, SdlInstance, SdlProblem, check_lq_q,
+                           gd_baseline_sdl, sdl_synthetic)
 from .problems.cp import CpInstance, CpProblem, cp_reconstruct
 from .solvers import SolverConfig, bdca_step, run, smoothness_estimate, sqrt_k_preset, substream
 
@@ -87,10 +87,14 @@ def run_sdl_experiment(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
     Reconstruction error is ``||Y - D X||_F / ||Y||_F``; sparsity counts exact
     zeros in the code matrix (the soft-threshold step produces exact zeros).
     An ``m``, ``l``, ``n`` or ``n_seeds`` below 1, a negative ``n_outer``, a
-    negative or non-finite ``inner_tol`` or an invalid ``q`` for the
+    negative or non-finite ``inner_tol``, ``variants`` empty or naming
+    anything but ``"l1"`` and ``"l1_lq"``, or an invalid ``q`` for the
     ``l1_lq`` variant raises before any run starts.
     """
     _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol)
+    if not variants or not set(variants) <= set(VARIANTS):
+        raise ValueError("variants must name one or more of %s, got %r"
+                         % (", ".join(map(repr, VARIANTS)), variants))
     if "l1_lq" in variants:
         check_lq_q(q, l)
     rec = {v: [] for v in variants}
@@ -249,15 +253,17 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0,
     here escapes it: at 40 sweeps on dims (20, 30, 40) with rank 5, about one
     seed in six (seeds 8, 12, 28, 32, 34, 35 and 36 of 0-40) ends at relative
     error 0.26-0.47.  ``tensor_stalled(rows, noise)`` gives the verdict.
-    Bad ``dims``, a ``rank`` below 1, negative ``sweeps`` or a negative,
-    NaN or infinite ``noise`` raise before any solve, and so does a noise
-    large enough to make the starting objective overflow.
+    Bad ``dims``, a ``rank`` below 1, negative ``sweeps``, or a negative,
+    NaN or infinite ``noise`` or ``stop_rel_error`` raise before any solve,
+    and so does a noise large enough to make the starting objective overflow.
+    ``stop_rel_error`` 0 runs every sweep.
     """
     if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
         raise ValueError("dims must be 2 to 4 positive mode sizes")
     at_least("rank", rank, 1)
     at_least("sweeps", sweeps, 0)
     at_least("noise", noise, 0)
+    at_least("stop_rel_error", stop_rel_error, 0)
     rng_data = substream(seed, "data")
     true = [rng_data.standard_normal((m, rank)) for m in dims]
     T = cp_reconstruct(true)

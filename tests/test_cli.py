@@ -1,7 +1,9 @@
 import inspect
 import json
 import os
+import shlex
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,7 @@ import pytest
 import bdcopt
 from bdcopt import experiments, monomials
 from bdcopt.cli import (MONOMIAL_DEFAULTS, PLAN_RHO_DEFAULTS, RELU_DEFAULTS,
-                        SDL_DEFAULTS, TENSOR_DEFAULTS, _parse_dims, _parse_widths,
-                        main)
+                        SDL_DEFAULTS, TENSOR_DEFAULTS, build_parser, main)
 from bdcopt.relu import load_params_csv
 
 
@@ -80,6 +81,33 @@ class TestMonomialCommand:
         assert code == 0
         assert "atoms=7" in out and "atoms_merged=6" in out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--bounds", "--verify"], "--bounds cannot be used with --verify"),
+        (["--bounds", "--csv", "a.csv", "--verify"],
+         "--bounds cannot be used with --verify"),
+        (["--bounds", "--csv", "a.csv"], "--bounds cannot be used with --csv"),
+        (["--bounds", "--group", "1|2"], "--bounds cannot be used with --group"),
+        (["--bounds", "--merged-count"],
+         "--bounds cannot be used with --merged-count"),
+        (["--group", "1|2", "--csv", "atoms.csv", "--merged-count"],
+         "--group cannot be used with --csv"),
+        (["--group", "1|2", "--merged-count"],
+         "--group cannot be used with --merged-count"),
+    ], ids=["bounds_verify", "bounds_csv_verify", "bounds_csv", "bounds_group",
+            "bounds_merged_count", "group_csv_merged_count", "group_merged_count"])
+    def test_flag_that_would_be_ignored_is_one_line_error(self, capsys, tmp_path,
+                                                          flags, message):
+        out, error, _ = run_failing(["monomial", "--b", "2,2", *flags], capsys,
+                                    tmp_path)
+        assert out == ""
+        assert error == message
+
+    def test_bad_exponents_are_one_line_error(self, capsys, tmp_path):
+        _, error, manifest = run_failing(["monomial", "--b", "2,x"], capsys,
+                                         tmp_path)
+        assert error == "b must be comma-separated integers, got '2,x'"
+        assert manifest["config"]["b"] == "2,x"
+
 
 class TestTensorCommand:
     def test_trace_and_manifest(self, capsys, tmp_path):
@@ -95,12 +123,7 @@ class TestTensorCommand:
         assert manifest["wall_s"] is not None
         assert manifest["final_rel_error"] == float(lines[-1].split(",")[2])
         assert manifest["stalled"] is False
-
-    def test_bad_dims_usage_error(self, capsys, tmp_path):
-        code, _, err = run_cli(["tensor", "--dims", "4", "--outdir", str(tmp_path)],
-                               capsys)
-        assert code == 1
-        assert "dims" in err
+        assert manifest["config"]["dims"] == [4, 5, 6]
 
     def test_monotone_sweep(self, capsys, tmp_path):
         code, _, _ = run_cli(["tensor", "--sweeps", "1", "--outdir", str(tmp_path)],
@@ -165,15 +188,6 @@ class TestReluCommand:
     def test_bad_stride_or_delta_fails_before_any_solve(
             self, capsys, tmp_path, flags, message):
         assert run_failing(["relu", *flags], capsys, tmp_path)[1] == message
-
-    @pytest.mark.parametrize("value", ["16,x", "8,-3", ",", "6,,4", "16,8,"])
-    def test_bad_widths_flag_names_the_key(self, capsys, tmp_path, value):
-        code, _, err = run_cli(["relu", "--widths=" + value,
-                                "--outdir", str(tmp_path)], capsys)
-        assert code == 1
-        assert err.splitlines() == [
-            "error: widths must be comma-separated positive integers, got %r"
-            % value]
 
 
 class TestSdlCommand:
@@ -255,6 +269,7 @@ class TestManifestLifecycle:
         assert out.splitlines()[-1] == "wrote %s" % (tmp_path / "atoms.csv")
         manifest = self.read(tmp_path / "monomial_manifest.json")
         assert manifest["status"] == "complete" and "error" not in manifest
+        assert manifest["config"]["b"] == "2,4"
         assert manifest["outputs"] == ["atoms.csv"]
         assert manifest["wall_s"] is not None
 
@@ -315,11 +330,20 @@ class TestConfigPrecedence:
     def test_boolean_words(self, word, want, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("theory_preset=%s\nepochs=0\n" % word)
-        code, _, _ = run_cli(["relu", "--config", str(cfg),
+        for argv in (["--config", str(cfg)],
+                     ["--theory-preset=" + word, "--epochs", "0"]):
+            code, _, _ = run_cli(["relu", *argv, "--outdir", str(tmp_path)], capsys)
+            assert code == 0
+            manifest = json.loads((tmp_path / "relu_manifest.json").read_text())
+            assert manifest["config"]["theory_preset"] is want
+            assert manifest["config"]["widths"] == [16, 8]
+
+    def test_bare_boolean_flag_reads_true(self, capsys, tmp_path):
+        code, _, _ = run_cli(["relu", "--theory-preset", "--epochs", "0",
                               "--outdir", str(tmp_path)], capsys)
         assert code == 0
         manifest = json.loads((tmp_path / "relu_manifest.json").read_text())
-        assert manifest["config"]["theory_preset"] is want
+        assert manifest["config"]["theory_preset"] is True
 
     def test_misspelled_boolean_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -330,34 +354,15 @@ class TestConfigPrecedence:
         assert err.startswith("error: %s:2: theory_preset " % cfg)
         assert "'ture'" in err
 
-    @pytest.mark.parametrize("line,kind", [("epochs=two", "int"),
-                                           ("rho=much", "float")])
-    def test_unparsable_number_names_path_line_and_key(self, line, kind, capsys,
-                                                       tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\n%s\n" % line)
-        key, raw = line.split("=")
-        code, _, err = run_cli(["relu", "--config", str(cfg),
-                                "--outdir", str(tmp_path)], capsys)
-        assert code == 1
-        assert err.strip() == "error: %s:2: %s must be of type %s, got %r" % (
-            cfg, key, kind, raw)
-
-    @pytest.mark.parametrize("command,line", [("relu", "widths=16,x"),
-                                              ("tensor", "dims=4"),
-                                              ("relu", "task=blob"),
-                                              ("sdl", "variant=l2"),
-                                              ("plan-rho", "ell=bogus")])
-    def test_bad_string_value_names_path_line_and_key(self, command, line,
-                                                      capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\n%s\n" % line)
-        key, raw = line.split("=")
-        code, _, err = run_cli([command, "--config", str(cfg),
-                                "--outdir", str(tmp_path)], capsys)
-        assert code == 1
-        assert err.startswith("error: %s:2: %s must be " % (cfg, key))
-        assert err.strip().endswith("got %r" % raw)
+    @pytest.mark.parametrize("config", ["missing.cfg", "."],
+                             ids=["missing", "directory"])
+    def test_unreadable_config_file_is_one_line_error(self, capsys, tmp_path,
+                                                      config):
+        path = str(tmp_path / config)
+        _, error, manifest = run_failing(["tensor", "--config", path], capsys,
+                                         tmp_path)
+        assert path in error
+        assert manifest["config"] == {"config": path, "outdir": str(tmp_path)}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -411,6 +416,47 @@ def test_non_finite_float_setting_fails_before_any_solve(capsys, tmp_path, argv,
     assert key in error
 
 
+WIDTHS = "widths must be comma-separated positive integers, got %r"
+BAD_TEXT = [("relu", "widths", value, WIDTHS % value)
+            for value in ("16,x", "8,-3", ",", "6,,4", "16,8,")] + [
+    ("tensor", "dims", "4",
+     "dims must be 2 to 4 comma-separated positive integers, got '4'"),
+    ("relu", "task", "blob", "task must be one of 'blobs', 'sine', got 'blob'"),
+    ("sdl", "variant", "l2",
+     "variant must be one of 'l1', 'l1_lq', 'both', got 'l2'"),
+    ("plan-rho", "ell", "bogus",
+     "ell must be one of 'constant', 'affine', got 'bogus'"),
+    ("relu", "epochs", "two", "epochs must be of type int, got 'two'"),
+    ("relu", "rho", "much", "rho must be of type float, got 'much'"),
+    ("tensor", "rank", "2.5", "rank must be of type int, got '2.5'"),
+    ("sdl", "alpha", "0.1.2", "alpha must be of type float, got '0.1.2'"),
+    ("relu", "theory_preset", "ture",
+     "theory_preset must be one of true/false/yes/no/1/0, got 'ture'"),
+]
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command, key, text, message", BAD_TEXT,
+                         ids=["%s-%s=%s" % case[:3] for case in BAD_TEXT])
+def test_bad_setting_text_is_one_line_error(capsys, tmp_path, given, command,
+                                            key, text, message):
+    """A setting's text goes through one converter, from a flag or a config
+    line alike; a config line's error adds its path and line number."""
+    if given == "flag":
+        argv = [command, "--%s=%s" % (key.replace("_", "-"), text)]
+        flags = {key: text}
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n%s=%s\n" % (key, text))
+        argv = [command, "--config", str(cfg)]
+        flags = {"config": str(cfg)}
+        message = "%s:2: %s" % (cfg, message)
+    _, error, manifest = run_failing(argv, capsys, tmp_path)
+    assert error == message
+    # the settings never resolved, so the manifest holds the flags as given
+    assert manifest["config"] == dict(flags, outdir=str(tmp_path))
+
+
 def test_protocol_defaults_match_driver_defaults():
     """Each CLI default equals the keyword default of the driver it feeds,
     so calling a driver bare runs the CLI's protocol."""
@@ -434,17 +480,32 @@ def test_protocol_defaults_match_driver_defaults():
     names = {"widths": "layer_dims", "classes": "n_classes"}
     for key, value in RELU_DEFAULTS.items():
         if key != "outdir":
-            value = _parse_widths(value) if key == "widths" else value
             assert relu[names.get(key, key)] == value, key
 
     tensor = defaults(experiments.run_tensor_experiment)
     for key, value in TENSOR_DEFAULTS.items():
         if key != "outdir":
-            assert tensor[key] == (_parse_dims(value) if key == "dims" else value), key
+            assert tensor[key] == value, key
 
     verify = defaults(monomials.verify_identity)
     for key in ("trials", "tol"):
         assert verify[key] == MONOMIAL_DEFAULTS[key], key
+
+
+def test_readme_command_lines_parse():
+    """Each ``bdc`` line of the README's command-line block parses (nothing
+    runs), so renaming or removing a flag it shows fails here."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("bdc ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail("README line does not parse: %s" % line)
 
 
 def test_out_dir_env_override(capsys, tmp_path, monkeypatch):

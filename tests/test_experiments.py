@@ -123,3 +123,31 @@ def test_tensor_stall_verdict(seed, stalled):
 def test_tensor_experiment_validates_dims():
     with pytest.raises(ValueError):
         run_tensor_experiment(dims=(4,), rank=1)
+
+
+@pytest.mark.parametrize("variants", [(), ("l1", "bogus"), ("l2",), "l1"],
+                         ids=["empty", "l1_and_bogus", "l2", "bare_string"])
+def test_sdl_experiment_checks_variants_before_any_step(monkeypatch, variants):
+    def no_step(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(experiments, "bdca_step", no_step)
+    with pytest.raises(ValueError, match=r"^variants must name one or more of "
+                                         r"'l1', 'l1_lq', got "):
+        run_sdl_experiment(n_outer=1, n_seeds=1, variants=variants)
+
+
+@pytest.mark.parametrize("value, message", [
+    (float("nan"), "stop_rel_error must be >= 0, got nan"),
+    (-1.0, "stop_rel_error must be >= 0, got -1.0"),
+    (float("inf"), "stop_rel_error must be finite, got inf"),
+], ids=["nan", "negative", "inf"])
+def test_tensor_experiment_checks_stop_rel_error_before_any_solve(
+        monkeypatch, value, message):
+    def no_step(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(experiments, "bdca_step", no_step)
+    with pytest.raises(ValueError) as err:
+        run_tensor_experiment(sweeps=3, stop_rel_error=value)
+    assert str(err.value) == message
