@@ -229,10 +229,14 @@ def _resolve(defaults, args):
 
 def _parse_exponents(text):
     try:
-        return tuple(int(t) for t in text.split(","))
+        exps = tuple(int(t) for t in text.split(","))
     except ValueError:
         raise ValueError("b must be comma-separated integers, got %r"
                          % text) from None
+    if any(b < 0 for b in exps) or not any(exps):
+        raise ValueError("b must be comma-separated nonnegative integers, at "
+                         "least one positive, got %r" % text)
+    return exps
 
 
 def _parse_grouping(text, n_vars):

@@ -48,9 +48,10 @@ class Monomial:
     def __post_init__(self):
         exps = tuple(int(b) for b in self.exponents)
         if any(b < 0 for b in exps):
-            raise ValueError("exponents must be nonnegative")
+            raise ValueError("exponents must be nonnegative, got %r" % (exps,))
         if not any(b > 0 for b in exps):
-            raise ValueError("monomial needs at least one positive exponent")
+            raise ValueError("monomial needs at least one positive exponent, "
+                             "got %r" % (exps,))
         object.__setattr__(self, "exponents", exps)
 
     @property

@@ -9,8 +9,13 @@ the other factors, and the block update solves the ``r x r`` normal equations
 built from ``K^T K`` and the MTTKRP ``T_(i) K``.  The oracles share one
 residual per point: ``eval_f``, ``eval_g``, ``grad_g_block`` and
 ``relative_error`` read the last point's ``reconstruction - T`` instead of
-rebuilding the tensor.  The problem reads only the tensor it was built with,
-which it makes read-only.
+rebuilding the tensor.  What the solve cannot change is computed once: the
+mode unfoldings ``T_(i)`` and ``||T||``.  The Khatri-Rao product of the
+factors after the first, which the reconstruction and the first factor's
+update both use, is kept for the last factors it was built from, so a
+3-mode sweep builds 4 products instead of 6.  Every output is bit for bit
+what the per-call computation gives.  The problem reads only the tensor it
+was built with, which it makes read-only.
 """
 
 from dataclasses import dataclass
@@ -69,10 +74,19 @@ class CpProblem(BdcProblem):
     and ``f = 0.5 ||R||^2``, keyed by the ``theta`` bytes, so the step's
     descent checks, the driver's per-update objective and the per-sweep
     relative error at one point share one reconstruction.  ``R`` never
-    leaves the problem.  The instance's ``tensor`` is made read-only here, so
-    an in-place edit raises instead of leaving a stale residual behind, and
-    the problem keeps that array: assigning a new ``instance.tensor`` later
-    changes nothing here.
+    leaves the problem.  So is the last Khatri-Rao product ``K_0`` of the
+    factors after the first, keyed by their bytes: the reconstruction and
+    block 0's update and gradient read it, and it is a private read-only
+    array, never a view of a caller's ``theta``.
+
+    Built once: the read-only mode unfoldings ``T_(i)`` that the block
+    updates multiply (mode 0 is a view of ``T``; each other mode is a
+    permuted copy, so ``n - 1`` copies of ``T`` in all, 384 KB at
+    20 x 30 x 40) and ``||T||``.  Every output is bit for bit what the
+    per-call computation gives.  The instance's ``tensor`` is made
+    read-only here, so an in-place edit raises instead of leaving a stale
+    residual behind, and the problem keeps that array: assigning a new
+    ``instance.tensor`` later changes nothing here.
     """
 
     def __init__(self, instance):
@@ -84,6 +98,11 @@ class CpProblem(BdcProblem):
         self.shape = tensor.shape
         self.rank = instance.rank
         self.partition = BlockPartition([m * instance.rank for m in self.shape])
+        self._unfolded = [_unfold(tensor, i) for i in range(tensor.ndim)]
+        for T_i in self._unfolded:
+            T_i.flags.writeable = False
+        self._norm = np.linalg.norm(tensor)
+        self._kr0 = None
         self._last = None
 
     def unpack(self, theta):
@@ -101,13 +120,35 @@ class CpProblem(BdcProblem):
     def initial_point(self):
         return self.pack(self.instance.factors)
 
+    def _factors_kr(self, theta, i):
+        """``(factors, K)``: the factors at ``theta`` and the Khatri-Rao
+        product of all but factor ``i``; for ``i = 0`` the kept ``K_0`` when
+        the other factors' bytes match.  With two modes ``K_0`` is the second
+        factor itself, so it is copied before it is kept."""
+        theta = np.asarray(theta, dtype=float)
+        factors = self.unpack(theta)
+        if i:
+            return factors, _khatri_rao_others(factors, i)
+        key = theta[self.partition.slice_of(0).stop:].tobytes()
+        if self._kr0 is None or self._kr0[0] != key:
+            self._kr0 = None  # free the old product before the new one
+            K = reduce(_khatri_rao, factors[2:], factors[1].copy())
+            K.flags.writeable = False
+            self._kr0 = (key, K)
+        return factors, self._kr0[1]
+
+    def _reconstruct(self, theta):
+        """The full tensor at ``theta``, as ``cp_reconstruct`` builds it."""
+        factors, K = self._factors_kr(theta, 0)
+        return (factors[0] @ K.T).reshape(self.shape)
+
     def _residual(self, theta):
         """``(R, f)`` at ``theta``, from the memo when its bytes match."""
         theta = np.asarray(theta, dtype=float)
         key = theta.tobytes()
         if self._last is None or self._last[0] != key:
             self._last = None  # free the old residual before the new one
-            R = cp_reconstruct(self.unpack(theta))
+            R = self._reconstruct(theta)
             R -= self.tensor
             self._last = (key, R, 0.5 * float(np.sum(R * R)))
         return self._last[1:]
@@ -122,7 +163,7 @@ class CpProblem(BdcProblem):
         return 0.0
 
     def grad_g_block(self, i, theta):
-        K = _khatri_rao_others(self.unpack(theta), i)
+        K = self._factors_kr(theta, i)[1]
         return (_unfold(self._residual(theta)[0], i) @ K).ravel()
 
     def subgrad_h_block(self, i, theta):
@@ -135,14 +176,18 @@ class CpProblem(BdcProblem):
         minimum-norm least squares, so a singular ``K^T K`` (a zero factor
         column at ``rho = 0``) gives the minimum-norm minimizer, as
         ``lstsq(K, T_(i)^T)`` would."""
-        factors = self.unpack(theta)
-        K = _khatri_rao_others(factors, i)
+        factors, K = self._factors_kr(theta, i)
         M = K.T @ K + rho * np.eye(self.rank)
-        rhs = (_unfold(self.tensor, i) @ K + np.asarray(u).reshape(factors[i].shape)
+        rhs = (self._unfolded[i] @ K + np.asarray(u).reshape(factors[i].shape)
                + rho * factors[i])
         Fi = np.linalg.lstsq(M, rhs.T, rcond=None)[0].T
         return Fi.ravel(), 1
 
     def relative_error(self, theta):
+        """``||R|| / ||T||``; undefined, so a ``ValueError``, when ``T`` is
+        all zeros."""
+        if not self._norm:
+            raise ValueError("the relative error of an all-zero tensor is "
+                             "undefined")
         R = self._residual(theta)[0]
-        return float(np.linalg.norm(R) / np.linalg.norm(self.tensor))
+        return float(np.linalg.norm(R) / self._norm)

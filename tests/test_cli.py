@@ -108,6 +108,15 @@ class TestMonomialCommand:
         assert error == "b must be comma-separated integers, got '2,x'"
         assert manifest["config"]["b"] == "2,x"
 
+    @pytest.mark.parametrize("text", ["2,-1", "0,0"])
+    def test_negative_or_all_zero_exponents_are_one_line_error(self, capsys,
+                                                               tmp_path, text):
+        _, error, manifest = run_failing(["monomial", "--b=" + text], capsys,
+                                         tmp_path)
+        assert error == ("b must be comma-separated nonnegative integers, at "
+                         "least one positive, got %r" % text)
+        assert manifest["config"]["b"] == text
+
 
 class TestTensorCommand:
     def test_trace_and_manifest(self, capsys, tmp_path):

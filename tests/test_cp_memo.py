@@ -3,7 +3,8 @@ computation it replaced.
 
 The contract suite's replay (``cases.replay``) drives the memo and compares
 every call with ``reference``, the call computed alone.  What stays here is
-the CP's own: one reconstruction per update, and the tensor the problem
+the CP's own: one reconstruction per update, four Khatri-Rao products per
+3-mode sweep, the data the problem keeps from its tensor, and the tensor it
 reads.
 """
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdcopt import experiments
+from bdcopt.solvers import bdca_step
 from bdcopt.problems import cp
 from bdcopt.problems.cp import CpInstance, CpProblem, cp_reconstruct
 from cases import build_instance, replay
@@ -61,16 +63,104 @@ def test_one_reconstruction_per_update(monkeypatch, sweeps):
     # share one reconstruction, and the sweep's relative error reads it too;
     # the starting point costs one more
     count = [0]
+    reconstruct = CpProblem._reconstruct
 
-    def counting(factors):
+    def counting(self, theta):
         count[0] += 1
-        return cp_reconstruct(factors)
+        return reconstruct(self, theta)
 
-    monkeypatch.setattr(cp, "cp_reconstruct", counting)
+    monkeypatch.setattr(CpProblem, "_reconstruct", counting)
     rows, per_update, _, _ = experiments.run_tensor_experiment(
         dims=(3, 4, 5), rank=2, sweeps=sweeps, seed=3)
     assert len(rows) == sweeps + 1
     assert count[0] == 3 * sweeps + 1
+
+
+@pytest.mark.parametrize("sweeps", [1, 4])
+def test_sweep_builds_four_khatri_rao_products_and_no_unfolding(monkeypatch, sweeps):
+    # the first factor's update and the reconstruction after it read the
+    # product of factors 2 and 3 that the last reconstruction kept; the
+    # other two updates build their own product and the reconstruction at
+    # their new point one more (6 per sweep when nothing is kept).  The
+    # block updates multiply unfoldings of T built with the problem.
+    rng = np.random.default_rng(5)
+    prob = CpProblem(CpInstance(tensor=rng.standard_normal((3, 4, 5)), rank=2,
+                                factors=[rng.standard_normal((m, 2)) for m in (3, 4, 5)]))
+    theta = prob.initial_point()
+    prob.eval_f(theta)
+    counts = {"khatri_rao": 0, "unfold_T": 0}
+    khatri_rao, unfold = cp._khatri_rao, cp._unfold
+
+    def counting_khatri_rao(a, b):
+        counts["khatri_rao"] += 1
+        return khatri_rao(a, b)
+
+    def counting_unfold(T, mode):
+        counts["unfold_T"] += np.shares_memory(T, prob.tensor)
+        return unfold(T, mode)
+
+    monkeypatch.setattr(cp, "_khatri_rao", counting_khatri_rao)
+    monkeypatch.setattr(cp, "_unfold", counting_unfold)
+    for _ in range(sweeps):
+        for i in range(3):
+            theta, _ = bdca_step(prob, theta, i)
+            prob.eval_f(theta)
+        prob.relative_error(theta)
+    assert counts == {"khatri_rao": 4 * sweeps, "unfold_T": 0}
+
+
+def test_kept_unfoldings_are_the_unfoldings_read_only():
+    inst = build_instance(np.random.default_rng(13), 4, 2, grid=False)
+    prob = CpProblem(inst)
+    for i, T_i in enumerate(prob._unfolded):
+        want = cp._unfold(inst.tensor, i)
+        assert T_i.shape == want.shape and T_i.dtype == want.dtype
+        assert T_i.tobytes() == want.tobytes()
+        assert not T_i.flags.writeable
+        with pytest.raises(ValueError):
+            T_i[0, 0] = 100.0
+    assert np.shares_memory(prob._unfolded[0], prob.tensor)  # a view, no copy
+
+
+def test_two_mode_product_is_not_the_callers_factor():
+    # with two modes the Khatri-Rao product of the factors after the first
+    # is the second factor itself; the kept product must not follow an
+    # in-place edit of the theta it came from
+    rng = np.random.default_rng(17)
+    inst = CpInstance(tensor=rng.standard_normal((3, 4)), rank=2,
+                      factors=[rng.standard_normal((3, 2)),
+                               rng.standard_normal((4, 2))])
+    prob = CpProblem(inst)
+    theta = prob.initial_point()
+    old = theta.copy()
+    prob.grad_g_block(0, theta)
+    theta[-8:] = rng.standard_normal(8)  # the second factor, edited in place
+    u = np.zeros(6)
+    for at in (old, theta, old):
+        fresh = CpProblem(inst)
+        assert prob.grad_g_block(0, at).tobytes() == fresh.grad_g_block(0, at).tobytes()
+        assert (prob.minimize_block_surrogate(0, at, u, 0.5, 1, 0)[0].tobytes()
+                == fresh.minimize_block_surrogate(0, at, u, 0.5, 1, 0)[0].tobytes())
+        assert prob.eval_f(at) == fresh.eval_f(at)
+
+
+def test_relative_error_of_zero_tensor_raises():
+    # ||T|| = 0 leaves the relative error undefined; the oracles still work
+    rng = np.random.default_rng(19)
+    factors = [rng.standard_normal((m, 2)) for m in (3, 4, 5)]
+    prob = CpProblem(CpInstance(tensor=np.zeros((3, 4, 5)), rank=2,
+                                factors=factors))
+    theta = prob.initial_point()
+    with pytest.raises(ValueError, match="all-zero tensor is undefined"):
+        prob.relative_error(theta)
+    R = cp_reconstruct(factors)
+    assert prob.eval_f(theta) == 0.5 * float(np.sum(R * R))
+    assert prob.eval_g(1, theta) == prob.eval_f(theta)
+    np.testing.assert_array_equal(
+        prob.grad_g_block(2, theta),
+        (cp._unfold(R, 2) @ cp._khatri_rao_others(factors, 2)).ravel())
+    theta_new, _ = bdca_step(prob, theta, 0)
+    assert prob.eval_f(theta_new) <= prob.eval_f(theta)
 
 
 def test_tensor_is_read_only():

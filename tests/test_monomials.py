@@ -174,6 +174,15 @@ class TestVerifyIdentity:
             verify_identity(polarize(Monomial((1,))), Monomial((1,)), trials=0)
 
 
+@pytest.mark.parametrize("exponents, message", [
+    ((2, -1), r"exponents must be nonnegative, got \(2, -1\)"),
+    ((0, 0), r"at least one positive exponent, got \(0, 0\)"),
+], ids=["negative", "all_zero"])
+def test_monomial_names_the_exponents_it_rejects(exponents, message):
+    with pytest.raises(ValueError, match=message):
+        Monomial(exponents)
+
+
 def test_atom_rejects_odd_power_above_one():
     with pytest.raises(ValueError):
         Atom(weight=Fraction(1), form=(1,), shift=0, power=3)
