@@ -27,6 +27,7 @@ from .blocks import BlockPartition
 __all__ = [
     "BdcProblem",
     "SampleHandle",
+    "InnerSolverDivergence",
     "BallProductDomain",
     "residual_blocks",
     "residual_upper",
@@ -38,6 +39,11 @@ __all__ = [
     "SingletonConjugate",
     "conjugate_compose",
 ]
+
+
+class InnerSolverDivergence(RuntimeError):
+    """Inner solver failed to descend on the block surrogate within budget,
+    or met a non-finite value on the way."""
 
 
 class SampleHandle:
@@ -136,7 +142,8 @@ class BdcProblem:
             g_i(x; rest) - <u, x> + rho/2 ||x - theta_i||^2   over the block domain,
 
         warm-started at the current block value.  Must not increase the
-        surrogate.  Returns ``(x_new, inner_iterations)``.
+        surrogate.  Returns ``(x_new, inner_iterations)``; may raise
+        :class:`InnerSolverDivergence`.
         """
         raise NotImplementedError("problem declares no inner solver")
 

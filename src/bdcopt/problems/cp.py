@@ -18,6 +18,7 @@ what the per-call computation gives.  The problem reads only the tensor it
 was built with, which it makes read-only.
 """
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -83,10 +84,12 @@ class CpProblem(BdcProblem):
     updates multiply (mode 0 is a view of ``T``; each other mode is a
     permuted copy, so ``n - 1`` copies of ``T`` in all, 384 KB at
     20 x 30 x 40) and ``||T||``.  Every output is bit for bit what the
-    per-call computation gives.  The instance's ``tensor`` is made
-    read-only here, so an in-place edit raises instead of leaving a stale
-    residual behind, and the problem keeps that array: assigning a new
-    ``instance.tensor`` later changes nothing here.
+    per-call computation gives.  Both norms of the relative error are
+    numpy's pairwise sums of squares, never ``np.linalg.norm``, whose BLAS
+    ``dot`` rounds differently with the BLAS thread count.  The instance's
+    ``tensor`` is made read-only here, so an in-place edit raises instead of
+    leaving a stale residual behind, and the problem keeps that array:
+    assigning a new ``instance.tensor`` later changes nothing here.
     """
 
     def __init__(self, instance):
@@ -101,7 +104,7 @@ class CpProblem(BdcProblem):
         self._unfolded = [_unfold(tensor, i) for i in range(tensor.ndim)]
         for T_i in self._unfolded:
             T_i.flags.writeable = False
-        self._norm = np.linalg.norm(tensor)
+        self._norm = math.sqrt(float(np.sum(tensor * tensor)))
         self._kr0 = None
         self._last = None
 
@@ -184,10 +187,9 @@ class CpProblem(BdcProblem):
         return Fi.ravel(), 1
 
     def relative_error(self, theta):
-        """``||R|| / ||T||``; undefined, so a ``ValueError``, when ``T`` is
-        all zeros."""
+        """``||R|| / ||T||`` as ``sqrt(2 f) / ||T||``, from the memo's ``f``;
+        undefined, so a ``ValueError``, when ``T`` is all zeros."""
         if not self._norm:
             raise ValueError("the relative error of an all-zero tensor is "
                              "undefined")
-        R = self._residual(theta)[0]
-        return float(np.linalg.norm(R) / self._norm)
+        return math.sqrt(2.0 * self._residual(theta)[1]) / self._norm

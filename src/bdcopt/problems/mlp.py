@@ -7,12 +7,13 @@ a handle is just a recorded index tuple, drawn i.i.d. with replacement, and
 ``problem.on(handle)`` is the same problem on those rows.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..blocks import at_least
-from ..model import BdcProblem, SampleHandle
+from ..model import BdcProblem, InnerSolverDivergence, SampleHandle
 from .. import relu
 
 __all__ = [
@@ -229,48 +230,42 @@ class MlpTaskProblem(BdcProblem):
 
     # -- inner solver ----------------------------------------------------------
     def minimize_block_surrogate(self, i, theta, u, rho, budget, tol):
-        """Descent on the block surrogate, robust to the split's convex kinks.
+        """A two-cut proximal bundle method on the block surrogate ``phi =
+        g_i - <u, .> + rho/2 ||. - x0||^2`` (Kiwiel, "Proximity control in
+        bundle methods for convex nondifferentiable minimization", Math.
+        Program. 46, 1990).  Returns ``(x, iterations)``.
 
-        The surrogate is convex but only piecewise smooth, so the fixed
-        subgradient selection at a kink may not be a descent direction.  Each
-        of the ``budget`` gradients gets one backtracking line search along
-        its negative, skipped once the gradient is below the tolerance.  When
-        no step descends, the loop probes the coordinates sitting exactly at
-        zero, where relu terms put kinks, one at a time and both ways.  If
-        none descends either, it stops when stationary and otherwise hops
-        non-monotonically along the negative gradient with a step that halves
-        on every hop.  The best visited point is returned, so the surrogate
-        never increases.  Returns ``(x, gradients taken)``.
+        ``phi`` is convex but only piecewise smooth, so at a relu kink the
+        fixed subgradient selection may not be a descent direction.  A trial
+        point that fails to descend is not thrown away: its subgradient,
+        from the other side of the kink, becomes a cutting plane.  The
+        bundle keeps two cuts, the aggregate and the newest, each as a
+        subgradient and its linearization error at the center ``x_c``.  An
+        iteration takes the convex combination ``(s, e)`` of the two that
+        solves the two-cut dual in closed form, evaluates ``y = x_c - t s``
+        and predicts the decrease ``v = -(t ||s||^2 + e)``.  The step is
+        serious when ``phi(y) <= phi(x_c) + 0.1 v``: ``y`` becomes the
+        center and ``t`` grows by half.  Otherwise it is a null step, and
+        when the new cut's error exceeds ``-10 v``, ``t`` shrinks by
+        Kiwiel's interpolation, to no less than ``t / 100``.  It starts
+        from ``x0`` with ``t = 1 / (1 + rho)`` and stops once ``-v <= tol
+        (1 + |phi(x0)|)``, or after ``budget`` iterations, the start's
+        gradient counting as one.  The center is returned, so the surrogate
+        never increases.  A non-finite value or subgradient raises
+        ``InnerSolverDivergence`` naming the block, the iteration and the
+        value.
 
-        A trial point is accepted when it lowers the value by ``need =
-        1e-12 (1 + |val|)``.  The selected gradient is a subgradient of the
-        convex surrogate, so ``value(y) >= val + <grad, y - x>``, and two
-        kinds of trial point are skipped because they cannot pass:
-
-        * a line-search step ``x - s grad`` once ``s ||grad||^2 <= need / 2``;
-          steps only shrink, so the search ends there and takes the failure
-          path as if every halving had failed;
-        * a probe ``x_j = direction * probe`` once
-          ``-direction * probe * grad[j] <= need / 2``; probes only shrink,
-          so that direction ends there, and a coordinate with ``grad[j] = 0``
-          is never probed.
-
-        The factor 1/2 absorbs the rounding of the computed values, so the
-        points still evaluated, and the result, are those of the search
-        without the cuts.
-
-        Trial points are evaluated on the block's tail.  The memo point at
-        ``theta`` is the anchor: it gives the split state of the layers
-        below ``i``, and it serves the start itself.  Every other trial point
-        gets its parameters built once
-        (:meth:`relu.MlpParams.with_block`: the frozen layers' arrays and
-        split weights are the anchor's) and one forward pass from layer
-        ``i``, which its value (the ``g`` part alone) and its gradient share,
-        with the output's ``exp`` computed once.  The points of the current
-        gradient's search are kept until the next gradient, so a hop onto
-        one of its step sizes reuses that candidate's pass.  No public
-        oracle is called, so the anchor stays the memo's point for the
-        step's descent check.
+        Each iteration is one value and one gradient at one trial point,
+        evaluated on the block's tail.  The memo point at ``theta`` is the
+        anchor: it gives the split state of the layers below ``i``, and it
+        serves the start itself.  A trial point gets its parameters built
+        once (:meth:`relu.MlpParams.with_block`: the frozen layers' arrays
+        and split weights are the anchor's) and one forward pass from layer
+        ``i``, which its value (the ``g`` part alone) and its gradient
+        share, with the output's ``exp`` computed once.  Between iterations
+        the solver keeps the center's vector and value and no evaluated
+        point.  No public oracle is called, so the anchor stays the memo's
+        point for the step's descent check.
         """
         theta = np.asarray(theta, dtype=float)
         anchor = self._point(theta)
@@ -278,92 +273,62 @@ class MlpTaskProblem(BdcProblem):
         x0 = theta[sl].copy()
         shape = anchor.params.layers[i][0].shape
         n_w = anchor.params.layers[i][0].size
-        # the current point and the trial points of its gradient's search
-        seen = {x0.tobytes(): anchor}
 
         def at(x):
-            key = x.tobytes()
-            point = seen.get(key)
-            if point is None:
-                x = x.copy()  # the parameters are views into it
-                x.flags.writeable = False
-                params = anchor.params.with_block(i, x[:n_w].reshape(shape),
-                                                  x[n_w:])
-                state = relu.forward_split(params, self.inputs, i, anchor.state)
-                point = seen[key] = _Point(key, params, state)
-            return point
+            x = x.copy()  # the parameters are views into it
+            x.flags.writeable = False
+            params = anchor.params.with_block(i, x[:n_w].reshape(shape), x[n_w:])
+            return _Point(None, params,
+                          relu.forward_split(params, self.inputs, i, anchor.state))
 
-        def value(x):
-            val = self._part(at(x), "g") - float(np.dot(u, x))
+        def oracle(x, point, k):
+            val = self._part(point, "g") - float(np.dot(u, x))
+            grad = self._gradient_at(point, "g", i) - u
             if rho:
                 val += 0.5 * rho * float(((x - x0) ** 2).sum())
-            return val
-
-        def gradient(x):
-            grad = self._gradient_at(at(x), "g", i) - u
-            if rho:
                 grad = grad + rho * (x - x0)
-            return grad
+            if not (math.isfinite(val) and np.isfinite(grad).all()):
+                raise InnerSolverDivergence(
+                    "non-finite surrogate on block %d at bundle iteration %d: "
+                    "value %r, subgradient norm %r"
+                    % (i, k, val, float(np.linalg.norm(grad))))
+            return val, grad
 
-        x = x0.copy()
-        val = value(x)
-        best_x, best_val = x.copy(), val
-        tol_eff = tol * (1.0 + abs(val))
-        step = 1.0 / (1.0 + rho)
-        escape = step
-        evals = 0
-
-        def probe_kinks(x, val, grad, need):
-            # at a kink the selected slope grad[j] bounds the one-sided
-            # slopes from below, so a probe can only descend where
-            # -direction * grad[j] > 0; slope 0 rules out both directions
-            for j in np.flatnonzero(x == 0.0):
-                for direction in (1.0, -1.0):
-                    probe = step
-                    for _ in range(8):
-                        if -direction * probe * grad[j] <= 0.5 * need:
-                            break
-                        cand = x.copy()
-                        cand[j] = direction * probe
-                        cand_val = value(cand)
-                        if cand_val <= val - need:
-                            return cand, cand_val
-                        probe *= 0.25
-            return None
-
-        while evals < budget:
-            # x was evaluated last; a new search forgets the other points
-            key = x.tobytes()
-            seen = {key: seen[key]}
-            grad = gradient(x)
-            evals += 1
-            gnorm = float(np.linalg.norm(grad))
-            need = 1e-12 * (1 + abs(val))
-            s = step
-            # no line search once stationary, and no step too short to drop
-            # by need; the else branch still probes
-            n = 20 if gnorm > tol_eff else 0
-            while n and s * gnorm * gnorm > 0.5 * need:
-                cand = x - s * grad
-                cand_val = value(cand)
-                if cand_val <= val - need:
-                    x, val, step = cand, cand_val, s * 1.5
-                    break
-                s *= 0.5
-                n -= 1
+        xc = x0
+        fc, grad = oracle(x0, anchor, 1)
+        stop = tol * (1.0 + abs(fc))
+        t = 1.0 / (1.0 + rho)
+        (sa, ea), (sn, en) = (grad, 0.0), (grad, 0.0)
+        k = 1
+        while k < budget:
+            # the two-cut dual: min over lam in [0, 1] of
+            # t/2 ||lam sa + (1 - lam) sn||^2 + lam ea + (1 - lam) en
+            d = sa - sn
+            dd = float(np.dot(d, d))
+            if dd > 0.0:
+                lam = -(t * float(np.dot(sn, d)) + ea - en) / (t * dd)
+                lam = min(1.0, max(0.0, lam))
             else:
-                hit = probe_kinks(x, val, grad, need)
-                if hit is not None:
-                    x, val = hit
-                elif gnorm <= tol_eff:
-                    break  # approximately stationary, kinks probed
-                elif escape * gnorm <= 1e-14 * (1.0 + float(np.linalg.norm(x))):
-                    break
-                else:
-                    # cross the kink: shrinking non-monotone hop along -grad
-                    x = x - escape * grad
-                    val = value(x)
-                    escape *= 0.5
-            if val < best_val:
-                best_x, best_val = x.copy(), val
-        return best_x, evals
+                lam = 1.0 if ea <= en else 0.0
+            s = lam * sa + (1.0 - lam) * sn
+            e = lam * ea + (1.0 - lam) * en
+            v = -(t * float(np.dot(s, s)) + e)
+            if -v <= stop:
+                break
+            y = xc - t * s
+            k += 1
+            fy, grad = oracle(y, at(y), k)
+            # linearization errors are >= 0 by convexity; rounding below
+            # zero reads as zero
+            if fy <= fc + 0.1 * v:
+                # serious step: both errors move to the new center
+                (sa, ea), (sn, en) = (s, max(0.0, fy - fc - v)), (grad, 0.0)
+                xc, fc = y, fy
+                t *= 1.5
+            else:
+                ey = max(0.0, fc - fy - t * float(np.dot(grad, s)))
+                (sa, ea), (sn, en) = (s, e), (grad, ey)
+                if ey > -10.0 * v:
+                    t = max(t / 100.0,
+                            min(t, t / (2.0 * (1.0 - (fy - fc) / v))))
+        return xc, k

@@ -15,8 +15,9 @@ into differences of blockwise-convex parts:
 Gradients are hand-rolled reverse mode over this fixed graph.  Kink
 selections are deterministic: entrywise ``relu'(0) := 0``, and ties in
 ``max(p, Z-)`` take the ``p`` branch.  Each selection is a subgradient of the
-convex part along the block, so ``g(x + t d) >= g(x) + t <grad, d>``; the MLP
-block solver's cuts rest on this, and
+convex part along the block, so ``g(x + t d) >= g(x) + t <grad, d>``; the
+cutting planes of the MLP block solver's bundle rest on this subgradient
+inequality, and
 ``tests/test_mlp_block_step.py::test_block_gradient_is_a_subgradient_of_g``
 checks it at kinks and ties.  A block ``l``'s sweep traverses only layers
 ``>= l`` and stops at layer ``l``.

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import at_least, write_csv
-from .model import residual_blocks
+from .model import InnerSolverDivergence, residual_blocks
 
 __all__ = [
     "SolverConfig",
@@ -38,10 +38,6 @@ __all__ = [
     "gap_L",
     "audit_step_bound",
 ]
-
-
-class InnerSolverDivergence(RuntimeError):
-    """Inner solver failed to descend on the block surrogate within budget."""
 
 
 def substream(master_seed, name):
@@ -157,7 +153,8 @@ def run(problem, config, theta0=None, callback=None):
     ``problem.on(handle)``, which keeps its own evaluations, so the
     full-data point of the records outlives the step.  Each record holds
     the state *before* the step (f, per-block g/h, residual) plus the step
-    itself (norm, inner iterations).  ``callback(k, theta_next, record)`` is
+    itself (norm, inner iterations: the problem's own count, for the MLP
+    problems the bundle iterations).  ``callback(k, theta_next, record)`` is
     invoked after every iteration.  A non-finite ``f`` or step norm raises
     ``ValueError`` naming the iteration, the block and the value.
     """

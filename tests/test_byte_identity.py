@@ -4,8 +4,10 @@ Four commands cover every CSV writer: the SDL experiment with its GD
 comparison, stochastic ReLU training with its trace and checkpoint, the
 tensor sweep and the monomial atom export.  ``golden_sha256.json`` holds the
 sha256 of each CSV for every numeric environment it was recorded in (numpy
-version, ``OPENBLAS_NUM_THREADS`` and core count; the BLAS thread count
-moves the last bits of the tensor trace).
+version, ``OPENBLAS_NUM_THREADS`` and core count).  The tensor trace's norms
+are numpy's pairwise sums, not BLAS dots, so its bits do not follow the BLAS
+thread count; a second test runs the tensor command with one and with two
+BLAS threads and compares the hashes.
 
 Contract for a change that alters emitted bits (a speed-up that reorders
 floating-point work, a new inner solver, a fixed defect):
@@ -24,13 +26,17 @@ without touching the golden file.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bdcopt
 from bdcopt.cli import main
 
+SRC = Path(bdcopt.__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden_sha256.json")
 COMMANDS = (
     ["sdl", "--iters", "20", "--seeds", "2", "--compare-gd", "--gd-iters", "8",
@@ -78,3 +84,21 @@ def test_emitted_csvs_match_golden(tmp_path, monkeypatch, capsys):
             % (env, [e["environment"] for e in recorded],
                ", ".join(differing(got, recorded[0]["sha256"])),
                json.dumps(got, indent=1)))
+
+
+def test_tensor_trace_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the tensor command in two child processes, with one BLAS thread and
+    # with two: the trace has the same bytes
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env.pop("BDC_OUT_DIR", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "bdcopt.cli", *COMMANDS[2], "--outdir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256((out / "tensor_trace.csv").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]

@@ -1,12 +1,18 @@
-"""The MLP block step against the longer code it replaced.
+"""The MLP block step against the longer code it replaced, and the block
+solver's own properties.
 
 ``relu._loss_block_gradient`` used to unwind the output layer apart from the
-hidden ones, and ``MlpTaskProblem.minimize_block_surrogate`` used to track
-whether a step moved with a flag, to evaluate every trial point through the
-public oracles, and to evaluate trial points that convexity rules out.
-Copies of both are kept here as references: the sweep must give the same
-bits for every block, and the solver the same point and count, on kinks and
-ties included, with its trial points a subsequence of the reference's.
+hidden ones.  A copy is kept here as a reference: the sweep must give the
+same bits for every block.
+
+``MlpTaskProblem.minimize_block_surrogate`` is a two-cut proximal bundle
+method whose trial points are evaluated on the block's tail.  Its reference
+is the same bundle written over the public oracles on a full ``theta``: the
+two return the same point and count, on kinks and ties included, and the
+solver makes one tail pass at each of the reference's trial points, in its
+order.  The bundle also never raises the surrogate, keeps the proximal step
+bound, holds at most two evaluated points and fails loudly on a non-finite
+value.
 
 The trial-point pass used to recompute every layer's ``relu(W)`` and
 ``relu(-W)`` and the output's ``exp`` at every use.  Copies of that forward
@@ -15,14 +21,17 @@ them must give their bits on fresh parameters, on a trial point's
 ``with_block`` parameters and from every start layer.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from bdcopt import relu
-from bdcopt.model import SampleHandle
+from bdcopt.model import InnerSolverDivergence, SampleHandle
 from bdcopt.experiments import run_relu_experiment
-from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
+from bdcopt.problems import mlp
+from bdcopt.problems.mlp import MlpTaskProblem
 from bdcopt.relu import _as_batch, _output_adjoints, _relu, _relu_deriv
 from cases import GRID, MLP_CASES, ORACLES, blobs, build_task, tie_case
 
@@ -134,79 +143,57 @@ def reference_sweep(params, x, y, loss, part, block):
 
 
 def reference_minimize(prob, i, theta, u, rho, budget, tol):
-    """The block solver as it was, with a ``moved`` flag between the line
-    search, the kink probe and the hop."""
+    """The two-cut proximal bundle over the public oracles on a full
+    ``theta``: cuts ``(subgradient, linearization error at the center)``,
+    the aggregate first."""
     theta = np.asarray(theta, dtype=float)
     sl = prob.partition.slice_of(i)
     x0 = theta[sl].copy()
     trial = theta.copy()
 
-    def value(x):
+    def surrogate(x):
         trial[sl] = x
         val = prob.eval_g(i, trial) - float(np.dot(u, x))
-        if rho:
-            val += 0.5 * rho * float(np.sum((x - x0) ** 2))
-        return val
-
-    def gradient(x):
-        trial[sl] = x
         grad = prob.grad_g_block(i, trial) - u
         if rho:
+            val += 0.5 * rho * float(np.sum((x - x0) ** 2))
             grad = grad + rho * (x - x0)
-        return grad
+        return val, grad
 
-    x = x0.copy()
-    val = value(x)
-    best_x, best_val = x.copy(), val
-    tol_eff = tol * (1.0 + abs(val))
-    step = 1.0 / (1.0 + rho)
-    escape = step
-    evals = 0
-
-    def probe_kinks(x, val):
-        for j in np.flatnonzero(x == 0.0):
-            for direction in (1.0, -1.0):
-                probe = step
-                for _ in range(8):
-                    cand = x.copy()
-                    cand[j] = direction * probe
-                    cand_val = value(cand)
-                    if cand_val <= val - 1e-12 * (1 + abs(val)):
-                        return cand, cand_val
-                    probe *= 0.25
-        return None
-
-    while evals < budget:
-        grad = gradient(x)
-        evals += 1
-        gnorm = float(np.linalg.norm(grad))
-        moved = False
-        if gnorm > tol_eff:
-            s = step
-            for _ in range(20):
-                cand = x - s * grad
-                cand_val = value(cand)
-                if cand_val <= val - 1e-12 * (1 + abs(val)):
-                    x, val, step = cand, cand_val, s * 1.5
-                    moved = True
-                    break
-                s *= 0.5
-        if not moved:
-            hit = probe_kinks(x, val)
-            if hit is not None:
-                x, val = hit
-                moved = True
-        if not moved:
-            if gnorm <= tol_eff:
-                break
-            if escape * gnorm <= 1e-14 * (1.0 + float(np.linalg.norm(x))):
-                break
-            x = x - escape * grad
-            val = value(x)
-            escape *= 0.5
-        if val < best_val:
-            best_x, best_val = x.copy(), val
-    return best_x, max(evals, 1)
+    center = x0
+    f_center, grad = surrogate(x0)
+    stop = tol * (1.0 + abs(f_center))
+    t = 1.0 / (1.0 + rho)
+    cuts = [(grad, 0.0), (grad, 0.0)]
+    iters = 1
+    while iters < budget:
+        (s_a, e_a), (s_n, e_n) = cuts
+        # lam minimizes t/2 ||s(lam)||^2 + e(lam) over [0, 1], a quadratic
+        d = s_a - s_n
+        if float(np.dot(d, d)) > 0.0:
+            lam = -(t * float(np.dot(s_n, d)) + e_a - e_n) / (t * float(np.dot(d, d)))
+            lam = min(1.0, max(0.0, lam))
+        else:
+            lam = 1.0 if e_a <= e_n else 0.0
+        s = lam * s_a + (1.0 - lam) * s_n
+        e = lam * e_a + (1.0 - lam) * e_n
+        predicted = -(t * float(np.dot(s, s)) + e)
+        if -predicted <= stop:
+            break
+        y = center - t * s
+        iters += 1
+        f_y, grad = surrogate(y)
+        if f_y <= f_center + 0.1 * predicted:
+            cuts = [(s, max(0.0, f_y - f_center - predicted)), (grad, 0.0)]
+            center, f_center = y, f_y
+            t *= 1.5
+        else:
+            e_y = max(0.0, f_center - f_y - t * float(np.dot(grad, s)))
+            cuts = [(s, e), (grad, e_y)]
+            if e_y > -10.0 * predicted:
+                t = max(t / 100.0,
+                        min(t, t / (2.0 * (1.0 - (f_y - f_center) / predicted))))
+    return center, iters
 
 
 @settings(max_examples=80, deadline=None)
@@ -355,9 +342,10 @@ def test_solver_matches_reference_on_ties(loss):
 
 
 def test_kink_probe_frees_a_block_the_line_search_cannot_move():
-    # grid net and inputs: block 0 starts on a tie where neither a step
-    # along -grad nor the hop lowers the minibatch surrogate; only the probe
-    # of a zero weight does
+    # grid net and inputs: block 0 starts on a tie where steps along the
+    # selected -grad do not lower the minibatch surrogate, so no line search
+    # moves it; the bundle's null steps add cuts from the other side of the
+    # kink and shrink t until a step descends
     rng = np.random.default_rng(68)
     task, theta = build_task(rng, 4, "mse", grid=True)
     prob = MlpTaskProblem(task)
@@ -377,68 +365,6 @@ def test_kink_probe_frees_a_block_the_line_search_cannot_move():
     assert surrogate(x) < surrogate(x0) - 1e-3
 
 
-def traced_reference(ref, i, theta, u, rho, budget, tol):
-    """``reference_minimize`` with its trial points.  Returns its result,
-    one ``(vector, search)`` per forward pass in call order, where ``search``
-    is the point whose gradient the trial point follows, and the surrogate
-    value at every point, keyed by vector.
-
-    The problem keeps one point, so a pass is made whenever an oracle call's
-    vector differs from the one before; the first call, at ``theta``, is a
-    hit when the caller has just taken ``u`` there."""
-    sl = ref.partition.slice_of(i)
-    x0 = theta[sl].copy()
-    eval_g, grad_g_block = ref.eval_g, ref.grad_g_block
-    calls, values = [], {}
-
-    def spy_value(i, trial):
-        g = eval_g(i, trial)
-        x = trial[sl]
-        val = g - float(np.dot(u, x))  # the reference's own expression
-        if rho:
-            val += 0.5 * rho * float(np.sum((x - x0) ** 2))
-        values[trial.tobytes()] = val
-        calls.append((False, trial.tobytes()))
-        return g
-
-    def spy_gradient(i, trial):
-        calls.append((True, trial.tobytes()))
-        return grad_g_block(i, trial)
-
-    ref.eval_g, ref.grad_g_block = spy_value, spy_gradient
-    try:
-        want = reference_minimize(ref, i, theta, u, rho, budget, tol)
-    finally:
-        del ref.eval_g, ref.grad_g_block
-    trials, last, search = [], theta.tobytes(), None
-    for is_gradient, key in calls:
-        if is_gradient:
-            search = key
-        if key != last:
-            trials.append((key, search))
-            last = key
-    return want, trials, values
-
-
-def skipped_trials(points, trials, values):
-    """Check that the solver's ``points`` are an ordered subsequence of the
-    reference's ``trials`` and that every trial point it skipped fails the
-    acceptance test ``value <= val - need`` of its search; return those."""
-    kept, k = set(), 0
-    for point in points:
-        while k < len(trials) and trials[k][0] != point:
-            k += 1
-        assert k < len(trials), "a pass the reference did not make"
-        kept.add(k)
-        k += 1
-    skipped = [t for k, t in enumerate(trials) if k not in kept]
-    for key, search in skipped:
-        assert search is not None and key != search
-        val = values[search]
-        assert values[key] > val - 1e-12 * (1 + abs(val))
-    return skipped
-
-
 def counting_passes(monkeypatch):
     passes = []
     forward = relu.forward_split
@@ -451,13 +377,20 @@ def counting_passes(monkeypatch):
     return passes
 
 
+def traced_passes(passes, solve):
+    """The vectors of the forward passes ``solve()`` makes and their start
+    layers, after its result."""
+    del passes[:]
+    got = solve()
+    return got, [start for start, _ in passes], [vector for _, vector in passes]
+
+
 @pytest.mark.parametrize("loss", ["mse", "ce"])
 def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
     # one minibatch solve per block, started as bdca_step starts it: no
-    # public oracle, and a pass from layer i at trial points the reference,
-    # through the oracles' memo, also made a full pass at, skipping only
-    # points that could not be accepted; no vector is passed twice within
-    # one gradient's search and hop; theta and u stay as they were, and the
+    # public oracle, and one pass from layer i at each trial point at which
+    # the reference, through the oracles' memo, made a full pass, in its
+    # order and with none skipped; theta and u stay as they were, and the
     # step's descent check at theta is then a memo hit
     task, theta = tie_case(loss)
     rng = np.random.default_rng(25)
@@ -470,98 +403,116 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
     for i in range(task.net.n_layers):
         ref = MlpTaskProblem(task).on(handle)
         u = ref.subgrad_h_block(i, theta)
-        del passes[:]
-        want, trials, values = traced_reference(ref, i, theta, u, 0.5, 6, 1e-8)
-        assert all(start == 0 for start, _ in passes)
-        assert [key for key, _ in trials] == [vector for _, vector in passes]
+        want, starts, trials = traced_passes(
+            passes, lambda: reference_minimize(ref, i, theta, u, 0.5, 6, 1e-8))
+        assert set(starts) <= {0}
 
         prob = MlpTaskProblem(task).on(handle)
         prob.subgrad_h_block(i, theta)
         theta_in, u_in = theta.copy(), u.copy()
-        gradient_at, searches = prob._gradient_at, []
-
-        def marking(*args, **kwargs):
-            searches.append(len(passes))  # a new search starts here
-            return gradient_at(*args, **kwargs)
-
-        del passes[:]
         with monkeypatch.context() as m:
             for name in ORACLES:
                 m.setattr(prob, name, forbidden)
-            m.setattr(prob, "_gradient_at", marking)
-            got = prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8)
+            got, starts, points = traced_passes(
+                passes, lambda: prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8))
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
         np.testing.assert_array_equal(theta, theta_in)
         np.testing.assert_array_equal(u, u_in)
-        assert all(start == i for start, _ in passes)
-        points = [vector for _, vector in passes]
-        skipped_trials(points, trials, values)
-        assert len(points) > 1
-        # a value and a gradient at one point share its pass, and a hop onto
-        # a candidate of the search before shares that candidate's
-        bounds = searches + [len(points)]
-        for start, stop in zip(bounds, bounds[1:]):
-            assert len(set(points[start:stop])) == stop - start
+        assert set(starts) == {i}
+        assert points == trials and len(points) == got[1] - 1 > 0
 
         del passes[:]
         prob.eval_g(i, theta)
         assert passes == []
 
 
-def zero_bias_case():
-    # a blobs net with zero biases and a fifth of its weights at zero: the
-    # kink probe has many candidates, and near a solve's end the gradient is
-    # too small for any line-search step to be accepted
-    rng = np.random.default_rng(0)
-    x, y = gaussian_blobs(40, 3, seed=0)
-    net = relu.random_params((2, 6, 5, 3), rng)
-    theta = net.to_vector()
-    part = net.partition()
-    for l, (_, b) in enumerate(net.layers):
-        sl = part.slice_of(l)
-        weights = theta[sl.start:sl.stop - b.size]
-        weights[rng.random(weights.size) < 0.2] = 0.0
-        theta[sl.stop - b.size:sl.stop] = 0.0
-    task = MlpTask(inputs=x, labels=y, net=net.with_vector(theta.copy()), loss="ce")
-    handle = SampleHandle(key=1, indices=rng.integers(0, len(y), size=8))
-    return task, theta, handle
+def check_descent_and_bound(task, theta, rng, budget=10):
+    """Every block, three proximal weights, the full data and one handle:
+    the returned surrogate value is never above the start's, and for
+    ``rho > 0`` the point lies within ``(2 / rho) ||grad phi(x0)||`` of the
+    start, the bound ``bdca_step`` documents."""
+    prob = MlpTaskProblem(task)
+    handle = SampleHandle(key=1, indices=rng.integers(0, len(task.labels), size=4))
+    for rows in (prob, prob.on(handle)):
+        for i in range(prob.n_blocks):
+            sl = prob.partition.slice_of(i)
+            x0 = theta[sl]
+            u = rows.subgrad_h_block(i, theta)
+            slope = float(np.linalg.norm(rows.grad_g_block(i, theta) - u))
+            start = rows.eval_g(i, theta) - float(np.dot(u, x0))
+            for rho in (0.0, 0.5, 2.0):
+                x, _ = rows.minimize_block_surrogate(i, theta, u, rho, budget, 1e-8)
+                trial = theta.copy()
+                trial[sl] = x
+                value = rows.eval_g(i, trial) - float(np.dot(u, x))
+                if rho:
+                    value += 0.5 * rho * float(np.sum((x - x0) ** 2))
+                    assert np.linalg.norm(x - x0) <= (2.0 / rho) * slope, (i, rho)
+                assert value <= start, (i, rho)
 
 
-def test_convexity_cuts_skip_trial_points_near_stationarity(monkeypatch):
-    # block 2 solved twice on one minibatch, the second time from the first
-    # solve's output: both cuts skip trial points there, and the point and
-    # count are still the reference's, with fewer tail passes
-    task, theta, handle = zero_bias_case()
-    i, rho, budget = 2, 0.5, 25
-    sl = task.net.partition().slice_of(i)
-    prob = MlpTaskProblem(task).on(handle)
-    u = prob.subgrad_h_block(i, theta)
-    x, _ = prob.minimize_block_surrogate(i, theta, u, rho, budget, 1e-8)
-    theta = theta.copy()
-    theta[sl] = x
-    passes = counting_passes(monkeypatch)
+@settings(max_examples=40, deadline=None)
+@given(*MLP_CASES)
+def test_solver_descends_within_the_proximal_bound(depth, loss, grid, seed):
+    rng = np.random.default_rng(seed)
+    task, theta = build_task(rng, depth, loss, grid)
+    check_descent_and_bound(task, theta, rng)
 
-    ref = MlpTaskProblem(task).on(handle)
-    u = ref.subgrad_h_block(i, theta)
-    del passes[:]
-    want, trials, values = traced_reference(ref, i, theta, u, rho, budget, 1e-8)
-    prob = MlpTaskProblem(task).on(handle)
-    prob.subgrad_h_block(i, theta)
-    del passes[:]
-    got = prob.minimize_block_surrogate(i, theta, u, rho, budget, 1e-8)
-    np.testing.assert_array_equal(got[0], want[0])
-    assert got[1] == want[1]
-    assert len(passes) < len(trials)
 
-    probes = line_steps = 0
-    for key, search in skipped_trials([v for _, v in passes], trials, values):
-        moved = np.frombuffer(key) != np.frombuffer(search)
-        if np.count_nonzero(moved) == 1 and np.frombuffer(search)[moved][0] == 0.0:
-            probes += 1
-        else:
-            line_steps += 1
-    assert probes > 0 and line_steps > 0
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_solver_descends_within_the_proximal_bound_on_ties(loss):
+    task, theta = tie_case(loss)
+    check_descent_and_bound(task, theta, np.random.default_rng(29))
+
+
+def test_block_solver_holds_at_most_two_evaluated_points(monkeypatch):
+    # every evaluated point is tracked by a weak reference: while a block
+    # solve runs, the memo's point at theta (the anchor) and the current
+    # trial point are the only ones alive
+    live, peak = weakref.WeakSet(), [0]
+
+    class Tracked(mlp._Point):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+            peak[0] = max(peak[0], len(live))
+
+    monkeypatch.setattr(mlp, "_Point", Tracked)
+    prob0 = blobs(40, 4, (2, 5, 4, 3), 5)
+    theta = prob0.initial_point()
+    handle = SampleHandle(key=1, indices=np.arange(0, 40, 3))
+    counts = []
+    for rows_of in (lambda prob: prob, lambda prob: prob.on(handle)):
+        rows = rows_of(MlpTaskProblem(prob0.task))  # the one memo alive
+        for i in range(rows.n_blocks):
+            u = rows.subgrad_h_block(i, theta)
+            peak[0] = len(live)
+            _, iters = rows.minimize_block_surrogate(i, theta, u, 0.5, 25, 1e-8)
+            assert peak[0] == (2 if iters > 1 else 1)
+            counts.append(iters)
+    assert max(counts) == 25
+
+
+@pytest.mark.parametrize("poisoned", ["_part", "_gradient_at"])
+def test_non_finite_trial_point_fails_loudly(poisoned, monkeypatch):
+    # the third value (or gradient) of a block solve is NaN: the solver
+    # raises at its third iteration, naming the block and the value
+    prob = blobs(40, 4, (2, 5, 4, 3), 5)
+    theta = prob.initial_point()
+    u = prob.subgrad_h_block(1, theta)
+    honest, calls = getattr(MlpTaskProblem, poisoned), []
+
+    def nan_on_third(self, *args):
+        calls.append(args)
+        out = honest(self, *args)
+        return out * np.nan if len(calls) == 3 else out
+
+    monkeypatch.setattr(MlpTaskProblem, poisoned, nan_on_third)
+    value = "nan" if poisoned == "_part" else r"-?\d"
+    with pytest.raises(InnerSolverDivergence,
+                       match=r"block 1 at bundle iteration 3: value %s" % value):
+        prob.minimize_block_surrogate(1, theta, u, 0.5, 25, 1e-8)
 
 
 def check_subgradient(task, theta, rng):
@@ -585,8 +536,8 @@ def check_subgradient(task, theta, rng):
                             >= bound - 1e-13 * (1 + abs(g))), (i, t)
 
 
-# the premise of the block solver's cuts: the selected gradient of g is a
-# subgradient along its own block, at zero weights and ties included
+# the premise of the bundle's cutting planes: the selected gradient of g is
+# a subgradient along its own block, at zero weights and ties included
 
 @settings(max_examples=60, deadline=None)
 @given(*MLP_CASES)
@@ -607,9 +558,11 @@ SOLVE = dict(task="blobs", layer_dims=(16, 8), n_classes=3, theory_preset=True,
 
 
 def test_block_solver_tail_passes_per_gradient(monkeypatch):
-    # a bound on the block solver's work: with both cuts the theory-preset
-    # runs below make about 2.4 tail passes per gradient (seeds 0-2 pooled),
-    # where the solver without them made about 4.5
+    # a bound on the block solver's work: one tail pass per iteration, and
+    # none for the start's gradient, which is the anchor's; the solver with
+    # a line search, kink probes, hops and convexity cuts made about 2.4
+    # tail passes per gradient on the theory-preset runs below (seeds 0-2
+    # pooled)
     counts = {"passes": 0, "gradients": 0, "solving": False}
     forward = relu.forward_split
     solve = MlpTaskProblem.minimize_block_surrogate
@@ -632,4 +585,4 @@ def test_block_solver_tail_passes_per_gradient(monkeypatch):
     monkeypatch.setattr(MlpTaskProblem, "minimize_block_surrogate", solving)
     for seed in range(3):
         run_relu_experiment(seed=seed, **SOLVE)
-    assert counts["passes"] <= 3.0 * counts["gradients"]
+    assert counts["passes"] <= 1.0 * counts["gradients"]
