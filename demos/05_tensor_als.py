@@ -16,7 +16,7 @@ import numpy as np
 from bdcopt.experiments import run_tensor_experiment
 
 rows, per_update, prob, theta = run_tensor_experiment(
-    dims=(4, 5, 6), rank=2, sweeps=100, seed=3, stop_rel_error=1e-12)
+    dims=(4, 5, 6), rank=2, sweeps=100, seed=3)
 
 print("sweep   objective      rel. error")
 for sweep, obj, rel in rows[:8]:

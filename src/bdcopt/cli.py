@@ -1,18 +1,23 @@
 """Command-line experiment driver.
 
-Subcommands: ``monomial``, ``sdl``, ``relu``, ``tensor``, ``plan-rho``.
-Configuration precedence is built-in defaults < ``--config`` file (flat
-``key=value`` lines) < command-line flags; every config key has a flag of the
-same name.  One converter, ``_convert``, turns every setting's text into its
-value, from a flag and a config line alike: by the key's parser (``widths``,
-``dims``, ``task``, ``variant``, ``ell``), else by the type of its default
-(a boolean word, ``int`` or ``float``).  ``main`` owns the run: it resolves
-the settings, starts the manifest, runs the subcommand on the resolved
-config and closes the manifest, "complete" on exit 0, else "failed" with the
-error text, and with the wall time and the outputs either way.  Every bad
-setting (a flag's or a config line's text, a missing or unreadable config
-file, a value out of range) exits 1 with one ``error:`` line and a "failed"
-manifest.  All emitted CSVs are deterministic given the configuration.
+Subcommands: ``monomial``, ``sdl``, ``relu``, ``tensor``, ``plan-rho``, one
+entry each in ``COMMANDS``, which holds the subcommand's settings and their
+defaults.  Every flag but ``--config`` is a setting and every setting is a
+flag and a config key of the same name.  Configuration precedence is
+built-in defaults < ``--config`` file (flat ``key=value`` lines) <
+command-line flags.  One converter, ``_convert``, turns every setting's text
+into its value, from a flag and a config line alike: by the key's parser
+(``b``, ``widths``, ``dims``, ``task``, ``variant``, ``ell``), else by the
+type of its default (a boolean word, ``int``, ``float`` or plain text); a
+boolean flag given bare reads ``true``.  ``main`` owns the run: it resolves
+the settings, starts the manifest, whose ``config`` records every setting,
+runs the subcommand on the resolved config and closes the manifest,
+"complete" on exit 0, else "failed" with the error text, and with the wall
+time and the outputs either way.  Every bad setting (a flag's or a config
+line's text, a missing ``b``, a missing or unreadable config file, a value
+out of range) exits 1 with one ``error:`` line and a "failed" manifest; only
+argparse's usage check (an unknown flag, a flag without its value) exits 2.
+All emitted CSVs are deterministic given the configuration.
 ``BDC_OUT_DIR`` overrides the output directory.
 """
 
@@ -135,26 +140,20 @@ _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
 
 
-def _parse_widths(text):
-    try:
-        widths = tuple(int(t) for t in text.split(","))
-    except ValueError:
-        widths = ()
-    if not widths or min(widths) < 1:
-        raise ValueError("widths must be comma-separated positive integers, "
-                         "got %r" % text)
-    return widths
-
-
-def _parse_dims(text):
-    try:
-        dims = tuple(int(t) for t in text.split(","))
-    except ValueError:
-        dims = ()
-    if not 2 <= len(dims) <= 4 or min(dims) < 1:
-        raise ValueError("dims must be 2 to 4 comma-separated positive "
-                         "integers, got %r" % text)
-    return dims
+def _ints(key, what, ok, syntax=None):
+    """Parser of a comma-separated list of integers that ``ok`` accepts; the
+    error names ``syntax`` (default ``what``) for text that is no such list
+    and ``what`` for a list that ``ok`` rejects."""
+    def parse(text):
+        try:
+            values = tuple(int(t) for t in text.split(","))
+        except ValueError:
+            raise ValueError("%s must be %s, got %r"
+                             % (key, syntax or what, text)) from None
+        if not ok(values):
+            raise ValueError("%s must be %s, got %r" % (key, what, text))
+        return values
+    return parse
 
 
 def _one_of(key, choices):
@@ -168,8 +167,13 @@ def _one_of(key, choices):
 
 # keys whose text a parser reads, in place of the type of their default
 _PARSERS = {
-    "widths": _parse_widths,
-    "dims": _parse_dims,
+    "b": _ints("b", "comma-separated nonnegative integers, at least one "
+               "positive", lambda b: min(b) >= 0 and any(b),
+               syntax="comma-separated integers"),
+    "widths": _ints("widths", "comma-separated positive integers",
+                    lambda w: min(w) >= 1),
+    "dims": _ints("dims", "2 to 4 comma-separated positive integers",
+                  lambda d: 2 <= len(d) <= 4 and min(d) >= 1),
     "task": _one_of("task", ("blobs", "sine")),
     "variant": _one_of("variant", ("l1", "l1_lq", "both")),
     "ell": _one_of("ell", ("constant", "affine")),
@@ -227,18 +231,6 @@ def _resolve(defaults, args):
     return cfg
 
 
-def _parse_exponents(text):
-    try:
-        exps = tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise ValueError("b must be comma-separated integers, got %r"
-                         % text) from None
-    if any(b < 0 for b in exps) or not any(exps):
-        raise ValueError("b must be comma-separated nonnegative integers, at "
-                         "least one positive, got %r" % text)
-    return exps
-
-
 def _parse_grouping(text, n_vars):
     groups = []
     for part in text.split("|"):
@@ -257,17 +249,23 @@ def _parse_grouping(text, n_vars):
 # subcommands
 # ---------------------------------------------------------------------------
 
-MONOMIAL_DEFAULTS = {"trials": 100, "tol": 1e-6, "outdir": ""}
+MONOMIAL_DEFAULTS = {
+    "b": (), "group": "", "bounds": False, "verify": False,
+    "merged_count": False, "csv": "", "trials": 100, "tol": 1e-6, "outdir": "",
+}
 
 
-def cmd_monomial(cfg, args, manifest):
-    m = Monomial(_parse_exponents(args.b))
+def cmd_monomial(cfg, manifest):
+    if not cfg["b"]:
+        raise ValueError("missing setting b: comma-separated exponents, "
+                         "e.g. --b 1,1,2,4")
+    m = Monomial(cfg["b"])
     # a flag the chosen mode would ignore is an error: --bounds prints the
     # bounds only, and --group has no single atom list to export or merge
     for flag, others in (("bounds", ("verify", "csv", "group", "merged_count")),
                          ("group", ("csv", "merged_count"))):
         for other in others:
-            if getattr(args, flag) and getattr(args, other):
+            if cfg[flag] and cfg[other]:
                 raise ValueError("--%s cannot be used with --%s"
                                  % (flag, other.replace("_", "-")))
     check_verify_settings(cfg["trials"], cfg["tol"])  # before any atom is printed
@@ -283,13 +281,13 @@ def cmd_monomial(cfg, args, manifest):
         body = " ".join(terms) if terms else "0"
         return "%s * (%s)^%d" % (atom.weight, body, atom.power)
 
-    if args.bounds:
+    if cfg["bounds"]:
         lo, hi = dc_atom_bounds(m)
         print("lower=%d upper=%d" % (lo, hi))
         return
 
-    if args.group:
-        dec = bdc_block_decompose(m, _parse_grouping(args.group, m.n_vars))
+    if cfg["group"]:
+        dec = bdc_block_decompose(m, _parse_grouping(cfg["group"], m.n_vars))
         counts = "+".join(str(c) for c in dec.atom_counts)
         print("atoms=%d (%s)" % (dec.total_atoms, counts))
         for vars_, part in dec.parts:
@@ -301,16 +299,16 @@ def cmd_monomial(cfg, args, manifest):
         dec = polarize(m)
         lo, hi = dc_atom_bounds(m)
         print("atoms=%d bounds: lower=%d upper=%d" % (dec.n_atoms, lo, hi))
-        if args.merged_count:
+        if cfg["merged_count"]:
             print("atoms_merged=%d" % merge_proportional(dec).n_atoms)
         for atom in dec.atoms:
             print(atom_str(atom, names))
-        if args.csv:
-            manifest.output(args.csv, lambda path: atoms_to_csv(dec, path))
+        if cfg["csv"]:
+            manifest.output(cfg["csv"], lambda path: atoms_to_csv(dec, path))
 
     ok, err = verify_identity(dec, m, trials=cfg["trials"], tol=cfg["tol"])
     print("max_rel_err=%r" % float(err))
-    if args.verify:
+    if cfg["verify"]:
         print("verify=%s" % ("pass" if ok else "fail"))
         if not ok:
             raise ValueError("identity verification failed (max_rel_err=%r)" % float(err))
@@ -319,14 +317,14 @@ def cmd_monomial(cfg, args, manifest):
 SDL_DEFAULTS = {
     "m": 10, "l": 32, "n": 100, "k_nonzero": 5, "alpha": 0.1, "q": 5,
     "iters": 700, "seeds": 10, "seed": 0, "inner_x": 10, "inner_d": 5,
-    "inner_tol": 1e-8, "variant": "both", "gd_iters": 300, "gd_seeds": 3,
-    "outdir": "",
+    "inner_tol": 1e-8, "variant": "both", "compare_gd": False,
+    "gd_iters": 300, "gd_seeds": 3, "outdir": "",
 }
 
 
-def cmd_sdl(cfg, args, manifest):
+def cmd_sdl(cfg, manifest):
     variants = ("l1", "l1_lq") if cfg["variant"] == "both" else (cfg["variant"],)
-    if args.compare_gd:  # the GD comparison's checks, before the main sweep
+    if cfg["compare_gd"]:  # the GD comparison's checks, before the main sweep
         # the sizes first, in the order run_sdl_experiment checks them
         for key in ("m", "l", "n"):
             at_least(key, cfg[key], 1)
@@ -363,7 +361,7 @@ def cmd_sdl(cfg, args, manifest):
     manifest.csv("sdl_sparsities.csv",
                  *table(res.sparsity, extra=("true_sparsity", res.true_sparsity)))
 
-    if args.compare_gd:
+    if cfg["compare_gd"]:
         rows = experiments.run_sdl_gd_comparison(
             m=cfg["m"], l=cfg["l"], n=cfg["n"], k_nonzero=cfg["k_nonzero"],
             alpha=cfg["alpha"], q=cfg["q"], n_outer=cfg["gd_iters"],
@@ -378,11 +376,12 @@ RELU_DEFAULTS = {
     "task": "blobs", "widths": (16, 8), "n_data": 200, "classes": 3,
     "epochs": 5, "batch_size": 16, "rho": 1.0, "theory_preset": False,
     "rho_coeff": 0.5, "batch_coeff": 0.5, "inner_budget": 25,
-    "inner_tol": 1e-8, "stride": 10, "delta": 0.25, "seed": 0, "outdir": "",
+    "inner_tol": 1e-8, "stride": 10, "delta": 0.25, "seed": 0,
+    "dump_trace": False, "save_params": False, "outdir": "",
 }
 
 
-def cmd_relu(cfg, args, manifest):
+def cmd_relu(cfg, manifest):
     res = experiments.run_relu_experiment(
         task=cfg["task"], layer_dims=cfg["widths"], n_data=cfg["n_data"],
         n_classes=cfg["classes"], epochs=cfg["epochs"],
@@ -396,17 +395,12 @@ def cmd_relu(cfg, args, manifest):
                  res.loss_rows)
     manifest.csv("relu_smoothness_seed%d.csv" % seed, ["logG", "logLhat", "t", "block"],
                  [(a, b, int(t), int(bl)) for a, b, t, bl in res.scatter_rows])
-    if args.dump_trace:
+    if cfg["dump_trace"]:
         manifest.output("relu_trace_seed%d.csv" % seed, res.trace.write_csv)
-    if args.save_params:
+    if cfg["save_params"]:
         final = res.problem.params(res.trace.final_theta)
         manifest.output("relu_params_seed%d.csv" % seed,
                         lambda path: relu_mod.save_params_csv(final, path))
-    # internal gate: every recorded value finite
-    if res.loss_rows and not np.all(np.isfinite([r[1] for r in res.loss_rows])):
-        raise ValueError("non-finite loss encountered")
-    if res.scatter_rows and not np.all(np.isfinite(np.array(res.scatter_rows))):
-        raise ValueError("non-finite smoothness estimate encountered")
 
 
 TENSOR_DEFAULTS = {
@@ -415,7 +409,7 @@ TENSOR_DEFAULTS = {
 }
 
 
-def cmd_tensor(cfg, args, manifest):
+def cmd_tensor(cfg, manifest):
     rows, per_update, _, _ = experiments.run_tensor_experiment(
         dims=cfg["dims"], rank=cfg["rank"], sweeps=cfg["sweeps"], seed=cfg["seed"],
         noise=cfg["noise"])
@@ -433,7 +427,7 @@ PLAN_RHO_DEFAULTS = {
 }
 
 
-def cmd_plan_rho(cfg, args, manifest):
+def cmd_plan_rho(cfg, manifest):
     for key in ("ell_l0", "ell_a", "ell_c"):
         at_least(key, cfg[key], 0)
     if cfg["ell"] == "constant":
@@ -448,53 +442,49 @@ def cmd_plan_rho(cfg, args, manifest):
 
 # ---------------------------------------------------------------------------
 
-def _add_settings(sub, defaults, run, seeds):
-    """``--config`` and one flag per setting, each kept as text for
-    ``_convert``; a boolean flag given bare reads ``true``.  ``seeds`` maps
-    a resolved config to the seeds its manifest records."""
-    sub.add_argument("--config", help="flat key=value config file")
-    for key, default in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(default, bool):
-            sub.add_argument(flag, dest=key, nargs="?", const="true")
-        else:
-            sub.add_argument(flag, dest=key)
-    sub.set_defaults(run=run, defaults=defaults, seeds_of=seeds)
+# subcommand: (help line, settings and their defaults, run, the seeds a
+# resolved config records)
+COMMANDS = {
+    "monomial": ("decompositions and atom bounds", MONOMIAL_DEFAULTS,
+                 cmd_monomial, lambda cfg: [0]),
+    "sdl": ("sparse dictionary learning experiment", SDL_DEFAULTS, cmd_sdl,
+            lambda cfg: range(cfg["seeds"])),
+    "relu": ("toy split-network training", RELU_DEFAULTS, cmd_relu,
+             lambda cfg: [cfg["seed"]]),
+    "tensor": ("alternating least-squares factorization", TENSOR_DEFAULTS,
+               cmd_tensor, lambda cfg: [cfg["seed"]]),
+    "plan-rho": ("gradient-bound and proximal-weight planner",
+                 PLAN_RHO_DEFAULTS, cmd_plan_rho, lambda cfg: []),
+}
+
+# the help lines of the flags that have one
+_HELP = {
+    "b": "comma-separated exponents, e.g. 1,1,2,4",
+    "group": "variable groups, 1-based, e.g. 1,2|3,4",
+    "bounds": "print atom-count bounds only",
+    "verify": "exit nonzero unless the identity verifies",
+    "merged_count": "also report the count after merging proportional atoms",
+    "csv": "export atoms to this CSV file",
+    "compare_gd": "also run the joint gradient-descent baseline",
+    "dump_trace": "also write the per-iteration solver trace",
+    "save_params": "checkpoint the trained parameters as CSV",
+}
 
 
 def build_parser():
+    """One subparser per ``COMMANDS`` entry, with ``--config`` and one flag
+    per setting, each kept as text for ``_convert``; a boolean flag given
+    bare reads ``true``."""
     parser = argparse.ArgumentParser(
         prog="bdc", description="block difference-of-convex toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    mono = subs.add_parser("monomial", help="decompositions and atom bounds")
-    mono.add_argument("--b", required=True,
-                      help="comma-separated exponents, e.g. 1,1,2,4")
-    mono.add_argument("--group", help="variable groups, 1-based, e.g. 1,2|3,4")
-    mono.add_argument("--bounds", action="store_true", help="print atom-count bounds only")
-    mono.add_argument("--verify", action="store_true", help="exit nonzero unless the identity verifies")
-    mono.add_argument("--merged-count", action="store_true",
-                      help="also report the count after merging proportional atoms")
-    mono.add_argument("--csv", help="export atoms to this CSV file")
-    _add_settings(mono, MONOMIAL_DEFAULTS, cmd_monomial, lambda cfg: [0])
-
-    sdl = subs.add_parser("sdl", help="sparse dictionary learning experiment")
-    sdl.add_argument("--compare-gd", action="store_true",
-                     help="also run the joint gradient-descent baseline")
-    _add_settings(sdl, SDL_DEFAULTS, cmd_sdl, lambda cfg: range(cfg["seeds"]))
-
-    relu_p = subs.add_parser("relu", help="toy split-network training")
-    relu_p.add_argument("--dump-trace", action="store_true",
-                        help="also write the per-iteration solver trace")
-    relu_p.add_argument("--save-params", action="store_true",
-                        help="checkpoint the trained parameters as CSV")
-    _add_settings(relu_p, RELU_DEFAULTS, cmd_relu, lambda cfg: [cfg["seed"]])
-
-    tensor = subs.add_parser("tensor", help="alternating least-squares factorization")
-    _add_settings(tensor, TENSOR_DEFAULTS, cmd_tensor, lambda cfg: [cfg["seed"]])
-
-    plan = subs.add_parser("plan-rho", help="gradient-bound and proximal-weight planner")
-    _add_settings(plan, PLAN_RHO_DEFAULTS, cmd_plan_rho, lambda cfg: [])
+    for name, (help_line, defaults, _, _) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        sub.add_argument("--config", help="flat key=value config file")
+        for key, default in defaults.items():
+            switch = dict(nargs="?", const="true") if isinstance(default, bool) else {}
+            sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                             help=_HELP.get(key), **switch)
     return parser
 
 
@@ -512,18 +502,17 @@ def main(argv=None):
     printed.
     """
     args = build_parser().parse_args(argv)
+    _, defaults, run, seeds_of = COMMANDS[args.command]
     manifest = Manifest(args.command)
     try:
         try:
-            cfg = _resolve(args.defaults, args)
+            cfg = _resolve(defaults, args)
         except (ValueError, OSError):
             manifest.start(args.outdir, {key: text for key, text in vars(args).items()
                                          if isinstance(text, str) and key != "command"}, [])
             raise
-        # the monomial's exponents are recorded as given
-        manifest.start(cfg["outdir"], dict(cfg, b=args.b) if "b" in args else cfg,
-                       args.seeds_of(cfg))
-        args.run(cfg, args, manifest)
+        manifest.start(cfg["outdir"], cfg, seeds_of(cfg))
+        run(cfg, manifest)
     except (ValueError, OSError) as exc:
         manifest.close(error=str(exc))
         print("error: %s" % exc, file=sys.stderr)

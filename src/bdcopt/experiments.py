@@ -6,6 +6,7 @@ substream, so component-level replay is possible.  Drivers return plain
 arrays/rows; CSV emission lives with the command-line harness.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +194,9 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
     negative ``epochs`` or ``stride`` (0 records no estimates), a negative or
     non-finite ``rho``, ``rho_coeff`` or ``batch_coeff``, a ``delta`` outside
     ``(0, 1]`` or, for ``blobs``, ``n_classes`` below 2 raises before any
-    solve, with or without the preset.
+    solve, with or without the preset.  A non-finite gradient norm or
+    smoothness ratio at a recorded point raises ``ValueError`` naming the
+    iteration and the block.
     """
     at_least("n_data", n_data, 1)
     if task == "blobs":  # sine regression has no classes
@@ -222,6 +225,9 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
             i = record.block
             # the gradient at prev first: the estimate's base gradient is then a hit
             gnorm = float(np.linalg.norm(problem.grad_g_block(i, prev)))
+            if not math.isfinite(gnorm):
+                raise ValueError("non-finite gradient norm at k=%d, block %d: %r"
+                                 % (k, i, gnorm))
             lhat = smoothness_estimate(problem, prev, theta_next, i, delta=delta)
             if lhat > 0 and gnorm > 0:
                 scatter.append((float(np.log(gnorm)), float(np.log(lhat)), k, i))
@@ -242,8 +248,7 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
 # tensor factorization
 # ---------------------------------------------------------------------------
 
-def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0,
-                          stop_rel_error=0.0):
+def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0):
     """Alternating exact block minimization on a planted low-rank tensor.
 
     Returns per-sweep rows ``(sweep, objective, rel_error)``, the per-block
@@ -254,16 +259,14 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0,
     seed in six (seeds 8, 12, 28, 32, 34, 35 and 36 of 0-40) ends at relative
     error 0.26-0.47.  ``tensor_stalled(rows, noise)`` gives the verdict.
     Bad ``dims``, a ``rank`` below 1, negative ``sweeps``, or a negative,
-    NaN or infinite ``noise`` or ``stop_rel_error`` raise before any solve,
-    and so does a noise large enough to make the starting objective overflow.
-    ``stop_rel_error`` 0 runs every sweep.
+    NaN or infinite ``noise`` raise before any solve, and so does a noise
+    large enough to make the starting objective overflow.
     """
     if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
         raise ValueError("dims must be 2 to 4 positive mode sizes")
     at_least("rank", rank, 1)
     at_least("sweeps", sweeps, 0)
     at_least("noise", noise, 0)
-    at_least("stop_rel_error", stop_rel_error, 0)
     rng_data = substream(seed, "data")
     true = [rng_data.standard_normal((m, rank)) for m in dims]
     T = cp_reconstruct(true)
@@ -283,10 +286,7 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0,
         for i in range(len(dims)):
             theta, _ = bdca_step(prob, theta, i)
             per_update.append(prob.eval_f(theta))
-        rel = prob.relative_error(theta)
-        rows.append((sweep, per_update[-1], rel))
-        if stop_rel_error and rel <= stop_rel_error:
-            break
+        rows.append((sweep, per_update[-1], prob.relative_error(theta)))
     return rows, per_update, prob, theta
 
 

@@ -127,8 +127,9 @@ class BdcProblem:
         """The problem's natural starting vector (flat, length ``total_dim``)."""
         raise NotImplementedError("problem declares no initial point")
 
-    def sample(self, rng, batch_size=None):
-        """Draw a replayable :class:`SampleHandle`; stochastic problems only."""
+    def sample(self, rng, batch_size):
+        """Draw a replayable :class:`SampleHandle` of ``batch_size`` rows;
+        stochastic problems only."""
         raise NotImplementedError("problem has no stochastic oracle")
 
     def on(self, handle):

@@ -153,12 +153,9 @@ class MlpTaskProblem(BdcProblem):
     def params(self, theta):
         return self.template.with_vector(theta)
 
-    def sample(self, rng, batch_size=None):
+    def sample(self, rng, batch_size):
         # key drawn from the caller's generator: replayable, no shared state
-        if batch_size is None:
-            batch_size = 1
-        else:
-            at_least("batch_size", batch_size, 1)
+        at_least("batch_size", batch_size, 1)
         idx = rng.integers(0, self.n_data, size=batch_size)  # i.i.d. draws
         return SampleHandle(key=int(rng.integers(2 ** 31)), indices=idx)
 

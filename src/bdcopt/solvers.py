@@ -156,7 +156,8 @@ def run(problem, config, theta0=None, callback=None):
     itself (norm, inner iterations: the problem's own count, for the MLP
     problems the bundle iterations).  ``callback(k, theta_next, record)`` is
     invoked after every iteration.  A non-finite ``f`` or step norm raises
-    ``ValueError`` naming the iteration, the block and the value.
+    ``ValueError`` naming the iteration, the block and the value, and so
+    does a non-finite ``final_f``, at ``k = n_iters``.
     """
     theta = np.array(
         theta0 if theta0 is not None else problem.initial_point(), dtype=float)
@@ -202,6 +203,9 @@ def run(problem, config, theta0=None, callback=None):
 
     trace.final_theta = theta
     trace.final_f = float(problem.eval_f(theta))
+    if not math.isfinite(trace.final_f):
+        raise ValueError("non-finite final f at k=%d: %r"
+                         % (config.n_iters, trace.final_f))
     return trace
 
 
@@ -327,7 +331,8 @@ def smoothness_estimate(problem, theta_k, theta_next, i, delta=0.25):
     Probes ``gamma = k delta`` for ``k = 1, ..., floor(1 / delta)`` along
     ``d = block update`` and returns the largest gradient-variation ratio
     ``||grad g_i(theta + gamma d) - grad g_i(theta)|| / (gamma ||d||)``.
-    Returns 0 when the block did not move.
+    Returns 0 when the block did not move.  A non-finite ratio raises
+    ``ValueError`` naming the block, ``gamma`` and the value.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1], got %r" % (delta,))
@@ -345,7 +350,11 @@ def smoothness_estimate(problem, theta_k, theta_next, i, delta=0.25):
         trial = theta_k.copy()
         trial[sl] = theta_k[sl] + gamma * d
         g1 = problem.grad_g_block(i, trial)
-        best = max(best, float(np.linalg.norm(g1 - g0)) / (gamma * dnorm))
+        ratio = float(np.linalg.norm(g1 - g0)) / (gamma * dnorm)
+        if not math.isfinite(ratio):
+            raise ValueError("non-finite smoothness ratio for block %d at "
+                             "gamma=%r: %r" % (i, gamma, ratio))
+        best = max(best, ratio)
     return best
 
 

@@ -392,14 +392,14 @@ def test_criterion_14_stochastic_training_descent():
 def test_criterion_15_cp_als_recovery():
     t0 = time.perf_counter()
     rows, per_update, prob, theta = run_tensor_experiment(
-        dims=(4, 5, 6), rank=2, sweeps=200, seed=15, stop_rel_error=1e-6)
+        dims=(4, 5, 6), rank=2, sweeps=200, seed=15)
     rel = prob.relative_error(theta)
+    reached = next((sweep for sweep, _, r in rows if r <= 1e-6), None)
     per_update = np.array(per_update)
     monotone = bool(np.all(np.diff(per_update) <= 1e-9 * (1 + np.abs(per_update[:-1]))))
-    ok = rel <= 1e-6 and rows[-1][0] <= 200 and monotone
+    ok = rel <= 1e-6 and monotone
     report(15, "exact-rank tensor recovered with monotone block updates", ok,
-           time.perf_counter() - t0, 30,
-           "rel_err=%.2e sweeps=%d" % (rel, rows[-1][0]))
+           time.perf_counter() - t0, 30, "rel_err=%.2e sweeps=%s" % (rel, reached))
 
 
 def test_criterion_16_smoothness_scatter(tmp_path):

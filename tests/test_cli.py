@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -102,20 +103,12 @@ class TestMonomialCommand:
         assert out == ""
         assert error == message
 
-    def test_bad_exponents_are_one_line_error(self, capsys, tmp_path):
-        _, error, manifest = run_failing(["monomial", "--b", "2,x"], capsys,
-                                         tmp_path)
-        assert error == "b must be comma-separated integers, got '2,x'"
-        assert manifest["config"]["b"] == "2,x"
-
-    @pytest.mark.parametrize("text", ["2,-1", "0,0"])
-    def test_negative_or_all_zero_exponents_are_one_line_error(self, capsys,
-                                                               tmp_path, text):
-        _, error, manifest = run_failing(["monomial", "--b=" + text], capsys,
-                                         tmp_path)
-        assert error == ("b must be comma-separated nonnegative integers, at "
-                         "least one positive, got %r" % text)
-        assert manifest["config"]["b"] == text
+    def test_missing_exponents_are_one_line_error(self, capsys, tmp_path):
+        out, error, manifest = run_failing(["monomial"], capsys, tmp_path)
+        assert out == ""
+        assert error == ("missing setting b: comma-separated exponents, "
+                         "e.g. --b 1,1,2,4")
+        assert manifest["config"]["b"] == []
 
 
 class TestTensorCommand:
@@ -278,7 +271,7 @@ class TestManifestLifecycle:
         assert out.splitlines()[-1] == "wrote %s" % (tmp_path / "atoms.csv")
         manifest = self.read(tmp_path / "monomial_manifest.json")
         assert manifest["status"] == "complete" and "error" not in manifest
-        assert manifest["config"]["b"] == "2,4"
+        assert manifest["config"]["b"] == [2, 4]
         assert manifest["outputs"] == ["atoms.csv"]
         assert manifest["wall_s"] is not None
 
@@ -346,6 +339,19 @@ class TestConfigPrecedence:
             manifest = json.loads((tmp_path / "relu_manifest.json").read_text())
             assert manifest["config"]["theory_preset"] is want
             assert manifest["config"]["widths"] == [16, 8]
+
+    def test_switch_from_a_config_line_acts_as_the_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dump_trace=yes\n")
+        small = ["relu", "--epochs", "1", "--n-data", "40", "--widths", "5"]
+        for name, given in (("flag", ["--dump-trace"]),
+                            ("line", ["--config", str(cfg)])):
+            code, _, _ = run_cli([*small, *given, "--outdir", str(tmp_path / name)],
+                                 capsys)
+            assert code == 0
+        trace = "relu_trace_seed0.csv"
+        assert ((tmp_path / "line" / trace).read_bytes()
+                == (tmp_path / "flag" / trace).read_bytes())
 
     def test_bare_boolean_flag_reads_true(self, capsys, tmp_path):
         code, _, _ = run_cli(["relu", "--theory-preset", "--epochs", "0",
@@ -426,8 +432,13 @@ def test_non_finite_float_setting_fails_before_any_solve(capsys, tmp_path, argv,
 
 
 WIDTHS = "widths must be comma-separated positive integers, got %r"
+EXPONENTS = ("b must be comma-separated nonnegative integers, at least one "
+             "positive, got %r")
 BAD_TEXT = [("relu", "widths", value, WIDTHS % value)
             for value in ("16,x", "8,-3", ",", "6,,4", "16,8,")] + [
+    ("monomial", "b", "2,x", "b must be comma-separated integers, got '2,x'"),
+    ("monomial", "b", "2,-1", EXPONENTS % "2,-1"),
+    ("monomial", "b", "0,0", EXPONENTS % "0,0"),
     ("tensor", "dims", "4",
      "dims must be 2 to 4 comma-separated positive integers, got '4'"),
     ("relu", "task", "blob", "task must be one of 'blobs', 'sine', got 'blob'"),
@@ -441,6 +452,8 @@ BAD_TEXT = [("relu", "widths", value, WIDTHS % value)
     ("sdl", "alpha", "0.1.2", "alpha must be of type float, got '0.1.2'"),
     ("relu", "theory_preset", "ture",
      "theory_preset must be one of true/false/yes/no/1/0, got 'ture'"),
+    ("sdl", "compare_gd", "maybe",
+     "compare_gd must be one of true/false/yes/no/1/0, got 'maybe'"),
 ]
 
 
@@ -476,7 +489,8 @@ def test_protocol_defaults_match_driver_defaults():
     gd = defaults(experiments.run_sdl_gd_comparison)
     counts = {"iters": "n_outer", "seeds": "n_seeds"}
     for key, value in SDL_DEFAULTS.items():
-        if key in ("variant", "outdir"):  # no driver keyword of that form
+        # no driver keyword of that form: compare_gd picks the second driver
+        if key in ("variant", "compare_gd", "outdir"):
             continue
         if key.startswith("gd_"):
             assert gd[counts[key[3:]]] == value, key
@@ -488,7 +502,7 @@ def test_protocol_defaults_match_driver_defaults():
     relu = defaults(experiments.run_relu_experiment)
     names = {"widths": "layer_dims", "classes": "n_classes"}
     for key, value in RELU_DEFAULTS.items():
-        if key != "outdir":
+        if key not in ("dump_trace", "save_params", "outdir"):  # output choices
             assert relu[names.get(key, key)] == value, key
 
     tensor = defaults(experiments.run_tensor_experiment)
@@ -499,6 +513,45 @@ def test_protocol_defaults_match_driver_defaults():
     verify = defaults(monomials.verify_identity)
     for key in ("trials", "tol"):
         assert verify[key] == MONOMIAL_DEFAULTS[key], key
+
+
+TABLES = {"monomial": MONOMIAL_DEFAULTS, "sdl": SDL_DEFAULTS,
+          "relu": RELU_DEFAULTS, "tensor": TENSOR_DEFAULTS,
+          "plan-rho": PLAN_RHO_DEFAULTS}
+
+
+def test_every_flag_is_a_setting():
+    """Each flag of a subcommand but ``--config`` is a key of its defaults
+    table, so a config line sets it too and the manifest records it."""
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    assert set(subs.choices) == set(TABLES)
+    for name, sub in subs.choices.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help", "--config"} == {
+            "--" + key.replace("_", "-") for key in TABLES[name]}, name
+
+
+RECORDED = [
+    (["monomial", "--b", "2,2", "--group", "1|2", "--verify"],
+     dict(b=[2, 2], group="1|2", verify=True)),
+    (["sdl", "--iters", "3", "--seeds", "1", "--gd-iters", "3", "--gd-seeds", "1",
+      "--compare-gd"], dict(iters=3, seeds=1, gd_iters=3, gd_seeds=1,
+                            compare_gd=True)),
+    (["relu", "--epochs", "1", "--n-data", "40", "--widths", "5", "--dump-trace",
+      "--save-params"], dict(epochs=1, n_data=40, widths=[5], dump_trace=True,
+                             save_params=True)),
+]
+
+
+@pytest.mark.parametrize("argv, given", RECORDED, ids=[argv[0] for argv, _ in RECORDED])
+def test_manifest_records_every_setting(capsys, tmp_path, argv, given):
+    code, _, _ = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / ("%s_manifest.json" % argv[0])).read_text())
+    defaults = {key: list(value) if isinstance(value, tuple) else value
+                for key, value in TABLES[argv[0]].items()}
+    assert manifest["config"] == dict(defaults, outdir=str(tmp_path), **given)
 
 
 def test_readme_command_lines_parse():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from bdcopt import experiments
 from bdcopt.experiments import (run_relu_experiment, run_sdl_experiment,
                                 run_sdl_gd_comparison, run_tensor_experiment,
                                 sdl_band_columns, tensor_stalled)
+from bdcopt.solvers import IterTrace
 
 
 def test_sdl_band_columns():
@@ -137,17 +140,15 @@ def test_sdl_experiment_checks_variants_before_any_step(monkeypatch, variants):
         run_sdl_experiment(n_outer=1, n_seeds=1, variants=variants)
 
 
-@pytest.mark.parametrize("value, message", [
-    (float("nan"), "stop_rel_error must be >= 0, got nan"),
-    (-1.0, "stop_rel_error must be >= 0, got -1.0"),
-    (float("inf"), "stop_rel_error must be finite, got inf"),
-], ids=["nan", "negative", "inf"])
-def test_tensor_experiment_checks_stop_rel_error_before_any_solve(
-        monkeypatch, value, message):
-    def no_step(*args, **kwargs):
-        raise AssertionError("solver reached")
+def test_relu_scatter_rejects_a_non_finite_gradient_norm(monkeypatch):
+    def nan_run(problem, config, callback):
+        # the iterate turns NaN at k=1, so the point recorded at k=2 is NaN
+        theta = np.full(problem.partition.total_dim, np.nan)
+        for k in (1, 2):
+            callback(k, theta, SimpleNamespace(block=0))
+        return IterTrace()
 
-    monkeypatch.setattr(experiments, "bdca_step", no_step)
-    with pytest.raises(ValueError) as err:
-        run_tensor_experiment(sweeps=3, stop_rel_error=value)
-    assert str(err.value) == message
+    monkeypatch.setattr(experiments, "run", nan_run)
+    with pytest.raises(ValueError, match=r"^non-finite gradient norm at k=2, "
+                                         r"block 0: nan$"):
+        run_relu_experiment(stride=2, epochs=1, n_data=20, layer_dims=(4,))

@@ -341,11 +341,11 @@ def test_solver_matches_reference_on_ties(loss):
     check_solver(task, theta, np.random.default_rng(23), budget=10)
 
 
-def test_kink_probe_frees_a_block_the_line_search_cannot_move():
+def test_bundle_frees_a_block_stuck_on_a_kink():
     # grid net and inputs: block 0 starts on a tie where steps along the
-    # selected -grad do not lower the minibatch surrogate, so no line search
-    # moves it; the bundle's null steps add cuts from the other side of the
-    # kink and shrink t until a step descends
+    # selected -grad do not lower the minibatch surrogate; the bundle's null
+    # steps add cuts from the other side of the kink and shrink t until a
+    # step descends
     rng = np.random.default_rng(68)
     task, theta = build_task(rng, 4, "mse", grid=True)
     prob = MlpTaskProblem(task)
@@ -559,10 +559,8 @@ SOLVE = dict(task="blobs", layer_dims=(16, 8), n_classes=3, theory_preset=True,
 
 def test_block_solver_tail_passes_per_gradient(monkeypatch):
     # a bound on the block solver's work: one tail pass per iteration, and
-    # none for the start's gradient, which is the anchor's; the solver with
-    # a line search, kink probes, hops and convexity cuts made about 2.4
-    # tail passes per gradient on the theory-preset runs below (seeds 0-2
-    # pooled)
+    # none for the start's gradient, which is the anchor's, on the
+    # theory-preset runs below (seeds 0-2 pooled)
     counts = {"passes": 0, "gradients": 0, "solving": False}
     forward = relu.forward_split
     solve = MlpTaskProblem.minimize_block_surrogate

@@ -250,4 +250,4 @@ class TestSampleReplay:
     def test_deterministic_problem_has_no_sampler(self):
         prob = QuadraticDcProblem.random(PART, np.random.default_rng(0))
         with pytest.raises(NotImplementedError):
-            prob.sample(np.random.default_rng(1))
+            prob.sample(np.random.default_rng(1), 1)

@@ -535,7 +535,7 @@ class TestMlpProblem:
         net = relu.random_params((2, 3, 2), np.random.default_rng(18))
         prob = MlpTaskProblem(MlpTask(inputs=x, labels=y, net=net, loss="ce"))
         rng = np.random.default_rng(0)
-        assert len(prob.sample(rng).indices) == 1
+        assert len(prob.sample(rng, 1).indices) == 1
         with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
             prob.sample(rng, 0)
 

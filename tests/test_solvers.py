@@ -222,6 +222,19 @@ class TestRun:
         with pytest.raises(ValueError, match=r"non-finite f at k=1, block 1: nan"):
             run(prob, cfg)
 
+    def test_non_finite_final_f_names_the_iteration_and_value(self):
+        class NanAwayFromStart(QuadraticDcProblem):
+            # f, which the step never reads, turns NaN once the iterate
+            # leaves the zero start
+            def eval_f(self, theta):
+                return np.nan if np.any(theta) else super().eval_f(theta)
+
+        prob = NanAwayFromStart(BlockPartition([1, 1]), np.eye(2),
+                                np.array([1.0, 2.0]))
+        # the one record reads f at the start; the final f is past the step
+        with pytest.raises(ValueError, match=r"^non-finite final f at k=1: nan$"):
+            run(prob, SolverConfig(n_iters=1, seed=0))
+
     def test_trace_csv_columns(self, tmp_path):
         part = BlockPartition([2])
         prob = identity_quadratic(part, [1.0, 1.0])
@@ -421,6 +434,21 @@ class TestSmoothnessEstimate:
         message = r"^delta must lie in \(0, 1\], got %r$" % delta
         with pytest.raises(ValueError, match=message):
             smoothness_estimate(prob, np.zeros(2), np.ones(2), 0, delta=delta)
+
+
+    def test_non_finite_probe_gradient_names_block_gamma_and_value(self):
+        class NanAwayFromStart(QuadraticMinusL1Problem):
+            # grad g turns NaN once the iterate leaves the zero start
+            def grad_g_block(self, i, theta):
+                grad = super().grad_g_block(i, theta)
+                return grad * np.nan if np.any(theta) else grad
+
+        rng = np.random.default_rng(13)
+        prob = NanAwayFromStart(BlockPartition([2, 1]), rng.standard_normal((4, 3)),
+                                rng.standard_normal(4), 0.1)
+        message = r"^non-finite smoothness ratio for block 0 at gamma=0.25: nan$"
+        with pytest.raises(ValueError, match=message):
+            smoothness_estimate(prob, np.zeros(3), np.array([1.0, 0.0, 0.0]), 0)
 
 
 class TestGapL:
