@@ -2,26 +2,30 @@
 
 Subcommands: ``monomial``, ``sdl``, ``relu``, ``tensor``, ``plan-rho``, one
 entry each in ``COMMANDS``, which holds the subcommand's settings and their
-defaults.  Every flag but ``--config`` is a setting and every setting is a
-flag and a config key of the same name.  Configuration precedence is
-built-in defaults < ``--config`` file (flat ``key=value`` lines) <
-command-line flags.  One converter, ``_convert``, turns every setting's text
-into its value, from a flag and a config line alike: by the key's parser
-(``b``, ``widths``, ``dims``, ``task``, ``variant``, ``ell``), else by the
-type of its default (a boolean word, ``int``, ``float`` or plain text); a
-boolean flag given bare reads ``true``.  ``main`` owns the run: it resolves
-the settings, starts the manifest, whose ``config`` records every setting,
-runs the subcommand on the resolved config and closes the manifest,
-"complete" on exit 0, else "failed" with the error text, and with the wall
-time and the outputs either way.  Every bad setting (a flag's or a config
-line's text, a missing ``b``, a missing or unreadable config file, a value
-out of range) exits 1 with one ``error:`` line and a "failed" manifest; only
-argparse's usage check (an unknown flag, a flag without its value) exits 2.
-All emitted CSVs are deterministic given the configuration.
+defaults; those of ``sdl``, ``relu`` and ``tensor`` (and ``monomial``'s
+``trials`` and ``tol``) are the keyword defaults of the drivers they feed,
+under the flag names of ``SDL_FLAGS``, ``GD_FLAGS`` and ``RELU_FLAGS``.
+Every flag but ``--config`` is a setting and every setting is a flag and a
+config key of the same name.  Configuration precedence is built-in defaults
+< ``--config`` file (flat ``key=value`` lines) < command-line flags.  One
+converter, ``_convert``, turns every setting's text into its value, from a
+flag and a config line alike: by the key's parser (``b``, ``widths``,
+``dims``, ``task``, ``variant``, ``ell``), else by the type of its default
+(a boolean word, ``int``, ``float`` or plain text); a boolean flag given
+bare reads ``true``.  ``main`` owns the run: it resolves the settings,
+starts the manifest, whose ``config`` records every setting, runs the
+subcommand on the resolved config and closes the manifest, "complete" on
+exit 0, else "failed" with the error text, and with the wall time and the
+outputs either way.  Every bad setting (a flag's or a config line's text, a
+missing ``b``, a missing or unreadable config file, a value out of range)
+exits 1 with one ``error:`` line and a "failed" manifest; only argparse's
+usage check (an unknown flag, a flag without its value) exits 2.  All
+emitted CSVs are deterministic given the configuration.
 ``BDC_OUT_DIR`` overrides the output directory.
 """
 
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -36,7 +40,7 @@ from .blocks import at_least, write_csv
 from .monomials import (Monomial, atoms_to_csv, bdc_block_decompose,
                         check_verify_settings, dc_atom_bounds,
                         merge_proportional, polarize, verify_identity)
-from .problems.sdl import check_lq_q
+from .problems.sdl import VARIANTS, check_lq_q
 from .solvers import plan_rho
 
 __all__ = ["main"]
@@ -90,7 +94,7 @@ class Manifest:
         self.path = None
         self.outputs = []
 
-    def start(self, outdir, config, seeds):
+    def start(self, outdir, config):
         """Write the running manifest to ``BDC_OUT_DIR``, else ``outdir``,
         else the working directory, which then holds the run's outputs."""
         self.outdir = os.environ.get("BDC_OUT_DIR") or outdir or "."
@@ -99,7 +103,6 @@ class Manifest:
         self.payload = {
             "subcommand": self.subcommand,
             "config": config,
-            "seeds": list(seeds),
             "build": _git_describe(),
             "environment": _environment(),
             "status": "running",
@@ -174,8 +177,8 @@ _PARSERS = {
                     lambda w: min(w) >= 1),
     "dims": _ints("dims", "2 to 4 comma-separated positive integers",
                   lambda d: 2 <= len(d) <= 4 and min(d) >= 1),
-    "task": _one_of("task", ("blobs", "sine")),
-    "variant": _one_of("variant", ("l1", "l1_lq", "both")),
+    "task": _one_of("task", experiments.TASKS),
+    "variant": _one_of("variant", VARIANTS + ("both",)),
     "ell": _one_of("ell", ("constant", "affine")),
 }
 
@@ -249,9 +252,29 @@ def _parse_grouping(text, n_vars):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _keywords(driver, flags):
+    """``{flag: parameter}`` of each keyword of ``driver`` with a default that
+    a flag sets: the keyword's name unless ``flags`` renames it, or maps it
+    to None for no flag."""
+    params = inspect.signature(driver).parameters.values()
+    return {flags.get(p.name, p.name): p for p in params
+            if p.default is not p.empty and flags.get(p.name, p.name)}
+
+
+def _settings(driver, flags):
+    return {flag: p.default for flag, p in _keywords(driver, flags).items()}
+
+
+def _call(driver, flags, cfg, **given):
+    """``driver`` on the settings of ``cfg`` that set its keywords, and ``given``."""
+    kwargs = {p.name: cfg[flag] for flag, p in _keywords(driver, flags).items()}
+    return driver(**kwargs, **given)
+
+
 MONOMIAL_DEFAULTS = {
     "b": (), "group": "", "bounds": False, "verify": False,
-    "merged_count": False, "csv": "", "trials": 100, "tol": 1e-6, "outdir": "",
+    "merged_count": False, "csv": "", **_settings(verify_identity, {}),
+    "outdir": "",
 }
 
 
@@ -314,16 +337,18 @@ def cmd_monomial(cfg, manifest):
             raise ValueError("identity verification failed (max_rel_err=%r)" % float(err))
 
 
+# the flags of the SDL drivers' renamed keywords; the two share the rest
+SDL_FLAGS = {"n_outer": "iters", "n_seeds": "seeds", "variants": None}
+GD_FLAGS = {"n_outer": "gd_iters", "n_seeds": "gd_seeds"}
 SDL_DEFAULTS = {
-    "m": 10, "l": 32, "n": 100, "k_nonzero": 5, "alpha": 0.1, "q": 5,
-    "iters": 700, "seeds": 10, "seed": 0, "inner_x": 10, "inner_d": 5,
-    "inner_tol": 1e-8, "variant": "both", "compare_gd": False,
-    "gd_iters": 300, "gd_seeds": 3, "outdir": "",
+    **_settings(experiments.run_sdl_experiment, SDL_FLAGS),
+    "variant": "both", "compare_gd": False,
+    **_settings(experiments.run_sdl_gd_comparison, GD_FLAGS), "outdir": "",
 }
 
 
 def cmd_sdl(cfg, manifest):
-    variants = ("l1", "l1_lq") if cfg["variant"] == "both" else (cfg["variant"],)
+    variants = VARIANTS if cfg["variant"] == "both" else (cfg["variant"],)
     if cfg["compare_gd"]:  # the GD comparison's checks, before the main sweep
         # the sizes first, in the order run_sdl_experiment checks them
         for key in ("m", "l", "n"):
@@ -332,11 +357,7 @@ def cmd_sdl(cfg, manifest):
         for key, low in (("gd_iters", 0), ("gd_seeds", 1)):
             at_least(key, cfg[key], low)
 
-    res = experiments.run_sdl_experiment(
-        m=cfg["m"], l=cfg["l"], n=cfg["n"], k_nonzero=cfg["k_nonzero"],
-        alpha=cfg["alpha"], q=cfg["q"], n_outer=cfg["iters"],
-        n_seeds=cfg["seeds"], seed=cfg["seed"], inner_x=cfg["inner_x"],
-        inner_d=cfg["inner_d"], inner_tol=cfg["inner_tol"], variants=variants)
+    res = _call(experiments.run_sdl_experiment, SDL_FLAGS, cfg, variants=variants)
 
     tags = {"l1": "L1", "l1_lq": "LQ"}
     iters = np.arange(cfg["iters"] + 1)
@@ -362,34 +383,21 @@ def cmd_sdl(cfg, manifest):
                  *table(res.sparsity, extra=("true_sparsity", res.true_sparsity)))
 
     if cfg["compare_gd"]:
-        rows = experiments.run_sdl_gd_comparison(
-            m=cfg["m"], l=cfg["l"], n=cfg["n"], k_nonzero=cfg["k_nonzero"],
-            alpha=cfg["alpha"], q=cfg["q"], n_outer=cfg["gd_iters"],
-            n_seeds=cfg["gd_seeds"], seed=cfg["seed"], inner_x=cfg["inner_x"],
-            inner_d=cfg["inner_d"], inner_tol=cfg["inner_tol"])
+        rows = _call(experiments.run_sdl_gd_comparison, GD_FLAGS, cfg)
         manifest.csv(
             "sdl_gd_compare.csv", ["seed", "oracle_calls", "bdca_final", "gd_final"],
             [(r["seed"], r["oracle_calls"], r["bdca_final"], r["gd_final"]) for r in rows])
 
 
+RELU_FLAGS = {"layer_dims": "widths", "n_classes": "classes"}
 RELU_DEFAULTS = {
-    "task": "blobs", "widths": (16, 8), "n_data": 200, "classes": 3,
-    "epochs": 5, "batch_size": 16, "rho": 1.0, "theory_preset": False,
-    "rho_coeff": 0.5, "batch_coeff": 0.5, "inner_budget": 25,
-    "inner_tol": 1e-8, "stride": 10, "delta": 0.25, "seed": 0,
+    **_settings(experiments.run_relu_experiment, RELU_FLAGS),
     "dump_trace": False, "save_params": False, "outdir": "",
 }
 
 
 def cmd_relu(cfg, manifest):
-    res = experiments.run_relu_experiment(
-        task=cfg["task"], layer_dims=cfg["widths"], n_data=cfg["n_data"],
-        n_classes=cfg["classes"], epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"], rho=cfg["rho"],
-        theory_preset=cfg["theory_preset"], rho_coeff=cfg["rho_coeff"],
-        batch_coeff=cfg["batch_coeff"], inner_budget=cfg["inner_budget"],
-        inner_tol=cfg["inner_tol"], stride=cfg["stride"], delta=cfg["delta"],
-        seed=cfg["seed"])
+    res = _call(experiments.run_relu_experiment, RELU_FLAGS, cfg)
     seed = cfg["seed"]
     manifest.csv("relu_loss_seed%d.csv" % seed, ["k", "loss", "residual_upper"],
                  res.loss_rows)
@@ -403,16 +411,11 @@ def cmd_relu(cfg, manifest):
                         lambda path: relu_mod.save_params_csv(final, path))
 
 
-TENSOR_DEFAULTS = {
-    "dims": (4, 5, 6), "rank": 2, "sweeps": 200, "seed": 0, "noise": 0.0,
-    "outdir": "",
-}
+TENSOR_DEFAULTS = {**_settings(experiments.run_tensor_experiment, {}), "outdir": ""}
 
 
 def cmd_tensor(cfg, manifest):
-    rows, per_update, _, _ = experiments.run_tensor_experiment(
-        dims=cfg["dims"], rank=cfg["rank"], sweeps=cfg["sweeps"], seed=cfg["seed"],
-        noise=cfg["noise"])
+    rows, per_update, _, _ = _call(experiments.run_tensor_experiment, {}, cfg)
     manifest.csv("tensor_trace.csv", ["sweep", "objective", "rel_error"], rows)
     manifest.payload["final_rel_error"] = rows[-1][2]
     manifest.payload["stalled"] = experiments.tensor_stalled(rows, cfg["noise"])
@@ -442,19 +445,16 @@ def cmd_plan_rho(cfg, manifest):
 
 # ---------------------------------------------------------------------------
 
-# subcommand: (help line, settings and their defaults, run, the seeds a
-# resolved config records)
+# subcommand: (help line, settings and their defaults, run)
 COMMANDS = {
     "monomial": ("decompositions and atom bounds", MONOMIAL_DEFAULTS,
-                 cmd_monomial, lambda cfg: [0]),
-    "sdl": ("sparse dictionary learning experiment", SDL_DEFAULTS, cmd_sdl,
-            lambda cfg: range(cfg["seeds"])),
-    "relu": ("toy split-network training", RELU_DEFAULTS, cmd_relu,
-             lambda cfg: [cfg["seed"]]),
+                 cmd_monomial),
+    "sdl": ("sparse dictionary learning experiment", SDL_DEFAULTS, cmd_sdl),
+    "relu": ("toy split-network training", RELU_DEFAULTS, cmd_relu),
     "tensor": ("alternating least-squares factorization", TENSOR_DEFAULTS,
-               cmd_tensor, lambda cfg: [cfg["seed"]]),
+               cmd_tensor),
     "plan-rho": ("gradient-bound and proximal-weight planner",
-                 PLAN_RHO_DEFAULTS, cmd_plan_rho, lambda cfg: []),
+                 PLAN_RHO_DEFAULTS, cmd_plan_rho),
 }
 
 # the help lines of the flags that have one
@@ -478,7 +478,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="bdc", description="block difference-of-convex toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, defaults, _, _) in COMMANDS.items():
+    for name, (help_line, defaults, _) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_line)
         sub.add_argument("--config", help="flat key=value config file")
         for key, default in defaults.items():
@@ -502,16 +502,16 @@ def main(argv=None):
     printed.
     """
     args = build_parser().parse_args(argv)
-    _, defaults, run, seeds_of = COMMANDS[args.command]
+    _, defaults, run = COMMANDS[args.command]
     manifest = Manifest(args.command)
     try:
         try:
             cfg = _resolve(defaults, args)
         except (ValueError, OSError):
             manifest.start(args.outdir, {key: text for key, text in vars(args).items()
-                                         if isinstance(text, str) and key != "command"}, [])
+                                         if isinstance(text, str) and key != "command"})
             raise
-        manifest.start(cfg["outdir"], cfg, seeds_of(cfg))
+        manifest.start(cfg["outdir"], cfg)
         run(cfg, manifest)
     except (ValueError, OSError) as exc:
         manifest.close(error=str(exc))

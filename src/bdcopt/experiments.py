@@ -26,6 +26,7 @@ __all__ = [
     "sdl_band_columns",
     "run_sdl_gd_comparison",
     "ReluRunResult",
+    "TASKS",
     "run_relu_experiment",
     "run_tensor_experiment",
     "tensor_stalled",
@@ -165,6 +166,9 @@ class ReluRunResult:
     batch_size: int
 
 
+TASKS = ("blobs", "sine")  # the tasks run_relu_experiment trains on
+
+
 def _build_task(task, layer_dims, n_data, n_classes, rng_data, rng_init):
     if task == "blobs":
         x, y = gaussian_blobs(n_data, n_classes, seed=rng_data)
@@ -175,7 +179,8 @@ def _build_task(task, layer_dims, n_data, n_classes, rng_data, rng_init):
         dims = (1,) + tuple(layer_dims) + (1,)
         loss = "mse"
     else:
-        raise ValueError("task must be 'blobs' or 'sine'")
+        raise ValueError("task must be one of %s, got %r"
+                         % (", ".join(map(repr, TASKS)), task))
     net = relu.random_params(dims, rng_init)
     return MlpTask(inputs=x, labels=y, net=net, loss=loss)
 

@@ -8,7 +8,7 @@ a handle is just a recorded index tuple, drawn i.i.d. with replacement, and
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,26 +46,15 @@ def gaussian_blobs(n, n_classes=3, seed=0):
 
 @dataclass
 class MlpTask:
-    """Dataset plus network plus loss kind.
-
-    For regression, labels are shifted by ``label_shift = max(0, -min y)`` so
-    the squared-error split applies; report predictions minus the shift.
-    """
+    """Dataset plus network plus loss kind, ``"mse"`` or ``"ce"``; the
+    :class:`MlpTaskProblem` built on it checks it.  Squared-error labels
+    must be ``>= 0``: shift negative ones and the outputs by a common
+    constant first."""
 
     inputs: np.ndarray
     labels: np.ndarray
     net: relu.MlpParams
     loss: str = "mse"
-    label_shift: float = field(default=0.0)
-
-    def __post_init__(self):
-        if self.loss not in ("mse", "ce"):
-            raise ValueError("loss must be 'mse' or 'ce'")
-        if self.loss == "mse":
-            shift = max(0.0, -float(np.min(self.labels)))
-            if shift > 0:
-                self.labels = np.asarray(self.labels, dtype=float) + shift
-                self.label_shift = shift
 
 
 class _Point:
@@ -135,17 +124,11 @@ class MlpTaskProblem(BdcProblem):
 
     def on(self, handle):
         """The problem on the rows ``handle.indices`` (repeats kept), with
-        an empty memo of its own; the task was checked when this problem
-        was built."""
+        an empty memo of its own."""
         idx = list(handle.indices)
-        view = object.__new__(MlpTaskProblem)
-        view.task, view.template, view.partition = (
-            self.task, self.template, self.partition)
-        view.inputs, view.labels = self.inputs[idx], self.labels[idx]
-        view.inputs.flags.writeable = view.labels.flags.writeable = False
-        view.n_data = len(idx)
-        view._last = None
-        return view
+        return MlpTaskProblem(MlpTask(inputs=self.inputs[idx],
+                                      labels=self.labels[idx],
+                                      net=self.template, loss=self.task.loss))
 
     def initial_point(self):
         return self.template.to_vector()

@@ -13,6 +13,7 @@ stationarity gap.
 """
 
 import math
+import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -213,12 +214,14 @@ def audit_step_bound(trace, rho):
     """Check ``step_norm <= (2/rho)(||grad g - u|| + ||noise||) + 1e-9`` on
     every record; the noise term is zero for deterministic runs and 1e-9
     absorbs rounding.  Returns the worst margin (nonnegative means the audit
-    passed everywhere)."""
-    worst = np.inf
-    for r in trace.records:
-        bound = (2.0 / rho) * (r.block_grad_gap + (r.noise_norm or 0.0)) + 1e-9
-        worst = min(worst, bound - r.step_norm)
-    return worst
+    passed everywhere); a NaN margin on any record makes it NaN, which
+    fails.  A ``rho`` that is not positive and finite raises ``ValueError``:
+    the bound exists only for such a weight."""
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite, got %r" % (rho,))
+    margins = [(2.0 / rho) * (r.block_grad_gap + (r.noise_norm or 0.0)) + 1e-9
+               - r.step_norm for r in trace.records]
+    return float(np.min(margins, initial=np.inf))  # np.min keeps a NaN
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +256,10 @@ def compute_E(ell, G):
     overflows before ``u^2`` passes it, the error says ``E exceeds the float
     range`` if ``ell(2u)/u^2`` was still falling at the last probes (an
     ``ell`` that looks subquadratic, such as a huge slope), else ``ell not
-    subquadratic on probed range``.
+    subquadratic on probed range``.  An ``ell`` that vanishes on the
+    bracket raises ``no positive solution``, and one for which ``u^2``
+    underflows before it falls to ``2 ell(2u) G`` raises ``E lies below the
+    float range``.
     """
     if not 0 < G < math.inf:
         raise ValueError("G must be positive and finite, got %r" % (G,))
@@ -279,11 +285,15 @@ def compute_E(ell, G):
             raise ValueError("ell not subquadratic on probed range")
         last, ratio = ratio, rhs / hi / hi
         hi *= 2.0
+    if not rhs > 0:  # a nondecreasing ell then vanishes on [0, 2 hi]
+        raise ValueError("no positive solution: ell(0+) * G vanishes")
     lo = hi / 2.0
     while excess(lo) > 0:
         lo /= 2.0
-        if lo < 1e-300:
-            raise ValueError("no positive solution: ell(0+) * G vanishes")
+        if lo * lo < sys.float_info.min:
+            # u^2 underflows, so excess(lo) can no longer decide the bracket
+            raise ValueError("E lies below the float range: u^2 underflows "
+                             "at u=%r before it meets 2 ell(2u) G" % lo)
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if excess(mid) <= 0:

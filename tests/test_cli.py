@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import bdcopt
-from bdcopt import experiments, monomials
-from bdcopt.cli import (MONOMIAL_DEFAULTS, PLAN_RHO_DEFAULTS, RELU_DEFAULTS,
-                        SDL_DEFAULTS, TENSOR_DEFAULTS, build_parser, main)
+from bdcopt import experiments
+from bdcopt.cli import (GD_FLAGS, MONOMIAL_DEFAULTS, PLAN_RHO_DEFAULTS,
+                        RELU_DEFAULTS, SDL_DEFAULTS, TENSOR_DEFAULTS,
+                        build_parser, main)
 from bdcopt.relu import load_params_csv
 
 
@@ -298,6 +299,15 @@ class TestPlanRhoCommand:
                                   "--outdir", str(tmp_path)], capsys)
         assert code2 == 1 and "ell" in err2
 
+    @pytest.mark.parametrize("flags", [
+        ["--ell", "constant", "--ell-l0", "0"],
+        ["--ell", "affine", "--ell-a", "0", "--ell-c", "0"],
+    ], ids=["constant", "affine"])
+    def test_zero_growth_is_one_line_error(self, capsys, tmp_path, flags):
+        out, error, _ = run_failing(["plan-rho", *flags], capsys, tmp_path)
+        assert out == ""
+        assert error == "no positive solution: ell(0+) * G vanishes"
+
     def test_negative_R_is_one_line_error(self, capsys, tmp_path):
         out, error, _ = run_failing(["plan-rho", "--G", "2", "--R", "-1"], capsys,
                                     tmp_path)
@@ -479,40 +489,17 @@ def test_bad_setting_text_is_one_line_error(capsys, tmp_path, given, command,
     assert manifest["config"] == dict(flags, outdir=str(tmp_path))
 
 
-def test_protocol_defaults_match_driver_defaults():
-    """Each CLI default equals the keyword default of the driver it feeds,
-    so calling a driver bare runs the CLI's protocol."""
+def test_sdl_drivers_share_protocol_defaults():
+    """The SDL settings that both drivers read (every keyword of the GD
+    comparison but its renamed counts) have one default in both, so the
+    CLI's one table of them feeds either driver its own protocol."""
     def defaults(fn):
         return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
 
     sdl = defaults(experiments.run_sdl_experiment)
     gd = defaults(experiments.run_sdl_gd_comparison)
-    counts = {"iters": "n_outer", "seeds": "n_seeds"}
-    for key, value in SDL_DEFAULTS.items():
-        # no driver keyword of that form: compare_gd picks the second driver
-        if key in ("variant", "compare_gd", "outdir"):
-            continue
-        if key.startswith("gd_"):
-            assert gd[counts[key[3:]]] == value, key
-        elif key in counts:
-            assert sdl[counts[key]] == value, key
-        else:  # fed to both drivers
-            assert sdl[key] == gd[key] == value, key
-
-    relu = defaults(experiments.run_relu_experiment)
-    names = {"widths": "layer_dims", "classes": "n_classes"}
-    for key, value in RELU_DEFAULTS.items():
-        if key not in ("dump_trace", "save_params", "outdir"):  # output choices
-            assert relu[names.get(key, key)] == value, key
-
-    tensor = defaults(experiments.run_tensor_experiment)
-    for key, value in TENSOR_DEFAULTS.items():
-        if key != "outdir":
-            assert tensor[key] == value, key
-
-    verify = defaults(monomials.verify_identity)
-    for key in ("trials", "tol"):
-        assert verify[key] == MONOMIAL_DEFAULTS[key], key
+    shared = set(gd) - set(GD_FLAGS)
+    assert shared and {k: sdl[k] for k in shared} == {k: gd[k] for k in shared}
 
 
 TABLES = {"monomial": MONOMIAL_DEFAULTS, "sdl": SDL_DEFAULTS,
@@ -541,6 +528,10 @@ RECORDED = [
     (["relu", "--epochs", "1", "--n-data", "40", "--widths", "5", "--dump-trace",
       "--save-params"], dict(epochs=1, n_data=40, widths=[5], dump_trace=True,
                              save_params=True)),
+    (["tensor", "--dims", "3,4", "--sweeps", "2", "--noise", "0.5"],
+     dict(dims=[3, 4], sweeps=2, noise=0.5)),
+    (["plan-rho", "--G", "2", "--ell", "affine", "--ell-c", "0.5"],
+     dict(G=2.0, ell="affine", ell_c=0.5)),
 ]
 
 
@@ -552,6 +543,7 @@ def test_manifest_records_every_setting(capsys, tmp_path, argv, given):
     defaults = {key: list(value) if isinstance(value, tuple) else value
                 for key, value in TABLES[argv[0]].items()}
     assert manifest["config"] == dict(defaults, outdir=str(tmp_path), **given)
+    assert "seeds" not in manifest  # the config holds the seeds
 
 
 def test_readme_command_lines_parse():

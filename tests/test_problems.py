@@ -474,14 +474,17 @@ class TestMlpProblem:
             got = prob.eval_g(0, theta) - prob.eval_h(0, theta)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
-    def test_regression_labels_shifted_nonnegative(self):
+    def test_negative_regression_labels_raise(self):
+        # the task keeps its labels as given; the problem rejects them
         rng = np.random.default_rng(16)
         x = rng.standard_normal((15, 1))
         y = rng.standard_normal(15) - 5.0
         net = relu.random_params((1, 4, 1), rng)
         task = MlpTask(inputs=x, labels=y, net=net, loss="mse")
-        assert task.label_shift == pytest.approx(-float(np.min(y)))
-        assert np.min(task.labels) >= 0.0
+        assert task.labels is y
+        with pytest.raises(ValueError, match="labels must be >= 0; shift labels "
+                                             "and outputs by a common constant"):
+            MlpTaskProblem(task)
 
     @staticmethod
     def bad_task(case):
@@ -499,10 +502,10 @@ class TestMlpProblem:
         elif case == "mse on three outputs":
             return MlpTask(inputs=x, labels=y.astype(float), net=ce_net, loss="mse")
         elif case in ("negative mse label", "nan mse label"):
-            task = MlpTask(inputs=x, labels=y.astype(float), net=mse_net, loss="mse")
-            # assigned after the task shifted its labels
-            task.labels = task.labels - (1.0 if case == "negative mse label" else np.nan)
-            return task
+            y = y - (1.0 if case == "negative mse label" else np.nan)
+            return MlpTask(inputs=x, labels=y, net=mse_net, loss="mse")
+        elif case == "unknown loss":
+            return MlpTask(inputs=x, labels=y, net=ce_net, loss="hinge")
         elif case == "too few input columns":
             x = x[:, :1]
         elif case == "too few input rows":
@@ -520,6 +523,7 @@ class TestMlpProblem:
         ("mse on three outputs", "expects a scalar output, got 3 outputs"),
         ("negative mse label", r"labels must be >= 0.*\(row \d+ holds -1\.0\)"),
         ("nan mse label", r"labels must be >= 0.*\(row 0 holds nan\)"),
+        ("unknown loss", "loss must be 'mse' or 'ce'"),
         ("too few input columns", r"\(6, 2\), got \(6, 1\)"),
         ("too few input rows", r"\(6, 2\), got \(5, 2\)"),
         ("1-D inputs", r"\(6, 2\), got \(6,\)"),

@@ -44,7 +44,8 @@ def test_problems_import_loads_no_solvers(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
-# demo 04 (about 30 s) is left out; acceptance criteria 9 and 10 run its code
+# demo 04 is left out for its run time: CI runs it as a step of its own,
+# and acceptance criteria 9 and 10 run its code
 @pytest.mark.parametrize("demo", [
     "01_monomial_decompositions.py",
     "02_relu_split_network.py",

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +113,28 @@ class TestProxStep:
         trace = run(prob, SolverConfig(n_iters=40, rho=rho, seed=2,
                                        inner_budget=30))
         assert audit_step_bound(trace, rho) >= 0.0
+
+
+class TestStepBoundAudit:
+    @staticmethod
+    def trace(*step_norms):
+        """Records with gap 1 and no noise: each bound is 2 / rho."""
+        return SimpleNamespace(records=[
+            SimpleNamespace(block_grad_gap=1.0, noise_norm=None, step_norm=s)
+            for s in step_norms])
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rho_must_be_positive_and_finite(self, rho):
+        with pytest.raises(ValueError, match="rho must be positive and finite, "
+                                             "got %r" % rho):
+            audit_step_bound(self.trace(0.5), rho)
+
+    def test_worst_margin(self):
+        assert audit_step_bound(self.trace(0.5, 2.5), 1.0) == pytest.approx(-0.5)
+
+    def test_nan_margin_fails(self):
+        worst = audit_step_bound(self.trace(0.5, float("nan"), 0.5), 1.0)
+        assert not worst >= 0.0
 
 
 class TestStochasticStep:
@@ -377,6 +401,17 @@ class TestPlanner:
             compute_E(lambda u: 1.0 + 1e300 * u, 1.0)
         with pytest.raises(ValueError, match="subquadratic"):
             compute_E(lambda u: 1.0 + u ** 3, 1.0)
+
+    @pytest.mark.parametrize("ell", [lambda u: 0.0, lambda u: 0.0 + 0.0 * u],
+                             ids=["constant", "affine"])
+    def test_zero_growth_has_no_positive_solution(self, ell):
+        with pytest.raises(ValueError, match="no positive solution"):
+            compute_E(ell, 1.0)
+
+    def test_tiny_slope_puts_E_below_the_float_range(self):
+        # E = 4e-300 solves u^2 = 4e-300 u, but u^2 underflows long before
+        with pytest.raises(ValueError, match="E lies below the float range"):
+            compute_E(lambda u: 1e-300 * u, 1.0)
 
     def test_rho_from_requires_positive_E(self):
         with pytest.raises(ValueError):
