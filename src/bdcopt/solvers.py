@@ -219,7 +219,8 @@ def audit_step_bound(trace, rho):
     the bound exists only for such a weight."""
     if not 0 < rho < math.inf:
         raise ValueError("rho must be positive and finite, got %r" % (rho,))
-    margins = [(2.0 / rho) * (r.block_grad_gap + (r.noise_norm or 0.0)) + 1e-9
+    # divide last: 2 / rho overflows for a subnormal rho, and inf * 0 is NaN
+    margins = [2.0 * (r.block_grad_gap + (r.noise_norm or 0.0)) / rho + 1e-9
                - r.step_norm for r in trace.records]
     return float(np.min(margins, initial=np.inf))  # np.min keeps a NaN
 

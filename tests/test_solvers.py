@@ -132,6 +132,12 @@ class TestStepBoundAudit:
     def test_worst_margin(self):
         assert audit_step_bound(self.trace(0.5, 2.5), 1.0) == pytest.approx(-0.5)
 
+    def test_subnormal_rho_with_zero_gap(self):
+        # 2 / rho overflows here; a zero gap must still bound the step by 1e-9
+        rec = SimpleNamespace(block_grad_gap=0.0, noise_norm=None, step_norm=0.0)
+        worst = audit_step_bound(SimpleNamespace(records=[rec]), 2.2e-309)
+        assert worst == pytest.approx(1e-9)
+
     def test_nan_margin_fails(self):
         worst = audit_step_bound(self.trace(0.5, float("nan"), 0.5), 1.0)
         assert not worst >= 0.0
