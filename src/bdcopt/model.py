@@ -71,14 +71,17 @@ class BallProductDomain:
         self.l = int(l)
 
     def project(self, x):
-        D = np.asarray(x, dtype=float).reshape(self.m, self.l).copy()
-        norms = np.linalg.norm(D, axis=0)
-        over = norms > 1.0
-        if np.any(over):
-            # times the reciprocal, not a division: the emitted CSVs keep
-            # their bits
-            D[:, over] *= 1.0 / norms[over]
-        return D.ravel()
+        """A new flat array: each column of norm above 1 times the
+        reciprocal of its norm, every other column times exactly 1.
+
+        The norms are summed as ``np.linalg.norm(D, axis=0)`` sums them, and
+        a column is multiplied by ``1 / norm``, not divided by the norm: the
+        emitted CSVs depend on these bits.
+        """
+        D = np.asarray(x, dtype=float).reshape(self.m, self.l)
+        norms = np.sqrt(np.add.reduce(D * D, axis=0))
+        scale = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 1.0)
+        return (D * scale).ravel()
 
 
 class BdcProblem:

@@ -94,29 +94,30 @@ class MlpTaskProblem(BdcProblem):
     weights cached on them cannot go stale.
 
     The task is checked once, here: the inputs, the labels and the output
-    width must fit the loss, so no oracle checks them again.  The task's
-    ``inputs`` and ``labels`` are made read-only, so an in-place edit raises
+    width must fit the loss, so no oracle checks them again.  Once they pass,
+    the task's ``inputs`` and ``labels`` are made read-only (a task that
+    fails leaves the caller's arrays as they were), so an in-place edit raises
     instead of leaving stale values behind, and the problem keeps those
     arrays: assigning new ones to the task later changes nothing here.
     """
 
     def __init__(self, task):
-        for name in ("inputs", "labels"):
-            data = np.asarray(getattr(task, name))
-            data.flags.writeable = False
-            setattr(task, name, data)
-        net, inputs, labels = task.net, task.inputs, task.labels
+        net = task.net
+        inputs, labels = np.asarray(task.inputs), np.asarray(task.labels)
         if labels.ndim != 1:
             raise ValueError("labels must be 1-D, got shape %r" % (labels.shape,))
         if inputs.shape != (len(labels), net.input_dim):
             raise ValueError("inputs must have shape (labels, input dim) = "
                              "(%d, %d), got %r"
                              % (len(labels), net.input_dim, inputs.shape))
+        # the labels as the loss parts read them (floats for mse)
+        checked = relu.loss_labels(net, labels, task.loss)
+        for data in (inputs, labels, checked):
+            data.flags.writeable = False
+        task.inputs, task.labels = inputs, labels
         self.task = task
         self.inputs = inputs
-        # the labels as the loss parts read them (floats for mse), read-only
-        self.labels = relu.loss_labels(net, labels, task.loss)
-        self.labels.flags.writeable = False
+        self.labels = checked
         self.template = net
         self.partition = net.partition()
         self.n_data = len(self.labels)

@@ -9,6 +9,13 @@ largest-Q norm (zero for the plain variant, and constant in ``D``).
 The block surrogates' inner solvers live here too: soft-threshold proximal
 gradient at the fixed step ``1/L`` on the code block, and Frank-Wolfe with
 exact line search over the column-ball product on the dictionary block.
+
+The columnwise largest-Q terms share one top-Q kernel, :func:`_top_q`:
+``Q`` argmax passes over a scratch ``|X|``, which give the same indices as
+a stable descending sort, bit for bit, at ``O(Q l n)`` cost.  The sums and
+sign patterns read and write the selected entries by plain fancy indexing,
+and the public 1-D :func:`lq_norm` and :func:`lq_subgrad` run the same
+kernel on one column.  The data of an :class:`SdlInstance` must be finite.
 """
 
 from dataclasses import dataclass
@@ -54,49 +61,69 @@ def sdl_synthetic(m=10, l=32, n=100, k_nonzero=5, seed=0):
 
 
 def _top_q(X, Q):
-    """Indices of the Q largest absolute entries down axis 0 (of a vector, or
-    of each column of a matrix), largest first; ties break to the lowest
-    index."""
-    return np.argsort(-np.abs(X), axis=0, kind="stable")[:Q]
+    """Row indices of the Q largest absolute entries of each column of the
+    matrix ``X``, as a ``(Q, n)`` array: largest first, ties to the lowest
+    index, exact zeros (of either sign) included.
+
+    Q passes of ``argmax`` along the rows of a scratch ``|X|^T`` (a column
+    of ``X`` per contiguous row); each pass marks its picks with -1, below
+    every ``|x|``, so no entry is picked twice.  ``argmax`` returns the
+    first of equal maxima, so the indices are those of the stable
+    descending sort, bit for bit.  The cost is ``O(Q l n)``.  Only NaN
+    orders differently (``argmax`` takes it first, the sort puts it last);
+    :class:`SdlInstance` rejects non-finite data.
+    """
+    l, n = X.shape
+    A = np.abs(X.T, order="C")
+    flat = A.reshape(-1)
+    starts = np.arange(0, n * l, l)
+    top = np.empty((Q, n), dtype=np.intp)
+    for k in range(Q):
+        A.argmax(axis=1, out=top[k])
+        flat[starts + top[k]] = -1.0
+    return top
 
 
 def _lq_sums(X, top):
-    """Largest-Q norm of a vector, or of each column of a matrix, given
-    ``top = _top_q(X, Q)``.
+    """Largest-Q norm of each column of ``X``, given ``top = _top_q(X, Q)``.
 
     A column's Q entries are summed as one contiguous row, which rounds as
     ``np.sum`` does on the 1-D column (pairwise once Q >= 8); a sum down
     axis 0 would add them in plain order instead.
     """
-    picked = np.ascontiguousarray(np.take_along_axis(X, top, axis=0).T)
-    return np.abs(picked).sum(axis=-1)
+    picked = X[top, np.arange(X.shape[1])]
+    return np.abs(picked.T, order="C").sum(axis=-1)
 
 
 def _lq_signs(X, top):
-    """The sign pattern of ``X`` on ``top``, zero elsewhere; a selected zero
-    entry contributes +1."""
+    """The sign pattern of ``X`` on ``top = _top_q(X, Q)``, zero elsewhere;
+    a selected zero entry contributes +1."""
+    cols = np.arange(X.shape[1])
     S = np.zeros_like(X)
-    signs = np.where(np.take_along_axis(X, top, axis=0) >= 0, 1.0, -1.0)
-    np.put_along_axis(S, top, signs, axis=0)
+    S[top, cols] = np.where(X[top, cols] >= 0, 1.0, -1.0)
     return S
+
+
+def _column(x, Q):
+    """``x`` as a one-column float matrix, with Q checked against its length."""
+    x = np.asarray(x, dtype=float)
+    if not 1 <= Q <= x.size:
+        raise ValueError("Q must lie in [1, len(x)]")
+    return x[:, None]
 
 
 def lq_norm(x, Q):
     """Sum of the Q largest absolute entries."""
-    x = np.asarray(x, dtype=float)
-    if not 1 <= Q <= x.size:
-        raise ValueError("Q must lie in [1, len(x)]")
-    return float(_lq_sums(x, _top_q(x, Q)))
+    X = _column(x, Q)
+    return float(_lq_sums(X, _top_q(X, Q))[0])
 
 
 def lq_subgrad(x, Q):
     """One subgradient of the largest-Q norm: the sign pattern on the top-Q
     set, zero elsewhere.  Ties break to the lowest index; a selected zero
     entry contributes +1."""
-    x = np.asarray(x, dtype=float)
-    if not 1 <= Q <= x.size:
-        raise ValueError("Q must lie in [1, len(x)]")
-    return _lq_signs(x, _top_q(x, Q))
+    X = _column(x, Q)
+    return _lq_signs(X, _top_q(X, Q))[:, 0]
 
 
 def check_lq_q(Q, l):
@@ -108,7 +135,11 @@ def check_lq_q(Q, l):
 
 @dataclass
 class SdlInstance:
-    """Problem data plus the current (D, X) state used as the initial point."""
+    """Problem data plus the current (D, X) state used as the initial point.
+
+    ``Y``, ``D`` and ``X`` must be finite: a NaN or infinity raises, naming
+    the array and its first bad index.
+    """
 
     Y: np.ndarray
     D: np.ndarray
@@ -126,6 +157,13 @@ class SdlInstance:
         if self.variant == "l1_lq":
             check_lq_q(self.Q, l)
         at_least("alpha", self.alpha, 0)
+        for name in ("Y", "D", "X"):
+            data = getattr(self, name)
+            bad = np.argwhere(~np.isfinite(data))
+            if len(bad):
+                at = tuple(int(i) for i in bad[0])
+                raise ValueError("%s must be finite, got %r at index %r"
+                                 % (name, float(data[at]), at))
         norms = np.linalg.norm(self.D, axis=0)
         if np.any(norms > 1.0 + 1e-10):
             raise ValueError("dictionary columns must satisfy ||d_j|| <= 1")
@@ -213,19 +251,26 @@ class SdlProblem(BdcProblem):
 
         U = np.asarray(u).reshape(self.l, self.n)
         X0 = X
-        # the gradient's exact Lipschitz constant; a zero dictionary with
-        # rho = 0 leaves the gradient constant, and any positive value holds
-        lip = float(np.linalg.norm(D, 2)) ** 2 + rho or 1.0
+        # the gradient's exact Lipschitz constant (the largest singular value
+        # is np.linalg.norm(D, 2) without its wrapper); a zero dictionary
+        # with rho = 0 leaves the gradient constant, and any positive value
+        # holds
+        lip = float(np.linalg.svd(D, compute_uv=False)[0]) ** 2 + rho or 1.0
 
         def grad(x):
             Xc = x.reshape(self.l, self.n)
             G = D.T @ (D @ Xc - Y) - U
             if rho:
-                G = G + rho * (Xc - X0)
+                G += rho * (Xc - X0)
             return G.ravel()
 
         def prox(x, t):
-            return np.sign(x) * np.maximum(np.abs(x) - alpha * t, 0.0)
+            # sign(x) * max(|x| - alpha t, 0), in one scratch buffer
+            z = np.abs(x)
+            z -= alpha * t
+            np.maximum(z, 0.0, out=z)
+            z *= np.sign(x)
+            return z
 
         return inner_prox_gradient(grad, prox, X0.ravel(), budget, tol, lip)
 
@@ -260,11 +305,12 @@ def inner_frank_wolfe_ball_product(Y, X, D0, budget, rho=0.0, tol=0.0):
 
         0.5 ||Y - D X||_F^2 + rho/2 ||D - D0||_F^2 .
 
-    The linear minimization oracle is columnwise ``-grad / ||grad||`` (a
-    zero-gradient column keeps its current value), and the step exactly
-    minimizes the one-dimensional quadratic, clamped to [0, 1].  Stops
-    after ``budget`` iterations or once the Frank-Wolfe gap is at most
-    ``tol``.  Returns ``(D, iterations)``.
+    The linear minimization oracle is columnwise ``-grad / ||grad||``, one
+    division over the columns of nonzero norm (a zero-gradient column keeps
+    its current value; the norms are the sums ``np.linalg.norm`` forms), and
+    the step exactly minimizes the one-dimensional quadratic, clamped to
+    [0, 1].  Stops after ``budget`` iterations or once the Frank-Wolfe gap
+    is at most ``tol``.  Returns ``(D, iterations)``.
     """
     D = np.array(D0, dtype=float, copy=True)
     R = Y - D @ X
@@ -274,10 +320,9 @@ def inner_frank_wolfe_ball_product(Y, X, D0, budget, rho=0.0, tol=0.0):
         G = -(R @ X.T)
         if rho:
             G = G + rho * (D - D0)
-        norms = np.linalg.norm(G, axis=0)
+        norms = np.sqrt(np.add.reduce(G * G, axis=0))
         S = D.copy()
-        nz = norms > 0
-        S[:, nz] = -G[:, nz] / norms[nz]
+        np.divide(-G, norms, out=S, where=norms > 0)
         Delta = S - D
         DX = Delta @ X
         gap = -float(np.sum(G * Delta))
@@ -314,7 +359,8 @@ def gd_baseline_sdl(instance, n_steps):
     one (length ``n_steps + 1``), equal bit for bit to ``eval_f``.
     Each iterate forms one residual ``D X - Y`` and one top-Q ordering of X,
     shared by its objective value and its step; the concave side has no
-    dictionary part.
+    dictionary part.  A non-finite objective raises, naming the step, before
+    the step size is formed from it.
     """
     prob = SdlProblem(instance)
     Y, alpha = instance.Y, instance.alpha
@@ -325,6 +371,9 @@ def gd_baseline_sdl(instance, n_steps):
         R = D @ X - Y
         top = prob._top(X)
         vals.append(prob._objective(X, R, top))
+        if not np.isfinite(vals[-1]):
+            raise ValueError("non-finite objective at GD step %d: %r"
+                             % (k, vals[-1]))
         if k == n_steps:
             break
         eta = 1.0 / (_sq_spectral_norm(D) + _sq_spectral_norm(X))

@@ -1,6 +1,6 @@
 """What two or more test modules share: the random problem builders, the
-hypothesis strategies for MLP tasks, and the replay harness of the oracle
-contract (check E of ``test_oracle_contract.py``) with its check D.
+hypothesis strategies for MLP tasks and SDL codes, and the replay harness of
+the oracle contract (check E of ``test_oracle_contract.py``) with its check D.
 
 A plain module: it holds no tests and no ``@given``, so every test module
 imports it at its top and runs alone.
@@ -8,6 +8,7 @@ imports it at its top and runs alone.
 
 import numpy as np
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bdcopt import relu
 from bdcopt.model import BdcProblem
@@ -81,6 +82,24 @@ def build_instance(rng, n_modes, rank, grid):
             F[rng.random(F.shape) < 0.2] = 0.0
     factors[int(rng.integers(n_modes))][:, int(rng.integers(rank))] = 0.0
     return CpInstance(tensor=T, rank=rank, factors=factors)
+
+
+# entries with many exact ties in |x|, signed zeros included
+TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
+SPREAD = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def codes_and_q(draw):
+    """SDL codes ``X`` (tied, spread or mixed entries, maybe an all-zero
+    column) and a largest-Q count in ``[1, l]``."""
+    l = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 12))
+    elements = draw(st.sampled_from([TIED, SPREAD, st.one_of(TIED, SPREAD)]))
+    X = draw(hnp.arrays(float, (l, n), elements=elements))
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, n - 1))] = 0.0
+    return X, draw(st.integers(1, l))
 
 
 def sdl(variant="l1_lq", alpha=0.2, seed=0):

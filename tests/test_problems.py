@@ -13,7 +13,7 @@ from bdcopt.problems import (CpInstance, CpProblem, MlpTask, MlpTaskProblem,
 from bdcopt.problems.cp import _khatri_rao, _khatri_rao_others, _unfold
 from bdcopt.problems.sdl import _sq_spectral_norm
 from bdcopt.solvers import SolverConfig, bdca_step, run
-from cases import blobs, sdl
+from cases import blobs, codes_and_q, sdl
 
 EPS = np.finfo(float).eps
 
@@ -81,21 +81,7 @@ class TestLargestQNorm:
             lq_subgrad(np.ones(3), 4)
 
 
-# entries with many exact ties in |x|, signed zeros included
-TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
-SPREAD = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 _DENSE = np.random.default_rng(21).standard_normal((16, 12))
-
-
-@st.composite
-def codes_and_q(draw):
-    l = draw(st.integers(1, 20))
-    n = draw(st.integers(1, 12))
-    elements = draw(st.sampled_from([TIED, SPREAD, st.one_of(TIED, SPREAD)]))
-    X = draw(hnp.arrays(float, (l, n), elements=elements))
-    if draw(st.booleans()):
-        X[:, draw(st.integers(0, n - 1))] = 0.0
-    return X, draw(st.integers(1, l))
 
 
 def _columnwise_reference(X, Q):
@@ -153,6 +139,16 @@ class TestSdlInstance:
     def test_negative_alpha_is_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must be >= 0"):
             SdlInstance(**self.data(), alpha=alpha)
+
+    @pytest.mark.parametrize("name", ["Y", "D", "X"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_is_rejected(self, name, value):
+        data = self.data()
+        data[name][1, 2] = value
+        data[name][3, 0] = value
+        with pytest.raises(ValueError, match=r"%s must be finite, got %r at index "
+                                             r"\(1, 2\)" % (name, value)):
+            SdlInstance(**data)
 
 
 class TestSdlProblem:
@@ -292,6 +288,14 @@ class TestGdBaseline:
             theta[sl_d] = prob.block_domain(0).project(theta[sl_d])
             want.append(prob.eval_f(theta))
         np.testing.assert_array_equal(gd_baseline_sdl(inst, 25), want)
+
+    def test_non_finite_objective_names_the_step(self):
+        # finite data whose squared residual overflows
+        Y, D, X = sdl_synthetic(4, 6, 9, 2, seed=1)
+        inst = SdlInstance(Y=1e160 * Y, D=D, X=np.zeros_like(X), Q=2)
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="non-finite objective at GD step 0: inf"):
+            gd_baseline_sdl(inst, 5)
 
     def test_baseline_descends_on_random_instance(self):
         Y, D, X = sdl_synthetic(6, 8, 12, 3, seed=6)
@@ -485,6 +489,18 @@ class TestMlpProblem:
         with pytest.raises(ValueError, match="labels must be >= 0; shift labels "
                                              "and outputs by a common constant"):
             MlpTaskProblem(task)
+
+    def test_failed_build_leaves_the_arrays_writable(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((15, 1))
+        y = rng.standard_normal(15) - 5.0
+        net = relu.random_params((1, 4, 1), rng)
+        with pytest.raises(ValueError, match="labels must be >= 0"):
+            MlpTaskProblem(MlpTask(x, y, net, "mse"))
+        assert x.flags.writeable and y.flags.writeable
+        x[0, 0] = 0.0
+        prob = MlpTaskProblem(MlpTask(x, y - y.min(), net, "mse"))
+        assert not (x.flags.writeable or prob.labels.flags.writeable)
 
     @staticmethod
     def bad_task(case):

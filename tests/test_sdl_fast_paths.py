@@ -1,0 +1,184 @@
+"""The SDL kernels against the code they replaced, bit for bit.
+
+The columnwise top-Q ordering used to be a stable ``argsort`` of ``-|X|``;
+its sums and sign patterns read and wrote through ``take_along_axis`` and
+``put_along_axis``.  The column-ball projection took ``np.linalg.norm`` and
+scaled the columns above norm 1 through a boolean mask, and the Frank-Wolfe
+vertex was written through a mask of the nonzero gradient columns.  Copies
+of those are kept here as references.  On codes with exact ties (signed
+zeros included), all-zero columns, every Q in ``[1, l]``, Frank-Wolfe
+states with zero-gradient columns and columns of norm exactly 1, the
+kernels must give the same bits.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from bdcopt.model import BallProductDomain
+from bdcopt.problems.sdl import (_lq_signs, _lq_sums, _top_q,
+                                 inner_frank_wolfe_ball_product, lq_norm,
+                                 lq_subgrad)
+from cases import SPREAD, TIED, codes_and_q
+
+
+def reference_top_q(X, Q):
+    return np.argsort(-np.abs(X), axis=0, kind="stable")[:Q]
+
+
+def reference_lq_sums(X, top):
+    picked = np.ascontiguousarray(np.take_along_axis(X, top, axis=0).T)
+    return np.abs(picked).sum(axis=-1)
+
+
+def reference_lq_signs(X, top):
+    S = np.zeros_like(X)
+    signs = np.where(np.take_along_axis(X, top, axis=0) >= 0, 1.0, -1.0)
+    np.put_along_axis(S, top, signs, axis=0)
+    return S
+
+
+def reference_project(D):
+    D = D.copy()
+    norms = np.linalg.norm(D, axis=0)
+    over = norms > 1.0
+    if np.any(over):
+        D[:, over] *= 1.0 / norms[over]
+    return D
+
+
+def reference_frank_wolfe(Y, X, D0, budget, rho=0.0, tol=0.0):
+    """Frank-Wolfe with the vertex written through a mask of the nonzero
+    gradient columns."""
+    D = np.array(D0, dtype=float, copy=True)
+    R = Y - D @ X
+    iters = 0
+    for _ in range(budget):
+        iters += 1
+        G = -(R @ X.T)
+        if rho:
+            G = G + rho * (D - D0)
+        norms = np.linalg.norm(G, axis=0)
+        S = D.copy()
+        nz = norms > 0
+        S[:, nz] = -G[:, nz] / norms[nz]
+        Delta = S - D
+        DX = Delta @ X
+        gap = -float(np.sum(G * Delta))
+        curv = float(np.sum(DX ** 2))
+        if rho:
+            curv += rho * float(np.sum(Delta * Delta))
+        if curv <= 0 or gap <= tol:
+            break
+        step = min(max(gap / curv, 0.0), 1.0)
+        if step == 0.0:
+            break
+        D = D + step * Delta
+        R = R - step * DX
+    return D, iters
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes_and_q())
+@example((np.zeros((5, 3)), 5))
+@example((np.array([[-0.0, 2.0], [0.0, -2.0], [-1.0, 2.0], [1.0, 0.0]]), 3))
+def test_top_q_sums_and_signs_match_the_stable_sort(case):
+    X, Q = case
+    top = reference_top_q(X, Q)
+    assert_same_bits(_top_q(X, Q), top)
+    assert_same_bits(_lq_sums(X, top), reference_lq_sums(X, top))
+    assert_same_bits(_lq_signs(X, top), reference_lq_signs(X, top))
+
+
+@st.composite
+def vector_and_q(draw):
+    elements = draw(st.sampled_from([TIED, SPREAD, st.one_of(TIED, SPREAD)]))
+    x = draw(hnp.arrays(float, draw(st.integers(1, 24)), elements=elements))
+    return x, draw(st.integers(1, x.size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_and_q())
+@example((np.array([0.0, -0.0, 0.0]), 2))
+@example((np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1e-9]), 9))
+def test_lq_norm_and_subgrad_match_the_stable_sort(case):
+    x, Q = case
+    top = reference_top_q(x, Q)
+    assert_same_bits(lq_norm(x, Q), float(reference_lq_sums(x, top)))
+    assert_same_bits(lq_subgrad(x, Q), reference_lq_signs(x, top))
+
+
+# column kinds of a dictionary: drawn entries, all zero, exactly unit norm
+# (a signed basis vector), or a drawn column over the ball
+COLUMN_KINDS = st.sampled_from(["drawn", "zero", "unit", "over"])
+
+
+@st.composite
+def dictionaries(draw):
+    m = draw(st.integers(1, 6))
+    kinds = draw(st.lists(COLUMN_KINDS, min_size=1, max_size=8))
+    elements = draw(st.sampled_from([TIED, SPREAD, st.floats(-1.0, 1.0)]))
+    D = draw(hnp.arrays(float, (m, len(kinds)), elements=elements))
+    for j, kind in enumerate(kinds):
+        if kind == "zero":
+            D[:, j] = 0.0
+        elif kind == "unit":
+            D[:, j] = 0.0
+            D[draw(st.integers(0, m - 1)), j] = draw(st.sampled_from([1.0, -1.0]))
+        elif kind == "over":
+            D[:, j] = 3.0 * D[:, j] + 1.5
+    return D
+
+
+@settings(max_examples=300, deadline=None)
+@given(dictionaries())
+@example(np.array([[1.0, 0.0, 0.6, 3.0], [0.0, -1.0, 0.8, 4.0]]))
+def test_projection_matches_the_masked_norm_scaling(D):
+    m, l = D.shape
+    got = BallProductDomain(m, l).project(D.ravel())
+    assert_same_bits(got, reference_project(D).ravel())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from([0.0, 0.5]),
+       st.integers(1, 6), st.sampled_from([0.0, 1e-6]))
+@example(0, True, 0.0, 6, 0.0)
+def test_frank_wolfe_matches_the_masked_vertex(seed, tied, rho, budget, tol):
+    """Zero rows of X make zero-gradient columns (for good when rho = 0),
+    and the start mixes unit-norm, zero and drawn columns."""
+    rng = np.random.default_rng(seed)
+    m, l, n = (int(v) for v in rng.integers(1, 7, size=3))
+    if tied:
+        X = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, -2.0], size=(l, n))
+        Y = rng.choice([0.0, 1.0, -1.0, 0.5], size=(m, n))
+    else:
+        X = rng.standard_normal((l, n))
+        Y = rng.standard_normal((m, n))
+    X[rng.random(l) < 0.4] = 0.0
+    D0 = reference_project(rng.standard_normal((m, l)))
+    for j in range(l):
+        kind = rng.integers(3)
+        if kind == 0:
+            D0[:, j] = 0.0
+            D0[rng.integers(m), j] = rng.choice([1.0, -1.0])
+        elif kind == 1:
+            D0[:, j] = 0.0
+    got = inner_frank_wolfe_ball_product(Y, X, D0, budget, rho, tol)
+    want = reference_frank_wolfe(Y, X, D0, budget, rho, tol)
+    assert got[1] == want[1]
+    assert_same_bits(got[0], want[0])
+
+
+@pytest.mark.parametrize("Q", [1, 3, 6])
+def test_all_zero_codes_pick_the_first_rows(Q):
+    # exact zeros of either sign tie, and the lowest rows come first
+    X = np.zeros((6, 4))
+    X[::2] = -0.0
+    np.testing.assert_array_equal(_top_q(X, Q), np.tile(np.arange(Q)[:, None], 4))

@@ -67,8 +67,8 @@ class TestBdcaStep:
         tensor[1, 2, 3] = np.inf
         cp = CpProblem(CpInstance(tensor=tensor, rank=2, factors=factors))
         Y, D, X = sdl_synthetic(m=4, l=6, n=9, k_nonzero=2, seed=1)
-        Y[2, 5] = np.nan
         sdl = SdlProblem(SdlInstance(Y=Y, D=D, X=X, Q=2))
+        Y[2, 5] = np.nan  # after the instance's own finiteness check
         for prob in (cp, sdl):
             with pytest.raises(InnerSolverDivergence,
                                match=r"on block 0 \(\S+ -> nan\)"):
