@@ -1,11 +1,14 @@
-"""The three block-DC solver variants on one nonsmooth test problem.
+"""The deterministic block-DC solver variants on one nonsmooth test problem.
 
 f(theta) = 0.5 ||A theta - b||^2 - mu ||theta||_1 over four coordinate
 blocks: the convex side is smooth, the concave side is piecewise linear.
 The plain variant linearizes the concave part and minimizes each block
 surrogate exactly; the proximal variant adds rho/2 ||. - theta_k||^2, which
-buys the step-size bound ||theta_{k+1} - theta_k|| <= (2/rho) ||grad g - u||;
-the stochastic variant does the same on minibatch surrogates.
+buys the step-size bound ||theta_{k+1} - theta_k|| <= (2/rho) ||grad g - u||.
+The stochastic variant takes the same step on minibatch surrogates; this
+problem has no minibatch sampler, so it is not run here (``bdc relu
+--batch-size 16`` runs it on a split ReLU network).  The demo ends with the
+rho planner, the secant smoothness estimate and the per-iteration trace CSV.
 """
 
 import os

@@ -10,7 +10,7 @@ config key of the same name.  Configuration precedence is built-in defaults
 < ``--config`` file (flat ``key=value`` lines) < command-line flags.  One
 converter, ``_convert``, turns every setting's text into its value, from a
 flag and a config line alike: by the key's parser (``b``, ``widths``,
-``dims``, ``task``, ``variant``, ``ell``), else by the type of its default
+``dims``, ``task``, ``variant``), else by the type of its default
 (a boolean word, ``int``, ``float`` or plain text); a boolean flag given
 bare reads ``true``.  ``main`` owns the run: it resolves the settings,
 starts the manifest, whose ``config`` records every setting, runs the
@@ -179,7 +179,6 @@ _PARSERS = {
                   lambda d: 2 <= len(d) <= 4 and min(d) >= 1),
     "task": _one_of("task", experiments.TASKS),
     "variant": _one_of("variant", VARIANTS + ("both",)),
-    "ell": _one_of("ell", ("constant", "affine")),
 }
 
 
@@ -425,18 +424,14 @@ def cmd_tensor(cfg, manifest):
 
 
 PLAN_RHO_DEFAULTS = {
-    "G": 1.0, "R": 0.0, "ell": "constant", "ell_l0": 1.0, "ell_a": 1.0,
-    "ell_c": 1.0, "outdir": "",
+    "G": 1.0, "R": 0.0, "ell_a": 1.0, "ell_c": 0.0, "outdir": "",
 }
 
 
 def cmd_plan_rho(cfg, manifest):
-    for key in ("ell_l0", "ell_a", "ell_c"):
+    for key in ("ell_a", "ell_c"):
         at_least(key, cfg[key], 0)
-    if cfg["ell"] == "constant":
-        ell = lambda u: cfg["ell_l0"]
-    else:
-        ell = lambda u: cfg["ell_a"] + cfg["ell_c"] * u
+    ell = lambda u: cfg["ell_a"] + cfg["ell_c"] * u  # ell_c = 0: constant
     plan = plan_rho(ell, cfg["G"], cfg["R"])
     print("E=%r" % float(plan.E))
     print("L_eff=%r" % float(plan.L_eff))

@@ -138,7 +138,8 @@ class SdlInstance:
     """Problem data plus the current (D, X) state used as the initial point.
 
     ``Y``, ``D`` and ``X`` must be finite: a NaN or infinity raises, naming
-    the array and its first bad index.
+    the array and its first bad index.  Once they pass their checks they
+    are made read-only, so no later write can bypass them.
     """
 
     Y: np.ndarray
@@ -167,6 +168,8 @@ class SdlInstance:
         norms = np.linalg.norm(self.D, axis=0)
         if np.any(norms > 1.0 + 1e-10):
             raise ValueError("dictionary columns must satisfy ||d_j|| <= 1")
+        for data in (self.Y, self.D, self.X):
+            data.flags.writeable = False
 
 
 class SdlProblem(BdcProblem):

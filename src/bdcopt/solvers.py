@@ -235,14 +235,12 @@ class RhoPlan:
 
     ``E`` solves ``u^2 = 2 ell(2u) G`` (gradient-norm bound along the run),
     ``L_eff = ell(2E)`` is the effective smoothness, and
-    ``rho_min = L_eff * 2 (E + R) / E`` is the weight that keeps every update
-    inside the validity ball.  These constants are conservative; they are a
-    planning aid, not enforced at run time.
+    ``rho_min = 2 L_eff (1 + R / E)`` is the weight that keeps every update
+    inside the validity ball.  ``E * E <= 2 L_eff G`` and ``rho_min >= 2
+    L_eff`` hold in floating point by construction (see ``plan_rho``).  These
+    constants are conservative planning aids, not enforced at run time.
     """
 
-    G: float
-    R: float
-    ell: object
     E: float
     L_eff: float
     rho_min: float
@@ -305,25 +303,23 @@ def compute_E(ell, G):
 
 
 def rho_from(E, L_eff, R):
-    """Minimal proximal weight ``L_eff * 2 (E + R) / E``."""
+    """Minimal proximal weight ``2 L_eff (1 + R / E)``.  The factor
+    ``1 + R / E`` rounds to at least 1 for ``R >= 0`` and rounding is
+    monotone, so the result is never below ``2 L_eff``."""
     if not 0 < E < math.inf:
         raise ValueError("E must be positive and finite, got %r" % (E,))
-    return L_eff * 2.0 * (E + R) / E
+    return 2.0 * L_eff * (1.0 + R / E)
 
 
 def plan_rho(ell, G, R):
+    """The ``RhoPlan`` of growth ``ell``, gap bound ``G`` and ``R >= 0``.
+    Its invariants hold by construction: ``compute_E`` returns only a ``u``
+    with ``u * u - 2 ell(2u) G <= 0`` and ``L_eff`` is that ``ell(2u)``, so
+    ``E * E <= 2 L_eff G``; ``rho_from`` keeps ``rho_min >= 2 L_eff``."""
     at_least("R", R, 0)
     E = compute_E(ell, G)
     L_eff = float(ell(2.0 * E))
-    plan = RhoPlan(G=float(G), R=float(R), ell=ell, E=E, L_eff=L_eff,
-                   rho_min=rho_from(E, L_eff, R))
-    # fixed-point sanity: E sits on the feasible side of the boundary
-    if not plan.E ** 2 <= 2.0 * L_eff * G + 1e-9 * (1.0 + plan.E ** 2):
-        raise ValueError("E=%r violates E^2 <= 2 L_eff G (L_eff=%r, G=%r)"
-                         % (plan.E, L_eff, G))
-    if not plan.rho_min >= 2.0 * L_eff:
-        raise ValueError("rho_min=%r is below 2 L_eff=%r" % (plan.rho_min, 2.0 * L_eff))
-    return plan
+    return RhoPlan(E=E, L_eff=L_eff, rho_min=rho_from(E, L_eff, R))
 
 
 def sqrt_k_preset(n_iters, rho_coeff=0.5, batch_coeff=0.5):

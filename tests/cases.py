@@ -1,6 +1,8 @@
 """What two or more test modules share: the random problem builders, the
-hypothesis strategies for MLP tasks and SDL codes, and the replay harness of
-the oracle contract (check E of ``test_oracle_contract.py``) with its check D.
+hypothesis strategies for MLP tasks and SDL codes, the bit-for-bit
+comparison, the Frank-Wolfe reference of the SDL dictionary solver, and the
+replay harness of the oracle contract (check E of ``test_oracle_contract.py``)
+with its check D.
 
 A plain module: it holds no tests and no ``@given``, so every test module
 imports it at its top and runs alone.
@@ -139,14 +141,49 @@ def leaves(result):
     return list(result) if isinstance(result, (list, tuple)) else [result]
 
 
-def assert_same(got, want):
+def assert_same(got, want, what=""):
     """Oracle results (numbers, arrays, or lists and pairs of them) equal
-    bit for bit."""
+    bit for bit: the same shape, dtype and bytes, so ``-0.0`` is not
+    ``0.0``.  ``what`` names the compared value in a failure."""
     got, want = leaves(got), leaves(want)
-    assert len(got) == len(want)
+    assert len(got) == len(want), what
     for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b, strict=True)
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        np.testing.assert_array_equal(a, b, err_msg=what, strict=True)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), what
+
+
+def reference_frank_wolfe(Y, X, D0, budget, rho=0.0, tol=0.0):
+    """Frank-Wolfe over the unit column balls as the SDL dictionary solver
+    used to run it: the vertex written through a mask of the nonzero
+    gradient columns.  Its gap ``-sum(G * Delta)`` has the bits of
+    ``sum(G * (D - S))``, and forming ``Delta @ X`` once or twice gives the
+    same bits, so this one copy stands for both older forms."""
+    D = np.array(D0, dtype=float, copy=True)
+    R = Y - D @ X
+    iters = 0
+    for _ in range(budget):
+        iters += 1
+        G = -(R @ X.T)
+        if rho:
+            G = G + rho * (D - D0)
+        norms = np.linalg.norm(G, axis=0)
+        S = D.copy()
+        nz = norms > 0
+        S[:, nz] = -G[:, nz] / norms[nz]
+        Delta = S - D
+        DX = Delta @ X
+        gap = -float(np.sum(G * Delta))
+        curv = float(np.sum(DX ** 2))
+        if rho:
+            curv += rho * float(np.sum(Delta * Delta))
+        if curv <= 0 or gap <= tol:
+            break
+        step = min(max(gap / curv, 0.0), 1.0)
+        if step == 0.0:
+            break
+        D = D + step * Delta
+        R = R - step * DX
+    return D, iters
 
 
 def replay(build, rng, names, samples=(None,), n_calls=40, reference=None, prob=None):

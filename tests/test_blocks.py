@@ -1,10 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdcopt.blocks import BlockPartition, vector_from_csv_row, write_csv
-from bdcopt.monomials import Monomial, polarize, verify_identity
-from bdcopt.problems import QuadraticDcProblem, SdlInstance, sdl_synthetic
+from bdcopt.model import (AffineBdcMap, SingletonConjugate, combine_linear,
+                          conjugate_compose)
+from bdcopt.monomials import (Monomial, bdc_block_decompose, polarize,
+                              verify_identity)
+from bdcopt.problems import (CpInstance, QuadraticDcProblem, SdlInstance,
+                             sdl_synthetic)
+from bdcopt.relu import MlpParams
 from bdcopt.solvers import SolverConfig, bdca_step, compute_E, gap_L, rho_from
 
 NAN, INF = float("nan"), float("inf")
@@ -30,6 +37,59 @@ def quadratic():
         "verify_identity", "gap_L_nan", "gap_L_inf", "rho_from_nan", "rho_from_inf"])
 def test_library_entries_reject_non_finite_settings(name, call):
     with pytest.raises(ValueError, match=name):
+        call()
+
+
+def layer(rows, cols):
+    return np.ones((rows, cols)), np.zeros(rows)
+
+
+def sdl_data(**changes):
+    Y, D, X = sdl_synthetic(4, 5, 6, 2, seed=0)
+    return dict(dict(Y=Y, D=D, X=X), **changes)
+
+
+MALFORMED = [
+    ("mlp_one_layer", lambda: MlpParams([layer(2, 3)]),
+     "need at least two layers"),
+    ("mlp_bias_shape", lambda: MlpParams([(np.ones((2, 3)), np.zeros(3)),
+                                          layer(1, 2)]),
+     "layer 0 has inconsistent shapes"),
+    ("mlp_chain", lambda: MlpParams([layer(2, 3), layer(1, 4)]),
+     "layer 1 input dim does not chain"),
+    ("mlp_with_vector", lambda: MlpParams([layer(2, 3), layer(1, 2)]).with_vector(
+        np.zeros(12)), "vector length does not match parameter count"),
+    ("combine_linear", lambda: combine_linear([quadratic(), quadratic()], [1.0]),
+     "one weight per problem required"),
+    ("affine_map_width", lambda: AffineBdcMap(BlockPartition([2, 1]),
+                                              np.ones((2, 4))),
+     "matrix width must match partition dimension"),
+    ("conjugate_bounds", lambda: conjugate_compose(
+        AffineBdcMap(BlockPartition([2, 1]), np.ones((2, 3))),
+        SingletonConjugate(np.zeros(2)), (np.zeros(3), np.ones(2))),
+     "one (lower, upper) pair per map component required"),
+    ("sdl_variant", lambda: SdlInstance(**sdl_data(), variant="l2"),
+     "variant must be one of ('l1', 'l1_lq')"),
+    ("sdl_shapes", lambda: SdlInstance(**sdl_data(X=np.zeros((5, 7)))),
+     "inconsistent Y/D/X shapes"),
+    ("sdl_column_norm", lambda: SdlInstance(**sdl_data(D=np.eye(4, 5) * 1.01)),
+     "dictionary columns must satisfy ||d_j|| <= 1"),
+    ("cp_factor_shape", lambda: CpInstance(
+        tensor=np.zeros((3, 4, 5)), rank=2,
+        factors=[np.zeros((3, 2)), np.zeros((5, 2)), np.zeros((5, 2))]),
+     "factor 1 has shape (5, 2), want (4, 2)"),
+    ("least_squares_width", lambda: QuadraticDcProblem(
+        BlockPartition([2, 1]), np.ones((4, 2)), np.zeros(4)),
+     "A width must match partition dimension"),
+    ("group_index", lambda: bdc_block_decompose(Monomial((1, 2)), [[0], [2]]),
+     "group index out of range"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_library_entries_reject_malformed_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
 

@@ -279,29 +279,45 @@ class TestManifestLifecycle:
 
 class TestPlanRhoCommand:
     def test_constant_growth(self, capsys, tmp_path):
-        code, out, _ = run_cli(["plan-rho", "--G", "2.0", "--ell", "constant",
-                                "--ell-l0", "3.0", "--outdir", str(tmp_path)], capsys)
-        assert code == 0
-        values = dict(line.split("=") for line in out.splitlines() if "=" in line)
-        assert float(values["E"]) == pytest.approx(np.sqrt(12.0), rel=1e-8)
-        assert float(values["rho_min"]) == pytest.approx(6.0, rel=1e-8)
+        for argv, want in (
+                # ell_c defaults to 0, so ell(u) = ell_a: E = sqrt(2 ell_a G)
+                (["--G", "2", "--ell-a", "3"], ("3.4641016151290387", "3.0", "6.0")),
+                # L_eff * 2 (E + R) / E used to round below 2 L_eff here
+                (["--G", "8.66639402116857", "--ell-a", "2.685929571083754"],
+                 ("6.823096653912216", "2.685929571083754", "5.371859142167508"))):
+            code, out, _ = run_cli(["plan-rho", *argv, "--outdir", str(tmp_path)],
+                                   capsys)
+            assert code == 0
+            assert out.splitlines() == ["E=%s" % want[0], "L_eff=%s" % want[1],
+                                        "rho_min=%s" % want[2]]
+            assert float(want[2]) == 2 * float(want[1])
 
     def test_quadratic_growth_rejected(self, capsys, tmp_path):
         # an affine ell is subquadratic, but with this slope E lies beyond
         # what 2 ell(2u) G can reach before it overflows
-        code, _, err = run_cli(["plan-rho", "--G", "1.0", "--ell", "affine",
-                                "--ell-a", "1.0", "--ell-c", "1e300",
-                                "--outdir", str(tmp_path)], capsys)
+        code, _, err = run_cli(["plan-rho", "--G", "1.0", "--ell-a", "1.0",
+                                "--ell-c", "1e300", "--outdir", str(tmp_path)],
+                               capsys)
         assert code == 1
         assert err.startswith("error: E exceeds the float range")
         assert "subquadratic" not in err
-        code2, _, err2 = run_cli(["plan-rho", "--ell", "bogus",
-                                  "--outdir", str(tmp_path)], capsys)
-        assert code2 == 1 and "ell" in err2
+
+    def test_growth_mode_settings_are_gone(self, capsys, tmp_path):
+        # one growth model: the mode and its constant are no flag and no key
+        for flag in (["--ell", "constant"], ["--ell-l0", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["plan-rho", *flag, "--outdir", str(tmp_path)])
+            assert exc.value.code == 2
+        capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ell=constant\n")
+        _, error, _ = run_failing(["plan-rho", "--config", str(cfg)], capsys,
+                                  tmp_path)
+        assert error == "%s:1: unknown key 'ell'" % cfg
 
     @pytest.mark.parametrize("flags", [
-        ["--ell", "constant", "--ell-l0", "0"],
-        ["--ell", "affine", "--ell-a", "0", "--ell-c", "0"],
+        ["--ell-a", "0"],
+        ["--ell-a", "0", "--ell-c", "0"],
     ], ids=["constant", "affine"])
     def test_zero_growth_is_one_line_error(self, capsys, tmp_path, flags):
         out, error, _ = run_failing(["plan-rho", *flags], capsys, tmp_path)
@@ -454,8 +470,6 @@ BAD_TEXT = [("relu", "widths", value, WIDTHS % value)
     ("relu", "task", "blob", "task must be one of 'blobs', 'sine', got 'blob'"),
     ("sdl", "variant", "l2",
      "variant must be one of 'l1', 'l1_lq', 'both', got 'l2'"),
-    ("plan-rho", "ell", "bogus",
-     "ell must be one of 'constant', 'affine', got 'bogus'"),
     ("relu", "epochs", "two", "epochs must be of type int, got 'two'"),
     ("relu", "rho", "much", "rho must be of type float, got 'much'"),
     ("tensor", "rank", "2.5", "rank must be of type int, got '2.5'"),
@@ -530,8 +544,7 @@ RECORDED = [
                              save_params=True)),
     (["tensor", "--dims", "3,4", "--sweeps", "2", "--noise", "0.5"],
      dict(dims=[3, 4], sweeps=2, noise=0.5)),
-    (["plan-rho", "--G", "2", "--ell", "affine", "--ell-c", "0.5"],
-     dict(G=2.0, ell="affine", ell_c=0.5)),
+    (["plan-rho", "--G", "2", "--ell-c", "0.5"], dict(G=2.0, ell_c=0.5)),
 ]
 
 

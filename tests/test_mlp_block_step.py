@@ -33,7 +33,8 @@ from bdcopt.experiments import run_relu_experiment
 from bdcopt.problems import mlp
 from bdcopt.problems.mlp import MlpTaskProblem
 from bdcopt.relu import _as_batch, _output_adjoints, _relu, _relu_deriv
-from cases import GRID, MLP_CASES, ORACLES, blobs, build_task, tie_case
+from cases import (GRID, MLP_CASES, ORACLES, assert_same, blobs, build_task,
+                   tie_case)
 
 
 def reference_forward(params, x):
@@ -205,13 +206,8 @@ def test_one_loop_sweep_matches_reference(depth, loss, grid, seed):
         for l in range(params.n_layers):
             want = reference_sweep(params, x, y, loss, part, l)
             got = fn(params, x, y, loss, l)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-
-
-def assert_same_bits(got, want, what):
-    assert got.shape == want.shape and got.dtype == want.dtype, what
-    assert got.tobytes() == want.tobytes(), what
+            assert_same(got[0], want[0], "dW%d" % l)
+            assert_same(got[1], want[1], "db%d" % l)
 
 
 def check_fast_path(task, theta, rng):
@@ -238,9 +234,9 @@ def check_fast_path(task, theta, rng):
             for name in ("pre", "z_plus", "z_minus"):
                 for l, (a, b) in enumerate(zip(getattr(state, name),
                                                getattr(want, name))):
-                    assert_same_bits(a, b, "%s[%d]" % (name, l))
-            assert_same_bits(state.a_out, want.a_out, "a_out")
-            assert_same_bits(state.b_out, want.b_out, "b_out")
+                    assert_same(a, b, "%s[%d]" % (name, l))
+            assert_same(state.a_out, want.a_out, "a_out")
+            assert_same(state.b_out, want.b_out, "b_out")
             order = ("value", "adjoint")[::1 if start % 2 else -1]
             for part in ("g", "h"):
                 for kind in order:
@@ -250,14 +246,14 @@ def check_fast_path(task, theta, rng):
                     else:
                         got = _output_adjoints(state, y, loss, part)
                         ref = reference_adjoints(want, y, loss, part)
-                        assert_same_bits(got[0], ref[0], "dA")
-                        assert_same_bits(got[1], ref[1], "dB")
+                        assert_same(got[0], ref[0], "dA")
+                        assert_same(got[1], ref[1], "dB")
         for part, fn in (("g", relu.block_grad_g), ("h", relu.block_grad_h)):
             for l in range(params.n_layers):
                 got = fn(params, X, y, loss, l, state=full)
                 ref = reference_sweep(params, X, y, loss, part, l)
-                assert_same_bits(got[0], ref[0], "dW%d" % l)
-                assert_same_bits(got[1], ref[1], "db%d" % l)
+                assert_same(got[0], ref[0], "dW%d" % l)
+                assert_same(got[1], ref[1], "db%d" % l)
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,7 +319,7 @@ def check_solver(task, theta, rng, budget=6):
             for rho in (0.0, 0.5, 2.0):
                 got = rows.minimize_block_surrogate(i, theta, u, rho, budget, 1e-8)
                 want = reference_minimize(ref_rows, i, theta, u, rho, budget, 1e-8)
-                np.testing.assert_array_equal(got[0], want[0])
+                assert_same(got[0], want[0])
                 assert got[1] == want[1]
 
 
@@ -415,10 +411,10 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
                 m.setattr(prob, name, forbidden)
             got, starts, points = traced_passes(
                 passes, lambda: prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8))
-        np.testing.assert_array_equal(got[0], want[0])
+        assert_same(got[0], want[0])
         assert got[1] == want[1]
-        np.testing.assert_array_equal(theta, theta_in)
-        np.testing.assert_array_equal(u, u_in)
+        assert_same(theta, theta_in)
+        assert_same(u, u_in)
         assert set(starts) == {i}
         assert points == trials and len(points) == got[1] - 1 > 0
 

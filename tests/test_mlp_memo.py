@@ -17,7 +17,7 @@ from bdcopt import relu
 from bdcopt.model import SampleHandle
 from bdcopt.problems.mlp import MlpTaskProblem, gaussian_blobs
 from bdcopt.solvers import SolverConfig, run
-from cases import (CALLS, MLP_CASES, ORACLES, blobs, build_task,
+from cases import (CALLS, MLP_CASES, ORACLES, assert_same, blobs, build_task,
                    check_residual_blocks, on, replay, tie_case)
 
 
@@ -75,11 +75,11 @@ def check_tails(task, theta, rng):
             got, want = getattr(tail, name), getattr(full, name)
             assert len(got) == len(want)
             for l, (a, b) in enumerate(zip(got, want)):
-                np.testing.assert_array_equal(a, b, err_msg="%s[%d]" % (name, l))
+                assert_same(a, b, "%s[%d]" % (name, l))
                 if l < start:
                     assert a is getattr(lower, name)[l]
-        np.testing.assert_array_equal(tail.a_out, full.a_out)
-        np.testing.assert_array_equal(tail.b_out, full.b_out)
+        assert_same(tail.a_out, full.a_out, "a_out")
+        assert_same(tail.b_out, full.b_out, "b_out")
 
 
 @settings(max_examples=120, deadline=None)

@@ -147,6 +147,16 @@ class TestBlockDecompose:
         dec = bdc_block_decompose(m, [(0, 1), (2, 3)])
         assert expand_exact(dec) == {m.exponents: Fraction(1)}
 
+    def test_inert_group_is_the_constant_factor_one(self):
+        # the group of x2 has exponent 0: it adds no atom and a factor of 1
+        m = Monomial((2, 0, 1))
+        dec = bdc_block_decompose(m, [[0], [1], [2]])
+        assert dec.atom_counts == (1, 1)
+        t = np.random.default_rng(5).uniform(-2, 2, size=(50, 3))
+        np.testing.assert_allclose(dec.evaluate(t), t[:, 0] ** 2 * t[:, 2],
+                                   rtol=1e-12)
+        assert expand_exact(dec) == {m.exponents: Fraction(1)}
+
     def test_rejects_bad_grouping(self):
         m = Monomial((1, 1, 2))
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from bdcopt.problems import (CpInstance, CpProblem, MlpTask, MlpTaskProblem,
 from bdcopt.problems.cp import _khatri_rao, _khatri_rao_others, _unfold
 from bdcopt.problems.sdl import _sq_spectral_norm
 from bdcopt.solvers import SolverConfig, bdca_step, run
-from cases import blobs, codes_and_q, sdl
+from cases import assert_same, blobs, codes_and_q, sdl
 
 EPS = np.finfo(float).eps
 
@@ -113,9 +113,8 @@ class TestColumnwiseLargestQ:
         total, S = _columnwise_reference(X, Q)
         assert prob.eval_h(1, theta) == total
         assert prob.eval_h(1, theta) == sum(lq_norm(X[:, j], Q) for j in range(n))
-        np.testing.assert_array_equal(prob.subgrad_h_block(1, theta).reshape(l, n), S)
-        np.testing.assert_array_equal(
-            S, np.column_stack([lq_subgrad(X[:, j], Q) for j in range(n)]))
+        assert_same(prob.subgrad_h_block(1, theta).reshape(l, n), S)
+        assert_same(S, np.column_stack([lq_subgrad(X[:, j], Q) for j in range(n)]))
         l1 = float(np.sum(np.abs(X)))
         assert prob.eval_f(theta) == 0.0 + 1.0 * (l1 - total)
 
@@ -149,6 +148,20 @@ class TestSdlInstance:
         with pytest.raises(ValueError, match=r"%s must be finite, got %r at index "
                                              r"\(1, 2\)" % (name, value)):
             SdlInstance(**data)
+
+    def test_data_is_read_only_once_checked(self):
+        inst = SdlInstance(**self.data())
+        with pytest.raises(ValueError, match="read-only"):
+            inst.Y[0, 0] = np.nan
+        assert not (inst.D.flags.writeable or inst.X.flags.writeable)
+
+    def test_failed_build_leaves_the_data_writable(self):
+        # the checks run before the arrays are frozen
+        data = self.data()
+        data["X"][0, 0] = np.nan
+        with pytest.raises(ValueError, match="X must be finite"):
+            SdlInstance(**data)
+        assert all(array.flags.writeable for array in data.values())
 
 
 class TestSdlProblem:
@@ -287,7 +300,7 @@ class TestGdBaseline:
             theta[sl_x] -= eta * gx
             theta[sl_d] = prob.block_domain(0).project(theta[sl_d])
             want.append(prob.eval_f(theta))
-        np.testing.assert_array_equal(gd_baseline_sdl(inst, 25), want)
+        assert_same(gd_baseline_sdl(inst, 25), np.array(want))
 
     def test_non_finite_objective_names_the_step(self):
         # finite data whose squared residual overflows

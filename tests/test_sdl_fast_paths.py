@@ -5,10 +5,10 @@ its sums and sign patterns read and wrote through ``take_along_axis`` and
 ``put_along_axis``.  The column-ball projection took ``np.linalg.norm`` and
 scaled the columns above norm 1 through a boolean mask, and the Frank-Wolfe
 vertex was written through a mask of the nonzero gradient columns.  Copies
-of those are kept here as references.  On codes with exact ties (signed
-zeros included), all-zero columns, every Q in ``[1, l]``, Frank-Wolfe
-states with zero-gradient columns and columns of norm exactly 1, the
-kernels must give the same bits.
+of those are kept as references (Frank-Wolfe's in ``cases``).  On codes
+with exact ties (signed zeros included), all-zero columns, every Q in
+``[1, l]``, Frank-Wolfe states with zero-gradient columns and columns of
+norm exactly 1, the kernels must give the same bits.
 """
 
 import numpy as np
@@ -20,7 +20,8 @@ from bdcopt.model import BallProductDomain
 from bdcopt.problems.sdl import (_lq_signs, _lq_sums, _top_q,
                                  inner_frank_wolfe_ball_product, lq_norm,
                                  lq_subgrad)
-from cases import SPREAD, TIED, codes_and_q
+from cases import (SPREAD, TIED, assert_same, codes_and_q,
+                   reference_frank_wolfe)
 
 
 def reference_top_q(X, Q):
@@ -48,43 +49,6 @@ def reference_project(D):
     return D
 
 
-def reference_frank_wolfe(Y, X, D0, budget, rho=0.0, tol=0.0):
-    """Frank-Wolfe with the vertex written through a mask of the nonzero
-    gradient columns."""
-    D = np.array(D0, dtype=float, copy=True)
-    R = Y - D @ X
-    iters = 0
-    for _ in range(budget):
-        iters += 1
-        G = -(R @ X.T)
-        if rho:
-            G = G + rho * (D - D0)
-        norms = np.linalg.norm(G, axis=0)
-        S = D.copy()
-        nz = norms > 0
-        S[:, nz] = -G[:, nz] / norms[nz]
-        Delta = S - D
-        DX = Delta @ X
-        gap = -float(np.sum(G * Delta))
-        curv = float(np.sum(DX ** 2))
-        if rho:
-            curv += rho * float(np.sum(Delta * Delta))
-        if curv <= 0 or gap <= tol:
-            break
-        step = min(max(gap / curv, 0.0), 1.0)
-        if step == 0.0:
-            break
-        D = D + step * Delta
-        R = R - step * DX
-    return D, iters
-
-
-def assert_same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
 @settings(max_examples=300, deadline=None)
 @given(codes_and_q())
 @example((np.zeros((5, 3)), 5))
@@ -92,9 +56,9 @@ def assert_same_bits(got, want):
 def test_top_q_sums_and_signs_match_the_stable_sort(case):
     X, Q = case
     top = reference_top_q(X, Q)
-    assert_same_bits(_top_q(X, Q), top)
-    assert_same_bits(_lq_sums(X, top), reference_lq_sums(X, top))
-    assert_same_bits(_lq_signs(X, top), reference_lq_signs(X, top))
+    assert_same(_top_q(X, Q), top)
+    assert_same(_lq_sums(X, top), reference_lq_sums(X, top))
+    assert_same(_lq_signs(X, top), reference_lq_signs(X, top))
 
 
 @st.composite
@@ -111,8 +75,8 @@ def vector_and_q(draw):
 def test_lq_norm_and_subgrad_match_the_stable_sort(case):
     x, Q = case
     top = reference_top_q(x, Q)
-    assert_same_bits(lq_norm(x, Q), float(reference_lq_sums(x, top)))
-    assert_same_bits(lq_subgrad(x, Q), reference_lq_signs(x, top))
+    assert_same(lq_norm(x, Q), float(reference_lq_sums(x, top)))
+    assert_same(lq_subgrad(x, Q), reference_lq_signs(x, top))
 
 
 # column kinds of a dictionary: drawn entries, all zero, exactly unit norm
@@ -143,7 +107,7 @@ def dictionaries(draw):
 def test_projection_matches_the_masked_norm_scaling(D):
     m, l = D.shape
     got = BallProductDomain(m, l).project(D.ravel())
-    assert_same_bits(got, reference_project(D).ravel())
+    assert_same(got, reference_project(D).ravel())
 
 
 @settings(max_examples=150, deadline=None)
@@ -173,7 +137,7 @@ def test_frank_wolfe_matches_the_masked_vertex(seed, tied, rho, budget, tol):
     got = inner_frank_wolfe_ball_product(Y, X, D0, budget, rho, tol)
     want = reference_frank_wolfe(Y, X, D0, budget, rho, tol)
     assert got[1] == want[1]
-    assert_same_bits(got[0], want[0])
+    assert_same(got[0], want[0])
 
 
 @pytest.mark.parametrize("Q", [1, 3, 6])

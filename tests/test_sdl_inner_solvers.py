@@ -4,9 +4,10 @@ The code-block solver used to search for its step by backtracking from the
 Lipschitz estimate, which made its callback return the surrogate value next
 to the gradient and took one gradient more than its steps use.  Frank-Wolfe
 used to form ``Delta @ X`` twice per iteration and ``eval_g`` wrote the fit
-out a second time.  Copies of those are kept here as references: on random
-blocks, zero dictionaries, and codes with exact zeros and ties, the solvers
-must give the same bits and the same iteration counts.
+out a second time.  Copies of those are kept as references, here and in
+``cases.reference_frank_wolfe``: on random blocks, zero dictionaries, and
+codes with exact zeros and ties, the solvers must give the same bits and
+the same iteration counts.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from bdcopt.problems.sdl import (SdlInstance, SdlProblem,
                                  inner_frank_wolfe_ball_product,
                                  inner_prox_gradient, sdl_synthetic)
+from cases import assert_same, reference_frank_wolfe
 
 
 def reference_prox_gradient(value_grad, prox, x0, budget, tol, lipschitz):
@@ -39,35 +41,6 @@ def reference_prox_gradient(value_grad, prox, x0, budget, tol, lipschitz):
         if L * float(np.sqrt(sq)) <= tol:
             break
     return x, iters
-
-
-def reference_frank_wolfe(Y, X, D0, budget, rho=0.0, tol=0.0):
-    """Frank-Wolfe over the unit column balls, forming ``Delta @ X`` twice."""
-    D = np.array(D0, dtype=float, copy=True)
-    R = Y - D @ X
-    iters = 0
-    for _ in range(budget):
-        iters += 1
-        G = -(R @ X.T)
-        if rho:
-            G = G + rho * (D - D0)
-        norms = np.linalg.norm(G, axis=0)
-        S = D.copy()
-        nz = norms > 0
-        S[:, nz] = -G[:, nz] / norms[nz]
-        Delta = S - D
-        gap = float(np.sum(G * (D - S)))
-        curv = float(np.sum((Delta @ X) ** 2))
-        if rho:
-            curv += rho * float(np.sum(Delta * Delta))
-        if curv <= 0 or gap <= tol:
-            break
-        step = min(max(gap / curv, 0.0), 1.0)
-        if step == 0.0:
-            break
-        D = D + step * Delta
-        R = R - step * (Delta @ X)
-    return D, iters
 
 
 def reference_code_step(prob, theta, u, rho, budget, tol):
@@ -140,13 +113,13 @@ def test_solvers_match_references(variant, rho, dictionary, codes, budget, tol):
         x, iters = prob.minimize_block_surrogate(1, theta, u, rho, budget, tol)
         x_ref, iters_ref = reference_code_step(prob, theta, u, rho, budget, tol)
         assert iters == iters_ref
-        np.testing.assert_array_equal(x, x_ref)
+        assert_same(x, x_ref)
 
         D, X = prob.unpack(theta)
         got = inner_frank_wolfe_ball_product(prob.instance.Y, X, D, budget, rho, tol)
         want = reference_frank_wolfe(prob.instance.Y, X, D, budget, rho, tol)
         assert got[1] == want[1]
-        np.testing.assert_array_equal(got[0], want[0])
+        assert_same(got[0], want[0])
 
 
 @pytest.mark.parametrize("budget,tol", [(500, 1e-6), (7, 0.0)])

@@ -1,8 +1,10 @@
+import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bdcopt.blocks import BlockPartition
 from bdcopt.model import BallProductDomain, BdcProblem, SampleHandle
@@ -15,7 +17,7 @@ from bdcopt.solvers import (InnerSolverDivergence, SolverConfig,
                             audit_step_bound, bdca_step, compute_E, gap_L,
                             plan_rho, rho_from, run, smoothness_estimate,
                             substream)
-from cases import blobs
+from cases import assert_same, blobs
 
 
 def identity_quadratic(part, c):
@@ -65,14 +67,10 @@ class TestBdcaStep:
         factors = [rng.standard_normal((m, 2)) for m in (3, 4, 5)]
         tensor = cp_reconstruct(factors)
         tensor[1, 2, 3] = np.inf
-        cp = CpProblem(CpInstance(tensor=tensor, rank=2, factors=factors))
-        Y, D, X = sdl_synthetic(m=4, l=6, n=9, k_nonzero=2, seed=1)
-        sdl = SdlProblem(SdlInstance(Y=Y, D=D, X=X, Q=2))
-        Y[2, 5] = np.nan  # after the instance's own finiteness check
-        for prob in (cp, sdl):
-            with pytest.raises(InnerSolverDivergence,
-                               match=r"on block 0 \(\S+ -> nan\)"):
-                bdca_step(prob, prob.initial_point(), 0)
+        prob = CpProblem(CpInstance(tensor=tensor, rank=2, factors=factors))
+        with pytest.raises(InnerSolverDivergence,
+                           match=r"on block 0 \(\S+ -> nan\)"):
+            bdca_step(prob, prob.initial_point(), 0)
 
     @pytest.mark.parametrize("budget", [0, -2])
     def test_budget_below_one_rejected(self, budget):
@@ -186,7 +184,7 @@ class TestRunReplay:
             theta, inner = bdca_step(prob, theta, r.block, cfg.rho,
                                      cfg.inner_budget, cfg.inner_tol)
             assert inner == r.inner_iters
-        np.testing.assert_array_equal(theta, trace.final_theta)
+        assert_same(theta, trace.final_theta)
 
     def test_stochastic_mlp_run_replays(self):
         prob = blobs(24, 3, (2, 5, 3), 4)
@@ -200,7 +198,7 @@ class TestRunReplay:
             assert handle.key == r.sample_key
             theta, _ = bdca_step(prob.on(handle), theta, r.block, cfg.rho,
                                  cfg.inner_budget, cfg.inner_tol)
-        np.testing.assert_array_equal(theta, trace.final_theta)
+        assert_same(theta, trace.final_theta)
 
 
 class TestRun:
@@ -394,8 +392,31 @@ class TestPlanner:
         assert plan.rho_min == pytest.approx(2 * plan.L_eff)
 
     def test_fixed_point_residual(self):
-        plan = plan_rho(lambda u: 1.0 + 0.3 * u, 2.0, 0.5)
-        assert abs(plan.E ** 2 - 2 * plan.ell(2 * plan.E) * plan.G) <= 1e-8 * (1 + plan.E ** 2)
+        ell, G = (lambda u: 1.0 + 0.3 * u), 2.0
+        plan = plan_rho(ell, G, 0.5)
+        assert abs(plan.E ** 2 - 2 * ell(2 * plan.E) * G) <= 1e-8 * (1 + plan.E ** 2)
+
+    def test_plan_holds_only_what_it_computes(self):
+        plan = plan_rho(lambda u: 2.0, 1.0, 0.5)
+        assert [f.name for f in fields(plan)] == ["E", "L_eff", "rho_min"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           st.floats(1e-3, 1e3), st.sampled_from(["zero", "sub-ulp", "ordinary"]),
+           st.floats(0.0, 1.0, exclude_max=True))
+    @example(2.685929571083754, 0.0, 8.66639402116857, "zero", 0.0)
+    def test_invariants_hold_without_slack(self, a, c, G, kind, frac):
+        # E * E is the product compute_E tested (``E ** 2`` goes through pow,
+        # which can round it an ulp differently)
+        assume(a > 0 or c > 0)
+        ell = lambda u: a + c * u
+        E = compute_E(ell, G)
+        R = {"zero": 0.0, "sub-ulp": frac * math.ulp(E),
+             "ordinary": 10.0 * frac * E}[kind]
+        plan = plan_rho(ell, G, R)
+        assert plan.E * plan.E <= 2 * plan.L_eff * G
+        assert plan.rho_min >= 2 * plan.L_eff
 
     def test_quadratic_growth_rejected(self):
         with pytest.raises(ValueError, match="subquadratic"):
