@@ -10,6 +10,7 @@ never by selection matrices, so extraction is O(1) slicing.
 import numpy as np
 
 __all__ = [
+    "as_ints",
     "at_least",
     "BlockPartition",
     "write_csv",
@@ -26,6 +27,16 @@ def at_least(name, value, low):
         raise ValueError("%s must be finite, got %r" % (name, value))
 
 
+def as_ints(name, values):
+    """``values`` as a tuple of ints; a fractional value raises, not truncates."""
+    ints = []
+    for v in values:
+        if v != int(v):
+            raise ValueError("%s must be integers, got %r" % (name, v))
+        ints.append(int(v))
+    return tuple(ints)
+
+
 class BlockPartition:
     """Contiguous non-overlapping partition of ``[0, d)`` into ``n`` blocks.
 
@@ -36,7 +47,7 @@ class BlockPartition:
     """
 
     def __init__(self, block_dims):
-        dims = tuple(int(d) for d in block_dims)
+        dims = as_ints("block dimensions", block_dims)
         if len(dims) == 0:
             raise ValueError("partition needs at least one block")
         if any(d < 1 for d in dims):

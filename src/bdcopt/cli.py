@@ -19,8 +19,8 @@ exit 0, else "failed" with the error text, and with the wall time and the
 outputs either way.  Every bad setting (a flag's or a config line's text, a
 missing ``b``, a missing or unreadable config file, a value out of range)
 exits 1 with one ``error:`` line and a "failed" manifest; only argparse's
-usage check (an unknown flag, a flag without its value) exits 2.  All
-emitted CSVs are deterministic given the configuration.
+usage check (an unknown flag, a prefix of one included, a flag without its
+value) exits 2.  All emitted CSVs are deterministic given the configuration.
 ``BDC_OUT_DIR`` overrides the output directory.
 """
 
@@ -271,8 +271,7 @@ def _call(driver, flags, cfg, **given):
 
 
 MONOMIAL_DEFAULTS = {
-    "b": (), "group": "", "bounds": False, "verify": False,
-    "merged_count": False, "csv": "", **_settings(verify_identity, {}),
+    "b": (), "group": "", "csv": "", **_settings(verify_identity, {}),
     "outdir": "",
 }
 
@@ -282,16 +281,11 @@ def cmd_monomial(cfg, manifest):
         raise ValueError("missing setting b: comma-separated exponents, "
                          "e.g. --b 1,1,2,4")
     m = Monomial(cfg["b"])
-    # a flag the chosen mode would ignore is an error: --bounds prints the
-    # bounds only, and --group has no single atom list to export or merge
-    for flag, others in (("bounds", ("verify", "csv", "group", "merged_count")),
-                         ("group", ("csv", "merged_count"))):
-        for other in others:
-            if cfg[flag] and cfg[other]:
-                raise ValueError("--%s cannot be used with --%s"
-                                 % (flag, other.replace("_", "-")))
+    if cfg["group"] and cfg["csv"]:  # the blocks have no single atom list
+        raise ValueError("--group cannot be used with --csv")
     check_verify_settings(cfg["trials"], cfg["tol"])  # before any atom is printed
     names = ["t%d" % (j + 1) for j in range(m.n_vars)]
+    bounds = "bounds: lower=%d upper=%d" % dc_atom_bounds(m)
 
     def atom_str(atom, local_names):
         terms = []
@@ -303,15 +297,10 @@ def cmd_monomial(cfg, manifest):
         body = " ".join(terms) if terms else "0"
         return "%s * (%s)^%d" % (atom.weight, body, atom.power)
 
-    if cfg["bounds"]:
-        lo, hi = dc_atom_bounds(m)
-        print("lower=%d upper=%d" % (lo, hi))
-        return
-
     if cfg["group"]:
         dec = bdc_block_decompose(m, _parse_grouping(cfg["group"], m.n_vars))
         counts = "+".join(str(c) for c in dec.atom_counts)
-        print("atoms=%d (%s)" % (dec.total_atoms, counts))
+        print("atoms=%d (%s) %s" % (dec.total_atoms, counts, bounds))
         for vars_, part in dec.parts:
             local = [names[j] for j in vars_]
             print("block {%s}:" % ",".join(local))
@@ -319,21 +308,18 @@ def cmd_monomial(cfg, manifest):
                 print("  " + atom_str(atom, local))
     else:
         dec = polarize(m)
-        lo, hi = dc_atom_bounds(m)
-        print("atoms=%d bounds: lower=%d upper=%d" % (dec.n_atoms, lo, hi))
-        if cfg["merged_count"]:
-            print("atoms_merged=%d" % merge_proportional(dec).n_atoms)
+        print("atoms=%d %s" % (dec.n_atoms, bounds))
+        print("atoms_merged=%d" % merge_proportional(dec).n_atoms)
         for atom in dec.atoms:
             print(atom_str(atom, names))
-        if cfg["csv"]:
-            manifest.output(cfg["csv"], lambda path: atoms_to_csv(dec, path))
 
     ok, err = verify_identity(dec, m, trials=cfg["trials"], tol=cfg["tol"])
     print("max_rel_err=%r" % float(err))
-    if cfg["verify"]:
-        print("verify=%s" % ("pass" if ok else "fail"))
-        if not ok:
-            raise ValueError("identity verification failed (max_rel_err=%r)" % float(err))
+    print("verify=%s" % ("pass" if ok else "fail"))
+    if not ok:
+        raise ValueError("identity verification failed (max_rel_err=%r)" % float(err))
+    if cfg["csv"]:  # only atoms that verified
+        manifest.output(cfg["csv"], lambda path: atoms_to_csv(dec, path))
 
 
 # the flags of the SDL drivers' renamed keywords; the two share the rest
@@ -456,9 +442,6 @@ COMMANDS = {
 _HELP = {
     "b": "comma-separated exponents, e.g. 1,1,2,4",
     "group": "variable groups, 1-based, e.g. 1,2|3,4",
-    "bounds": "print atom-count bounds only",
-    "verify": "exit nonzero unless the identity verifies",
-    "merged_count": "also report the count after merging proportional atoms",
     "csv": "export atoms to this CSV file",
     "compare_gd": "also run the joint gradient-descent baseline",
     "dump_trace": "also write the per-iteration solver trace",
@@ -469,12 +452,12 @@ _HELP = {
 def build_parser():
     """One subparser per ``COMMANDS`` entry, with ``--config`` and one flag
     per setting, each kept as text for ``_convert``; a boolean flag given
-    bare reads ``true``."""
+    bare reads ``true``.  A flag is spelled in full, as its config key is."""
     parser = argparse.ArgumentParser(
         prog="bdc", description="block difference-of-convex toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, defaults, _) in COMMANDS.items():
-        sub = subs.add_parser(name, help=help_line)
+        sub = subs.add_parser(name, help=help_line, allow_abbrev=False)
         sub.add_argument("--config", help="flat key=value config file")
         for key, default in defaults.items():
             switch = dict(nargs="?", const="true") if isinstance(default, bool) else {}

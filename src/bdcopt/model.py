@@ -204,6 +204,9 @@ class _LinearCombination(BdcProblem):
             raise ValueError("one weight per problem required")
         self.problems = list(problems)
         self.weights = [float(a) for a in weights]
+        for j, a in enumerate(self.weights):
+            if not np.isfinite(a):
+                raise ValueError("weight %d must be finite, got %r" % (j, a))
 
     def on(self, handle):
         return _LinearCombination([p.on(handle) for p in self.problems],

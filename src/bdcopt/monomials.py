@@ -17,11 +17,11 @@ catastrophically in floating point.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd, isfinite, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 import numpy as np
 
-from .blocks import at_least, write_csv
+from .blocks import as_ints, at_least, write_csv
 
 __all__ = [
     "Monomial",
@@ -46,7 +46,7 @@ class Monomial:
     exponents: tuple
 
     def __post_init__(self):
-        exps = tuple(int(b) for b in self.exponents)
+        exps = as_ints("exponents", self.exponents)
         if any(b < 0 for b in exps):
             raise ValueError("exponents must be nonnegative, got %r" % (exps,))
         if not any(b > 0 for b in exps):
@@ -290,11 +290,9 @@ def bdc_block_decompose(monomial, grouping):
 
 
 def check_verify_settings(trials, tol):
-    """Reject a ``trials`` below 1 and a non-finite ``tol``; a negative
-    ``tol`` is allowed and fails every verification."""
+    """The setting rule for ``trials`` (at least 1) and ``tol`` (at least 0)."""
     at_least("trials", trials, 1)
-    if not isfinite(tol):
-        raise ValueError("tol must be finite, got %r" % (tol,))
+    at_least("tol", tol, 0)
 
 
 def verify_identity(dec, monomial, trials=100, tol=1e-6):

@@ -33,8 +33,13 @@ def quadratic():
     ("L", lambda: gap_L(quadratic(), np.zeros(3), np.ones(3), INF)),
     ("E", lambda: rho_from(NAN, 1.0, 0.0)),
     ("E", lambda: rho_from(INF, 1.0, 0.0)),
+    ("weight 1 must be finite, got nan",
+     lambda: combine_linear([quadratic(), quadratic()], [1.0, NAN])),
+    ("weight 1 must be finite, got inf",
+     lambda: combine_linear([quadratic(), quadratic()], [1.0, INF])),
 ], ids=["bdca_step", "config_rho", "config_inner_tol", "sdl_alpha", "compute_E",
-        "verify_identity", "gap_L_nan", "gap_L_inf", "rho_from_nan", "rho_from_inf"])
+        "verify_identity", "gap_L_nan", "gap_L_inf", "rho_from_nan", "rho_from_inf",
+        "combine_linear_nan", "combine_linear_inf"])
 def test_library_entries_reject_non_finite_settings(name, call):
     with pytest.raises(ValueError, match=name):
         call()
@@ -83,6 +88,10 @@ MALFORMED = [
      "A width must match partition dimension"),
     ("group_index", lambda: bdc_block_decompose(Monomial((1, 2)), [[0], [2]]),
      "group index out of range"),
+    ("monomial_fraction", lambda: Monomial((1.5, 2)),
+     "exponents must be integers, got 1.5"),
+    ("partition_fraction", lambda: BlockPartition([2.7, 3]),
+     "block dimensions must be integers, got 2.7"),
 ]
 
 

@@ -45,22 +45,32 @@ def run_failing(argv, capsys, tmp_path):
 
 class TestMonomialCommand:
     def test_bounds_line(self, capsys, tmp_path):
-        code, out, _ = run_cli(["monomial", "--b", "1,1,2,4", "--bounds",
-                                "--outdir", str(tmp_path)], capsys)
-        assert code == 0
-        assert "lower=30 upper=30" in out
+        """Both decompositions print their atom count beside the whole-vector
+        DC bounds, so a grouping gives the bounds of a monomial too large to
+        polarize."""
+        for argv, first in (
+                (["--b", "1,1,2,4"], "atoms=30 bounds: lower=30 upper=30"),
+                (["--b", "8,8,8,8", "--group", "1|2|3|4"],
+                 "atoms=4 (1+1+1+1) bounds: lower=729 upper=3280")):
+            code, out, _ = run_cli(["monomial", *argv, "--outdir", str(tmp_path)],
+                                   capsys)
+            assert code == 0
+            assert out.splitlines()[0] == first
 
     def test_grouped_atom_count(self, capsys, tmp_path):
         code, out, _ = run_cli(["monomial", "--b", "1,1,2,4", "--group", "1,2|3,4",
                                 "--outdir", str(tmp_path)], capsys)
         assert code == 0
-        assert "atoms=9 (2+7)" in out
+        lines = out.splitlines()
+        assert lines[0] == "atoms=9 (2+7) bounds: lower=30 upper=30"
+        assert lines[-1] == "verify=pass"
 
     def test_verify_passes(self, capsys, tmp_path):
-        code, out, _ = run_cli(["monomial", "--b", "1,1", "--verify",
+        code, out, _ = run_cli(["monomial", "--b", "1,1",
                                 "--outdir", str(tmp_path)], capsys)
         assert code == 0
-        assert "verify=pass" in out
+        assert out.splitlines()[-2].startswith("max_rel_err=")
+        assert out.splitlines()[-1] == "verify=pass"
 
     def test_csv_export(self, capsys, tmp_path):
         code, out, _ = run_cli(["monomial", "--b", "2,4", "--csv", "atoms.csv",
@@ -78,31 +88,33 @@ class TestMonomialCommand:
             for group in ("1,x", "1|2|")]
 
     def test_merged_count_reported_separately(self, capsys, tmp_path):
-        code, out, _ = run_cli(["monomial", "--b", "2,4", "--merged-count",
+        code, out, _ = run_cli(["monomial", "--b", "2,4",
                                 "--outdir", str(tmp_path)], capsys)
         assert code == 0
-        assert "atoms=7" in out and "atoms_merged=6" in out
+        lines = out.splitlines()
+        assert lines[:2] == ["atoms=7 bounds: lower=5 upper=7", "atoms_merged=6"]
+        assert len(lines) == 2 + 7 + 2  # the counts, the atoms, the check
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--bounds", "--verify"], "--bounds cannot be used with --verify"),
-        (["--bounds", "--csv", "a.csv", "--verify"],
-         "--bounds cannot be used with --verify"),
-        (["--bounds", "--csv", "a.csv"], "--bounds cannot be used with --csv"),
-        (["--bounds", "--group", "1|2"], "--bounds cannot be used with --group"),
-        (["--bounds", "--merged-count"],
-         "--bounds cannot be used with --merged-count"),
-        (["--group", "1|2", "--csv", "atoms.csv", "--merged-count"],
-         "--group cannot be used with --csv"),
-        (["--group", "1|2", "--merged-count"],
-         "--group cannot be used with --merged-count"),
-    ], ids=["bounds_verify", "bounds_csv_verify", "bounds_csv", "bounds_group",
-            "bounds_merged_count", "group_csv_merged_count", "group_merged_count"])
-    def test_flag_that_would_be_ignored_is_one_line_error(self, capsys, tmp_path,
-                                                          flags, message):
-        out, error, _ = run_failing(["monomial", "--b", "2,2", *flags], capsys,
-                                    tmp_path)
+    def test_group_with_csv_is_one_line_error(self, capsys, tmp_path):
+        # the blocks have no single atom list to export
+        out, error, _ = run_failing(["monomial", "--b", "2,2", "--group", "1|2",
+                                     "--csv", "atoms.csv"], capsys, tmp_path)
         assert out == ""
-        assert error == message
+        assert error == "--group cannot be used with --csv"
+
+    @pytest.mark.parametrize("key", ["bounds", "verify", "merged_count"])
+    def test_deleted_settings_are_unknown(self, capsys, tmp_path, key):
+        with pytest.raises(SystemExit) as exc:
+            main(["monomial", "--b", "2,2", "--" + key.replace("_", "-"),
+                  "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("%s=true\n" % key)
+        _, error, _ = run_failing(["monomial", "--b", "2,2", "--config", str(cfg)],
+                                  capsys, tmp_path)
+        assert error == "%s:1: unknown key %r" % (cfg, key)
 
     def test_missing_exponents_are_one_line_error(self, capsys, tmp_path):
         out, error, manifest = run_failing(["monomial"], capsys, tmp_path)
@@ -259,11 +271,15 @@ class TestManifestLifecycle:
         assert manifest["config"]["alpha"] == "nan"
 
     def test_failed_verify_gate_is_not_complete(self, capsys, tmp_path):
-        out, error, manifest = run_failing(["monomial", "--b", "2,4", "--verify",
-                                            "--tol", "-1"], capsys, tmp_path)
-        assert "verify=fail" in out
-        assert error.startswith("identity verification failed")
-        assert manifest["wall_s"] is not None
+        # degree 40: the float evaluation of the atoms loses the identity, and
+        # run_failing checks that no atom CSV is written
+        out, error, manifest = run_failing(["monomial", "--b", "20,20", "--csv",
+                                            "atoms.csv"], capsys, tmp_path)
+        err_line, verdict = out.splitlines()[-2:]
+        assert err_line.startswith("max_rel_err=") and verdict == "verify=fail"
+        assert error == ("identity verification failed (%s)" % err_line)
+        assert float(err_line[len("max_rel_err="):]) > MONOMIAL_DEFAULTS["tol"]
+        assert manifest["wall_s"] is not None and manifest["outputs"] == []
 
     def test_success_lists_outputs(self, capsys, tmp_path):
         code, out, _ = run_cli(["monomial", "--b", "2,4", "--csv", "atoms.csv",
@@ -424,6 +440,7 @@ class TestConfigPrecedence:
     (["relu", "--epochs", "-1"], "epochs must be >= 0, got -1"),
     (["monomial", "--b", "2,2", "--trials", "0", "--csv", "atoms.csv"],
      "trials must be >= 1, got 0"),
+    (["monomial", "--b", "2,4", "--tol", "-1"], "tol must be >= 0, got -1.0"),
     (["sdl", "--l", "0", "--compare-gd"], "l must be >= 1, got 0"),
     (["tensor", "--noise", "inf", "--sweeps", "2"], "noise must be finite, got inf"),
     (["relu", "--classes", "0"], "n_classes must be >= 2, got 0"),
@@ -431,8 +448,8 @@ class TestConfigPrecedence:
 ], ids=["sdl_iters", "sdl_seeds", "sdl_k_nonzero", "gd_iters", "gd_seeds",
         "tensor_sweeps", "tensor_rank", "relu_n_data", "sdl_m", "sdl_l",
         "sdl_n", "tensor_noise", "tensor_noise_nan", "relu_epochs",
-        "monomial_trials", "gd_sdl_l", "tensor_noise_inf", "relu_classes",
-        "tensor_seed"])
+        "monomial_trials", "monomial_tol", "gd_sdl_l", "tensor_noise_inf",
+        "relu_classes", "tensor_seed"])
 def test_bad_count_fails_before_any_solve(capsys, tmp_path, argv, message):
     out, error, _ = run_failing(argv, capsys, tmp_path)
     assert out == ""  # nothing printed: no atom, no progress line
@@ -534,8 +551,8 @@ def test_every_flag_is_a_setting():
 
 
 RECORDED = [
-    (["monomial", "--b", "2,2", "--group", "1|2", "--verify"],
-     dict(b=[2, 2], group="1|2", verify=True)),
+    (["monomial", "--b", "2,2", "--group", "1|2", "--trials", "5"],
+     dict(b=[2, 2], group="1|2", trials=5)),
     (["sdl", "--iters", "3", "--seeds", "1", "--gd-iters", "3", "--gd-seeds", "1",
       "--compare-gd"], dict(iters=3, seeds=1, gd_iters=3, gd_seeds=1,
                             compare_gd=True)),
@@ -559,20 +576,51 @@ def test_manifest_records_every_setting(capsys, tmp_path, argv, given):
     assert "seeds" not in manifest  # the config holds the seeds
 
 
-def test_readme_command_lines_parse():
-    """Each ``bdc`` line of the README's command-line block parses (nothing
-    runs), so renaming or removing a flag it shows fails here."""
+def test_readme_command_lines_parse(capsys, tmp_path):
+    """Each ``bdc`` line of the README's command-line block parses, so
+    renaming or removing a flag it shows fails here; a line whose comment
+    claims ``-> <text>`` runs, and ``<text>`` must appear in its output."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1]
     lines = [line for line in block.split("```", 1)[0].splitlines()
              if line.startswith("bdc ")]
     assert len(lines) >= 5
     parser = build_parser()
+    claims = 0
     for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
         try:
-            parser.parse_args(shlex.split(line, comments=True)[1:])
+            parser.parse_args(argv)
         except SystemExit:
             pytest.fail("README line does not parse: %s" % line)
+        comment = line.partition("#")[2]
+        if "->" in comment:
+            claims += 1
+            code, out, _ = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
+            assert code == 0, line
+            assert comment.partition("->")[2].strip() in out, line
+    assert claims >= 3
+
+
+@pytest.mark.parametrize("command", sorted(TABLES))
+def test_flag_prefix_is_an_unknown_flag(capsys, tmp_path, command):
+    """A flag is spelled in full, as its config key is: a prefix of a flag
+    exits 2 with usage text and writes no manifest."""
+    flags = ["--" + key.replace("_", "-") for key in TABLES[command]]
+    parser = build_parser()
+    for flag in flags:
+        if len(flag) > 4 and flag[:-1] not in flags:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, flag[:-1], "1"])
+            assert exc.value.code == 2, flag
+    # were "--out" read as --outdir, the missing config file would fail the
+    # run with exit 1 and a manifest in "out"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "missing.cfg"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_out_dir_env_override(capsys, tmp_path, monkeypatch):
