@@ -51,19 +51,29 @@ def _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol):
     at_least("inner_tol", inner_tol, 0)
 
 
-def _sdl_single_run(variant, data_rng, init_rng, m, l, n, k_nonzero, alpha, q,
-                    n_outer, inner_x, inner_d, inner_tol):
-    Y, _, _ = sdl_synthetic(m, l, n, k_nonzero, seed=data_rng)
-    D0 = init_rng.standard_normal((m, l))
+def _sdl_seed_data(seed, j, m, l, n, k_nonzero):
+    """Seed ``j``'s planted data ``Y`` and unit-column start dictionary
+    ``D0``, from the ``data<j>`` and ``init<j>`` substreams of ``seed``; every
+    run on seed ``j`` shares them (the instances make them read-only)."""
+    Y, _, _ = sdl_synthetic(m, l, n, k_nonzero, seed=substream(seed, "data%d" % j))
+    D0 = substream(seed, "init%d" % j).standard_normal((m, l))
     D0 /= np.linalg.norm(D0, axis=0)
+    return Y, D0
+
+
+def _sdl_single_run(variant, Y, D0, alpha, q, n_outer, inner_x, inner_d, inner_tol):
+    l, n = D0.shape[1], Y.shape[1]
     inst = SdlInstance(Y=Y, D=D0, X=np.zeros((l, n)), alpha=alpha, Q=q, variant=variant)
     prob = SdlProblem(inst)
     theta = prob.initial_point()
+    # pairwise numpy sums, not BLAS dots, so the error does not follow the
+    # BLAS thread count
+    y_norm = math.sqrt(float(np.sum(Y * Y)))
 
     def metrics(th):
         D, X = prob.unpack(th)
-        rec = float(np.linalg.norm(Y - D @ X) / np.linalg.norm(Y))
-        return rec, float(np.mean(X == 0.0))
+        R = Y - D @ X
+        return math.sqrt(float(np.sum(R * R))) / y_norm, float(np.mean(X == 0.0))
 
     recs, spars = [], []
     r, s = metrics(theta)
@@ -101,11 +111,11 @@ def run_sdl_experiment(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
         check_lq_q(q, l)
     rec = {v: [] for v in variants}
     spars = {v: [] for v in variants}
-    for v in variants:
-        for j in range(n_seeds):
-            r, s, *_ = _sdl_single_run(
-                v, substream(seed, "data%d" % j), substream(seed, "init%d" % j),
-                m, l, n, k_nonzero, alpha, q, n_outer, inner_x, inner_d, inner_tol)
+    for j in range(n_seeds):
+        Y, D0 = _sdl_seed_data(seed, j, m, l, n, k_nonzero)
+        for v in variants:
+            r, s, *_ = _sdl_single_run(v, Y, D0, alpha, q, n_outer,
+                                       inner_x, inner_d, inner_tol)
             rec[v].append(r)
             spars[v].append(s)
     return SdlExperimentResult(
@@ -142,9 +152,9 @@ def run_sdl_gd_comparison(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
     _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol)
     rows = []
     for j in range(n_seeds):
+        Y, D0 = _sdl_seed_data(seed, j, m, l, n, k_nonzero)
         _, _, prob, theta, calls = _sdl_single_run(
-            "l1_lq", substream(seed, "data%d" % j), substream(seed, "init%d" % j),
-            m, l, n, k_nonzero, alpha, q, n_outer, inner_x, inner_d, inner_tol)
+            "l1_lq", Y, D0, alpha, q, n_outer, inner_x, inner_d, inner_tol)
         gd_vals = gd_baseline_sdl(prob.instance, calls)
         rows.append({"seed": j, "oracle_calls": calls,
                      "bdca_final": float(prob.eval_f(theta)),

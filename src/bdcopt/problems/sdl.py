@@ -6,9 +6,15 @@ surrogate ``l1 - largest_Q``.  Both blocks share the convex side
 ``0.5 ||Y - D X||_F^2 + alpha ||X||_1``; the concave side is the columnwise
 largest-Q norm (zero for the plain variant, and constant in ``D``).
 
-The block surrogates' inner solvers live here too: soft-threshold proximal
-gradient at the fixed step ``1/L`` on the code block, and Frank-Wolfe with
-exact line search over the column-ball product on the dictionary block.
+The block surrogates' inner solvers live here too, both in Gram form so
+that an iteration makes few numpy calls.  On the code block, soft-threshold
+proximal gradient at the fixed step ``1/L``, ``L = ||D||_2^2 + rho`` (from
+the small Gram matrix, as the GD baseline takes it): the forward step is
+the affine map ``A x + c`` with ``A = I - (D^T D + rho I)/L``, one GEMM and
+one add, and the soft-threshold is ``v - clip(v, -alpha t, alpha t)``.  On
+the dictionary block, Frank-Wolfe with exact line search over the
+column-ball product, on ``X X^T`` and ``Y X^T`` formed once per solve, with
+the gradient updated along each step instead of a residual.
 
 The columnwise largest-Q terms share one top-Q kernel, :func:`_top_q`:
 ``Q`` argmax passes over a scratch ``|X|``, which give the same indices as
@@ -18,6 +24,7 @@ and the public 1-D :func:`lq_norm` and :func:`lq_subgrad` run the same
 kernel on one column.  The data of an :class:`SdlInstance` must be finite.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,51 +261,59 @@ class SdlProblem(BdcProblem):
 
         U = np.asarray(u).reshape(self.l, self.n)
         X0 = X
-        # the gradient's exact Lipschitz constant (the largest singular value
-        # is np.linalg.norm(D, 2) without its wrapper); a zero dictionary
-        # with rho = 0 leaves the gradient constant, and any positive value
-        # holds
-        lip = float(np.linalg.svd(D, compute_uv=False)[0]) ** 2 + rho or 1.0
+        # the gradient's Lipschitz constant ||D||_2^2 + rho; a zero
+        # dictionary with rho = 0 leaves the gradient constant, and any
+        # positive value holds
+        lip = float(_sq_spectral_norm(D)) + rho or 1.0
+        # the forward step x - grad(x)/L is the affine map A x + c, with the
+        # gradient (D^T D + rho I) x - (D^T Y + U + rho X0)
+        H = D.T @ D
+        H.flat[::self.l + 1] += rho
+        A = np.eye(self.l) - H / lip
+        c = (D.T @ Y + U + rho * X0) / lip
 
-        def grad(x):
-            Xc = x.reshape(self.l, self.n)
-            G = D.T @ (D @ Xc - Y) - U
-            if rho:
-                G += rho * (Xc - X0)
-            return G.ravel()
+        def forward(x):
+            V = A @ x.reshape(self.l, self.n)
+            V += c
+            return V.ravel()
 
-        def prox(x, t):
-            # sign(x) * max(|x| - alpha t, 0), in one scratch buffer
-            z = np.abs(x)
-            z -= alpha * t
-            np.maximum(z, 0.0, out=z)
-            z *= np.sign(x)
-            return z
+        def prox(v, t):
+            return _soft_threshold(v, alpha * t)
 
-        return inner_prox_gradient(grad, prox, X0.ravel(), budget, tol, lip)
+        return inner_prox_gradient(forward, prox, X0.ravel(), budget, tol, lip)
 
 
-def inner_prox_gradient(grad, prox, x0, budget, tol, lipschitz):
-    """Proximal-gradient descent from ``x0`` at the fixed step ``1/lipschitz``.
+def _soft_threshold(v, tau):
+    """``sign(v) max(|v| - tau, 0)`` for ``tau >= 0``, as ``v - clip(v, -tau,
+    tau)``: the same values, but every zero is ``+0.0``."""
+    return v - v.clip(-tau, tau)
 
-    ``grad(x)`` gives the smooth part's gradient and ``prox(x, t)`` the
-    nonsmooth part's prox with step ``t``.  ``lipschitz`` must be a positive
-    Lipschitz constant of ``grad``; then every step descends (the descent
-    lemma), and the caller's descent check catches one that is not.  Stops
-    after ``budget`` iterations or once the prox-gradient mapping norm is at
-    most ``tol``.  Returns ``(x, iterations)``.
+
+def inner_prox_gradient(forward, prox, x0, budget, tol, lipschitz):
+    """Proximal-gradient descent from the vector ``x0`` at the fixed step
+    ``1/lipschitz``.
+
+    ``forward(x)`` gives the forward (gradient) step ``x - grad(x) /
+    lipschitz`` of the smooth part, and ``prox(v, t)`` the nonsmooth part's
+    prox with step ``t``; each iteration calls each once.  ``lipschitz``
+    must be a positive Lipschitz constant of ``grad``; then every step
+    descends (the descent lemma), and the caller's descent check catches
+    one that is not.  Stops after ``budget`` iterations or once the
+    prox-gradient mapping norm is at most ``tol``; the norm's square is one
+    ``np.einsum`` sum, not a BLAS dot.  Returns ``(x, iterations)``.
     """
     if not lipschitz > 0:
         raise ValueError("lipschitz must be > 0, got %r" % (lipschitz,))
     x = np.array(x0, dtype=float, copy=True)
     L = float(lipschitz)
+    t = 1.0 / L
     iters = 0
     for _ in range(budget):
         iters += 1
-        z = prox(x - grad(x) / L, 1.0 / L)
+        z = prox(forward(x), t)
         dz = z - x
         x = z
-        if L * float(np.sqrt(np.sum(dz * dz))) <= tol:
+        if L * math.sqrt(np.einsum("i,i", dz, dz)) <= tol:
             break
     return x, iters
 
@@ -308,7 +323,11 @@ def inner_frank_wolfe_ball_product(Y, X, D0, budget, rho=0.0, tol=0.0):
 
         0.5 ||Y - D X||_F^2 + rho/2 ||D - D0||_F^2 .
 
-    The linear minimization oracle is columnwise ``-grad / ||grad||``, one
+    The solve is in Gram form: ``P = X X^T`` and ``Y X^T`` are formed once,
+    and the gradient ``G = D P - Y X^T + rho (D - D0)`` is kept and updated
+    along each step, ``G += step (Delta P + rho Delta)``, with the curvature
+    ``<Delta P + rho Delta, Delta>``; no residual ``Y - D X`` is formed.
+    The linear minimization oracle is columnwise ``-G / ||G||``, one
     division over the columns of nonzero norm (a zero-gradient column keeps
     its current value; the norms are the sums ``np.linalg.norm`` forms), and
     the step exactly minimizes the one-dimensional quadratic, clamped to
@@ -316,29 +335,27 @@ def inner_frank_wolfe_ball_product(Y, X, D0, budget, rho=0.0, tol=0.0):
     is at most ``tol``.  Returns ``(D, iterations)``.
     """
     D = np.array(D0, dtype=float, copy=True)
-    R = Y - D @ X
+    P = X @ X.T
+    G = D @ P - Y @ X.T
     iters = 0
     for _ in range(budget):
         iters += 1
-        G = -(R @ X.T)
-        if rho:
-            G = G + rho * (D - D0)
         norms = np.sqrt(np.add.reduce(G * G, axis=0))
         S = D.copy()
         np.divide(-G, norms, out=S, where=norms > 0)
         Delta = S - D
-        DX = Delta @ X
-        gap = -float(np.sum(G * Delta))
-        curv = float(np.sum(DX ** 2))
+        H = Delta @ P
         if rho:
-            curv += rho * float(np.sum(Delta * Delta))
+            H += rho * Delta
+        gap = -float(np.sum(G * Delta))
+        curv = float(np.sum(H * Delta))
         if curv <= 0 or gap <= tol:
             break
         step = min(max(gap / curv, 0.0), 1.0)
         if step == 0.0:
             break
         D = D + step * Delta
-        R = R - step * DX
+        G += step * H
     return D, iters
 
 

@@ -4,10 +4,11 @@ Four commands cover every CSV writer: the SDL experiment with its GD
 comparison, stochastic ReLU training with its trace and checkpoint, the
 tensor sweep and the monomial atom export.  ``golden_sha256.json`` holds the
 sha256 of each CSV for every numeric environment it was recorded in (numpy
-version, ``OPENBLAS_NUM_THREADS`` and core count).  The tensor trace's norms
-are numpy's pairwise sums, not BLAS dots, so its bits do not follow the BLAS
-thread count; a second test runs the tensor command with one and with two
-BLAS threads and compares the hashes.
+version, ``OPENBLAS_NUM_THREADS`` and core count).  The norms in the tensor
+trace and in the SDL error curves are numpy's pairwise sums, not BLAS dots,
+so their bits do not follow the BLAS thread count; a second test runs the
+SDL and the tensor commands with one and with two BLAS threads and compares
+the hashes.
 
 Contract for a change that alters emitted bits (a speed-up that reorders
 floating-point work, a new inner solver, a fixed defect):
@@ -86,9 +87,10 @@ def test_emitted_csvs_match_golden(tmp_path, monkeypatch, capsys):
                json.dumps(got, indent=1)))
 
 
-def test_tensor_trace_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # the tensor command in two child processes, with one BLAS thread and
-    # with two: the trace has the same bytes
+@pytest.mark.parametrize("command", [COMMANDS[0], COMMANDS[2]], ids=["sdl", "tensor"])
+def test_emitted_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    # the command in two child processes, with one BLAS thread and with
+    # two: every CSV it writes has the same bytes
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -97,8 +99,9 @@ def test_tensor_trace_does_not_depend_on_the_blas_thread_count(tmp_path):
             p for p in (str(SRC), env.get("PYTHONPATH")) if p)
         out = tmp_path / threads
         proc = subprocess.run(
-            [sys.executable, "-m", "bdcopt.cli", *COMMANDS[2], "--outdir", str(out)],
+            [sys.executable, "-m", "bdcopt.cli", *command, "--outdir", str(out)],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        digests.append(hashlib.sha256((out / "tensor_trace.csv").read_bytes()).hexdigest())
-    assert digests[0] == digests[1]
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(out.glob("*.csv"))})
+    assert digests[0] and digests[0] == digests[1]

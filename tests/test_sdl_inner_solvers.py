@@ -2,12 +2,18 @@
 
 The code-block solver used to search for its step by backtracking from the
 Lipschitz estimate, which made its callback return the surrogate value next
-to the gradient and took one gradient more than its steps use.  Frank-Wolfe
-used to form ``Delta @ X`` twice per iteration and ``eval_g`` wrote the fit
-out a second time.  Copies of those are kept as references, here and in
-``cases.reference_frank_wolfe``: on random blocks, zero dictionaries, and
-codes with exact zeros and ties, the solvers must give the same bits and
-the same iteration counts.
+to the gradient and took one gradient more than its steps use; it took
+``||D||_2`` from an SVD and its soft-threshold was the sign form.
+Frank-Wolfe used to form the gradient from the residual ``Y - D X`` every
+iteration, and ``eval_g`` wrote the fit out a second time.  Copies of those
+are kept as references, here and in ``cases.reference_frank_wolfe``.
+
+Both solvers now run in Gram form, which rounds differently, so on random
+blocks, zero dictionaries, and codes with exact zeros and ties the
+references guard values, not bits: each solve must agree with its
+reference within a bound stated below, have its exact zeros in the same
+places, and take the same number of iterations whenever ``tol > 0``.
+``eval_g`` still gives the reference's bits.
 """
 
 import numpy as np
@@ -16,7 +22,17 @@ import pytest
 from bdcopt.problems.sdl import (SdlInstance, SdlProblem,
                                  inner_frank_wolfe_ball_product,
                                  inner_prox_gradient, sdl_synthetic)
-from cases import assert_same, reference_frank_wolfe
+from cases import FRANK_WOLFE_BOUND, assert_near, reference_frank_wolfe
+
+# The forward step ``A x + c`` rounds differently from ``x - grad(x)/L``,
+# and ``L`` comes from ``eigvalsh`` on ``D D^T`` instead of the SVD; the
+# prox gives the same values as the sign form (test_sdl_fast_paths).  A
+# forward-backward step at ``1/L`` is nonexpansive, so a rounding
+# difference made in one iteration is not amplified by the later ones:
+# after k iterations the codes differ by at most about k times a few ulps
+# of the forward step's terms.  1e-12 is 60 iterations of about 75 ulps
+# (eps = 2.2e-16); the worst of the 192 solves below measured 3.3e-15.
+CODE_BOUND = 1e-12
 
 
 def reference_prox_gradient(value_grad, prox, x0, budget, tol, lipschitz):
@@ -112,14 +128,16 @@ def test_solvers_match_references(variant, rho, dictionary, codes, budget, tol):
         u = prob.subgrad_h_block(1, theta)
         x, iters = prob.minimize_block_surrogate(1, theta, u, rho, budget, tol)
         x_ref, iters_ref = reference_code_step(prob, theta, u, rho, budget, tol)
-        assert iters == iters_ref
-        assert_same(x, x_ref)
+        # tol = 0 stops only at an exact fixed point, which the two
+        # roundings can reach some iterations apart
+        assert iters == iters_ref or not tol
+        assert_near(x, x_ref, CODE_BOUND, "codes")
 
         D, X = prob.unpack(theta)
         got = inner_frank_wolfe_ball_product(prob.instance.Y, X, D, budget, rho, tol)
         want = reference_frank_wolfe(prob.instance.Y, X, D, budget, rho, tol)
-        assert got[1] == want[1]
-        assert_same(got[0], want[0])
+        assert got[1] == want[1] or not tol
+        assert_near(got[0], want[0], FRANK_WOLFE_BOUND, "dictionary", scale=1.0)
 
 
 @pytest.mark.parametrize("budget,tol", [(500, 1e-6), (7, 0.0)])
@@ -127,16 +145,16 @@ def test_prox_gradient_takes_one_gradient_per_iteration(budget, tol):
     rng = np.random.default_rng(3)
     A = rng.standard_normal((15, 8))
     b = rng.standard_normal(15)
+    L = float(np.linalg.norm(A, 2)) ** 2
     calls = []
 
-    def grad(x):
+    def forward(x):
         calls.append(1)
-        return A.T @ (A @ x - b)
+        return x - A.T @ (A @ x - b) / L
 
     def prox(x, t):
         return np.sign(x) * np.maximum(np.abs(x) - 0.3 * t, 0.0)
 
-    L = float(np.linalg.norm(A, 2)) ** 2
-    _, iters = inner_prox_gradient(grad, prox, np.zeros(8), budget, tol, L)
+    _, iters = inner_prox_gradient(forward, prox, np.zeros(8), budget, tol, L)
     assert len(calls) == iters
     assert iters < budget if tol else iters == budget

@@ -39,14 +39,15 @@ class TestBdcaStep:
         np.testing.assert_allclose(theta, c, atol=1e-12)
 
     def test_scalar_soft_threshold(self):
-        # min 0.5 (x - 1)^2 + |x| has the closed form soft(1, 1) = 0
-        def grad(x):
-            return np.array([x[0] - 1.0])
+        # min 0.5 (x - 1)^2 + |x| has the closed form soft(1, 1) = 0; the
+        # forward step at L = 1 is x - (x - 1)
+        def forward(x):
+            return np.array([x[0] - (x[0] - 1.0)])
 
         def prox(x, t):
             return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
-        x, _ = inner_prox_gradient(grad, prox, np.array([0.7]), 200, 1e-12,
+        x, _ = inner_prox_gradient(forward, prox, np.array([0.7]), 200, 1e-12,
                                    lipschitz=1.0)
         assert x[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -279,29 +280,38 @@ class TestInnerProxGradient:
         rng = np.random.default_rng(7)
         A = rng.standard_normal((12, 5))
         b = rng.standard_normal(12)
+        L = float(np.linalg.norm(A, 2)) ** 2
 
-        def grad(x):
-            return A.T @ (A @ x - b)
+        def forward(x):
+            return x - A.T @ (A @ x - b) / L
 
-        x, _ = inner_prox_gradient(grad, lambda x, t: x, np.zeros(5), 3000, 1e-12,
-                                   lipschitz=float(np.linalg.norm(A, 2)) ** 2)
+        x, _ = inner_prox_gradient(forward, lambda x, t: x, np.zeros(5), 3000,
+                                   1e-12, lipschitz=L)
         want = np.linalg.solve(A.T @ A, A.T @ b)
         np.testing.assert_allclose(x, want, atol=1e-8)
 
     def test_projection_onto_unit_ball(self):
         z = np.array([3.0, 4.0])
 
-        def grad(x):
-            return x - z
+        def forward(x):  # x - grad(x) at L = 1, with grad(x) = x - z
+            return x - (x - z)
 
         def project(x, t):
             n = np.linalg.norm(x)
             return x / max(1.0, n)
 
-        x, _ = inner_prox_gradient(grad, project, np.zeros(2), 500, 1e-12,
+        x, _ = inner_prox_gradient(forward, project, np.zeros(2), 500, 1e-12,
                                    lipschitz=1.0)
         np.testing.assert_allclose(x, z / 5.0, atol=1e-10)
 
+
+    def test_stops_at_the_first_small_mapping_norm(self):
+        # f = 0.5 x^2 at L = 2: each forward step halves x, so the mapping
+        # norm L |z - x| is 1, 0.5, 0.25, ... (exact in binary); the first
+        # at most 0.3 is the third, while |z - x| alone is 0.25 at the second
+        _, iters = inner_prox_gradient(lambda x: x - x / 2.0, lambda v, t: v,
+                                       np.array([1.0]), 10, 0.3, lipschitz=2.0)
+        assert iters == 3
 
     @pytest.mark.parametrize("lipschitz", [0.0, -1.0, float("nan")])
     def test_nonpositive_lipschitz_rejected(self, lipschitz):
