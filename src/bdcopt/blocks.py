@@ -1,6 +1,6 @@
 """Coordinate-block bookkeeping: partitions, the one full-precision CSV
-format every emitted table uses, and the one rule every numeric setting
-keeps.
+format every emitted table uses, the one rule every numeric setting
+keeps, and the one check of finite problem data.
 
 A partition splits the coordinates of a dense vector into contiguous,
 non-overlapping blocks.  Blocks are addressed by ``(offset, length)`` views,
@@ -10,6 +10,7 @@ never by selection matrices, so extraction is O(1) slicing.
 import numpy as np
 
 __all__ = [
+    "all_finite",
     "as_ints",
     "at_least",
     "BlockPartition",
@@ -25,6 +26,16 @@ def at_least(name, value, low):
         raise ValueError("%s must be >= %d, got %r" % (name, low, value))
     if value == np.inf:
         raise ValueError("%s must be finite, got %r" % (name, value))
+
+
+def all_finite(name, data):
+    """The data rule: every entry of the array ``data`` is finite; the first
+    NaN or infinity raises, named with ``name`` and its index."""
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        at = tuple(int(i) for i in bad[0])
+        raise ValueError("%s must be finite, got %r at index %r"
+                         % (name, float(data[at]), at))
 
 
 def as_ints(name, values):

@@ -274,8 +274,10 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0)
     seed in six (seeds 8, 12, 28, 32, 34, 35 and 36 of 0-40) ends at relative
     error 0.26-0.47.  ``tensor_stalled(rows, noise)`` gives the verdict.
     Bad ``dims``, a ``rank`` below 1, negative ``sweeps``, or a negative,
-    NaN or infinite ``noise`` raise before any solve, and so does a noise
-    large enough to make the starting objective overflow.
+    NaN or infinite ``noise`` raise before any solve.  So does a noise large
+    enough to overflow the tensor, which ``CpInstance`` rejects as
+    non-finite data, or one that leaves the tensor finite but makes the
+    starting objective overflow.
     """
     if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
         raise ValueError("dims must be 2 to 4 positive mode sizes")
@@ -287,7 +289,7 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0)
     T = cp_reconstruct(true)
     rng_init = substream(seed, "init")
     factors = [rng_init.standard_normal((m, rank)) for m in dims]
-    with np.errstate(over="ignore"):  # an overflow fails just below, as inf
+    with np.errstate(over="ignore"):  # an overflow fails as inf, just below
         if noise:
             T = T + noise * rng_data.standard_normal(T.shape)
         prob = CpProblem(CpInstance(tensor=T, rank=rank, factors=factors))

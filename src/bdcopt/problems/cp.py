@@ -3,19 +3,29 @@
 One block per factor matrix; the concave side is identically zero and the
 block surrogate has a closed-form least-squares solution, so block steps are
 exact minimizations (the alternating least-squares update).  Both hot paths
-are in Gram form (Kolda & Bader, SIAM Review 51(3), 2009): the reconstruction
-is one matrix product ``theta_1 @ K.T`` with the Khatri-Rao product ``K`` of
-the other factors, and the block update solves the ``r x r`` normal equations
-built from ``K^T K`` and the MTTKRP ``T_(i) K``.  The oracles share one
-residual per point: ``eval_f``, ``eval_g``, ``grad_g_block`` and
-``relative_error`` read the last point's ``reconstruction - T`` instead of
-rebuilding the tensor.  What the solve cannot change is computed once: the
-mode unfoldings ``T_(i)`` and ``||T||``.  The Khatri-Rao product of the
-factors after the first, which the reconstruction and the first factor's
-update both use, is kept for the last factors it was built from, so a
-3-mode sweep builds 4 products instead of 6.  Every output is bit for bit
-what the per-call computation gives.  The problem reads only the tensor it
-was built with, which it makes read-only.
+are in Gram form (Kolda & Bader, SIAM Review 51(3), 2009, section 3.4): the
+reconstruction is one matrix product ``theta_1 @ K.T`` with the Khatri-Rao
+product ``K`` of the other factors, and the block update solves the
+``r x r`` normal equations whose matrix is the elementwise (Hadamard)
+product of the other factors' Grams ``F_j^T F_j`` (``K^T K`` up to
+rounding), with ``K`` used only for the MTTKRP ``T_(i) K``.  The solve is
+the minimum-norm one, through ``eigh``: eigenvalues at or below
+``eps r w_max``, the cutoff ``lstsq`` applies, are dropped.  The objective
+is ``0.5 r . r`` over the flat residual, one ``einsum`` pass with no
+temporary and no BLAS.  The oracles share one residual per point:
+``eval_f``, ``eval_g``, ``grad_g_block`` and ``relative_error`` read the
+last point's ``reconstruction - T`` instead of rebuilding the tensor.  What
+the solve cannot change is computed once: the mode unfoldings ``T_(i)`` and
+``||T||``.  The Khatri-Rao product of the factors after the first, which
+the reconstruction and the first factor's update both use, is kept for the
+last factors it was built from, so a 3-mode sweep builds 4 products instead
+of 6.  Every output is a function of the point alone, bit for bit what a
+fresh problem gives, whichever memo is warm.  Against the formulas used
+before the Gram form (``lstsq`` on ``K^T K`` and ``np.sum(R * R)``) the
+objective differs by rounding, at most 1e-13 of itself on the tests'
+instances, and the block update by at most 1e-8 of its largest entry (see
+``tests/test_cp_memo.py``).  The data must be finite.  The problem reads
+only the tensor it was built with, which it makes read-only.
 """
 
 import math
@@ -25,9 +35,11 @@ from functools import reduce
 import numpy as np
 
 from ..model import BdcProblem
-from ..blocks import BlockPartition
+from ..blocks import BlockPartition, all_finite
 
 __all__ = ["cp_reconstruct", "CpInstance", "CpProblem"]
+
+_EPS = np.finfo(float).eps
 
 
 def cp_reconstruct(factors):
@@ -53,8 +65,33 @@ def _khatri_rao_others(factors, mode):
     return reduce(_khatri_rao, others)
 
 
+def _hadamard_gram(factors, mode):
+    """``K^T K`` for the Khatri-Rao product ``K`` of all factors but
+    ``mode``, as the elementwise product of the ``r x r`` Grams ``F_j^T F_j``
+    of those factors (Kolda & Bader, 2009, section 3.4): a new array, equal
+    to ``K^T K`` up to rounding, built without ``K``."""
+    return reduce(np.multiply, [F.T @ F for j, F in enumerate(factors) if j != mode])
+
+
+def _min_norm_solve(M, rhs):
+    """Minimum-norm ``X`` minimizing ``||X M - rhs||`` for a symmetric
+    positive semidefinite ``M``, through ``M``'s eigendecomposition ``V diag(w)
+    V^T``: ``X = rhs (V diag(1/w)) V^T`` over the eigenvalues above ``eps r
+    w_max``, the others dropped (set to infinity, so ``1/w = 0``).  That is
+    the cutoff ``lstsq(M, rhs.T, rcond=None)`` applies to ``M``'s singular
+    values, which are its eigenvalues; a rounding-level negative eigenvalue
+    is dropped too, and an all-zero ``M`` gives ``X = 0``."""
+    w, V = np.linalg.eigh(M)
+    w[w <= _EPS * M.shape[0] * w[-1]] = np.inf
+    return (rhs @ (V / w)) @ V.T
+
+
 @dataclass
 class CpInstance:
+    """A tensor, the rank and the starting factors, one ``(I_i, rank)``
+    matrix per mode.  The tensor and the factors must be finite: a NaN or
+    infinity raises, naming the array and its first bad index."""
+
     tensor: np.ndarray
     rank: int
     factors: list
@@ -66,6 +103,9 @@ class CpInstance:
             if F.shape != (self.tensor.shape[ax], self.rank):
                 raise ValueError("factor %d has shape %r, want %r"
                                  % (ax, F.shape, (self.tensor.shape[ax], self.rank)))
+        all_finite("tensor", self.tensor)
+        for ax, F in enumerate(self.factors):
+            all_finite("factor %d" % ax, F)
 
 
 class CpProblem(BdcProblem):
@@ -83,10 +123,11 @@ class CpProblem(BdcProblem):
     Built once: the read-only mode unfoldings ``T_(i)`` that the block
     updates multiply (mode 0 is a view of ``T``; each other mode is a
     permuted copy, so ``n - 1`` copies of ``T`` in all, 384 KB at
-    20 x 30 x 40) and ``||T||``.  Every output is bit for bit what the
-    per-call computation gives.  Both norms of the relative error are
-    numpy's pairwise sums of squares, never ``np.linalg.norm``, whose BLAS
-    ``dot`` rounds differently with the BLAS thread count.  The instance's
+    20 x 30 x 40) and ``||T||``.  Every output is bit for bit what a fresh
+    problem gives at the same point.  Neither norm of the relative error is
+    ``np.linalg.norm``, whose BLAS ``dot`` rounds differently with the BLAS
+    thread count: ``||T||`` is numpy's pairwise sum of squares and ``||R||``
+    comes from the ``einsum`` objective.  The instance's
     ``tensor`` is made read-only here, so an in-place edit raises instead of
     leaving a stale residual behind, and the problem keeps that array:
     assigning a new ``instance.tensor`` later changes nothing here.
@@ -153,7 +194,8 @@ class CpProblem(BdcProblem):
             self._last = None  # free the old residual before the new one
             R = self._reconstruct(theta)
             R -= self.tensor
-            self._last = (key, R, 0.5 * float(np.sum(R * R)))
+            r = R.reshape(-1)
+            self._last = (key, R, 0.5 * float(np.einsum("i,i", r, r)))
         return self._last[1:]
 
     def eval_f(self, theta):
@@ -175,16 +217,17 @@ class CpProblem(BdcProblem):
     def minimize_block_surrogate(self, i, theta, u, rho, budget, tol):
         """Exact block minimizer of ``0.5 ||T - recon||^2 - <u, F_i> +
         rho/2 ||F_i - theta_i||^2``: the ``r x r`` normal equations
-        ``F_i (K^T K + rho I) = T_(i) K + u + rho theta_i``, solved by
-        minimum-norm least squares, so a singular ``K^T K`` (a zero factor
-        column at ``rho = 0``) gives the minimum-norm minimizer, as
-        ``lstsq(K, T_(i)^T)`` would."""
+        ``F_i M = T_(i) K + u + rho theta_i`` with ``M`` the Hadamard Gram
+        of the other factors plus ``rho I`` (``K^T K`` in exact arithmetic),
+        solved for their minimum-norm solution by ``_min_norm_solve``, so a
+        singular ``M`` (a zero factor column at ``rho = 0``) gives the
+        minimum-norm minimizer, as ``lstsq(K, T_(i)^T)`` would."""
         factors, K = self._factors_kr(theta, i)
-        M = K.T @ K + rho * np.eye(self.rank)
+        M = _hadamard_gram(factors, i)
+        M.reshape(-1)[::self.rank + 1] += rho  # on the diagonal
         rhs = (self._unfolded[i] @ K + np.asarray(u).reshape(factors[i].shape)
                + rho * factors[i])
-        Fi = np.linalg.lstsq(M, rhs.T, rcond=None)[0].T
-        return Fi.ravel(), 1
+        return _min_norm_solve(M, rhs).ravel(), 1
 
     def relative_error(self, theta):
         """``||R|| / ||T||`` as ``sqrt(2 f) / ||T||``, from the memo's ``f``;

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model import BallProductDomain, BdcProblem
-from ..blocks import BlockPartition, at_least
+from ..blocks import BlockPartition, all_finite, at_least
 
 __all__ = [
     "sdl_synthetic",
@@ -166,12 +166,7 @@ class SdlInstance:
             check_lq_q(self.Q, l)
         at_least("alpha", self.alpha, 0)
         for name in ("Y", "D", "X"):
-            data = getattr(self, name)
-            bad = np.argwhere(~np.isfinite(data))
-            if len(bad):
-                at = tuple(int(i) for i in bad[0])
-                raise ValueError("%s must be finite, got %r at index %r"
-                                 % (name, float(data[at]), at))
+            all_finite(name, getattr(self, name))
         norms = np.linalg.norm(self.D, axis=0)
         if np.any(norms > 1.0 + 1e-10):
             raise ValueError("dictionary columns must satisfy ||d_j|| <= 1")

@@ -221,15 +221,16 @@ def reference_frank_wolfe(Y, X, D0, budget, rho=0.0, tol=0.0, record=None):
     return D, iters
 
 
-def replay(build, rng, names, samples=(None,), n_calls=40, reference=None, prob=None):
+def replay(build, rng, names, samples=(None,), n_calls=40, check=None, prob=None):
     """(E) Interleaved calls on ``prob`` (default: a built one) at its start,
     a grid move of it and a trial vector edited in place between calls.
     Every call but ``eval_f`` goes to ``prob`` on one of ``samples`` (one
     minibatch problem per handle, kept for the whole replay), and the block
     solver takes a ``rho`` and a ``u``.  Each call gives the bits of the same
-    call on a fresh problem (and of ``reference``, if given), leaves
-    ``theta`` as it was, and NaN written into what it returned must reach no
-    later result."""
+    call on a fresh problem, leaves ``theta`` as it was, and NaN written
+    into what it returned must reach no later result.  ``check``, if given,
+    is called with each result, the oracle's name, block and point, and the
+    call's ``sample`` and keywords, to compare the result with a reference."""
     prob = build() if prob is None else prob
     views = [on(prob, sample) for sample in samples]
     dims = prob.partition.block_dims
@@ -256,8 +257,8 @@ def replay(build, rng, names, samples=(None,), n_calls=40, reference=None, prob=
         got = call(view, name, i, theta, **kwargs)
         assert theta.tobytes() == before, name
         assert_same(got, call(on(build(), sample), name, i, theta, **kwargs))
-        if reference is not None:
-            assert_same(got, reference(name, i, theta, sample=sample, **kwargs))
+        if check is not None:
+            check(got, name, i, theta, sample=sample, **kwargs)
         for a in leaves(got):
             if isinstance(a, np.ndarray):
                 a[...] = np.nan  # must not reach later results

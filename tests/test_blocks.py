@@ -83,6 +83,15 @@ MALFORMED = [
         tensor=np.zeros((3, 4, 5)), rank=2,
         factors=[np.zeros((3, 2)), np.zeros((5, 2)), np.zeros((5, 2))]),
      "factor 1 has shape (5, 2), want (4, 2)"),
+    ("cp_tensor_nan", lambda: CpInstance(
+        tensor=np.where(np.arange(60).reshape(3, 4, 5) == 27, NAN, 0.0), rank=2,
+        factors=[np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((5, 2))]),
+     "tensor must be finite, got nan at index (1, 1, 2)"),
+    ("cp_factor_inf", lambda: CpInstance(
+        tensor=np.zeros((3, 4, 5)), rank=2,
+        factors=[np.zeros((3, 2)), np.zeros((4, 2)),
+                 np.where(np.arange(10).reshape(5, 2) == 7, -INF, 0.0)]),
+     "factor 2 must be finite, got -inf at index (3, 1)"),
     ("least_squares_width", lambda: QuadraticDcProblem(
         BlockPartition([2, 1]), np.ones((4, 2)), np.zeros(4)),
      "A width must match partition dimension"),

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import bdcopt
-from bdcopt import experiments
+from bdcopt import cli, experiments
 from bdcopt.cli import (GD_FLAGS, MONOMIAL_DEFAULTS, PLAN_RHO_DEFAULTS,
                         RELU_DEFAULTS, SDL_DEFAULTS, TENSOR_DEFAULTS,
                         build_parser, main)
@@ -270,10 +271,13 @@ class TestManifestLifecycle:
         _, _, manifest = run_failing(["sdl", "--alpha", "nan"], capsys, tmp_path)
         assert manifest["config"]["alpha"] == "nan"
 
-    def test_failed_verify_gate_is_not_complete(self, capsys, tmp_path):
-        # degree 40: the float evaluation of the atoms loses the identity, and
-        # run_failing checks that no atom CSV is written
-        out, error, manifest = run_failing(["monomial", "--b", "20,20", "--csv",
+    def test_failed_verify_gate_is_not_complete(self, capsys, tmp_path, monkeypatch):
+        # a decomposition that is really wrong: the exact one without its last
+        # atom; run_failing checks that no atom CSV is written
+        polarize = cli.polarize
+        monkeypatch.setattr(cli, "polarize", lambda m: dataclasses.replace(
+            polarize(m), atoms=polarize(m).atoms[:-1]))
+        out, error, manifest = run_failing(["monomial", "--b", "2,4", "--csv",
                                             "atoms.csv"], capsys, tmp_path)
         err_line, verdict = out.splitlines()[-2:]
         assert err_line.startswith("max_rel_err=") and verdict == "verify=fail"

@@ -2,10 +2,11 @@
 computation it replaced.
 
 The contract suite's replay (``cases.replay``) drives the memo and compares
-every call with ``reference``, the call computed alone.  What stays here is
-the CP's own: one reconstruction per update, four Khatri-Rao products per
-3-mode sweep, the data the problem keeps from its tensor, and the tensor it
-reads.
+every call with the same call on a fresh problem, bit for bit, and here also
+with ``reference``, the call computed alone by the formulas the problem used
+before its Gram form.  What stays here is the CP's own: one reconstruction
+per update, four Khatri-Rao products per 3-mode sweep, the data the problem
+keeps from its tensor, and the tensor it reads.
 """
 
 import math
@@ -18,14 +19,36 @@ from bdcopt import experiments
 from bdcopt.solvers import bdca_step
 from bdcopt.problems import cp
 from bdcopt.problems.cp import CpInstance, CpProblem, cp_reconstruct
-from cases import build_instance, replay
+from cases import assert_near, assert_same, build_instance, replay
 
 CP_ORACLES = ("eval_f", "eval_g", "eval_h", "grad_g_block", "relative_error",
               "minimize_block_surrogate")
 
+# The objective is one sum of the same squares as the reference's
+# ``np.sum(R * R)``, accumulated in another order: both sums of n >= 0 terms
+# lie within (n - 1) 2^-53 of the exact sum relative to it, so they differ
+# by at most 2 (n - 1) 2^-53, below 6e-14 for the at most 4^4 = 256
+# entries of a ``build_instance`` tensor (the relative error, a square
+# root, by half as much).  Measured worst: 7.2e-16.
+OBJECTIVE_BOUND = 1e-13
+# The block update solves the normal equations of the Hadamard Gram by
+# ``eigh`` where the reference solves those of ``K^T K`` by ``lstsq``.  The
+# two matrices differ by rounding of order 1e-16 of their largest entry
+# (``test_problems.py``), and a solve passes that on multiplied by the
+# condition number over the kept eigenvalues, which rounding bounds only by
+# 1 / (r eps).  So the bound is set from measurement, on the scale of the
+# largest reference entry: over 136,425 systems at the points of this
+# replay on ``build_instance`` draws, the worst was 5.7e-10, and 1e-8 leaves
+# a factor of 17.
+# Exact zeros are not compared: on a singular system neither solve keeps a
+# zero column exactly zero.
+SOLVE_BOUND = 1e-8
+
 
 def reference(inst, name, i, theta, u, rho):
-    """One oracle call computed alone, as the problem did before the memo."""
+    """One oracle call computed alone, as the problem did before the memo
+    and before its Gram form: ``K^T K`` solved by ``lstsq`` and the
+    objective by ``np.sum(R * R)``."""
     prob = CpProblem(inst)
     factors = prob.unpack(theta)
     T = inst.tensor
@@ -46,17 +69,30 @@ def reference(inst, name, i, theta, u, rho):
     return np.linalg.lstsq(M, rhs.T, rcond=None)[0].T.ravel(), 1
 
 
+def near_reference(inst, got, name, i, theta, sample=None, u=None, rho=0.0):
+    """``got`` against ``reference``: the objective and the relative error
+    within ``OBJECTIVE_BOUND``, the block update within ``SOLVE_BOUND``, and
+    the gradient and ``eval_h`` bit for bit."""
+    want = reference(inst, name, i, theta, u, rho)
+    if name in ("eval_f", "eval_g", "relative_error"):
+        assert_near(got, want, OBJECTIVE_BOUND, name)
+    elif name == "minimize_block_surrogate":
+        assert got[1] == want[1]
+        assert_near(got[0], want[0], SOLVE_BOUND, name, zeros=False)
+    else:
+        assert_same(got, want, name)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 4), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
 def test_memo_matches_reference(n_modes, rank, grid, seed):
     # the contract suite's replay, with the reference as an extra
-    # bit-for-bit comparison
+    # comparison within the bounds above
     rng = np.random.default_rng(seed)
     inst = build_instance(rng, n_modes, rank, grid)
     replay(lambda: CpProblem(inst), rng, CP_ORACLES,
-           reference=lambda name, i, theta, sample=None, u=None, rho=0.0:
-           reference(inst, name, i, theta, u, rho))
+           check=lambda *args, **kwargs: near_reference(inst, *args, **kwargs))
 
 
 @pytest.mark.parametrize("sweeps", [1, 4])
@@ -156,7 +192,7 @@ def test_relative_error_of_zero_tensor_raises():
     with pytest.raises(ValueError, match="all-zero tensor is undefined"):
         prob.relative_error(theta)
     R = cp_reconstruct(factors)
-    assert prob.eval_f(theta) == 0.5 * float(np.sum(R * R))
+    assert_near(prob.eval_f(theta), 0.5 * float(np.sum(R * R)), OBJECTIVE_BOUND)
     assert prob.eval_g(1, theta) == prob.eval_f(theta)
     np.testing.assert_array_equal(
         prob.grad_g_block(2, theta),

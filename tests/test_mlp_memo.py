@@ -48,7 +48,8 @@ def replay_task(task, rng, n_calls=40):
     samples = [None, h1, SampleHandle(key=2, indices=h1.indices),
                SampleHandle(key=3, indices=rng.integers(0, n, size=4))]
     replay(lambda: MlpTaskProblem(task), rng, ORACLES, samples, n_calls,
-           lambda name, i, theta, sample=None: reference(task, name, i, theta, sample))
+           lambda got, name, i, theta, sample=None: assert_same(
+               got, reference(task, name, i, theta, sample)))
 
 
 @settings(max_examples=120, deadline=None)

@@ -2,7 +2,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bdcopt import relu
@@ -10,10 +10,12 @@ from bdcopt.problems import (CpInstance, CpProblem, MlpTask, MlpTaskProblem,
                              SdlInstance, SdlProblem, cp_reconstruct,
                              gaussian_blobs, gd_baseline_sdl, lq_norm,
                              lq_subgrad, sdl_synthetic)
-from bdcopt.problems.cp import _khatri_rao, _khatri_rao_others, _unfold
+from bdcopt.problems.cp import (_hadamard_gram, _khatri_rao,
+                                _khatri_rao_others, _min_norm_solve, _unfold)
 from bdcopt.problems.sdl import _sq_spectral_norm
 from bdcopt.solvers import SolverConfig, bdca_step, run
-from cases import assert_same, blobs, codes_and_q, sdl
+from cases import (GRID, assert_near, assert_same, blobs, build_instance,
+                   codes_and_q, sdl)
 
 EPS = np.finfo(float).eps
 
@@ -446,6 +448,80 @@ class TestCp:
                                                  0.0, 1, 1e-8)
             np.testing.assert_allclose(x.reshape(want.shape), want,
                                        rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 4), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_hadamard_gram_is_k_transpose_k(self, n_modes, rank, grid, seed):
+        # the normal-equation matrix from the r x r Grams of the factors,
+        # against K^T K: each sums the same products, over the N <= 64 rows
+        # of K or over each factor's m_j <= 4 rows and then n - 2 <= 2
+        # products, so each lies within (N + sum m_j + n) 2^-53 < 9e-15 of
+        # the exact entry on the scale of the largest diagonal entry, which
+        # bounds |K|^T |K| (Cauchy-Schwarz).  Measured worst: 9.8e-16.
+        factors = build_instance(np.random.default_rng(seed), n_modes, rank,
+                                 grid).factors
+        for i in range(n_modes):
+            K = _khatri_rao_others(factors, i)
+            assert_near(_hadamard_gram(factors, i), K.T @ K, 2e-14, "block %d" % i)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 4), st.booleans(),
+           st.sampled_from([0.0, 0.5, 2.0]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @example(3, 3, False, 0.0, True, 0)  # an all-zero M
+    @example(4, 4, True, 0.0, False, 1)
+    def test_block_solve_is_least_squares_on_k(
+            self, n_modes, rank, grid, rho, zero_others, seed):
+        # The eigh solve of the normal equations against lstsq on the
+        # stacked system [K; sqrt(rho) I] F^T = [T_(i)^T; sqrt(rho)
+        # theta_i^T + u^T / sqrt(rho)], whose normal equations they are:
+        # build_instance zeroes a factor column (a singular M at rho = 0),
+        # grid draws tie values, and zero_others zeroes every other factor.
+        # The normal equations square the condition number of A, so a
+        # singular value of A below 1e-3 of the largest but above lstsq's
+        # cutoff reaches the solve as rounding times up to 1e6, or falls
+        # under the eigh cutoff of eps r w_max once below about 3e-8 of the
+        # largest, and the two solves part by design; such draws (45 of
+        # 136,425 systems measured) are skipped.  Otherwise the difference
+        # is rounding times at most 1e6, about 2e-10, on the scale of the
+        # solution plus ||B|| / ||A||, the residual's share in the
+        # least-squares perturbation bound; 1e-8 leaves a factor of 45 (the
+        # measured worst was 1.1e-10).
+        rng = np.random.default_rng(seed)
+        prob = CpProblem(build_instance(rng, n_modes, rank, grid))
+        i = int(rng.integers(n_modes))
+        factors = prob.unpack(prob.initial_point())
+        if zero_others:
+            factors = [F if j == i else np.zeros_like(F) for j, F in enumerate(factors)]
+        theta = prob.pack(factors)
+        u = rng.choice(GRID, size=factors[i].size) if rho else np.zeros(factors[i].size)
+        A = _khatri_rao_others(factors, i)
+        B = _unfold(prob.tensor, i).T
+        if rho:
+            A = np.vstack([A, np.sqrt(rho) * np.eye(rank)])
+            B = np.vstack([B, np.sqrt(rho) * factors[i].T
+                           + u.reshape(factors[i].shape).T / np.sqrt(rho)])
+        s = np.linalg.svd(A, compute_uv=False)
+        assume(not np.any((s > EPS * max(A.shape) * s[0]) & (s < 1e-3 * s[0])))
+        want = np.linalg.lstsq(A, B, rcond=None)[0].T
+        got = prob.minimize_block_surrogate(i, theta, u, rho, 1, 0)[0]
+        size = np.linalg.norm(A)
+        scale = np.max(np.abs(want)) + (np.linalg.norm(B) / size if size else 0.0)
+        assert_near(got.reshape(want.shape), want, 1e-8, zeros=False, scale=scale)
+
+    def test_min_norm_solve_drops_eigenvalues_at_or_below_the_lstsq_cutoff(self):
+        # r = 5 and w_max = 1, so the cutoff eps r w_max is 5 eps: 1e-14
+        # stays; 5 eps itself and 1e-16 go, as lstsq drops those singular
+        # values, and so does a negative eigenvalue, which in a positive
+        # semidefinite M is rounding even where it passes the cutoff in size
+        w = np.array([1.0, 1e-14, 5 * EPS, 1e-16, -2e-15])
+        rhs = np.random.default_rng(3).standard_normal((4, 5))
+        want = rhs * np.array([1.0, 1e14, 0.0, 0.0, 0.0])
+        assert_near(_min_norm_solve(np.diag(w), rhs), want, 1e-15)
+        psd = np.diag(np.maximum(w, 0.0))
+        assert_near(np.linalg.lstsq(psd, rhs.T, rcond=None)[0].T, want, 1e-15,
+                    zeros=False)
 
     def test_instance_shape_validation(self):
         rng = np.random.default_rng(12)

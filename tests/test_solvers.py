@@ -8,9 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from bdcopt.blocks import BlockPartition
 from bdcopt.model import BallProductDomain, BdcProblem, SampleHandle
-from bdcopt.problems import (CpInstance, CpProblem, QuadraticDcProblem,
-                             QuadraticMinusL1Problem, SdlInstance, SdlProblem,
-                             cp_reconstruct, sdl_synthetic)
+from bdcopt.problems import (QuadraticDcProblem, QuadraticMinusL1Problem,
+                             SdlInstance, SdlProblem, sdl_synthetic)
 from bdcopt.problems.sdl import (inner_frank_wolfe_ball_product,
                                  inner_prox_gradient)
 from bdcopt.solvers import (InnerSolverDivergence, SolverConfig,
@@ -64,14 +63,14 @@ class TestBdcaStep:
 
     def test_non_finite_surrogate_is_not_descent(self):
         # NaN compares false both ways, so a NaN surrogate must fail the check
-        rng = np.random.default_rng(3)
-        factors = [rng.standard_normal((m, 2)) for m in (3, 4, 5)]
-        tensor = cp_reconstruct(factors)
-        tensor[1, 2, 3] = np.inf
-        prob = CpProblem(CpInstance(tensor=tensor, rank=2, factors=factors))
+        class Broken(QuadraticDcProblem):
+            def minimize_block_surrogate(self, i, theta, u, rho, budget, tol):
+                return np.full(self.partition.block_dims[i], np.nan), 1
+
+        prob = Broken(BlockPartition([2]), np.eye(2), np.zeros(2))
         with pytest.raises(InnerSolverDivergence,
                            match=r"on block 0 \(\S+ -> nan\)"):
-            bdca_step(prob, prob.initial_point(), 0)
+            bdca_step(prob, np.ones(2), 0)
 
     @pytest.mark.parametrize("budget", [0, -2])
     def test_budget_below_one_rejected(self, budget):
