@@ -118,9 +118,19 @@ def test_tensor_experiment_rows_and_noise_floor():
 STALLED_SEEDS = {8, 12, 28, 32, 34, 35, 36}
 
 
-def test_tensor_stall_verdict():
-    # the stalled runs end at relative error 0.26-0.47 (seed 8 at 0.37), the
-    # others at 9e-9 or less (seed 0 at 5e-15)
+@pytest.mark.parametrize("seed,stalled", [(8, True), (0, False)])
+def test_tensor_stall_verdict(seed, stalled):
+    # seed 8 ends in a swamp at relative error 0.37, seed 0 at 5e-15
+    rows, _, _, _ = run_tensor_experiment(dims=(20, 30, 40), rank=5, sweeps=40,
+                                          seed=seed)
+    assert tensor_stalled(rows, 0.0) is stalled
+    assert tensor_stalled(rows, 0.1) is None          # noise sets the floor
+    assert tensor_stalled(rows[:10], 0.0) is None     # shorter than the window
+
+
+def test_tensor_stalled_seeds():
+    # the stalled runs end at relative error 0.26-0.47, the others at 9e-9 or
+    # less
     stalled = set()
     for seed in range(41):
         rows, _, _, _ = run_tensor_experiment(dims=(20, 30, 40), rank=5,
