@@ -219,9 +219,16 @@ class CpProblem(BdcProblem):
         rho/2 ||F_i - theta_i||^2``: the ``r x r`` normal equations
         ``F_i M = T_(i) K + u + rho theta_i`` with ``M`` the Hadamard Gram
         of the other factors plus ``rho I`` (``K^T K`` in exact arithmetic),
-        solved for their minimum-norm solution by ``_min_norm_solve``, so a
-        singular ``M`` (a zero factor column at ``rho = 0``) gives the
-        minimum-norm minimizer, as ``lstsq(K, T_(i)^T)`` would."""
+        solved for their minimum-norm solution by ``_min_norm_solve``, so an
+        exactly singular ``M`` (a zero factor column at ``rho = 0``) gives
+        the minimum-norm minimizer, as ``lstsq(K, T_(i)^T)`` would.  A
+        nearly singular ``K`` does not: the cutoff acts on ``K^T K``, whose
+        condition number is that of ``K`` squared, so singular values of
+        ``K`` below about ``sqrt(r eps)`` of the largest are dropped where
+        ``lstsq(K)`` keeps them.  On the test suite's ``build_instance``
+        draw 1056 (4 modes, rank 4), where ``K`` has singular values 0.079
+        and 8.7e-11, this solve gives entries of at most 11 and
+        ``lstsq(K)`` entries up to 5.8e9."""
         factors, K = self._factors_kr(theta, i)
         M = _hadamard_gram(factors, i)
         M.reshape(-1)[::self.rank + 1] += rho  # on the diagonal

@@ -32,6 +32,15 @@ the rowwise ``exp`` of its output that the cross-entropy value, its
 adjoint and :func:`residual_grads` share.  Each reuse gives the bits of
 the computation it replaces.
 
+Layer 0 reads the raw inputs, so its ``Z-`` is zero by construction: the
+pass keeps it as a read-only zero view (``np.broadcast_to(0.0, shape)``, no
+allocation), and no product is formed with it.  Layer 1's forward products
+(the output's, in a net with one hidden layer), block 1's weight gradient
+and :func:`residual_grads` read layer 0's ``Z+`` alone, and a sweep down to
+layer 0 forms no ``Z-`` adjoint at layer 1.  Each dropped term would add an
+exact ``+0.0`` to a BLAS product, which starts from a ``+0.0`` accumulator
+and so is never ``-0.0``: the bits are those of the full products.
+
 The stationarity vectors ``grad g - grad h`` need no split sweep: the two
 parts' output adjoints differ by ``(d, -d)``, and the split sweep keeps such
 a pair antisymmetric, so :func:`residual_grads` gets every block's
@@ -184,6 +193,8 @@ class SplitState:
     Lists are indexed by hidden layer; arrays carry a leading batch axis.
     ``z_plus - z_minus`` equals the standard ReLU activations, both parts are
     entrywise nonnegative, and ``a_out - b_out`` is the network output.
+    ``z_minus[0]`` is a read-only zero view of ``pre[0]``'s shape, with zero
+    strides: no product is formed with it.
     """
 
     pre: list
@@ -224,7 +235,12 @@ def forward_split(params, x, start=0, lower=None):
     ``start = l > 0`` runs only the tail from layer ``l``: the hidden layers
     below ``l`` are taken from ``lower``, a pass on the same ``x`` of a
     network whose layers below ``l`` equal these.  Their arrays are shared,
-    not copied, and every layer the tail computes has the full pass's bits.
+    not copied, and every layer the tail computes has the full pass's bits;
+    a missing ``lower``, or one on another row count, raises ``ValueError``.
+
+    Layer 0's ``z-`` is a read-only zero view, shared by every tail pass
+    over it, and the first split layer (the output layer, in a net with one
+    hidden layer) forms only its two products with layer 0's ``z+``.
     """
     if not 0 <= start < params.n_layers:
         raise IndexError("start layer %d out of range for %d layers"
@@ -234,21 +250,38 @@ def forward_split(params, x, start=0, lower=None):
         W0, b0 = params.layers[0]
         pre = [X @ W0.T + b0]
         z_plus = [_relu(pre[0])]
-        z_minus = [np.zeros_like(pre[0])]
+        z_minus = [np.broadcast_to(0.0, pre[0].shape)]
     else:
+        if lower is None or lower.pre[0].shape[0] != X.shape[0]:
+            raise ValueError(
+                "a tail pass from layer %d needs the lower layers of a pass on "
+                "the same rows: x has %d rows, the lower pass %s"
+                % (start, X.shape[0], "is missing" if lower is None
+                   else "has %d" % lower.pre[0].shape[0]))
         pre, z_plus, z_minus = (lower.pre[:start], lower.z_plus[:start],
                                 lower.z_minus[:start])
     for l in range(max(start, 1), params.n_layers - 1):
         Wp, Wm = params.split(l)
-        p = z_plus[-1] @ Wp.T + z_minus[-1] @ Wm.T + params.layers[l][1]
-        zm = z_minus[-1] @ Wp.T + z_plus[-1] @ Wm.T
+        p, zm = _pair_product(l, z_plus[-1], z_minus[-1], Wp, Wm)
+        p = p + params.layers[l][1]
         pre.append(p)
         z_minus.append(zm)
         z_plus.append(np.maximum(p, zm))
-    WLp, WLm, bLp, bLm = params.split(params.n_layers - 1)
-    a_out = z_plus[-1] @ WLp.T + z_minus[-1] @ WLm.T + bLp
-    b_out = z_minus[-1] @ WLp.T + z_plus[-1] @ WLm.T + bLm
-    return SplitState(pre=pre, z_plus=z_plus, z_minus=z_minus, a_out=a_out, b_out=b_out)
+    L = params.n_layers - 1
+    WLp, WLm, bLp, bLm = params.split(L)
+    a_out, b_out = _pair_product(L, z_plus[-1], z_minus[-1], WLp, WLm)
+    return SplitState(pre=pre, z_plus=z_plus, z_minus=z_minus,
+                      a_out=a_out + bLp, b_out=b_out + bLm)
+
+
+def _pair_product(l, zp, zm, Wp, Wm):
+    """Layer ``l``'s split products ``(zp Wp' + zm Wm', zm Wp' + zp Wm')``
+    of its input pair; at layer 1, ``zm`` is layer 0's zero view and only
+    the ``zp`` products are formed."""
+    P, M = zp @ Wp.T, zp @ Wm.T
+    if l > 1:
+        P, M = P + zm @ Wm.T, zm @ Wp.T + M
+    return P, M
 
 
 def forward_standard(params, x):
@@ -386,16 +419,19 @@ def _loss_block_gradient(params, x, y, loss, part, block, state):
         if l == block:
             W, b = params.layers[l]
             Zp_in, Zm_in = state.z_plus[l - 1], state.z_minus[l - 1]
-            dW = (_relu_deriv(W) * (dp.T @ Zp_in + dzm.T @ Zm_in)
-                  - _relu_deriv(-W) * (dp.T @ Zm_in + dzm.T @ Zp_in))
+            Gp, Gm = dp.T @ Zp_in, dzm.T @ Zp_in
+            if l > 1:  # layer 1's Zm_in is layer 0's zero view
+                Gp, Gm = Gp + dzm.T @ Zm_in, dp.T @ Zm_in + Gm
+            dW = _relu_deriv(W) * Gp - _relu_deriv(-W) * Gm
             db = dp.sum(axis=0)
             if l == L - 1:  # the output bias is split as relu(b) - relu(-b)
                 db = _relu_deriv(b) * db - _relu_deriv(-b) * dzm.sum(axis=0)
             return dW, db
         Wp, Wm = params.split(l)[:2]
         dZp = dp @ Wp + dzm @ Wm
-        dZm = dp @ Wm + dzm @ Wp
-    dp = _relu_deriv(state.pre[0]) * dZp  # z_minus[0] is constant zero
+        if l > 1:  # layer 0's z- is constant zero: its adjoint goes unread
+            dZm = dp @ Wm + dzm @ Wp
+    dp = _relu_deriv(state.pre[0]) * dZp
     return dp.T @ X, dp.sum(axis=0)
 
 
@@ -410,8 +446,10 @@ def residual_grads(params, x, y, loss, state=None):
     So the sweep of the difference is backprop through ``W`` with the
     split's kink selections: the factor ``[W != 0]`` on the weights of
     layers >= 1, ``[b != 0]`` on the output bias, the hidden mask ``pre >=
-    z-``, ``relu'(0) = 0`` at layer 0, and input activations ``z+ - z-``.
-    ``state`` reuses a forward pass of ``params`` on ``x``.
+    z-``, ``relu'(0) = 0`` at layer 0, and input activations ``z+ - z-``;
+    layer 0's ``z-`` is a read-only zero view, so layer 1 reads layer 0's
+    ``z+`` directly and subtracts nothing.  ``state`` reuses a forward pass
+    of ``params`` on ``x``.
     """
     X = _as_batch(x, params.input_dim)
     if state is None:
@@ -432,7 +470,10 @@ def residual_grads(params, x, y, loss, state=None):
         W, b = params.layers[l]
         if l < L - 1:  # z+ = max(p, z-), ties to p, as in the split sweep
             d = (state.pre[l] >= state.z_minus[l]) * e
-        dW = (W != 0.0) * (d.T @ (state.z_plus[l - 1] - state.z_minus[l - 1]))
+        a_in = state.z_plus[l - 1]  # layer 0's z- is zero: z+ is the activation
+        if l > 1:
+            a_in = a_in - state.z_minus[l - 1]
+        dW = (W != 0.0) * (d.T @ a_in)
         db = d.sum(axis=0)
         if l == L - 1:
             db = (b != 0.0) * db

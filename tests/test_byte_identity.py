@@ -7,8 +7,8 @@ sha256 of each CSV for every numeric environment it was recorded in (numpy
 version, ``OPENBLAS_NUM_THREADS`` and core count).  The norms in the tensor
 trace and in the SDL error curves are numpy's pairwise sums, not BLAS dots,
 so their bits do not follow the BLAS thread count; a second test runs the
-SDL and the tensor commands with one and with two BLAS threads and compares
-the hashes.
+SDL, the ReLU and the tensor commands with one and with two BLAS threads and
+compares the hashes.
 
 Contract for a change that alters emitted bits (a speed-up that reorders
 floating-point work, a new inner solver, a fixed defect):
@@ -114,7 +114,7 @@ def test_emitted_csvs_match_golden(tmp_path, monkeypatch, capsys):
                json.dumps(got, indent=1)))
 
 
-@pytest.mark.parametrize("command", [COMMANDS[0], COMMANDS[2]], ids=["sdl", "tensor"])
+@pytest.mark.parametrize("command", COMMANDS[:3], ids=["sdl", "relu", "tensor"])
 def test_emitted_csvs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
     # the command in two child processes, with one BLAS thread and with
     # two: every CSV it writes has the same bytes

@@ -19,6 +19,16 @@ The trial-point pass used to recompute every layer's ``relu(W)`` and
 pass, loss part and output adjoint are kept too, and the pass that reuses
 them must give their bits on fresh parameters, on a trial point's
 ``with_block`` parameters and from every start layer.
+
+Layer 0's ``z-`` is zero by construction, and the pass keeps it as a
+read-only zero view that no product reads: layer 1's forward products (the
+output's, with one hidden layer), block 1's weight gradient, layer 1's
+``z-`` adjoint and ``residual_grads``'s ``z+ - z-`` at layer 1 are dropped.
+Each dropped term is an exact ``+0.0`` added to a BLAS product, which is
+never ``-0.0``.  That argument rests on signed zeros, so the view, the
+pass, both parts' sweeps and ``residual_grads`` (against the difference
+sweep written over the reference pass) are checked on weights and inputs
+that hold both ``-0.0`` and ``+0.0``.
 """
 
 import weakref
@@ -268,6 +278,85 @@ def test_fast_path_matches_reference(depth, loss, grid, seed):
 def test_fast_path_matches_reference_on_ties(loss):
     task, theta = tie_case(loss)
     check_fast_path(task, theta, np.random.default_rng(27))
+
+
+SIGNED_GRID = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+def reference_residual(params, x, y, loss):
+    """``residual_grads`` with layer 1's input activation formed as ``z+ -
+    z-`` over the reference pass, whose layer-0 ``z-`` is an array of
+    zeros."""
+    X = _as_batch(x, params.input_dim)
+    state = reference_forward(params, X)
+    F = state.a_out - state.b_out
+    if loss == "mse":
+        d = 2.0 * (F - y.reshape(-1, 1))
+    else:
+        d = reference_softmax(F)
+        d[np.arange(F.shape[0]), y] -= 1.0
+    L = params.n_layers
+    grads = [None] * L
+    for l in range(L - 1, 0, -1):
+        W, b = params.layers[l]
+        if l < L - 1:
+            d = (state.pre[l] >= state.z_minus[l]) * e
+        dW = (W != 0.0) * (d.T @ (state.z_plus[l - 1] - state.z_minus[l - 1]))
+        db = d.sum(axis=0)
+        if l == L - 1:
+            db = (b != 0.0) * db
+        grads[l] = (dW, db)
+        e = d @ W
+    d = _relu_deriv(state.pre[0]) * e
+    grads[0] = (d.T @ X, d.sum(axis=0))
+    return grads
+
+
+def signed_zero_task(depth, loss, grid, seed):
+    """A ``build_task`` net and its inputs with signed zeros: on the grid,
+    every value is drawn from ``SIGNED_GRID``; off it, each zero of the
+    Gaussian draw gets a random sign."""
+    rng = np.random.default_rng(seed)
+    task, theta = build_task(rng, depth, loss, grid)
+    x = np.array(task.inputs, dtype=float)
+    if grid:
+        theta = rng.choice(SIGNED_GRID, size=theta.size)
+        x = rng.choice(SIGNED_GRID, size=x.shape)
+    else:
+        for v in (theta, x):
+            zero = v == 0.0
+            v[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+    params = task.net.with_vector(theta)
+    return params, x, relu.loss_labels(params, task.labels, loss)
+
+
+@settings(max_examples=150, deadline=None)
+@given(*MLP_CASES)
+def test_layer0_z_minus_is_a_read_only_zero_view(depth, loss, grid, seed):
+    params, x, y = signed_zero_task(depth, loss, grid, seed)
+    state = relu.forward_split(params, x)
+    zero = state.z_minus[0]
+    assert zero.shape == state.pre[0].shape and zero.dtype == np.float64
+    assert all(s == 0 for s in zero.strides)
+    assert not zero.flags.writeable
+    assert zero.tobytes() == np.zeros_like(state.pre[0]).tobytes()
+    for start in range(1, params.n_layers):
+        assert relu.forward_split(params, x, start, state).z_minus[0] is zero
+
+    want = reference_forward(params, x)
+    for name in ("pre", "z_plus", "z_minus"):
+        for l, (a, b) in enumerate(zip(getattr(state, name), getattr(want, name))):
+            assert_same(a, b, "%s[%d]" % (name, l))
+    assert_same(state.a_out, want.a_out, "a_out")
+    assert_same(state.b_out, want.b_out, "b_out")
+    for part, fn in (("g", relu.block_grad_g), ("h", relu.block_grad_h)):
+        for l in range(params.n_layers):
+            assert_same(fn(params, x, y, loss, l, state),
+                        reference_sweep(params, x, y, loss, part, l),
+                        "%s block %d" % (part, l))
+    got = relu.residual_grads(params, x, y, loss, state)
+    for l, ref in enumerate(reference_residual(params, x, y, loss)):
+        assert_same(got[l], ref, "residual block %d" % l)
 
 
 def test_block_solve_computes_frozen_split_weights_at_most_once(monkeypatch):

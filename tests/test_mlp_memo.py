@@ -104,6 +104,12 @@ def test_tail_pass_on_ties_and_kinks(loss):
     for start in (-1, task.net.n_layers):
         with pytest.raises(IndexError):
             relu.forward_split(task.net, task.inputs, start, lower)
+    with pytest.raises(ValueError, match="layer 1 .* 6 rows, the lower pass "
+                       "is missing"):
+        relu.forward_split(task.net, task.inputs, 1)
+    with pytest.raises(ValueError, match="layer 2 .* 5 rows, the lower pass "
+                       "has 6"):
+        relu.forward_split(task.net, task.inputs[:5], 2, lower)
 
 
 def check_residual(task, theta, rng):
