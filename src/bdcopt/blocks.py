@@ -1,11 +1,13 @@
 """Coordinate-block bookkeeping: partitions, the one full-precision CSV
-format every emitted table uses, the one rule every numeric setting
-keeps, and the one check of finite problem data.
+format every emitted table uses, the rules every setting and every count
+keep, and the one check of finite problem data.
 
 A partition splits the coordinates of a dense vector into contiguous,
 non-overlapping blocks.  Blocks are addressed by ``(offset, length)`` views,
 never by selection matrices, so extraction is O(1) slicing.
 """
+
+import numbers
 
 import numpy as np
 
@@ -14,6 +16,7 @@ __all__ = [
     "as_ints",
     "at_least",
     "BlockPartition",
+    "count",
     "write_csv",
     "vector_from_csv_row",
 ]
@@ -26,6 +29,15 @@ def at_least(name, value, low):
         raise ValueError("%s must be >= %d, got %r" % (name, low, value))
     if value == np.inf:
         raise ValueError("%s must be finite, got %r" % (name, value))
+
+
+def count(name, value, low=None):
+    """The count rule: ``value`` is an integer (a ``numbers.Integral``, so
+    ``2.0`` fails too) and, given a ``low``, keeps ``at_least``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if low is not None:
+        at_least(name, value, low)
 
 
 def all_finite(name, data):

@@ -2,9 +2,9 @@
 
 Subcommands: ``monomial``, ``sdl``, ``relu``, ``tensor``, ``plan-rho``, one
 entry each in ``COMMANDS``, which holds the subcommand's settings and their
-defaults; those of ``sdl``, ``relu`` and ``tensor`` (and ``monomial``'s
-``trials`` and ``tol``) are the keyword defaults of the drivers they feed,
-under the flag names of ``SDL_FLAGS``, ``GD_FLAGS`` and ``RELU_FLAGS``.
+defaults; those of ``sdl``, ``relu`` and ``tensor`` are the keyword
+defaults of the drivers they feed, under the flag names of ``SDL_FLAGS``,
+``GD_FLAGS`` and ``RELU_FLAGS``.
 Every flag but ``--config`` is a setting and every setting is a flag and a
 config key of the same name.  Configuration precedence is built-in defaults
 < ``--config`` file (flat ``key=value`` lines) < command-line flags.  One
@@ -36,9 +36,8 @@ import numpy as np
 
 from . import experiments
 from . import relu as relu_mod
-from .blocks import at_least, write_csv
-from .monomials import (Monomial, atoms_to_csv, bdc_block_decompose,
-                        check_verify_settings, dc_atom_bounds,
+from .blocks import at_least, count, write_csv
+from .monomials import (Monomial, atoms_to_csv, bdc_block_decompose, dc_atom_bounds,
                         merge_proportional, polarize, verify_identity)
 from .problems.sdl import VARIANTS, check_lq_q
 from .solvers import plan_rho
@@ -270,10 +269,7 @@ def _call(driver, flags, cfg, **given):
     return driver(**kwargs, **given)
 
 
-MONOMIAL_DEFAULTS = {
-    "b": (), "group": "", "csv": "", **_settings(verify_identity, {}),
-    "outdir": "",
-}
+MONOMIAL_DEFAULTS = {"b": (), "group": "", "csv": "", "outdir": ""}
 
 
 def cmd_monomial(cfg, manifest):
@@ -283,7 +279,6 @@ def cmd_monomial(cfg, manifest):
     m = Monomial(cfg["b"])
     if cfg["group"] and cfg["csv"]:  # the blocks have no single atom list
         raise ValueError("--group cannot be used with --csv")
-    check_verify_settings(cfg["trials"], cfg["tol"])  # before any atom is printed
     names = ["t%d" % (j + 1) for j in range(m.n_vars)]
     bounds = "bounds: lower=%d upper=%d" % dc_atom_bounds(m)
 
@@ -313,7 +308,7 @@ def cmd_monomial(cfg, manifest):
         for atom in dec.atoms:
             print(atom_str(atom, names))
 
-    ok, err = verify_identity(dec, m, trials=cfg["trials"], tol=cfg["tol"])
+    ok, err = verify_identity(dec, m)
     print("max_rel_err=%r" % float(err))
     print("verify=%s" % ("pass" if ok else "fail"))
     if not ok:
@@ -337,10 +332,10 @@ def cmd_sdl(cfg, manifest):
     if cfg["compare_gd"]:  # the GD comparison's checks, before the main sweep
         # the sizes first, in the order run_sdl_experiment checks them
         for key in ("m", "l", "n"):
-            at_least(key, cfg[key], 1)
+            count(key, cfg[key], 1)
         check_lq_q(cfg["q"], cfg["l"])  # it always runs the l1_lq penalty
         for key, low in (("gd_iters", 0), ("gd_seeds", 1)):
-            at_least(key, cfg[key], low)
+            count(key, cfg[key], low)
 
     res = _call(experiments.run_sdl_experiment, SDL_FLAGS, cfg, variants=variants)
 

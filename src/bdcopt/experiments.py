@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import relu
-from .blocks import at_least
+from .blocks import at_least, count
 from .model import residual_upper
 from .problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs, sine_regression
 from .problems.sdl import (VARIANTS, SdlInstance, SdlProblem, check_lq_q,
@@ -46,8 +46,8 @@ class SdlExperimentResult:
 
 def _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol):
     for name, value in (("m", m), ("l", l), ("n", n), ("n_seeds", n_seeds)):
-        at_least(name, value, 1)
-    at_least("n_outer", n_outer, 0)
+        count(name, value, 1)
+    count("n_outer", n_outer, 0)
     at_least("inner_tol", inner_tol, 0)
 
 
@@ -98,10 +98,10 @@ def run_sdl_experiment(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
 
     Reconstruction error is ``||Y - D X||_F / ||Y||_F``; sparsity counts exact
     zeros in the code matrix (the soft-threshold step produces exact zeros).
-    An ``m``, ``l``, ``n`` or ``n_seeds`` below 1, a negative ``n_outer``, a
-    negative or non-finite ``inner_tol``, ``variants`` empty or naming
-    anything but ``"l1"`` and ``"l1_lq"``, or an invalid ``q`` for the
-    ``l1_lq`` variant raises before any run starts.
+    A non-integer count, an ``m``, ``l``, ``n`` or ``n_seeds`` below 1, a
+    negative ``n_outer``, a negative or non-finite ``inner_tol``,
+    ``variants`` empty or naming anything but ``"l1"`` and ``"l1_lq"``, or
+    an invalid ``q`` for the ``l1_lq`` variant raises before any run starts.
     """
     _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol)
     if not variants or not set(variants) <= set(VARIANTS):
@@ -145,9 +145,9 @@ def run_sdl_gd_comparison(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
 
     One oracle call is one block-gradient evaluation: block-DC spends its
     inner iterations, the baseline spends one call per joint step.  Returns
-    per-seed final objectives and the call budget.  An ``m``, ``l``, ``n``
-    or ``n_seeds`` below 1, a negative ``n_outer`` or a negative or
-    non-finite ``inner_tol`` raises before any run starts.
+    per-seed final objectives and the call budget.  A non-integer count, an
+    ``m``, ``l``, ``n`` or ``n_seeds`` below 1, a negative ``n_outer`` or a
+    negative or non-finite ``inner_tol`` raises before any run starts.
     """
     _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol)
     rows = []
@@ -197,59 +197,51 @@ def _build_task(task, layer_dims, n_data, n_classes, rng_data, rng_init):
 
 def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=3,
                         epochs=5, batch_size=16, rho=1.0, theory_preset=False,
-                        rho_coeff=0.5, batch_coeff=0.5, inner_budget=25,
-                        inner_tol=1e-8, stride=10, delta=0.25, seed=0):
+                        inner_budget=25, stride=10, seed=0):
     """Stochastic proximal block-DC training of a toy network.
 
     Records the loss curve and, every ``stride`` iterations, the local
     smoothness estimate of the convex side along the realized update of the
     selected block (log gradient norm vs log estimate scatter).
-    With ``theory_preset`` the proximal weight and minibatch size scale with
-    sqrt(total iterations).  An ``n_data`` or ``batch_size`` below 1, a
+    With ``theory_preset`` the proximal weight and minibatch size follow
+    ``sqrt_k_preset`` of the total iteration count.  A non-integer count, an
+    ``n_data``, ``batch_size`` or ``inner_budget`` below 1, a
     negative ``epochs`` or ``stride`` (0 records no estimates), a negative or
-    non-finite ``rho``, ``rho_coeff`` or ``batch_coeff``, a ``delta`` outside
-    ``(0, 1]`` or, for ``blobs``, ``n_classes`` below 2 raises before any
-    solve, with or without the preset.  A non-finite gradient norm or
-    smoothness ratio at a recorded point raises ``ValueError`` naming the
-    iteration and the block.
+    non-finite ``rho`` or, for ``blobs``, ``n_classes`` below 2 raises
+    before any solve, with or without the preset.  A non-finite gradient
+    norm or smoothness ratio at a recorded point raises ``ValueError``
+    naming the iteration and the block.
     """
-    at_least("n_data", n_data, 1)
+    count("n_data", n_data, 1)
     if task == "blobs":  # sine regression has no classes
-        at_least("n_classes", n_classes, 2)
-    at_least("epochs", epochs, 0)
-    at_least("batch_size", batch_size, 1)
-    at_least("stride", stride, 0)
+        count("n_classes", n_classes, 2)
+    count("epochs", epochs, 0)
+    count("batch_size", batch_size, 1)
+    count("stride", stride, 0)
     at_least("rho", rho, 0)  # as given: the preset replaces it
-    at_least("rho_coeff", rho_coeff, 0)
-    at_least("batch_coeff", batch_coeff, 0)
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1], got %r" % (delta,))
     mlp_task = _build_task(task, layer_dims, n_data, n_classes,
                            substream(seed, "data"), substream(seed, "init"))
     problem = MlpTaskProblem(mlp_task)
     n_iters = epochs * max(1, int(np.ceil(n_data / batch_size)))
     if theory_preset and n_iters > 0:
-        rho, batch_size = sqrt_k_preset(n_iters, rho_coeff, batch_coeff)
+        rho, batch_size = sqrt_k_preset(n_iters)
 
     scatter = []
-    state = {"prev": problem.initial_point()}
 
-    def callback(k, theta_next, record):
-        prev = state["prev"]
+    def callback(k, theta, theta_next, record):
         if stride > 0 and k % stride == 0:
             i = record.block
-            # the gradient at prev first: the estimate's base gradient is then a hit
-            gnorm = float(np.linalg.norm(problem.grad_g_block(i, prev)))
+            # the gradient at theta first: the estimate's base gradient is then a hit
+            gnorm = float(np.linalg.norm(problem.grad_g_block(i, theta)))
             if not math.isfinite(gnorm):
                 raise ValueError("non-finite gradient norm at k=%d, block %d: %r"
                                  % (k, i, gnorm))
-            lhat = smoothness_estimate(problem, prev, theta_next, i, delta=delta)
+            lhat = smoothness_estimate(problem, theta, theta_next, i)
             if lhat > 0 and gnorm > 0:
                 scatter.append((float(np.log(gnorm)), float(np.log(lhat)), k, i))
-        state["prev"] = np.array(theta_next)
 
     cfg = SolverConfig(n_iters=n_iters, rho=rho, inner_budget=inner_budget,
-                       inner_tol=inner_tol, seed=seed, batch_size=batch_size)
+                       seed=seed, batch_size=batch_size)
     trace = run(problem, cfg, callback=callback)
     loss_rows = [(r.k, r.f, r.residual_upper) for r in trace.records]
     if trace.records:
@@ -273,16 +265,16 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0)
     here escapes it: at 40 sweeps on dims (20, 30, 40) with rank 5, about one
     seed in six (seeds 8, 12, 28, 32, 34, 35 and 36 of 0-40) ends at relative
     error 0.26-0.47.  ``tensor_stalled(rows, noise)`` gives the verdict.
-    Bad ``dims``, a ``rank`` below 1, negative ``sweeps``, or a negative,
-    NaN or infinite ``noise`` raise before any solve.  So does a noise large
-    enough to overflow the tensor, which ``CpInstance`` rejects as
-    non-finite data, or one that leaves the tensor finite but makes the
-    starting objective overflow.
+    Bad ``dims``, a non-integer ``rank`` or ``sweeps``, a ``rank`` below 1,
+    negative ``sweeps``, or a negative, NaN or infinite ``noise`` raise
+    before any solve.  So does a noise large enough to overflow the tensor,
+    which ``CpInstance`` rejects as non-finite data, or one that leaves the
+    tensor finite but makes the starting objective overflow.
     """
     if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
         raise ValueError("dims must be 2 to 4 positive mode sizes")
-    at_least("rank", rank, 1)
-    at_least("sweeps", sweeps, 0)
+    count("rank", rank, 1)
+    count("sweeps", sweeps, 0)
     at_least("noise", noise, 0)
     rng_data = substream(seed, "data")
     true = [rng_data.standard_normal((m, rank)) for m in dims]

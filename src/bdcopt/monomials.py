@@ -21,7 +21,7 @@ from math import comb, factorial, gcd, lcm, prod
 
 import numpy as np
 
-from .blocks import as_ints, at_least, write_csv
+from .blocks import as_ints, at_least, count, write_csv
 
 __all__ = [
     "Monomial",
@@ -33,7 +33,6 @@ __all__ = [
     "dc_atom_bounds",
     "bdc_block_decompose",
     "verify_identity",
-    "check_verify_settings",
     "expand_exact",
     "atoms_to_csv",
 ]
@@ -289,25 +288,21 @@ def bdc_block_decompose(monomial, grouping):
     return BlockDecomposition(parts=parts, target=monomial)
 
 
-def check_verify_settings(trials, tol):
-    """The setting rule for ``trials`` (at least 1) and ``tol`` (at least 0)."""
-    at_least("trials", trials, 1)
-    at_least("tol", tol, 0)
-
-
 def verify_identity(dec, monomial, trials=100, tol=1e-6):
     """Check a decomposition against the monomial at random points.
 
     Samples ``trials`` points uniformly from ``[-2, 2]^n`` (a generator
     seeded with 0, so a check replays) and compares the
     decomposition value with the monomial value, scaling the error by
-    ``max(1, |monomial|)`` pointwise.
+    ``max(1, |monomial|)`` pointwise.  A non-integer ``trials`` or one below
+    1, or a negative or non-finite ``tol``, raises ``ValueError``.
 
     Returns
     -------
     (passed, max_rel_err) : (bool, float)
     """
-    check_verify_settings(trials, tol)
+    count("trials", trials, 1)
+    at_least("tol", tol, 0)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-2.0, 2.0, size=(trials, monomial.n_vars))
     want = monomial.evaluate(pts)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..blocks import at_least
+from ..blocks import count
 from ..model import BdcProblem, InnerSolverDivergence, SampleHandle
 from .. import relu
 
@@ -139,7 +139,7 @@ class MlpTaskProblem(BdcProblem):
 
     def sample(self, rng, batch_size):
         # key drawn from the caller's generator: replayable, no shared state
-        at_least("batch_size", batch_size, 1)
+        count("batch_size", batch_size, 1)
         idx = rng.integers(0, self.n_data, size=batch_size)  # i.i.d. draws
         return SampleHandle(key=int(rng.integers(2 ** 31)), indices=idx)
 

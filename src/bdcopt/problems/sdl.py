@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model import BallProductDomain, BdcProblem
-from ..blocks import BlockPartition, all_finite, at_least
+from ..blocks import BlockPartition, all_finite, at_least, count
 
 __all__ = [
     "sdl_synthetic",
@@ -54,7 +54,7 @@ def sdl_synthetic(m=10, l=32, n=100, k_nonzero=5, seed=0):
     every column of ``X*`` has exactly ``k_nonzero`` standard normal entries
     at uniformly chosen positions.  Deterministic given ``seed``.
     """
-    at_least("k_nonzero", k_nonzero, 1)
+    count("k_nonzero", k_nonzero, 1)
     if k_nonzero > l:
         raise ValueError("k_nonzero cannot exceed the number of atoms")
     rng = np.random.default_rng(seed)
@@ -134,7 +134,8 @@ def lq_subgrad(x, Q):
 
 
 def check_lq_q(Q, l):
-    """Reject a largest-Q count outside ``[1, l]`` for ``l`` atoms."""
+    """Reject a largest-Q count that is not an integer in ``[1, l]``."""
+    count("Q", Q)
     if not 1 <= Q <= l:
         raise ValueError("Q must lie in [1, l] for the l1_lq variant, "
                          "got Q=%r with l=%d" % (Q, l))

@@ -156,9 +156,13 @@ class MlpParams:
         return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in self.layers])
 
     def with_vector(self, theta):
-        """New parameter set with values taken from a flat vector; its
-        arrays are views into ``theta``."""
+        """New parameter set with values taken from a flat vector of the
+        parameter count (else ``ValueError``); its arrays are views into it."""
         theta = np.asarray(theta, dtype=float)
+        n_params = sum(W.size + b.size for W, b in self.layers)
+        if theta.size != n_params:
+            raise ValueError("vector length does not match parameter count: "
+                             "got %d, need %d" % (theta.size, n_params))
         layers = []
         pos = 0
         for W, b in self.layers:
@@ -167,8 +171,6 @@ class MlpParams:
             b_new = theta[pos:pos + b.size]
             pos += b.size
             layers.append((w_new, b_new))
-        if pos != theta.size:
-            raise ValueError("vector length does not match parameter count")
         return MlpParams(layers)
 
 def random_params(layer_dims, rng):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import at_least, write_csv
+from .blocks import at_least, count, write_csv
 from .model import InnerSolverDivergence, residual_blocks
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 
 def substream(master_seed, name):
     """Named, replayable random substream derived from one master seed."""
-    at_least("seed", master_seed, 0)
+    count("seed", master_seed, 0)
     return np.random.default_rng([int(master_seed), zlib.crc32(name.encode())])
 
 
@@ -65,12 +65,12 @@ class SolverConfig:
     batch_size: int | None = None
 
     def __post_init__(self):
-        at_least("n_iters", self.n_iters, 0)
+        count("n_iters", self.n_iters, 0)
         at_least("rho", self.rho, 0)
-        at_least("inner_budget", self.inner_budget, 1)
+        count("inner_budget", self.inner_budget, 1)
         at_least("inner_tol", self.inner_tol, 0)
         if self.batch_size is not None:
-            at_least("batch_size", self.batch_size, 1)
+            count("batch_size", self.batch_size, 1)
 
 
 @dataclass
@@ -122,11 +122,11 @@ def bdca_step(problem, theta, i, rho=0.0, budget=100, tol=1e-8):
     every oracle of the step is evaluated on that minibatch.  Returns
     ``(theta_new, inner_iters)`` and raises ``InnerSolverDivergence`` when
     the surrogate did not descend or either surrogate value is NaN.  A
-    ``rho`` or ``tol`` that is negative or not finite, or a ``budget`` below
-    1, raises ``ValueError``.
+    ``rho`` or ``tol`` that is negative or not finite, or a ``budget`` that
+    is not an integer of at least 1, raises ``ValueError``.
     """
     at_least("rho", rho, 0)
-    at_least("inner budget", budget, 1)
+    count("inner budget", budget, 1)
     at_least("tol", tol, 0)
     theta = np.asarray(theta, dtype=float)
     sl = problem.partition.slice_of(i)
@@ -155,10 +155,11 @@ def run(problem, config, theta0=None, callback=None):
     full-data point of the records outlives the step.  Each record holds
     the state *before* the step (f, per-block g/h, residual) plus the step
     itself (norm, inner iterations: the problem's own count, for the MLP
-    problems the bundle iterations).  ``callback(k, theta_next, record)`` is
-    invoked after every iteration.  A non-finite ``f`` or step norm raises
-    ``ValueError`` naming the iteration, the block and the value, and so
-    does a non-finite ``final_f``, at ``k = n_iters``.
+    problems the bundle iterations).  ``callback(k, theta, theta_next,
+    record)`` follows every step, from ``theta`` to ``theta_next``.  A
+    non-finite ``f`` or step norm raises ``ValueError`` naming the
+    iteration, the block and the value, and so does a non-finite
+    ``final_f``, at ``k = n_iters``.
     """
     theta = np.array(
         theta0 if theta0 is not None else problem.initial_point(), dtype=float)
@@ -198,9 +199,9 @@ def run(problem, config, theta0=None, callback=None):
             inner_iters=inner,
             block_grad_gap=block_gap, noise_norm=noise_norm,
             sample_key=None if handle is None else handle.key))
-        theta = theta_next
         if callback is not None:
-            callback(k, theta, trace.records[-1])
+            callback(k, theta, theta_next, trace.records[-1])
+        theta = theta_next
 
     trace.final_theta = theta
     trace.final_f = float(problem.eval_f(theta))
@@ -322,27 +323,26 @@ def plan_rho(ell, G, R):
     return RhoPlan(E=E, L_eff=L_eff, rho_min=rho_from(E, L_eff, R))
 
 
-def sqrt_k_preset(n_iters, rho_coeff=0.5, batch_coeff=0.5):
-    """sqrt(K)-scaled proximal weight and minibatch size for stochastic runs."""
+def sqrt_k_preset(n_iters):
+    """The stochastic schedule of ``n_iters = K`` iterations: proximal weight
+    ``rho = 0.5 sqrt(K)`` and minibatch size ``max(1, ceil(0.5 sqrt(K)))``."""
     root = float(np.sqrt(n_iters))
-    return rho_coeff * root, max(1, int(np.ceil(batch_coeff * root)))
+    return 0.5 * root, max(1, int(np.ceil(0.5 * root)))
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def smoothness_estimate(problem, theta_k, theta_next, i, delta=0.25):
+def smoothness_estimate(problem, theta_k, theta_next, i):
     """Secant estimate of the local smoothness of g_i along the last update.
 
-    Probes ``gamma = k delta`` for ``k = 1, ..., floor(1 / delta)`` along
-    ``d = block update`` and returns the largest gradient-variation ratio
+    Probes ``gamma = 0.25, 0.5, 0.75, 1`` along ``d = block update`` and
+    returns the largest gradient-variation ratio
     ``||grad g_i(theta + gamma d) - grad g_i(theta)|| / (gamma ||d||)``.
     Returns 0 when the block did not move.  A non-finite ratio raises
     ``ValueError`` naming the block, ``gamma`` and the value.
     """
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1], got %r" % (delta,))
     theta_k = np.asarray(theta_k, dtype=float)
     sl = problem.partition.slice_of(i)
     d = np.asarray(theta_next, dtype=float)[sl] - theta_k[sl]
@@ -351,9 +351,7 @@ def smoothness_estimate(problem, theta_k, theta_next, i, delta=0.25):
         return 0.0
     g0 = problem.grad_g_block(i, theta_k)
     best = 0.0
-    n_steps = int(np.floor(1.0 / delta + 1e-12))
-    for step in range(1, n_steps + 1):
-        gamma = step * delta
+    for gamma in (0.25, 0.5, 0.75, 1.0):
         trial = theta_k.copy()
         trial[sl] = theta_k[sl] + gamma * d
         g1 = problem.grad_g_block(i, trial)

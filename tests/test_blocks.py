@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdcopt.blocks import BlockPartition, vector_from_csv_row, write_csv
+from bdcopt.experiments import (run_relu_experiment, run_sdl_experiment,
+                                run_tensor_experiment)
 from bdcopt.model import (AffineBdcMap, SingletonConjugate, combine_linear,
                           conjugate_compose)
 from bdcopt.monomials import (Monomial, bdc_block_decompose, polarize,
@@ -12,7 +14,8 @@ from bdcopt.monomials import (Monomial, bdc_block_decompose, polarize,
 from bdcopt.problems import (CpInstance, QuadraticDcProblem, SdlInstance,
                              sdl_synthetic)
 from bdcopt.relu import MlpParams
-from bdcopt.solvers import SolverConfig, bdca_step, compute_E, gap_L, rho_from
+from bdcopt.solvers import (SolverConfig, bdca_step, compute_E, gap_L, rho_from,
+                            substream)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -45,6 +48,34 @@ def test_library_entries_reject_non_finite_settings(name, call):
         call()
 
 
+SMALL_SDL = dict(n_outer=1, n_seeds=1, variants=("l1_lq",))
+SMALL_RELU = dict(layer_dims=(4,), n_data=20, epochs=1)
+
+
+@pytest.mark.parametrize("name, value, call", [
+    ("n_outer", 1.5, lambda: run_sdl_experiment(**dict(SMALL_SDL, n_outer=1.5))),
+    ("Q", 2.5, lambda: run_sdl_experiment(**SMALL_SDL, q=2.5)),
+    ("inner budget", 2.5, lambda: run_sdl_experiment(**SMALL_SDL, inner_x=2.5)),
+    ("epochs", 1.5, lambda: run_relu_experiment(**dict(SMALL_RELU, epochs=1.5))),
+    ("rank", 2.5, lambda: run_tensor_experiment(rank=2.5)),
+    ("stride", 2.5, lambda: run_relu_experiment(**SMALL_RELU, stride=2.5)),
+    ("inner_budget", 2.5, lambda: run_relu_experiment(**SMALL_RELU, inner_budget=2.5)),
+    ("n_iters", 2.5, lambda: SolverConfig(n_iters=2.5)),
+    ("n_iters", 2.0, lambda: SolverConfig(n_iters=2.0)),
+    ("trials", 5.0, lambda: verify_identity(polarize(Monomial((1, 1))),
+                                            Monomial((1, 1)), trials=5.0)),
+    ("seed", 0.5, lambda: substream(0.5, "data")),
+], ids=["sdl_n_outer", "sdl_q", "sdl_inner_x", "relu_epochs", "tensor_rank",
+        "relu_stride", "relu_inner_budget", "config_n_iters", "config_n_iters_whole",
+        "verify_trials", "substream_seed"])
+def test_counts_must_be_integers(name, value, call):
+    """Every count goes through one rule: a value that is not an integer
+    raises, named, before it can fail elsewhere or be truncated."""
+    with pytest.raises(ValueError, match="^%s must be an integer, got %s$"
+                       % (re.escape(name), re.escape(repr(value)))):
+        call()
+
+
 def layer(rows, cols):
     return np.ones((rows, cols)), np.zeros(rows)
 
@@ -63,7 +94,9 @@ MALFORMED = [
     ("mlp_chain", lambda: MlpParams([layer(2, 3), layer(1, 4)]),
      "layer 1 input dim does not chain"),
     ("mlp_with_vector", lambda: MlpParams([layer(2, 3), layer(1, 2)]).with_vector(
-        np.zeros(12)), "vector length does not match parameter count"),
+        np.zeros(12)), "vector length does not match parameter count: got 12, need 11"),
+    ("mlp_with_vector_short", lambda: MlpParams([layer(2, 3), layer(1, 2)]).with_vector(
+        np.zeros(5)), "vector length does not match parameter count: got 5, need 11"),
     ("combine_linear", lambda: combine_linear([quadratic(), quadratic()], [1.0]),
      "one weight per problem required"),
     ("affine_map_width", lambda: AffineBdcMap(BlockPartition([2, 1]),

@@ -78,8 +78,7 @@ def test_relu_experiment_sine_task_descends():
 def test_relu_experiment_theory_preset_scales_with_iterations():
     res = run_relu_experiment(task="blobs", layer_dims=(6,), n_data=60,
                               epochs=4, batch_size=10, theory_preset=True,
-                              rho_coeff=0.5, batch_coeff=0.5, stride=0,
-                              inner_budget=10, seed=3)
+                              stride=0, inner_budget=10, seed=3)
     n_iters = len(res.trace.records)
     assert res.rho == pytest.approx(0.5 * np.sqrt(n_iters))
     assert res.batch_size == int(np.ceil(0.5 * np.sqrt(n_iters)))
@@ -176,10 +175,12 @@ def test_sdl_experiment_checks_variants_before_any_step(monkeypatch, variants):
 
 def test_relu_scatter_rejects_a_non_finite_gradient_norm(monkeypatch):
     def nan_run(problem, config, callback):
-        # the iterate turns NaN at k=1, so the point recorded at k=2 is NaN
-        theta = np.full(problem.partition.total_dim, np.nan)
+        # the iterate turns NaN at k=1, so the step recorded at k=2 starts at NaN
+        theta = problem.initial_point()
+        nan = np.full(problem.partition.total_dim, np.nan)
         for k in (1, 2):
-            callback(k, theta, SimpleNamespace(block=0))
+            callback(k, theta, nan, SimpleNamespace(block=0))
+            theta = nan
         return IterTrace()
 
     monkeypatch.setattr(experiments, "run", nan_run)

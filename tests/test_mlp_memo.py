@@ -228,15 +228,16 @@ def test_minibatch_step_keeps_the_full_data_point(monkeypatch):
     monkeypatch.setattr(relu, "forward_split", counting)
     new_passes = []
 
-    def callback(k, theta_next, record):
+    def callback(k, theta, theta_next, record):
+        # theta is the point the step started from: theta_0
         kept, before = prob._last, len(passes)
-        prob.grad_g_block(record.block, theta0)
+        prob.grad_g_block(record.block, theta)
         new_passes.append(passes[before:])
         batch = prob.on(SampleHandle(key=1, indices=np.arange(8)))
         for name in ORACLES[1:]:
             getattr(batch, name)(record.block, theta_next)
-        batch.residual_blocks(theta0)
-        assert prob._last is kept and kept.key == theta0.tobytes()
+        batch.residual_blocks(theta)
+        assert prob._last is kept and kept.key == theta0.tobytes() == theta.tobytes()
 
     run(prob, SolverConfig(n_iters=1, rho=2.0, inner_budget=3, batch_size=4),
         callback=callback)

@@ -465,7 +465,7 @@ class TestSmoothnessEstimate:
         theta_next[:3] += d
         Q = prob.A[:, :3].T @ prob.A[:, :3]
         want = np.linalg.norm(Q @ d) / np.linalg.norm(d)
-        got = smoothness_estimate(prob, theta, theta_next, 0, delta=0.25)
+        got = smoothness_estimate(prob, theta, theta_next, 0)
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_quartic_scalar_example(self):
@@ -482,30 +482,30 @@ class TestSmoothnessEstimate:
                 return 0.0
 
             def grad_g_block(self, i, theta):
+                points.append(float(theta[0]))
                 return np.array([4.0 * theta[0] ** 3])
 
             def subgrad_h_block(self, i, theta):
                 return np.zeros(1)
 
+        points = []
         prob = Quartic()
-        got = smoothness_estimate(prob, np.array([1.0]), np.array([2.0]), 0, delta=0.25)
-        assert got == pytest.approx(28.0, rel=1e-12)
-        single = smoothness_estimate(prob, np.array([1.0]), np.array([2.0]), 0, delta=1.0)
-        assert single == pytest.approx(abs(4 * 2.0 ** 3 - 4.0), rel=1e-12)
+        # g' = 4t^3 at the probes t + gamma d, gamma = 0.25, 0.5, 0.75, 1, of
+        # t = 1, d = 1: 7.8125, 13.5, 21.4375, 32, so the secants from
+        # g'(1) = 4 are 15.25, 19, 23.25 and 28, largest on the last probe
+        assert smoothness_estimate(prob, np.array([1.0]), np.array([2.0]), 0) == 28.0
+        assert points == [1.0, 1.25, 1.5, 1.75, 2.0]
+        # from t = 2 back to 1 the secants from g'(2) = 32 are 42.25, 37,
+        # 32.25 and 28, largest on the first probe
+        points.clear()
+        assert smoothness_estimate(prob, np.array([2.0]), np.array([1.0]), 0) == 42.25
+        assert points == [2.0, 1.75, 1.5, 1.25, 1.0]
 
     def test_zero_update_gives_zero(self):
         part = BlockPartition([2])
         prob = identity_quadratic(part, [0.0, 0.0])
         theta = np.ones(2)
         assert smoothness_estimate(prob, theta, theta, 0) == 0.0
-
-    @pytest.mark.parametrize("delta", [0.0, 2.0, float("nan")])
-    def test_delta_outside_unit_interval_names_the_value(self, delta):
-        prob = identity_quadratic(BlockPartition([2]), [0.0, 0.0])
-        message = r"^delta must lie in \(0, 1\], got %r$" % delta
-        with pytest.raises(ValueError, match=message):
-            smoothness_estimate(prob, np.zeros(2), np.ones(2), 0, delta=delta)
-
 
     def test_non_finite_probe_gradient_names_block_gamma_and_value(self):
         class NanAwayFromStart(QuadraticMinusL1Problem):
