@@ -44,8 +44,9 @@ class SdlExperimentResult:
     sparsity: dict # variant -> (n_seeds, outer iterations + 1)
 
 
-def _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol):
-    for name, value in (("m", m), ("l", l), ("n", n), ("n_seeds", n_seeds)):
+def _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_x, inner_d, inner_tol):
+    for name, value in (("m", m), ("l", l), ("n", n), ("n_seeds", n_seeds),
+                        ("inner_x", inner_x), ("inner_d", inner_d)):
         count(name, value, 1)
     count("n_outer", n_outer, 0)
     at_least("inner_tol", inner_tol, 0)
@@ -98,12 +99,13 @@ def run_sdl_experiment(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
 
     Reconstruction error is ``||Y - D X||_F / ||Y||_F``; sparsity counts exact
     zeros in the code matrix (the soft-threshold step produces exact zeros).
-    A non-integer count, an ``m``, ``l``, ``n`` or ``n_seeds`` below 1, a
-    negative ``n_outer``, a negative or non-finite ``inner_tol``,
+    A non-integer count, an ``m``, ``l``, ``n``, ``n_seeds``, ``inner_x`` or
+    ``inner_d`` below 1, a negative ``n_outer``, a negative or non-finite
+    ``inner_tol``,
     ``variants`` empty or naming anything but ``"l1"`` and ``"l1_lq"``, or
     an invalid ``q`` for the ``l1_lq`` variant raises before any run starts.
     """
-    _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol)
+    _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_x, inner_d, inner_tol)
     if not variants or not set(variants) <= set(VARIANTS):
         raise ValueError("variants must name one or more of %s, got %r"
                          % (", ".join(map(repr, VARIANTS)), variants))
@@ -146,10 +148,11 @@ def run_sdl_gd_comparison(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
     One oracle call is one block-gradient evaluation: block-DC spends its
     inner iterations, the baseline spends one call per joint step.  Returns
     per-seed final objectives and the call budget.  A non-integer count, an
-    ``m``, ``l``, ``n`` or ``n_seeds`` below 1, a negative ``n_outer`` or a
-    negative or non-finite ``inner_tol`` raises before any run starts.
+    ``m``, ``l``, ``n``, ``n_seeds``, ``inner_x`` or ``inner_d`` below 1, a
+    negative ``n_outer`` or a negative or non-finite ``inner_tol`` raises
+    before any run starts.
     """
-    _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_tol)
+    _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_x, inner_d, inner_tol)
     rows = []
     for j in range(n_seeds):
         Y, D0 = _sdl_seed_data(seed, j, m, l, n, k_nonzero)
@@ -204,14 +207,16 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
     smoothness estimate of the convex side along the realized update of the
     selected block (log gradient norm vs log estimate scatter).
     With ``theory_preset`` the proximal weight and minibatch size follow
-    ``sqrt_k_preset`` of the total iteration count.  A non-integer count, an
-    ``n_data``, ``batch_size`` or ``inner_budget`` below 1, a
-    negative ``epochs`` or ``stride`` (0 records no estimates), a negative or
-    non-finite ``rho`` or, for ``blobs``, ``n_classes`` below 2 raises
-    before any solve, with or without the preset.  A non-finite gradient
+    ``sqrt_k_preset`` of the total iteration count.  A non-integer count or
+    ``layer_dims`` entry, an ``n_data``, ``batch_size`` or ``inner_budget``
+    below 1, a negative ``epochs`` or ``stride`` (0 records no estimates), a
+    negative or non-finite ``rho`` or, for ``blobs``, ``n_classes`` below 2
+    raises before any solve, with or without the preset.  A non-finite gradient
     norm or smoothness ratio at a recorded point raises ``ValueError``
     naming the iteration and the block.
     """
+    for k, d in enumerate(layer_dims):
+        count("layer_dims[%d]" % k, d)
     count("n_data", n_data, 1)
     if task == "blobs":  # sine regression has no classes
         count("n_classes", n_classes, 2)
@@ -271,6 +276,8 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0)
     which ``CpInstance`` rejects as non-finite data, or one that leaves the
     tensor finite but makes the starting objective overflow.
     """
+    for k, d in enumerate(dims):
+        count("dims[%d]" % k, d)
     if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
         raise ValueError("dims must be 2 to 4 positive mode sizes")
     count("rank", rank, 1)

@@ -10,8 +10,13 @@ product ``K`` of the other factors, and the block update solves the
 product of the other factors' Grams ``F_j^T F_j`` (``K^T K`` up to
 rounding), with ``K`` used only for the MTTKRP ``T_(i) K``.  The solve is
 the minimum-norm one, through ``eigh``: eigenvalues at or below
-``eps r w_max``, the cutoff ``lstsq`` applies, are dropped.  The objective
-is ``0.5 r . r`` over the flat residual, one ``einsum`` pass with no
+``eps r w_max``, the cutoff ``lstsq`` applies, are dropped.  ALS steps have
+``rho = 0``, and then the update adds nothing to the Gram's diagonal and
+forms no ``rho theta_i``.  Each Khatri-Rao product repeats the rows of its
+first operand and multiplies them in place by the second: one numpy loop
+per row of the first, over contiguous entries, and the products of the
+broadcast ``a[:, None, :] * b[None, :, :]`` bit for bit.  The objective is
+``0.5 r . r`` over the flat residual, one ``einsum`` pass with no
 temporary and no BLAS.  The oracles share one residual per point:
 ``eval_f``, ``eval_g``, ``grad_g_block`` and ``relative_error`` read the
 last point's ``reconstruction - T`` instead of rebuilding the tensor.  What
@@ -56,8 +61,16 @@ def _unfold(T, mode):
 
 
 def _khatri_rao(a, b):
-    """Column-wise Kronecker product of ``(I, R)`` and ``(J, R)`` matrices."""
-    return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
+    """Column-wise Kronecker product of ``(I, R)`` and ``(J, R)`` matrices,
+    row ``i J + j`` holding ``a[i] * b[j]``.  Each row of ``a`` is repeated
+    ``J`` times and multiplied in place by ``b``, broadcast over the leading
+    axis, so numpy runs ``I`` loops over ``J R`` contiguous entries where
+    the broadcast ``a[:, None, :] * b[None, :, :]`` runs ``I J`` loops of
+    length ``R``.  The products are the broadcast's, bit for bit: signed
+    zeros and an overflow's warning included."""
+    out = np.repeat(a, b.shape[0], axis=0).reshape(a.shape[0], *b.shape)
+    out *= b
+    return out.reshape(-1, a.shape[1])
 
 
 def _khatri_rao_others(factors, mode):
@@ -218,10 +231,15 @@ class CpProblem(BdcProblem):
         """Exact block minimizer of ``0.5 ||T - recon||^2 - <u, F_i> +
         rho/2 ||F_i - theta_i||^2``: the ``r x r`` normal equations
         ``F_i M = T_(i) K + u + rho theta_i`` with ``M`` the Hadamard Gram
-        of the other factors plus ``rho I`` (``K^T K`` in exact arithmetic),
-        solved for their minimum-norm solution by ``_min_norm_solve``, so an
-        exactly singular ``M`` (a zero factor column at ``rho = 0``) gives
-        the minimum-norm minimizer, as ``lstsq(K, T_(i)^T)`` would.  A
+        of the other factors plus ``rho I`` (``K^T K`` in exact arithmetic).
+        At ``rho = 0``, an ALS step, neither ``rho`` term is formed.  Adding
+        them at a finite ``theta_i`` could change a bit only by turning a ``-0.0`` of ``T_(i) K + u``
+        into ``+0.0``, and that sum is ``-0.0`` only where ``u`` is ``-0.0``
+        and the MTTKRP's sum underflowed to ``-0.0``; the step's ``u``, the
+        subgradient of the zero concave side, has no ``-0.0``.  The system
+        is solved for its minimum-norm solution by ``_min_norm_solve``, so
+        an exactly singular ``M`` (a zero factor column at ``rho = 0``)
+        gives the minimum-norm minimizer, as ``lstsq(K, T_(i)^T)`` would.  A
         nearly singular ``K`` does not: the cutoff acts on ``K^T K``, whose
         condition number is that of ``K`` squared, so singular values of
         ``K`` below about ``sqrt(r eps)`` of the largest are dropped where
@@ -231,9 +249,11 @@ class CpProblem(BdcProblem):
         ``lstsq(K)`` entries up to 5.8e9."""
         factors, K = self._factors_kr(theta, i)
         M = _hadamard_gram(factors, i)
-        M.reshape(-1)[::self.rank + 1] += rho  # on the diagonal
-        rhs = (self._unfolded[i] @ K + np.asarray(u).reshape(factors[i].shape)
-               + rho * factors[i])
+        rhs = self._unfolded[i] @ K
+        rhs += np.asarray(u).reshape(rhs.shape)
+        if rho > 0:
+            M.reshape(-1)[::self.rank + 1] += rho  # on the diagonal
+            rhs += rho * factors[i]
         return _min_norm_solve(M, rhs).ravel(), 1
 
     def relative_error(self, theta):

@@ -55,9 +55,12 @@ SMALL_RELU = dict(layer_dims=(4,), n_data=20, epochs=1)
 @pytest.mark.parametrize("name, value, call", [
     ("n_outer", 1.5, lambda: run_sdl_experiment(**dict(SMALL_SDL, n_outer=1.5))),
     ("Q", 2.5, lambda: run_sdl_experiment(**SMALL_SDL, q=2.5)),
-    ("inner budget", 2.5, lambda: run_sdl_experiment(**SMALL_SDL, inner_x=2.5)),
+    ("inner_x", 2.5, lambda: run_sdl_experiment(**SMALL_SDL, inner_x=2.5)),
     ("epochs", 1.5, lambda: run_relu_experiment(**dict(SMALL_RELU, epochs=1.5))),
     ("rank", 2.5, lambda: run_tensor_experiment(rank=2.5)),
+    ("dims[1]", 4.5, lambda: run_tensor_experiment(dims=(3, 4.5, 5))),
+    ("layer_dims[0]", 4.5, lambda: run_relu_experiment(
+        **dict(SMALL_RELU, layer_dims=(4.5,)))),
     ("stride", 2.5, lambda: run_relu_experiment(**SMALL_RELU, stride=2.5)),
     ("inner_budget", 2.5, lambda: run_relu_experiment(**SMALL_RELU, inner_budget=2.5)),
     ("n_iters", 2.5, lambda: SolverConfig(n_iters=2.5)),
@@ -66,6 +69,7 @@ SMALL_RELU = dict(layer_dims=(4,), n_data=20, epochs=1)
                                             Monomial((1, 1)), trials=5.0)),
     ("seed", 0.5, lambda: substream(0.5, "data")),
 ], ids=["sdl_n_outer", "sdl_q", "sdl_inner_x", "relu_epochs", "tensor_rank",
+        "tensor_dims", "relu_layer_dims",
         "relu_stride", "relu_inner_budget", "config_n_iters", "config_n_iters_whole",
         "verify_trials", "substream_seed"])
 def test_counts_must_be_integers(name, value, call):

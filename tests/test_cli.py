@@ -247,7 +247,7 @@ class TestSdlCommand:
         _, error, _ = run_failing(["sdl", "--inner-x", "0", "--inner-d", "0",
                                    "--iters", "3", "--seeds", "1", "--variant", "l1"],
                                   capsys, tmp_path)
-        assert error == "inner budget must be >= 1, got 0"
+        assert error == "inner_x must be >= 1, got 0"
 
     def test_compare_gd_checks_q_before_the_l1_sweep(self, capsys, tmp_path):
         _, error, _ = run_failing(["sdl", "--variant", "l1", "--compare-gd",

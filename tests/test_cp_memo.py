@@ -4,12 +4,15 @@ computation it replaced.
 The contract suite's replay (``cases.replay``) drives the memo and compares
 every call with the same call on a fresh problem, bit for bit, and here also
 with ``reference``, the call computed alone by the formulas the problem used
-before its Gram form.  What stays here is the CP's own: one reconstruction
-per update, four Khatri-Rao products per 3-mode sweep, the data the problem
-keeps from its tensor, and the tensor it reads.
+before its Gram form.  What stays here is the CP's own: the repeated-rows
+Khatri-Rao product and the ``rho = 0`` update against the broadcast and
+``+ rho F_i`` forms they replaced, one reconstruction per update, four
+Khatri-Rao products per 3-mode sweep, the data the problem keeps from its
+tensor, and the tensor it reads.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -93,6 +96,113 @@ def test_memo_matches_reference(n_modes, rank, grid, seed):
     inst = build_instance(rng, n_modes, rank, grid)
     replay(lambda: CpProblem(inst), rng, CP_ORACLES,
            check=lambda *args, **kwargs: near_reference(inst, *args, **kwargs))
+
+
+# Signed zeros, subnormals (whose products underflow to a signed zero) and
+# +-1e200 (whose products overflow to +-inf, and then to NaN against a zero)
+SIGNED_GRID = np.array([-1e200, -3.0, -1.0, -0.5, -1e-310, -5e-324, -0.0,
+                        0.0, 5e-324, 1e-310, 0.5, 1.0, 3.0, 1e200])
+
+
+def broadcast_khatri_rao(a, b):
+    """The Khatri-Rao product as the problem built it before: one broadcast
+    multiply, ``I J`` numpy loops of length ``R``."""
+    return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
+
+
+def broadcast_others(factors, mode):
+    return reduce(broadcast_khatri_rao,
+                  [F for j, F in enumerate(factors) if j != mode])
+
+
+def rhs_before_rho(T, factors, i, u):
+    return cp._unfold(T, i) @ broadcast_others(factors, i) + u.reshape(
+        factors[i].shape)
+
+
+def broadcast_update(T, factors, i, u, rho):
+    """The block update as built before the ``rho = 0`` skip: both ``rho``
+    terms added whatever ``rho`` is, on the broadcast product's MTTKRP."""
+    M = cp._hadamard_gram(factors, i)
+    M.reshape(-1)[::factors[i].shape[1] + 1] += rho
+    rhs = rhs_before_rho(T, factors, i, u) + rho * factors[i]
+    return cp._min_norm_solve(M, rhs).ravel(), 1
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type of the ``LinAlgError`` it raises: an
+    ``eigh`` of a Gram that overflowed may not converge."""
+    try:
+        return f(*args)
+    except np.linalg.LinAlgError as e:
+        return type(e)
+
+
+@st.composite
+def signed_factors(draw):
+    """2-4 factors of 1-40 rows and rank 1-6 on ``SIGNED_GRID`` (the tensor
+    they span kept to at most 4096 entries), with or without +-1e200, a
+    tensor and a ``u`` on the same grid, and a ``rho > 0``."""
+    rank = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(2, 4))):
+        rows.append(draw(st.integers(1, min(40, 4096 // math.prod(rows)))))
+    grid = SIGNED_GRID if draw(st.booleans()) else SIGNED_GRID[1:-1]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    factors = [rng.choice(grid, size=(m, rank)) for m in rows]
+    return (factors, rng.choice(grid, size=rows),
+            rng.choice(grid, size=max(rows) * rank),
+            draw(st.sampled_from([5e-324, 0.5, 1.0, 3.0, 1e200])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_factors())
+def test_khatri_rao_and_update_keep_every_bit(case):
+    # the repeated-rows Khatri-Rao product, the reconstruction, each MTTKRP
+    # and the block update against the broadcast and ``+ rho F_i`` forms
+    # they replaced, byte for byte.  The one exception is the rho = 0
+    # update where ``T_(i) K + u`` holds a -0.0 (a -0.0 of u where the
+    # MTTKRP underflowed to -0.0, as a fused multiply-add rounds a tiny
+    # negative sum): the old ``+ 0 F_i`` could make it +0.0, so only the
+    # values must agree there.  +-1e200 overflows, and the solve then
+    # meets NaN and zero divisions, alike on both sides; the test settings
+    # would make each warning an error.
+    factors, T, u, rho = case
+    with np.errstate(all="ignore"):
+        K = factors[0]
+        for F in factors[1:]:
+            got, K = cp._khatri_rao(K, F), broadcast_khatri_rao(K, F)
+            assert_same(got, K, "Khatri-Rao product")
+        assert_same(cp_reconstruct(factors),
+                    (factors[0] @ broadcast_others(factors, 0).T).reshape(T.shape),
+                    "cp_reconstruct")
+        for i in range(len(factors)):
+            T_i = cp._unfold(T, i)
+            assert_same(T_i @ cp._khatri_rao_others(factors, i),
+                        T_i @ broadcast_others(factors, i), "MTTKRP %d" % i)
+        inst = CpInstance(tensor=T, rank=factors[0].shape[1], factors=factors)
+        theta = CpProblem(inst).initial_point()
+        for i, F in enumerate(factors):
+            u_i = u[:F.size].copy()
+            for r in (0.0, rho):
+                what = "update %d at rho %r" % (i, r)
+                got = outcome(CpProblem(inst).minimize_block_surrogate,
+                              i, theta, u_i, r, 1, 0.0)
+                want = outcome(broadcast_update, T, factors, i, u_i, r)
+                s = rhs_before_rho(T, factors, i, u_i)
+                exact = r > 0 or not np.any(np.signbit(s) & (s == 0))
+                if exact or isinstance(want, type):
+                    assert_same(got, want, what)
+                else:
+                    assert got[1] == want[1]
+                    assert np.array_equal(got[0], want[0], equal_nan=True), what
+
+
+def test_khatri_rao_warns_on_overflow_like_the_broadcast():
+    a = np.array([[1e200, 1.0]])
+    for kr in (cp._khatri_rao, broadcast_khatri_rao):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert np.array_equal(kr(a, a), [[np.inf, 1.0]])
 
 
 @pytest.mark.parametrize("sweeps", [1, 4])
