@@ -225,7 +225,11 @@ def dc_atom_bounds(monomial):
     Inert variables (zero exponent) are ignored.  With the active exponents
     sorted ascending: even total degree gives the range
     ``prod_{i>=2}(b_i+1) .. floor(prod(b_i+1) / 2)``; odd total degree is
-    exact at ``prod(b_i+1)``.
+    exact at ``prod(b_i+1)``.  The lower bound ``prod_{i>=2}(b_i+1)`` is the
+    Waring rank of the monomial, the fewest powers of linear forms that sum
+    to it (Carlini, Catalisano and Geramita, "The solution to the Waring
+    problem for monomials and the sum of coprime monomials", J. Algebra
+    370, 2012).
 
     Returns
     -------

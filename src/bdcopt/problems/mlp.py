@@ -58,15 +58,15 @@ class MlpTask:
 
 
 class _Point:
-    """One evaluated point: its parameters and split forward pass, plus its
-    loss parts, each part's block gradients and the stationarity vectors
-    once asked for."""
+    """One evaluated point: its parameters and split forward pass, plus each
+    loss part, each part's block gradients and the stationarity vectors once
+    asked for."""
 
     __slots__ = ("key", "params", "state", "parts", "grads", "residual")
 
     def __init__(self, key, params, state):
         self.key, self.params, self.state = key, params, state
-        self.parts = None
+        self.parts = {}
         self.grads = {}
         self.residual = None
 
@@ -87,9 +87,10 @@ class MlpTaskProblem(BdcProblem):
     reverse sweep (:func:`relu.residual_grads`): the two parts' output
     adjoints differ by ``(d, -d)``, so the difference needs no split sweep of
     either part, and it equals the oracle pairs' difference up to rounding.
-    The block solver evaluates its trial points on the block's tail and
-    leaves the kept point as it found it (see
-    :meth:`minimize_block_surrogate`).  The kept points' parameters are
+    Each loss part is formed once asked for, so a minibatch step, whose
+    descent check reads ``g`` alone, never forms ``h``.  The block solver
+    evaluates its trial points on the block's tail and leaves the kept point
+    as it found it (see :meth:`minimize_block_surrogate`).  The kept points' parameters are
     views into private read-only copies of their vectors, so the split
     weights cached on them cannot go stale.
 
@@ -160,16 +161,13 @@ class MlpTaskProblem(BdcProblem):
             self._last = point
         return point
 
-    def _split(self, theta):
-        point = self._point(theta)
-        if point.parts is None:
-            point.parts = (self._part(point, "g"), self._part(point, "h"))
-        return point.parts
-
     def _part(self, point, part):
-        """Dataset mean of one loss part at ``point``."""
-        return (relu.loss_part(point.state, self.labels, self.task.loss, part)
-                / self.n_data)
+        """Dataset mean of one loss part at ``point``, kept on the point."""
+        value = point.parts.get(part)
+        if value is None:
+            value = point.parts[part] = relu.loss_part(
+                point.state, self.labels, self.task.loss, part) / self.n_data
+        return value
 
     def _gradient_at(self, point, part, i):
         """Block ``i``'s gradient of one loss part at ``point``, kept on the
@@ -179,18 +177,21 @@ class MlpTaskProblem(BdcProblem):
             sweep = relu.block_grad_g if part == "g" else relu.block_grad_h
             pairs[i] = sweep(point.params, self.inputs, self.labels,
                              self.task.loss, i, state=point.state)
-        dW, db = pairs[i]
+        return self._mean(*pairs[i])
+
+    def _mean(self, dW, db):
+        """A block's batch-summed gradient as a flat dataset mean."""
         return np.concatenate([dW.ravel(), db]) / self.n_data
 
     def eval_f(self, theta):
-        g, h = self._split(theta)
-        return g - h
+        point = self._point(theta)
+        return self._part(point, "g") - self._part(point, "h")
 
     def eval_g(self, i, theta):
-        return self._split(theta)[0]
+        return self._part(self._point(theta), "g")
 
     def eval_h(self, i, theta):
-        return self._split(theta)[1]
+        return self._part(self._point(theta), "h")
 
     def grad_g_block(self, i, theta):
         return self._gradient_at(self._point(theta), "g", i)
@@ -206,8 +207,7 @@ class MlpTaskProblem(BdcProblem):
             point.residual = relu.residual_grads(point.params, self.inputs,
                                                  self.labels, self.task.loss,
                                                  state=point.state)
-        return [np.concatenate([dW.ravel(), db]) / self.n_data
-                for dW, db in point.residual]
+        return [self._mean(dW, db) for dW, db in point.residual]
 
     # -- inner solver ----------------------------------------------------------
     def minimize_block_surrogate(self, i, theta, u, rho, budget, tol):
@@ -238,15 +238,19 @@ class MlpTaskProblem(BdcProblem):
 
         Each iteration is one value and one gradient at one trial point,
         evaluated on the block's tail.  The memo point at ``theta`` is the
-        anchor: it gives the split state of the layers below ``i``, and it
-        serves the start itself.  A trial point gets its parameters built
-        once (:meth:`relu.MlpParams.with_block`: the frozen layers' arrays
-        and split weights are the anchor's) and one forward pass from layer
-        ``i``, which its value (the ``g`` part alone) and its gradient
-        share, with the output's ``exp`` computed once.  Between iterations
-        the solver keeps the center's vector and value and no evaluated
-        point.  No public oracle is called, so the anchor stays the memo's
-        point for the step's descent check.
+        anchor: it serves the start itself, from the memo, and it gives the
+        trial points everything but layer ``i``.  A :class:`relu.BlockTail`
+        binds that once per solve, checked once: the rows and labels, their
+        indices, the frozen layers' split weights and the anchor's pass
+        below layer ``i``.  A trial point is then one call on layer ``i``'s
+        weights: one forward pass from layer ``i``, whose output ``exp``
+        the ``g`` value and the sweep to layer ``i`` share.  It gives the
+        bits of :func:`relu.forward_split` from layer ``i``,
+        :func:`relu.loss_part` and :func:`relu.block_grad_g`, and it keeps
+        nothing.  Between iterations the solver keeps the center's vector
+        and value and no evaluated point.  No public oracle is called, so
+        the anchor stays the memo's point for the step's descent check,
+        which reads the start's ``g`` value kept on it.
         """
         theta = np.asarray(theta, dtype=float)
         anchor = self._point(theta)
@@ -254,21 +258,23 @@ class MlpTaskProblem(BdcProblem):
         x0 = theta[sl].copy()
         shape = anchor.params.layers[i][0].shape
         n_w = anchor.params.layers[i][0].size
+        tail = relu.BlockTail(anchor.params, self.inputs, self.labels,
+                              self.task.loss, i, anchor.state)
 
         def at(x):
-            x = x.copy()  # the parameters are views into it
-            x.flags.writeable = False
-            params = anchor.params.with_block(i, x[:n_w].reshape(shape), x[n_w:])
-            return _Point(None, params,
-                          relu.forward_split(params, self.inputs, i, anchor.state))
+            g, dW, db = tail(x[:n_w].reshape(shape), x[n_w:])
+            return g / self.n_data, self._mean(dW, db)
 
-        def oracle(x, point, k):
-            val = self._part(point, "g") - float(np.dot(u, x))
-            grad = self._gradient_at(point, "g", i) - u
+        def oracle(x, g, grad_g, k):
+            # ufunc reductions, not the ndarray methods: the same loops
+            # without the methods' Python wrapper (see relu's docstring)
+            val = g - float(np.dot(u, x))
+            grad = grad_g - u
             if rho:
-                val += 0.5 * rho * float(((x - x0) ** 2).sum())
-                grad = grad + rho * (x - x0)
-            if not (math.isfinite(val) and np.isfinite(grad).all()):
+                dx = x - x0
+                val += 0.5 * rho * float(np.add.reduce(dx ** 2))
+                grad = grad + rho * dx
+            if not (math.isfinite(val) and np.logical_and.reduce(np.isfinite(grad))):
                 raise InnerSolverDivergence(
                     "non-finite surrogate on block %d at bundle iteration %d: "
                     "value %r, subgradient norm %r"
@@ -276,7 +282,8 @@ class MlpTaskProblem(BdcProblem):
             return val, grad
 
         xc = x0
-        fc, grad = oracle(x0, anchor, 1)
+        fc, grad = oracle(x0, self._part(anchor, "g"),
+                          self._gradient_at(anchor, "g", i), 1)
         stop = tol * (1.0 + abs(fc))
         t = 1.0 / (1.0 + rho)
         (sa, ea), (sn, en) = (grad, 0.0), (grad, 0.0)
@@ -298,7 +305,7 @@ class MlpTaskProblem(BdcProblem):
                 break
             y = xc - t * s
             k += 1
-            fy, grad = oracle(y, at(y), k)
+            fy, grad = oracle(y, *at(y), k)
             # linearization errors are >= 0 by convexity; rounding below
             # zero reads as zero
             if fy <= fc + 0.1 * v:

@@ -30,16 +30,26 @@ other layers' arrays and split weights; :func:`forward_split` from layer
 ``l`` reuses a pass's layers below ``l``; and a :class:`SplitState` keeps
 the rowwise ``exp`` of its output that the cross-entropy value, its
 adjoint and :func:`residual_grads` share.  Each reuse gives the bits of
-the computation it replaces.
+the computation it replaces.  A :class:`BlockTail` binds what one block
+solve holds fixed and checks it once, so a trial point's ``g`` value and
+gradient are one call.  It and the public :func:`forward_split`,
+:func:`loss_part` and :func:`block_grad_g` run the same unchecked pass
+(``_pass``), value and sweep (``_sweep``).  On a trial point's few rows a
+numpy call costs more than its arithmetic, so these kernels call the
+ufunc reductions (``np.add.reduce``) that the ndarray methods (``sum``)
+wrap in Python, and reach each row's label entry by its flat index
+(``take``, ``put``) rather than by a pair of index arrays: the same loops
+and the same entries, so the same bits.
 
 Layer 0 reads the raw inputs, so its ``Z-`` is zero by construction: the
-pass keeps it as a read-only zero view (``np.broadcast_to(0.0, shape)``, no
-allocation), and no product is formed with it.  Layer 1's forward products
-(the output's, in a net with one hidden layer), block 1's weight gradient
-and :func:`residual_grads` read layer 0's ``Z+`` alone, and a sweep down to
-layer 0 forms no ``Z-`` adjoint at layer 1.  Each dropped term would add an
-exact ``+0.0`` to a BLAS product, which starts from a ``+0.0`` accumulator
-and so is never ``-0.0``: the bits are those of the full products.
+pass keeps it as a read-only zero view (zero strides over one read-only
+``0.0``, no allocation), and no product is formed with it.  Layer 1's
+forward products (the output's, in a net with one hidden layer), block 1's
+weight gradient and :func:`residual_grads` read layer 0's ``Z+`` alone, and
+a sweep down to layer 0 forms no ``Z-`` adjoint at layer 1.  Each dropped
+term would add an exact ``+0.0`` to a BLAS product, which starts from a
+``+0.0`` accumulator and so is never ``-0.0``: the bits are those of the
+full products.
 
 The stationarity vectors ``grad g - grad h`` need no split sweep: the two
 parts' output adjoints differ by ``(d, -d)``, and the split sweep keeps such
@@ -66,11 +76,16 @@ __all__ = [
     "loss_part",
     "block_grad_g",
     "block_grad_h",
+    "BlockTail",
     "residual_grads",
     "log_sum_exp",
     "save_params_csv",
     "load_params_csv",
 ]
+
+
+_ZERO = np.zeros(1)
+_ZERO.flags.writeable = False  # so is every view of it
 
 
 def _relu(x):
@@ -216,9 +231,9 @@ class SplitState:
         computed on first use and kept."""
         if self._exp is None:
             F = self.output
-            m = F.max(axis=-1, keepdims=True)
+            m = np.maximum.reduce(F, axis=-1, keepdims=True)
             E = np.exp(F - m)
-            self._exp = (m, E, E.sum(axis=-1, keepdims=True))
+            self._exp = (m, E, np.add.reduce(E, axis=-1, keepdims=True))
         return self._exp
 
 
@@ -248,18 +263,34 @@ def forward_split(params, x, start=0, lower=None):
         raise IndexError("start layer %d out of range for %d layers"
                          % (start, params.n_layers))
     X = _as_batch(x, params.input_dim)
+    if start > 0:
+        _check_lower(start, X, lower)
+    return _pass(params, X, start, lower)
+
+
+def _check_lower(start, X, lower):
+    if lower is None or lower.pre[0].shape[0] != X.shape[0]:
+        raise ValueError(
+            "a tail pass from layer %d needs the lower layers of a pass on "
+            "the same rows: x has %d rows, the lower pass %s"
+            % (start, X.shape[0], "is missing" if lower is None
+               else "has %d" % lower.pre[0].shape[0]))
+
+
+def _check_block(params, block):
+    if not 0 <= block < params.n_layers:
+        raise IndexError("block %d out of range for %d layers"
+                         % (block, params.n_layers))
+
+
+def _pass(params, X, start, lower):
+    """:func:`forward_split` without its checks: ``X`` is a float batch."""
     if start == 0:
         W0, b0 = params.layers[0]
         pre = [X @ W0.T + b0]
         z_plus = [_relu(pre[0])]
-        z_minus = [np.broadcast_to(0.0, pre[0].shape)]
+        z_minus = [np.ndarray(pre[0].shape, float, _ZERO, 0, (0, 0))]
     else:
-        if lower is None or lower.pre[0].shape[0] != X.shape[0]:
-            raise ValueError(
-                "a tail pass from layer %d needs the lower layers of a pass on "
-                "the same rows: x has %d rows, the lower pass %s"
-                % (start, X.shape[0], "is missing" if lower is None
-                   else "has %d" % lower.pre[0].shape[0]))
         pre, z_plus, z_minus = (lower.pre[:start], lower.z_plus[:start],
                                 lower.z_minus[:start])
     for l in range(max(start, 1), params.n_layers - 1):
@@ -335,23 +366,34 @@ def loss_labels(params, y, loss):
     raise ValueError("loss must be 'mse' or 'ce'")
 
 
-def loss_part(state, y, loss, part):
+def loss_part(state, y, loss, part, picks=None):
     """Batch-summed convex (``part="g"``) or concave-side (``"h"``) part of
     ``loss`` from a forward pass, without checks: ``y`` as returned by
-    :func:`loss_labels`."""
+    :func:`loss_labels`.  For ``"ce"``, ``picks`` may give the flat index
+    of each row's label entry, ``rows * C + y``, kept by a caller that
+    evaluates many passes on the same rows."""
     A, B = state.a_out, state.b_out
     if loss == "mse":
         A, B = A[:, 0], B[:, 0]
         if part == "g":
-            return float((2.0 * (A ** 2 + (B + y) ** 2)).sum())
-        return float(((A + B + y) ** 2).sum())
-    rows = np.arange(A.shape[0])
-    sum_b = B.sum(axis=1)
+            return float(np.add.reduce(2.0 * (A ** 2 + (B + y) ** 2)))
+        return float(np.add.reduce((A + B + y) ** 2))
+    if picks is None:
+        picks = _label_picks(y, A.shape[1])
+    sum_b = np.add.reduce(B, axis=1)
     if part == "g":
         m, _, s = state.exp_rows()
         lse = (m + np.log(s))[:, 0]  # log_sum_exp of the output
-        return float((lse + sum_b + B[rows, y]).sum())
-    return float((A[rows, y] + sum_b).sum())
+        return float(np.add.reduce(lse + sum_b + B.take(picks)))
+    return float(np.add.reduce(A.take(picks) + sum_b))
+
+
+def _label_picks(y, n_classes):
+    """Flat (C-order) indices of each row's label entry in an ``(N,
+    n_classes)`` output: ``B.take(picks)`` is ``B[np.arange(N), y]``, and
+    ``put`` writes those entries, whatever the array's memory order.  A
+    label outside ``[0, n_classes)`` raises ``ValueError``."""
+    return np.ravel_multi_index((np.arange(len(y)), y), (len(y), n_classes))
 
 
 def mse_bdc(params, x, y, state=None):
@@ -377,9 +419,10 @@ def ce_bdc(params, x, y, state=None):
     return loss_part(st, y, "ce", "g"), loss_part(st, y, "ce", "h")
 
 
-def _output_adjoints(state, y, loss, part):
+def _output_adjoints(state, y, loss, part, picks=None):
     """d(part)/dA and d(part)/dB per sample; both entrywise nonnegative, so
-    the chain rule below stays inside the convex subdifferential calculus."""
+    the chain rule below stays inside the convex subdifferential calculus.
+    ``picks`` as in :func:`loss_part`."""
     A, B = state.a_out, state.b_out
     N = A.shape[0]
     if loss == "mse":
@@ -389,15 +432,16 @@ def _output_adjoints(state, y, loss, part):
         s = 2.0 * (A + B + y)
         return s, s.copy()
     if loss == "ce":
-        rows = np.arange(N)
+        if picks is None:
+            picks = _label_picks(y, A.shape[1])
         if part == "g":
             _, E, s = state.exp_rows()
             S = E / s  # softmax of the output
             dB = 1.0 - S
-            dB[rows, y] += 1.0
+            dB.put(picks, dB.take(picks) + 1.0)
             return S, dB
         dA = np.zeros_like(A)
-        dA[rows, y] = 1.0
+        dA.put(picks, 1.0)
         return dA, np.ones_like(B)
     raise ValueError("loss must be 'mse' or 'ce'")
 
@@ -405,14 +449,19 @@ def _output_adjoints(state, y, loss, part):
 def _loss_block_gradient(params, x, y, loss, part, block, state):
     """One top-down reverse sweep to layer ``block``: its ``(dW, db)``,
     returned as soon as the sweep forms it."""
-    L = params.n_layers
-    if not 0 <= block < L:
-        raise IndexError("block %d out of range for %d layers" % (block, L))
+    _check_block(params, block)
     X = _as_batch(x, params.input_dim)
     if state is None:
         state = forward_split(params, X)
-    # the output pair (A, B) enters the sweep as a layer's (p, z-) pair
     dp, dzm = _output_adjoints(state, np.atleast_1d(np.asarray(y)), loss, part)
+    return _sweep(params, X, state, dp, dzm, block)
+
+
+def _sweep(params, X, state, dp, dzm, block):
+    """:func:`_loss_block_gradient`'s sweep without its checks, from the
+    output adjoints ``(dp, dzm)`` of ``state``, a pass of ``params`` on
+    ``X``; the output pair (A, B) enters it as a layer's (p, z-) pair."""
+    L = params.n_layers
     # layers top-down, output first; only layers >= block are touched
     for l in range(L - 1, 0, -1):
         if l < L - 1:  # a hidden layer's z+ = max(p, z-)
@@ -425,16 +474,17 @@ def _loss_block_gradient(params, x, y, loss, part, block, state):
             if l > 1:  # layer 1's Zm_in is layer 0's zero view
                 Gp, Gm = Gp + dzm.T @ Zm_in, dp.T @ Zm_in + Gm
             dW = _relu_deriv(W) * Gp - _relu_deriv(-W) * Gm
-            db = dp.sum(axis=0)
+            db = np.add.reduce(dp, axis=0)
             if l == L - 1:  # the output bias is split as relu(b) - relu(-b)
-                db = _relu_deriv(b) * db - _relu_deriv(-b) * dzm.sum(axis=0)
+                db = (_relu_deriv(b) * db
+                      - _relu_deriv(-b) * np.add.reduce(dzm, axis=0))
             return dW, db
         Wp, Wm = params.split(l)[:2]
         dZp = dp @ Wp + dzm @ Wm
         if l > 1:  # layer 0's z- is constant zero: its adjoint goes unread
             dZm = dp @ Wm + dzm @ Wp
     dp = _relu_deriv(state.pre[0]) * dZp
-    return dp.T @ X, dp.sum(axis=0)
+    return dp.T @ X, np.add.reduce(dp, axis=0)
 
 
 def residual_grads(params, x, y, loss, state=None):
@@ -497,6 +547,45 @@ def block_grad_h(params, x, y, loss, block, state=None):
     """Subgradient of the batch-summed concave-side part w.r.t. layer
     ``block``; ``block`` and ``state`` as in :func:`block_grad_g`."""
     return _loss_block_gradient(params, x, y, loss, "h", block, state)
+
+
+class BlockTail:
+    """The batch-summed ``g`` part and its gradient along layer ``block``,
+    as a function of that layer's ``(W, b)`` alone, every other layer held
+    at ``params``: one call per trial point of a block solve.
+
+    What stays fixed is checked and bound once, here: the rows ``x``, the
+    labels ``y`` (checked by :func:`loss_labels`) and their flat indices, the
+    split weights of the layers above ``block``, and ``lower``, a pass of
+    ``params`` on ``x`` whose layers below ``block`` every call shares (not
+    needed for block 0).  A call runs the unchecked pass, value and sweep
+    that :func:`forward_split` from layer ``block``, :func:`loss_part` and
+    :func:`block_grad_g` run, so it returns their bits, and it keeps
+    nothing.  ``W`` and ``b`` are float arrays of the layer's shapes, and
+    are not checked.
+    """
+
+    def __init__(self, params, x, y, loss, block, lower=None):
+        _check_block(params, block)
+        X = _as_batch(x, params.input_dim)
+        if block > 0:
+            _check_lower(block, X, lower)
+        y = loss_labels(params, y, loss)
+        if y.shape != (X.shape[0],):
+            raise ValueError("%d labels for %d rows" % (y.size, X.shape[0]))
+        for l in range(block + 1, params.n_layers):
+            params.split(l)  # shared by every call's parameters
+        self.params, self.X, self.y, self.loss = params, X, y, loss
+        self.block, self.lower = block, lower
+        self.picks = _label_picks(y, params.class_count) if loss == "ce" else None
+
+    def __call__(self, W, b):
+        """``(g, dW, db)`` with layer ``block`` set to ``(W, b)``."""
+        params = self.params.with_block(self.block, W, b)
+        state = _pass(params, self.X, self.block, self.lower)
+        g = loss_part(state, self.y, self.loss, "g", self.picks)
+        dp, dzm = _output_adjoints(state, self.y, self.loss, "g", self.picks)
+        return (g, *_sweep(params, self.X, state, dp, dzm, self.block))
 
 
 def save_params_csv(params, path):

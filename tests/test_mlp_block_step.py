@@ -6,13 +6,15 @@ hidden ones.  A copy is kept here as a reference: the sweep must give the
 same bits for every block.
 
 ``MlpTaskProblem.minimize_block_surrogate`` is a two-cut proximal bundle
-method whose trial points are evaluated on the block's tail.  Its reference
-is the same bundle written over the public oracles on a full ``theta``: the
-two return the same point and count, on kinks and ties included, and the
-solver makes one tail pass at each of the reference's trial points, in its
-order.  The bundle also never raises the surrogate, keeps the proximal step
-bound, holds at most two evaluated points and fails loudly on a non-finite
-value.
+method whose trial points are evaluated on the block's tail, one
+``relu.BlockTail`` call each.  That call gives the bits of
+``forward_split`` from the block, ``loss_part`` and ``block_grad_g``.  The
+solver's reference is the same bundle written over the public oracles on a
+full ``theta``: the two return the same point and count, on kinks and ties
+included, and the solver makes one tail call at each of the reference's
+trial points, in its order.  The bundle also never raises the surrogate,
+keeps the proximal step bound, holds at most two evaluated points and fails
+loudly on a non-finite value.
 
 The trial-point pass used to recompute every layer's ``relu(W)`` and
 ``relu(-W)`` and the output's ``exp`` at every use.  Copies of that forward
@@ -40,7 +42,6 @@ from hypothesis import given, settings
 from bdcopt import relu
 from bdcopt.model import InnerSolverDivergence, SampleHandle
 from bdcopt.experiments import run_relu_experiment
-from bdcopt.problems import mlp
 from bdcopt.problems.mlp import MlpTaskProblem
 from bdcopt.relu import _as_batch, _output_adjoints, _relu, _relu_deriv
 from cases import (GRID, MLP_CASES, ORACLES, assert_same, blobs, build_task,
@@ -359,42 +360,113 @@ def test_layer0_z_minus_is_a_read_only_zero_view(depth, loss, grid, seed):
         assert_same(got[l], ref, "residual block %d" % l)
 
 
+def counting_tails(monkeypatch):
+    """Log each :class:`relu.BlockTail` call as its block and the full
+    parameter vector it evaluates."""
+    calls = []
+    call = relu.BlockTail.__call__
+
+    def counting(self, W, b):
+        params = self.params.with_block(self.block, W, b)
+        calls.append((self.block, params.to_vector().tobytes()))
+        return call(self, W, b)
+
+    monkeypatch.setattr(relu.BlockTail, "__call__", counting)
+    return calls
+
+
 def test_block_solve_computes_frozen_split_weights_at_most_once(monkeypatch):
     # per block solve of a (2, 5, 4, 3) net on its 40 rows (its weight
     # shapes differ, so a spied shape names its layer): a
     # frozen layer's split weights are computed at most once, and the
-    # block's own once per trial point's tail pass (never for layer 0, whose
-    # pass reads W directly)
+    # block's own once per trial point's tail call (never for layer 0, whose
+    # pass reads W directly); the anchor is the memo's, so the solve makes
+    # no forward_split pass
     prob0 = blobs(40, 4, (2, 5, 4, 3), 5)
     theta = prob0.initial_point()
     shapes = [W.shape for W, _ in prob0.template.layers]
     out_bias = prob0.template.layers[-1][1].shape
-    pairs, passes = [], []
-    split_pair, forward = relu._split_pair, relu.forward_split
+    pairs = []
+    split_pair = relu._split_pair
 
     def spy_pair(x):
         # the output bias is split with the output layer's weights
         pairs.append(len(shapes) - 1 if x.shape == out_bias else shapes.index(x.shape))
         return split_pair(x)
 
-    def spy_forward(params, x, start=0, lower=None):
-        passes.append(start)
-        return forward(params, x, start, lower)
-
     monkeypatch.setattr(relu, "_split_pair", spy_pair)
-    monkeypatch.setattr(relu, "forward_split", spy_forward)
+    passes = counting_passes(monkeypatch)
+    calls = counting_tails(monkeypatch)
     for i in range(len(shapes)):
         prob = MlpTaskProblem(prob0.task)
         u = prob.subgrad_h_block(i, theta)
-        del pairs[:], passes[:]
+        del pairs[:], passes[:], calls[:]
         prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8)
-        assert len(passes) > 1 and set(passes) == {i}
+        assert passes == []
+        assert len(calls) > 1 and {block for block, _ in calls} == {i}
         per_layer = [pairs.count(l) for l in range(len(shapes))]
-        own = 0 if i == 0 else len(passes) * (2 if i == len(shapes) - 1 else 1)
+        own = 0 if i == 0 else len(calls) * (2 if i == len(shapes) - 1 else 1)
         assert per_layer[i] == own
         frozen = [n for l, n in enumerate(per_layer) if l != i]
         assert max(frozen) <= (2 if i < len(shapes) - 1 else 1)
         assert sum(frozen) == 0  # the anchor's full pass computed them
+
+
+def check_block_tail(task, theta, rng):
+    """Every block: a :class:`relu.BlockTail` call on the layer's own
+    weights and on grid and Gaussian draws (zeros included) gives the bits
+    of ``forward_split`` from that layer over the full pass, ``loss_part``'s
+    ``g`` and ``block_grad_g`` on the trial's ``with_block`` parameters,
+    and so does a repeat of the first call after the others: a call keeps
+    nothing."""
+    loss, X = task.loss, task.inputs
+    params = task.net.with_vector(theta.copy())
+    y = relu.loss_labels(params, task.labels, loss)
+    lower = relu.forward_split(params, X)
+    for i, (W, b) in enumerate(params.layers):
+        tail = relu.BlockTail(params, X, task.labels, loss, i, lower)
+        trials = [(W, b),
+                  (rng.choice(GRID, size=W.shape), rng.choice(GRID, size=b.shape)),
+                  (rng.standard_normal(W.shape), rng.standard_normal(b.shape))]
+        for Wt, bt in trials + trials[:1]:
+            g, dW, db = tail(Wt, bt)
+            child = params.with_block(i, Wt, bt)
+            state = relu.forward_split(child, X, i, lower)
+            assert_same(g, relu.loss_part(state, y, loss, "g"), "g, block %d" % i)
+            assert_same((dW, db), relu.block_grad_g(child, X, y, loss, i, state=state),
+                        "gradient, block %d" % i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*MLP_CASES)
+def test_block_tail_matches_the_public_pass_value_and_sweep(depth, loss, grid, seed):
+    rng = np.random.default_rng(seed)
+    task, theta = build_task(rng, depth, loss, grid)
+    check_block_tail(task, theta, rng)
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_block_tail_matches_the_public_pass_value_and_sweep_on_ties(loss):
+    task, theta = tie_case(loss)
+    check_block_tail(task, theta, np.random.default_rng(31))
+
+
+def test_block_tail_checks_what_it_binds():
+    task, _ = tie_case("ce")
+    net, x, y = task.net, task.inputs, task.labels
+    lower = relu.forward_split(net, x)
+    for block in (-1, net.n_layers):
+        with pytest.raises(IndexError):
+            relu.BlockTail(net, x, y, "ce", block, lower)
+    with pytest.raises(ValueError, match="is missing"):
+        relu.BlockTail(net, x, y, "ce", 1)
+    with pytest.raises(ValueError, match="has 6"):
+        relu.BlockTail(net, x[:5], y[:5], "ce", 2, lower)
+    with pytest.raises(ValueError, match="5 labels for 6 rows"):
+        relu.BlockTail(net, x, y[:5], "ce", 2, lower)
+    with pytest.raises(ValueError, match="loss must be"):
+        relu.BlockTail(net, x, y, "hinge", 0)
+    relu.BlockTail(net, x, y, "ce", 0)  # block 0 reads no lower pass
 
 
 def check_solver(task, theta, rng, budget=6):
@@ -462,25 +534,26 @@ def counting_passes(monkeypatch):
     return passes
 
 
-def traced_passes(passes, solve):
-    """The vectors of the forward passes ``solve()`` makes and their start
-    layers, after its result."""
-    del passes[:]
+def traced(log, solve):
+    """``solve()``'s result and the ``(layer, vector)`` entries it logs."""
+    del log[:]
     got = solve()
-    return got, [start for start, _ in passes], [vector for _, vector in passes]
+    return got, [layer for layer, _ in log], [vector for _, vector in log]
 
 
 @pytest.mark.parametrize("loss", ["mse", "ce"])
 def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
     # one minibatch solve per block, started as bdca_step starts it: no
-    # public oracle, and one pass from layer i at each trial point at which
-    # the reference, through the oracles' memo, made a full pass, in its
-    # order and with none skipped; theta and u stay as they were, and the
-    # step's descent check at theta is then a memo hit
+    # public oracle and no forward_split pass, and one tail call on block i
+    # at each trial point at which the reference, through the oracles' memo,
+    # made a full pass, in its order and with none skipped; theta and u
+    # stay as they were, and the step's descent check at theta is then a
+    # memo hit
     task, theta = tie_case(loss)
     rng = np.random.default_rng(25)
     handle = SampleHandle(key=1, indices=rng.integers(0, len(task.labels), size=3))
     passes = counting_passes(monkeypatch)
+    calls = counting_tails(monkeypatch)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the block solver called a public oracle")
@@ -488,23 +561,25 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
     for i in range(task.net.n_layers):
         ref = MlpTaskProblem(task).on(handle)
         u = ref.subgrad_h_block(i, theta)
-        want, starts, trials = traced_passes(
+        want, starts, trials = traced(
             passes, lambda: reference_minimize(ref, i, theta, u, 0.5, 6, 1e-8))
         assert set(starts) <= {0}
 
         prob = MlpTaskProblem(task).on(handle)
         prob.subgrad_h_block(i, theta)
         theta_in, u_in = theta.copy(), u.copy()
+        del passes[:]
         with monkeypatch.context() as m:
             for name in ORACLES:
                 m.setattr(prob, name, forbidden)
-            got, starts, points = traced_passes(
-                passes, lambda: prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8))
+            got, blocks, points = traced(
+                calls, lambda: prob.minimize_block_surrogate(i, theta, u, 0.5, 6, 1e-8))
+        assert passes == []
         assert_same(got[0], want[0])
         assert got[1] == want[1]
         assert_same(theta, theta_in)
         assert_same(u, u_in)
-        assert set(starts) == {i}
+        assert set(blocks) == {i}
         assert points == trials and len(points) == got[1] - 1 > 0
 
         del passes[:]
@@ -552,18 +627,19 @@ def test_solver_descends_within_the_proximal_bound_on_ties(loss):
 
 
 def test_block_solver_holds_at_most_two_evaluated_points(monkeypatch):
-    # every evaluated point is tracked by a weak reference: while a block
-    # solve runs, the memo's point at theta (the anchor) and the current
-    # trial point are the only ones alive
-    live, peak = weakref.WeakSet(), [0]
+    # every evaluated point's forward pass, tail passes included, is
+    # tracked by a weak reference: while a block solve runs, the memo's
+    # point at theta (the anchor) and the current trial point are the only
+    # ones alive
+    live, peak = weakref.WeakValueDictionary(), [0]
 
-    class Tracked(mlp._Point):
-        def __init__(self, *args):
-            super().__init__(*args)
-            live.add(self)
+    class Tracked(relu.SplitState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            live[id(self)] = self
             peak[0] = max(peak[0], len(live))
 
-    monkeypatch.setattr(mlp, "_Point", Tracked)
+    monkeypatch.setattr(relu, "SplitState", Tracked)
     prob0 = blobs(40, 4, (2, 5, 4, 3), 5)
     theta = prob0.initial_point()
     handle = SampleHandle(key=1, indices=np.arange(0, 40, 3))
@@ -579,22 +655,29 @@ def test_block_solver_holds_at_most_two_evaluated_points(monkeypatch):
     assert max(counts) == 25
 
 
-@pytest.mark.parametrize("poisoned", ["_part", "_gradient_at"])
+@pytest.mark.parametrize("poisoned", ["value", "gradient"])
 def test_non_finite_trial_point_fails_loudly(poisoned, monkeypatch):
-    # the third value (or gradient) of a block solve is NaN: the solver
-    # raises at its third iteration, naming the block and the value
+    # the third value (or gradient) of a block solve is NaN: the start's
+    # comes from the memo, so the poisoned one is the second tail call's;
+    # the solver raises at its third iteration, naming the block and the
+    # value
     prob = blobs(40, 4, (2, 5, 4, 3), 5)
     theta = prob.initial_point()
     u = prob.subgrad_h_block(1, theta)
-    honest, calls = getattr(MlpTaskProblem, poisoned), []
+    honest, calls = relu.BlockTail.__call__, []
 
-    def nan_on_third(self, *args):
-        calls.append(args)
-        out = honest(self, *args)
-        return out * np.nan if len(calls) == 3 else out
+    def nan_on_second(self, W, b):
+        calls.append(1)
+        g, dW, db = honest(self, W, b)
+        if len(calls) == 2:
+            if poisoned == "value":
+                g = g * np.nan
+            else:
+                dW = dW * np.nan
+        return g, dW, db
 
-    monkeypatch.setattr(MlpTaskProblem, poisoned, nan_on_third)
-    value = "nan" if poisoned == "_part" else r"-?\d"
+    monkeypatch.setattr(relu.BlockTail, "__call__", nan_on_second)
+    value = "nan" if poisoned == "value" else r"-?\d"
     with pytest.raises(InnerSolverDivergence,
                        match=r"block 1 at bundle iteration 3: value %s" % value):
         prob.minimize_block_surrogate(1, theta, u, 0.5, 25, 1e-8)
@@ -645,15 +728,22 @@ SOLVE = dict(task="blobs", layer_dims=(16, 8), n_classes=3, theory_preset=True,
 def test_block_solver_tail_passes_per_gradient(monkeypatch):
     # a bound on the block solver's work: one tail pass per iteration, and
     # none for the start's gradient, which is the anchor's, on the
-    # theory-preset runs below (seeds 0-2 pooled)
-    counts = {"passes": 0, "gradients": 0, "solving": False}
-    forward = relu.forward_split
+    # theory-preset runs below (seeds 0-2 pooled); a pass is a
+    # forward_split call or a BlockTail call made while a solve runs
+    counts = {"passes": 0, "tails": 0, "gradients": 0, "solving": False}
+    forward, tail = relu.forward_split, relu.BlockTail.__call__
     solve = MlpTaskProblem.minimize_block_surrogate
 
     def counting(*args, **kwargs):
         if counts["solving"]:
             counts["passes"] += 1
         return forward(*args, **kwargs)
+
+    def counting_tail(self, W, b):
+        if counts["solving"]:
+            counts["passes"] += 1
+            counts["tails"] += 1
+        return tail(self, W, b)
 
     def solving(self, *args, **kwargs):
         counts["solving"] = True
@@ -665,7 +755,8 @@ def test_block_solver_tail_passes_per_gradient(monkeypatch):
         return x, n
 
     monkeypatch.setattr(relu, "forward_split", counting)
+    monkeypatch.setattr(relu.BlockTail, "__call__", counting_tail)
     monkeypatch.setattr(MlpTaskProblem, "minimize_block_surrogate", solving)
     for seed in range(3):
         run_relu_experiment(seed=seed, **SOLVE)
-    assert counts["passes"] <= 1.0 * counts["gradients"]
+    assert 0 < counts["tails"] <= counts["passes"] <= 1.0 * counts["gradients"]

@@ -6,7 +6,8 @@ minibatches and compares every call with ``reference``, the call computed
 alone.  What stays here is the MLP's own: the tail pass from any start
 layer, the records' one reverse sweep against the generic body (``1e-12`` of
 ``|g| + |h|`` per block, ``cases.check_residual_blocks``), the block range,
-the sweeps a stochastic step makes, and the task arrays the problem reads.
+the sweeps and loss parts a stochastic step makes, and the task arrays the
+problem reads.
 """
 
 import numpy as np
@@ -195,6 +196,33 @@ def test_stochastic_step_reuses_the_noise_subgradient(monkeypatch):
     diag = log[:first_sampled]
     assert [e[0] for e in diag] == ["residual_blocks", "eval_f", "eval_g", "eval_h"]
     assert [sum(e[k] for e in diag) for k in (2, 3, 4)] == [1, 0, 1]
+
+
+def test_minibatch_step_forms_no_h_part(monkeypatch):
+    # a stochastic iteration's step reads g alone on its 4 rows: the
+    # bundle's start keeps g at theta on the memo point, the descent check
+    # reads it there and forms g once more at theta_new, and h is formed on
+    # the full data's 40 rows only (the record at theta_0, the final f);
+    # this net's first step moves (net seed 5's stops at its start)
+    prob = blobs(40, 4, (2, 5, 4, 3), 0)
+    parts, tails = [], [0]
+    loss_part, tail = relu.loss_part, relu.BlockTail.__call__
+
+    def counting(state, y, loss, part, picks=None):
+        parts.append((part, state.a_out.shape[0]))
+        return loss_part(state, y, loss, part, picks)
+
+    def counting_tail(self, W, b):
+        tails[0] += 1
+        return tail(self, W, b)
+
+    monkeypatch.setattr(relu, "loss_part", counting)
+    monkeypatch.setattr(relu.BlockTail, "__call__", counting_tail)
+    run(prob, SolverConfig(n_iters=1, rho=2.0, inner_budget=3, batch_size=4))
+    assert tails[0] > 0
+    assert parts.count(("h", 4)) == 0
+    assert parts.count(("g", 4)) == tails[0] + 2
+    assert parts.count(("h", 40)) == parts.count(("g", 40)) == 2
 
 
 def test_minibatch_block0_pair_sweeps_only_block0():

@@ -1,6 +1,7 @@
 """Whole-process checks: the import footprint, the exported names, the names
 the benchmark's tracer patches and counts, the benchmark workloads'
-correctness checks, the demo scripts, and test modules that run alone."""
+correctness checks, the demo scripts, test modules that run alone, and a
+failing hypothesis test that ends no run."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,15 @@ def test_experiments_import_loads_no_scipy(tmp_path):
                           "if m.split('.')[0] == 'scipy'))"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_experiments_import_loads_no_monomials(tmp_path):
+    # the package root re-exports nothing, so the drivers do not pay for
+    # the decompositions (and their fractions and decimal imports)
+    proc = _python(["-c", "import sys, bdcopt.experiments; "
+                          "print('bdcopt.monomials' in sys.modules)"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_problems_import_loads_no_solvers(tmp_path):
@@ -124,6 +135,33 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, "%s.__all__ names %s" % (name, missing)
+
+
+def test_failing_hypothesis_test_leaves_the_run_going(tmp_path):
+    # under the repository's ini settings, a failing @given test is one
+    # failure: reporting it imports libcst for a patch suggestion, whose
+    # DeprecationWarning from mypy_extensions must not turn into an
+    # INTERNALERROR (exit code 3) that skips every test after it
+    (tmp_path / "test_pair.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 0
+
+
+        def test_after():
+            pass
+    """))
+    proc = _python(["-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+                    "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+                    "-rA", "test_pair.py"], tmp_path)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "INTERNALERROR" not in out
+    assert "PASSED test_pair.py::test_after" in out
+    assert "1 failed, 1 passed" in out
 
 
 def test_no_test_module_imports_another():
