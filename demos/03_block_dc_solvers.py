@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from bdcopt.blocks import BlockPartition
-from bdcopt.problems import QuadraticMinusL1Problem
+from bdcopt.problems.synthetic import QuadraticMinusL1Problem
 from bdcopt.solvers import (SolverConfig, audit_step_bound, plan_rho, run,
                             smoothness_estimate, substream)
 

@@ -12,7 +12,7 @@ from bdcopt.blocks import BlockPartition
 from bdcopt.model import (AffineBdcMap, LogSumExpOracle, combine_linear,
                           combine_max, combine_min, conjugate_compose,
                           residual_upper)
-from bdcopt.problems import QuadraticDcProblem
+from bdcopt.problems.synthetic import QuadraticDcProblem
 
 rng = np.random.default_rng(7)
 part = BlockPartition([2, 3])

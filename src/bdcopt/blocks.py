@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "all_finite",
-    "as_ints",
     "at_least",
     "BlockPartition",
     "count",
@@ -50,16 +49,6 @@ def all_finite(name, data):
                          % (name, float(data[at]), at))
 
 
-def as_ints(name, values):
-    """``values`` as a tuple of ints; a fractional value raises, not truncates."""
-    ints = []
-    for v in values:
-        if v != int(v):
-            raise ValueError("%s must be integers, got %r" % (name, v))
-        ints.append(int(v))
-    return tuple(ints)
-
-
 class BlockPartition:
     """Contiguous non-overlapping partition of ``[0, d)`` into ``n`` blocks.
 
@@ -70,7 +59,9 @@ class BlockPartition:
     """
 
     def __init__(self, block_dims):
-        dims = as_ints("block dimensions", block_dims)
+        for k, d in enumerate(block_dims):
+            count("block dimensions[%d]" % k, d)
+        dims = tuple(int(d) for d in block_dims)
         if len(dims) == 0:
             raise ValueError("partition needs at least one block")
         if any(d < 1 for d in dims):

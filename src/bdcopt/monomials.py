@@ -21,7 +21,7 @@ from math import comb, factorial, gcd, lcm, prod
 
 import numpy as np
 
-from .blocks import as_ints, at_least, count, write_csv
+from .blocks import at_least, count, write_csv
 
 __all__ = [
     "Monomial",
@@ -45,7 +45,9 @@ class Monomial:
     exponents: tuple
 
     def __post_init__(self):
-        exps = as_ints("exponents", self.exponents)
+        for k, b in enumerate(self.exponents):
+            count("exponents[%d]" % k, b)
+        exps = tuple(int(b) for b in self.exponents)
         if any(b < 0 for b in exps):
             raise ValueError("exponents must be nonnegative, got %r" % (exps,))
         if not any(b > 0 for b in exps):

@@ -1,24 +1,13 @@
-"""Concrete multi-block DC problems and their synthetic data generators."""
+"""Concrete multi-block DC problems, one module each; import every name
+from the module that defines it:
 
-from .synthetic import QuadraticDcProblem, QuadraticMinusL1Problem
-from .sdl import SdlInstance, SdlProblem, gd_baseline_sdl, lq_norm, lq_subgrad, sdl_synthetic
-from .cp import CpInstance, CpProblem, cp_reconstruct
-from .mlp import MlpTask, MlpTaskProblem, gaussian_blobs, sine_regression
+- ``bdcopt.problems.sdl``: sparse dictionary learning, its inner solvers
+  and its synthetic data;
+- ``bdcopt.problems.cp``: canonical polyadic tensor factorization;
+- ``bdcopt.problems.mlp``: toy network-training tasks on the split ReLU
+  network, whose labels are checked: a label outside the loss's range
+  raises ``ValueError``;
+- ``bdcopt.problems.synthetic``: small quadratic DC problems for audits.
 
-__all__ = [
-    "QuadraticDcProblem",
-    "QuadraticMinusL1Problem",
-    "SdlInstance",
-    "SdlProblem",
-    "sdl_synthetic",
-    "gd_baseline_sdl",
-    "lq_norm",
-    "lq_subgrad",
-    "CpInstance",
-    "CpProblem",
-    "cp_reconstruct",
-    "MlpTask",
-    "MlpTaskProblem",
-    "sine_regression",
-    "gaussian_blobs",
-]
+No problem module imports ``bdcopt.solvers``.
+"""

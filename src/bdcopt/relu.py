@@ -501,7 +501,9 @@ def residual_grads(params, x, y, loss, state=None):
     z-``, ``relu'(0) = 0`` at layer 0, and input activations ``z+ - z-``;
     layer 0's ``z-`` is a read-only zero view, so layer 1 reads layer 0's
     ``z+`` directly and subtracts nothing.  ``state`` reuses a forward pass
-    of ``params`` on ``x``.
+    of ``params`` on ``x``.  The label entries are read by flat index, as
+    in :func:`loss_part`, so a cross-entropy label outside ``[0, C)``
+    raises ``ValueError``.
     """
     X = _as_batch(x, params.input_dim)
     if state is None:
@@ -513,7 +515,8 @@ def residual_grads(params, x, y, loss, state=None):
     elif loss == "ce":
         _, E, s = state.exp_rows()
         d = E / s
-        d[np.arange(F.shape[0]), y] -= 1.0
+        picks = _label_picks(y, d.shape[1])
+        d.put(picks, d.take(picks) - 1.0)
     else:
         raise ValueError("loss must be 'mse' or 'ce'")
     L = params.n_layers

@@ -27,7 +27,6 @@ __all__ = [
     "IterRecord",
     "IterTrace",
     "RhoPlan",
-    "InnerSolverDivergence",
     "substream",
     "bdca_step",
     "run",

@@ -14,8 +14,9 @@ from hypothesis.extra import numpy as hnp
 
 from bdcopt import relu
 from bdcopt.model import BdcProblem
-from bdcopt.problems import (CpInstance, MlpTask, MlpTaskProblem, SdlInstance,
-                             SdlProblem, gaussian_blobs, sdl_synthetic)
+from bdcopt.problems.cp import CpInstance
+from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
+from bdcopt.problems.sdl import SdlInstance, SdlProblem, sdl_synthetic
 
 GRID = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 ORACLES = ("eval_f", "eval_g", "eval_h", "grad_g_block", "subgrad_h_block")

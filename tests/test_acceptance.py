@@ -19,9 +19,9 @@ from bdcopt.experiments import (run_relu_experiment, run_sdl_experiment,
 from bdcopt.monomials import (Atom, AtomDecomposition, BlockDecomposition,
                               Monomial, bdc_block_decompose, dc_atom_bounds,
                               polarize, verify_identity)
-from bdcopt.problems import (MlpTask, MlpTaskProblem, QuadraticMinusL1Problem,
-                             SdlInstance, SdlProblem, gaussian_blobs,
-                             sdl_synthetic)
+from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
+from bdcopt.problems.sdl import SdlInstance, SdlProblem, sdl_synthetic
+from bdcopt.problems.synthetic import QuadraticMinusL1Problem
 from bdcopt.solvers import (SolverConfig, audit_step_bound, compute_E,
                             plan_rho, rho_from, run, substream)
 

@@ -11,8 +11,9 @@ from bdcopt.model import (AffineBdcMap, SingletonConjugate, combine_linear,
                           conjugate_compose)
 from bdcopt.monomials import (Monomial, bdc_block_decompose, polarize,
                               verify_identity)
-from bdcopt.problems import (CpInstance, QuadraticDcProblem, SdlInstance,
-                             sdl_synthetic)
+from bdcopt.problems.cp import CpInstance
+from bdcopt.problems.sdl import SdlInstance, sdl_synthetic
+from bdcopt.problems.synthetic import QuadraticDcProblem
 from bdcopt.relu import MlpParams
 from bdcopt.solvers import (SolverConfig, bdca_step, compute_E, gap_L, rho_from,
                             substream)
@@ -65,13 +66,14 @@ SMALL_RELU = dict(layer_dims=(4,), n_data=20, epochs=1)
     ("inner_budget", 2.5, lambda: run_relu_experiment(**SMALL_RELU, inner_budget=2.5)),
     ("n_iters", 2.5, lambda: SolverConfig(n_iters=2.5)),
     ("n_iters", 2.0, lambda: SolverConfig(n_iters=2.0)),
+    ("block dimensions[1]", 2.0, lambda: BlockPartition([3, 2.0])),
     ("trials", 5.0, lambda: verify_identity(polarize(Monomial((1, 1))),
                                             Monomial((1, 1)), trials=5.0)),
     ("seed", 0.5, lambda: substream(0.5, "data")),
 ], ids=["sdl_n_outer", "sdl_q", "sdl_inner_x", "relu_epochs", "tensor_rank",
         "tensor_dims", "relu_layer_dims",
         "relu_stride", "relu_inner_budget", "config_n_iters", "config_n_iters_whole",
-        "verify_trials", "substream_seed"])
+        "partition_whole", "verify_trials", "substream_seed"])
 def test_counts_must_be_integers(name, value, call):
     """Every count goes through one rule: a value that is not an integer
     raises, named, before it can fail elsewhere or be truncated."""
@@ -135,9 +137,9 @@ MALFORMED = [
     ("group_index", lambda: bdc_block_decompose(Monomial((1, 2)), [[0], [2]]),
      "group index out of range"),
     ("monomial_fraction", lambda: Monomial((1.5, 2)),
-     "exponents must be integers, got 1.5"),
+     "exponents[0] must be an integer, got 1.5"),
     ("partition_fraction", lambda: BlockPartition([2.7, 3]),
-     "block dimensions must be integers, got 2.7"),
+     "block dimensions[0] must be an integer, got 2.7"),
 ]
 
 

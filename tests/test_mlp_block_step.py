@@ -31,6 +31,11 @@ never ``-0.0``.  That argument rests on signed zeros, so the view, the
 pass, both parts' sweeps and ``residual_grads`` (against the difference
 sweep written over the reference pass) are checked on weights and inputs
 that hold both ``-0.0`` and ``+0.0``.
+
+``residual_grads`` reads each row's label entry by flat index, as the loss
+parts do: the same bits as the reference's pair-of-arrays form on valid
+labels, and a ``ValueError`` on a cross-entropy label outside ``[0, C)``,
+which a pair of index arrays would wrap (``-1`` to the last class).
 """
 
 import weakref
@@ -358,6 +363,36 @@ def test_layer0_z_minus_is_a_read_only_zero_view(depth, loss, grid, seed):
     got = relu.residual_grads(params, x, y, loss, state)
     for l, ref in enumerate(reference_residual(params, x, y, loss)):
         assert_same(got[l], ref, "residual block %d" % l)
+
+
+def check_residual_labels(task):
+    """``residual_grads`` against :func:`reference_residual`, whose label
+    read is the pair-of-arrays form, bit for bit; a cross-entropy label of
+    ``-1`` or ``C`` raises."""
+    params, x = task.net, task.inputs
+    y = relu.loss_labels(params, task.labels, task.loss)
+    state = relu.forward_split(params, x)
+    got = relu.residual_grads(params, x, y, task.loss, state)
+    for l, ref in enumerate(reference_residual(params, x, y, task.loss)):
+        assert_same(got[l], ref, "residual block %d" % l)
+    if task.loss == "ce":
+        for label in (-1, params.class_count):
+            bad = y.copy()
+            bad[-1] = label
+            with pytest.raises(ValueError):
+                relu.residual_grads(params, x, bad, "ce", state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*MLP_CASES)
+def test_residual_grads_reads_labels_by_flat_index(depth, loss, grid, seed):
+    task, _ = build_task(np.random.default_rng(seed), depth, loss, grid)
+    check_residual_labels(task)
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_residual_grads_reads_labels_by_flat_index_on_ties(loss):
+    check_residual_labels(tie_case(loss)[0])
 
 
 def counting_tails(monkeypatch):

@@ -10,7 +10,8 @@ from bdcopt.blocks import BlockPartition
 from bdcopt.model import (AffineBdcMap, BdcProblem, LogSumExpOracle,
                           SingletonConjugate, combine_linear, combine_max,
                           combine_min, conjugate_compose, residual_upper)
-from bdcopt.problems import QuadraticDcProblem, SdlInstance, SdlProblem, sdl_synthetic
+from bdcopt.problems.sdl import SdlInstance, SdlProblem, sdl_synthetic
+from bdcopt.problems.synthetic import QuadraticDcProblem
 from cases import blobs
 
 PART = BlockPartition([3, 2, 4])

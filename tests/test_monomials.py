@@ -187,7 +187,8 @@ class TestVerifyIdentity:
 @pytest.mark.parametrize("exponents, message", [
     ((2, -1), r"exponents must be nonnegative, got \(2, -1\)"),
     ((0, 0), r"at least one positive exponent, got \(0, 0\)"),
-], ids=["negative", "all_zero"])
+    ((1, 2.0), r"^exponents\[1\] must be an integer, got 2\.0$"),
+], ids=["negative", "all_zero", "whole_float"])
 def test_monomial_names_the_exponents_it_rejects(exponents, message):
     with pytest.raises(ValueError, match=message):
         Monomial(exponents)

@@ -36,8 +36,9 @@ import bdcopt
 from bdcopt.blocks import BlockPartition
 from bdcopt.model import (AffineBdcMap, BdcProblem, LogSumExpOracle, combine_linear,
                           combine_max, combine_min, conjugate_compose)
-from bdcopt.problems import (CpProblem, MlpTask, MlpTaskProblem, QuadraticDcProblem,
-                             QuadraticMinusL1Problem)
+from bdcopt.problems.cp import CpProblem
+from bdcopt.problems.mlp import MlpTask, MlpTaskProblem
+from bdcopt.problems.synthetic import QuadraticDcProblem, QuadraticMinusL1Problem
 from bdcopt.solvers import bdca_step
 from cases import (CALLS, GRID, blobs, build_instance, build_task, call,
                    check_residual_blocks, declares, leaves, replay, sdl, start,

@@ -6,13 +6,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bdcopt import relu
-from bdcopt.problems import (CpInstance, CpProblem, MlpTask, MlpTaskProblem,
-                             SdlInstance, SdlProblem, cp_reconstruct,
-                             gaussian_blobs, gd_baseline_sdl, lq_norm,
-                             lq_subgrad, sdl_synthetic)
-from bdcopt.problems.cp import (_hadamard_gram, _khatri_rao,
-                                _khatri_rao_others, _min_norm_solve, _unfold)
-from bdcopt.problems.sdl import _sq_spectral_norm
+from bdcopt.problems.cp import (CpInstance, CpProblem, _hadamard_gram,
+                                _khatri_rao, _khatri_rao_others,
+                                _min_norm_solve, _unfold, cp_reconstruct)
+from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
+from bdcopt.problems.sdl import (SdlInstance, SdlProblem, _sq_spectral_norm,
+                                 gd_baseline_sdl, lq_norm, lq_subgrad,
+                                 sdl_synthetic)
 from bdcopt.solvers import SolverConfig, bdca_step, run
 from cases import (GRID, assert_near, assert_same, blobs, build_instance,
                    codes_and_q, sdl)

@@ -47,12 +47,44 @@ def test_experiments_import_loads_no_monomials(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
+def test_experiments_import_loads_no_synthetic_problems(tmp_path):
+    # the audit problems serve tests and demos; the package bdcopt.problems
+    # imports none of its modules, so the experiments load only the ones
+    # they use
+    proc = _python(["-c", "import sys, bdcopt.experiments; "
+                          "print('bdcopt.problems.synthetic' in sys.modules)"],
+                   tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_problems_import_loads_no_solvers(tmp_path):
-    # the problem layer sits below the solver layer that calls it
-    proc = _python(["-c", "import sys, bdcopt.problems; "
+    # the problem layer sits below the solver layer that calls it; the
+    # package bdcopt.problems is empty, so each module is imported by name
+    proc = _python(["-c", "import sys, bdcopt.problems.cp, bdcopt.problems.mlp, "
+                          "bdcopt.problems.sdl, bdcopt.problems.synthetic; "
                           "print('bdcopt.solvers' in sys.modules)"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_each_public_name_has_one_home(tmp_path):
+    # no name sits in two __all__ lists, and the package bdcopt.problems
+    # defines no public name of its own (checked before any of its modules
+    # is imported, since importing one binds it on the package)
+    script = textwrap.dedent("""
+        import collections, importlib, pkgutil
+        import bdcopt, bdcopt.problems
+        print(sorted(n for n in vars(bdcopt.problems) if not n.startswith("_")))
+        homes = collections.defaultdict(list)
+        for m in pkgutil.walk_packages(bdcopt.__path__, "bdcopt."):
+            for n in getattr(importlib.import_module(m.name), "__all__", ()):
+                homes[n].append(m.name)
+        print(sorted((n, ms) for n, ms in homes.items() if len(ms) > 1))
+    """)
+    proc = _python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"], proc.stdout
 
 
 # demo 04 is left out for its run time: CI runs it as a step of its own,

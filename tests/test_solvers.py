@@ -7,15 +7,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bdcopt.blocks import BlockPartition
-from bdcopt.model import BallProductDomain, BdcProblem, SampleHandle
-from bdcopt.problems import (QuadraticDcProblem, QuadraticMinusL1Problem,
-                             SdlInstance, SdlProblem, sdl_synthetic)
-from bdcopt.problems.sdl import (inner_frank_wolfe_ball_product,
-                                 inner_prox_gradient)
-from bdcopt.solvers import (InnerSolverDivergence, SolverConfig,
-                            audit_step_bound, bdca_step, compute_E, gap_L,
-                            plan_rho, rho_from, run, smoothness_estimate,
-                            substream)
+from bdcopt.model import (BallProductDomain, BdcProblem, InnerSolverDivergence,
+                          SampleHandle)
+from bdcopt.problems.sdl import (SdlInstance, SdlProblem,
+                                 inner_frank_wolfe_ball_product,
+                                 inner_prox_gradient, sdl_synthetic)
+from bdcopt.problems.synthetic import QuadraticDcProblem, QuadraticMinusL1Problem
+from bdcopt.solvers import (SolverConfig, audit_step_bound, bdca_step,
+                            compute_E, gap_L, plan_rho, rho_from, run,
+                            smoothness_estimate, substream)
 from cases import assert_same, blobs
 
 
