@@ -213,7 +213,8 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
     negative or non-finite ``rho`` or, for ``blobs``, ``n_classes`` below 2
     raises before any solve, with or without the preset.  A non-finite gradient
     norm or smoothness ratio at a recorded point raises ``ValueError``
-    naming the iteration and the block.
+    naming the iteration, the block and the value, and for the ratio the
+    probe's ``gamma``.
     """
     for k, d in enumerate(layer_dims):
         count("layer_dims[%d]" % k, d)
@@ -241,7 +242,10 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
             if not math.isfinite(gnorm):
                 raise ValueError("non-finite gradient norm at k=%d, block %d: %r"
                                  % (k, i, gnorm))
-            lhat = smoothness_estimate(problem, theta, theta_next, i)
+            try:
+                lhat = smoothness_estimate(problem, theta, theta_next, i)
+            except ValueError as err:  # it names the block, gamma and value
+                raise ValueError("at k=%d, %s" % (k, err)) from None
             if lhat > 0 and gnorm > 0:
                 scatter.append((float(np.log(gnorm)), float(np.log(lhat)), k, i))
 

@@ -59,16 +59,14 @@ class MlpTask:
 
 class _Point:
     """One evaluated point: its parameters and split forward pass, plus each
-    loss part, each part's block gradients and the stationarity vectors once
-    asked for."""
+    loss part and each part's block gradients once asked for."""
 
-    __slots__ = ("key", "params", "state", "parts", "grads", "residual")
+    __slots__ = ("key", "params", "state", "parts", "grads")
 
     def __init__(self, key, params, state):
         self.key, self.params, self.state = key, params, state
         self.parts = {}
         self.grads = {}
-        self.residual = None
 
 
 class MlpTaskProblem(BdcProblem):
@@ -76,21 +74,23 @@ class MlpTaskProblem(BdcProblem):
     point ``theta``.
 
     The last point evaluated is kept: its split forward pass and, once asked
-    for, its loss parts, each part's block gradients and the stationarity
-    vectors.  A call at the same ``theta`` bytes reads them instead of
-    recomputing.  A minibatch is the problem on its rows,
-    ``problem.on(handle)``, with a memo of its own, so a stochastic step
-    leaves the full-data point of the records in place: there are two memo
-    points, the full data's and the current minibatch's.  A block gradient
-    sweeps only down to the block it asks for.  The stationarity vectors
-    ``grad g_i - grad h_i`` of the per-iteration records come from one plain
-    reverse sweep (:func:`relu.residual_grads`): the two parts' output
-    adjoints differ by ``(d, -d)``, so the difference needs no split sweep of
-    either part, and it equals the oracle pairs' difference up to rounding.
-    Each loss part is formed once asked for, so a minibatch step, whose
-    descent check reads ``g`` alone, never forms ``h``.  The block solver
-    evaluates its trial points on the block's tail and leaves the kept point
-    as it found it (see :meth:`minimize_block_surrogate`).  The kept points' parameters are
+    for, its loss parts and each part's block gradients.  A call at the
+    same ``theta`` bytes reads them instead of recomputing.  A minibatch is
+    the problem on its rows, ``problem.on(handle)``, with a memo of its
+    own, so a stochastic step leaves the full-data point of the records in
+    place: there are two memo points, the full data's and the current
+    minibatch's.  A block gradient sweeps only down to the block it asks
+    for.  The stationarity vectors ``grad g_i - grad h_i`` of the
+    per-iteration records come from one plain reverse sweep
+    (:func:`relu.residual_grads`) over the kept pass, run at every call and
+    not kept: in a run, each record and the final residual ask at a point
+    of their own.  The two parts' output adjoints differ by ``(d, -d)``, so
+    the difference needs no split sweep of either part, and it equals the
+    oracle pairs' difference up to rounding.  Each loss part is formed once
+    asked for, so a minibatch step, whose descent check reads ``g`` alone,
+    never forms ``h``.  The block solver evaluates its trial points on the
+    block's tail and leaves the kept point as it found it (see
+    :meth:`minimize_block_surrogate`).  The kept points' parameters are
     views into private read-only copies of their vectors, so the split
     weights cached on them cannot go stale.
 
@@ -201,13 +201,12 @@ class MlpTaskProblem(BdcProblem):
 
     def residual_blocks(self, theta):
         """Every block's ``grad g_i - grad h_i`` from one reverse sweep of
-        the difference, kept on the point; fresh arrays on every call."""
+        the difference over the point's kept pass; fresh arrays on every
+        call."""
         point = self._point(theta)
-        if point.residual is None:
-            point.residual = relu.residual_grads(point.params, self.inputs,
-                                                 self.labels, self.task.loss,
-                                                 state=point.state)
-        return [self._mean(dW, db) for dW, db in point.residual]
+        grads = relu.residual_grads(point.params, self.inputs, self.labels,
+                                    self.task.loss, point.state)
+        return [self._mean(dW, db) for dW, db in grads]
 
     # -- inner solver ----------------------------------------------------------
     def minimize_block_surrogate(self, i, theta, u, rho, budget, tol):
@@ -245,8 +244,8 @@ class MlpTaskProblem(BdcProblem):
         below layer ``i``.  A trial point is then one call on layer ``i``'s
         weights: one forward pass from layer ``i``, whose output ``exp``
         the ``g`` value and the sweep to layer ``i`` share.  It gives the
-        bits of :func:`relu.forward_split` from layer ``i``,
-        :func:`relu.loss_part` and :func:`relu.block_grad_g`, and it keeps
+        bits of :func:`relu.forward_split`, :func:`relu.loss_part` and
+        :func:`relu.block_grad_g` on the trial point, and it keeps
         nothing.  Between iterations the solver keeps the center's vector
         and value and no evaluated point.  No public oracle is called, so
         the anchor stays the memo's point for the step's descent check,

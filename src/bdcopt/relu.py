@@ -26,10 +26,11 @@ A block solve evaluates many trial points that differ in one layer only,
 so the pass pays only for what moves.  :class:`MlpParams` keeps each
 layer's split weights ``(relu(W), relu(-W))`` once computed, and
 :meth:`MlpParams.with_block` builds a trial point's parameters sharing the
-other layers' arrays and split weights; :func:`forward_split` from layer
-``l`` reuses a pass's layers below ``l``; and a :class:`SplitState` keeps
-the rowwise ``exp`` of its output that the cross-entropy value, its
-adjoint and :func:`residual_grads` share.  Each reuse gives the bits of
+other layers' arrays and split weights; a :class:`BlockTail` call on
+layer ``l`` runs the pass from layer ``l`` only, over a kept pass's
+layers below ``l``; and a :class:`SplitState` keeps the rowwise ``exp``
+of its output that the cross-entropy value, its adjoint and
+:func:`residual_grads` share.  Each reuse gives the bits of
 the computation it replaces.  A :class:`BlockTail` binds what one block
 solve holds fixed and checks it once, so a trial point's ``g`` value and
 gradient are one call.  It and the public :func:`forward_split`,
@@ -246,35 +247,14 @@ def _as_batch(x, input_dim):
     return x
 
 
-def forward_split(params, x, start=0, lower=None):
+def forward_split(params, x):
     """Run the split forward recursion; returns the full :class:`SplitState`.
 
-    ``start = l > 0`` runs only the tail from layer ``l``: the hidden layers
-    below ``l`` are taken from ``lower``, a pass on the same ``x`` of a
-    network whose layers below ``l`` equal these.  Their arrays are shared,
-    not copied, and every layer the tail computes has the full pass's bits;
-    a missing ``lower``, or one on another row count, raises ``ValueError``.
-
-    Layer 0's ``z-`` is a read-only zero view, shared by every tail pass
-    over it, and the first split layer (the output layer, in a net with one
-    hidden layer) forms only its two products with layer 0's ``z+``.
+    Layer 0's ``z-`` is a read-only zero view, and the first split layer
+    (the output layer, in a net with one hidden layer) forms only its two
+    products with layer 0's ``z+``.
     """
-    if not 0 <= start < params.n_layers:
-        raise IndexError("start layer %d out of range for %d layers"
-                         % (start, params.n_layers))
-    X = _as_batch(x, params.input_dim)
-    if start > 0:
-        _check_lower(start, X, lower)
-    return _pass(params, X, start, lower)
-
-
-def _check_lower(start, X, lower):
-    if lower is None or lower.pre[0].shape[0] != X.shape[0]:
-        raise ValueError(
-            "a tail pass from layer %d needs the lower layers of a pass on "
-            "the same rows: x has %d rows, the lower pass %s"
-            % (start, X.shape[0], "is missing" if lower is None
-               else "has %d" % lower.pre[0].shape[0]))
+    return _pass(params, _as_batch(x, params.input_dim), 0, None)
 
 
 def _check_block(params, block):
@@ -284,7 +264,11 @@ def _check_block(params, block):
 
 
 def _pass(params, X, start, lower):
-    """:func:`forward_split` without its checks: ``X`` is a float batch."""
+    """The split pass of ``params`` on ``X``, a float batch, without checks.
+    ``start = l > 0`` runs only the tail from layer ``l``: the hidden layers
+    below ``l`` are those of ``lower``, a pass on ``X`` of a network whose
+    layers below ``l`` equal these.  Their arrays are shared, not copied,
+    and every layer the tail computes has the full pass's bits."""
     if start == 0:
         W0, b0 = params.layers[0]
         pre = [X @ W0.T + b0]
@@ -487,7 +471,7 @@ def _sweep(params, X, state, dp, dzm, block):
     return dp.T @ X, np.add.reduce(dp, axis=0)
 
 
-def residual_grads(params, x, y, loss, state=None):
+def residual_grads(params, x, y, loss, state):
     """Every layer's ``(dW, db)`` of ``g - h`` from one plain reverse sweep:
     the difference of :func:`block_grad_g` and :func:`block_grad_h` up to
     rounding.
@@ -500,14 +484,13 @@ def residual_grads(params, x, y, loss, state=None):
     layers >= 1, ``[b != 0]`` on the output bias, the hidden mask ``pre >=
     z-``, ``relu'(0) = 0`` at layer 0, and input activations ``z+ - z-``;
     layer 0's ``z-`` is a read-only zero view, so layer 1 reads layer 0's
-    ``z+`` directly and subtracts nothing.  ``state`` reuses a forward pass
-    of ``params`` on ``x``.  The label entries are read by flat index, as
+    ``z+`` directly and subtracts nothing.  ``state`` is the forward pass
+    of ``params`` on ``x`` (:func:`forward_split`) that the sweep reads.
+    The label entries are read by flat index, as
     in :func:`loss_part`, so a cross-entropy label outside ``[0, C)``
     raises ``ValueError``.
     """
     X = _as_batch(x, params.input_dim)
-    if state is None:
-        state = forward_split(params, X)
     y = np.atleast_1d(np.asarray(y))
     F = state.output
     if loss == "mse":
@@ -561,9 +544,11 @@ class BlockTail:
     labels ``y`` (checked by :func:`loss_labels`) and their flat indices, the
     split weights of the layers above ``block``, and ``lower``, a pass of
     ``params`` on ``x`` whose layers below ``block`` every call shares (not
-    needed for block 0).  A call runs the unchecked pass, value and sweep
-    that :func:`forward_split` from layer ``block``, :func:`loss_part` and
-    :func:`block_grad_g` run, so it returns their bits, and it keeps
+    needed for block 0).  A call runs the unchecked pass from layer
+    ``block`` over ``lower``'s layers below it, then the value and sweep
+    that :func:`loss_part` and :func:`block_grad_g` run, so it returns the
+    bits that :func:`forward_split`, :func:`loss_part` and
+    :func:`block_grad_g` give on the trial point's parameters, and it keeps
     nothing.  ``W`` and ``b`` are float arrays of the layer's shapes, and
     are not checked.
     """
@@ -571,8 +556,12 @@ class BlockTail:
     def __init__(self, params, x, y, loss, block, lower=None):
         _check_block(params, block)
         X = _as_batch(x, params.input_dim)
-        if block > 0:
-            _check_lower(block, X, lower)
+        if block > 0 and (lower is None or lower.pre[0].shape[0] != X.shape[0]):
+            raise ValueError(
+                "a tail pass from layer %d needs the lower layers of a pass on "
+                "the same rows: x has %d rows, the lower pass %s"
+                % (block, X.shape[0], "is missing" if lower is None
+                   else "has %d" % lower.pre[0].shape[0]))
         y = loss_labels(params, y, loss)
         if y.shape != (X.shape[0],):
             raise ValueError("%d labels for %d rows" % (y.size, X.shape[0]))

@@ -187,3 +187,23 @@ def test_relu_scatter_rejects_a_non_finite_gradient_norm(monkeypatch):
     with pytest.raises(ValueError, match=r"^non-finite gradient norm at k=2, "
                                          r"block 0: nan$"):
         run_relu_experiment(stride=2, epochs=1, n_data=20, layer_dims=(4,))
+
+
+def test_relu_scatter_rejects_a_non_finite_smoothness_ratio(monkeypatch):
+    def far_run(problem, config, callback):
+        # the step recorded at k=2 scales block 0 by 1e200: squared error's
+        # output adjoint grows with the output, so the probes' gradients
+        # overflow while the gradient at theta stays finite
+        theta = problem.initial_point()
+        far = theta.copy()
+        far[problem.partition.slice_of(0)] *= 1e200
+        for k in (1, 2):
+            callback(k, theta, far, SimpleNamespace(block=0))
+        return IterTrace()
+
+    monkeypatch.setattr(experiments, "run", far_run)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=r"^at k=2, non-finite smoothness ratio for "
+                              r"block 0 at gamma=0\.25: nan$"):
+        run_relu_experiment(task="sine", stride=2, epochs=1, n_data=20,
+                            layer_dims=(4,))

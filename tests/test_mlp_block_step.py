@@ -7,9 +7,9 @@ same bits for every block.
 
 ``MlpTaskProblem.minimize_block_surrogate`` is a two-cut proximal bundle
 method whose trial points are evaluated on the block's tail, one
-``relu.BlockTail`` call each.  That call gives the bits of
-``forward_split`` from the block, ``loss_part`` and ``block_grad_g``.  The
-solver's reference is the same bundle written over the public oracles on a
+``relu.BlockTail`` call each.  That call gives the bits of the full pass
+``forward_split``, ``loss_part`` and ``block_grad_g`` on the trial point.
+The solver's reference is the same bundle written over the public oracles on a
 full ``theta``: the two return the same point and count, on kinks and ties
 included, and the solver makes one tail call at each of the reference's
 trial points, in its order.  The bundle also never raises the surrogate,
@@ -20,7 +20,8 @@ The trial-point pass used to recompute every layer's ``relu(W)`` and
 ``relu(-W)`` and the output's ``exp`` at every use.  Copies of that forward
 pass, loss part and output adjoint are kept too, and the pass that reuses
 them must give their bits on fresh parameters, on a trial point's
-``with_block`` parameters and from every start layer.
+``with_block`` parameters and, as the unchecked pass ``relu._pass`` that
+``BlockTail`` runs, from every start layer.
 
 Layer 0's ``z-`` is zero by construction, and the pass keeps it as a
 read-only zero view that no product reads: layer 1's forward products (the
@@ -229,7 +230,8 @@ def test_one_loop_sweep_matches_reference(depth, loss, grid, seed):
 def check_fast_path(task, theta, rng):
     """The pass with kept split weights and ``exp`` against the reference on
     fresh parameters and on every block's ``with_block`` child (grid values,
-    zeros included), each from every start layer: the states, both loss
+    zeros included), each from every start layer of the unchecked pass
+    (``relu._pass``, which ``BlockTail`` runs): the states, both loss
     parts and both parts' output adjoints have the reference's bits, taken
     in either order, and so do both parts' block gradients."""
     loss, X = task.loss, task.inputs
@@ -246,7 +248,7 @@ def check_fast_path(task, theta, rng):
         for start in range(params.n_layers):
             # a child's tail may start on the parent's pass up to its block
             lower = below if block is not None and start <= block else full
-            state = relu.forward_split(params, X, start, lower)
+            state = relu._pass(params, X, start, lower)
             for name in ("pre", "z_plus", "z_minus"):
                 for l, (a, b) in enumerate(zip(getattr(state, name),
                                                getattr(want, name))):
@@ -346,8 +348,8 @@ def test_layer0_z_minus_is_a_read_only_zero_view(depth, loss, grid, seed):
     assert all(s == 0 for s in zero.strides)
     assert not zero.flags.writeable
     assert zero.tobytes() == np.zeros_like(state.pre[0]).tobytes()
-    for start in range(1, params.n_layers):
-        assert relu.forward_split(params, x, start, state).z_minus[0] is zero
+    for start in range(1, params.n_layers):  # BlockTail's pass shares it
+        assert relu._pass(params, x, start, state).z_minus[0] is zero
 
     want = reference_forward(params, x)
     for name in ("pre", "z_plus", "z_minus"):
@@ -450,9 +452,9 @@ def test_block_solve_computes_frozen_split_weights_at_most_once(monkeypatch):
 def check_block_tail(task, theta, rng):
     """Every block: a :class:`relu.BlockTail` call on the layer's own
     weights and on grid and Gaussian draws (zeros included) gives the bits
-    of ``forward_split`` from that layer over the full pass, ``loss_part``'s
-    ``g`` and ``block_grad_g`` on the trial's ``with_block`` parameters,
-    and so does a repeat of the first call after the others: a call keeps
+    of the full pass ``forward_split`` from layer 0, ``loss_part``'s ``g``
+    and ``block_grad_g`` on the trial's ``with_block`` parameters, and so
+    does a repeat of the first call after the others: a call keeps
     nothing."""
     loss, X = task.loss, task.inputs
     params = task.net.with_vector(theta.copy())
@@ -466,7 +468,7 @@ def check_block_tail(task, theta, rng):
         for Wt, bt in trials + trials[:1]:
             g, dW, db = tail(Wt, bt)
             child = params.with_block(i, Wt, bt)
-            state = relu.forward_split(child, X, i, lower)
+            state = relu.forward_split(child, X)
             assert_same(g, relu.loss_part(state, y, loss, "g"), "g, block %d" % i)
             assert_same((dW, db), relu.block_grad_g(child, X, y, loss, i, state=state),
                         "gradient, block %d" % i)
@@ -493,9 +495,11 @@ def test_block_tail_checks_what_it_binds():
     for block in (-1, net.n_layers):
         with pytest.raises(IndexError):
             relu.BlockTail(net, x, y, "ce", block, lower)
-    with pytest.raises(ValueError, match="is missing"):
+    with pytest.raises(ValueError, match="layer 1 .* 6 rows, the lower pass "
+                       "is missing"):
         relu.BlockTail(net, x, y, "ce", 1)
-    with pytest.raises(ValueError, match="has 6"):
+    with pytest.raises(ValueError, match="layer 2 .* 5 rows, the lower pass "
+                       "has 6"):
         relu.BlockTail(net, x[:5], y[:5], "ce", 2, lower)
     with pytest.raises(ValueError, match="5 labels for 6 rows"):
         relu.BlockTail(net, x, y[:5], "ce", 2, lower)
@@ -558,12 +562,13 @@ def test_bundle_frees_a_block_stuck_on_a_kink():
 
 
 def counting_passes(monkeypatch):
+    """Log each full pass as its start layer, 0, and its parameter vector."""
     passes = []
     forward = relu.forward_split
 
-    def counting(params, x, start=0, lower=None):
-        passes.append((start, params.to_vector().tobytes()))
-        return forward(params, x, start, lower)
+    def counting(params, x):
+        passes.append((0, params.to_vector().tobytes()))
+        return forward(params, x)
 
     monkeypatch.setattr(relu, "forward_split", counting)
     return passes
@@ -596,9 +601,8 @@ def test_block_solve_makes_one_tail_pass_per_trial_point(loss, monkeypatch):
     for i in range(task.net.n_layers):
         ref = MlpTaskProblem(task).on(handle)
         u = ref.subgrad_h_block(i, theta)
-        want, starts, trials = traced(
+        want, _, trials = traced(
             passes, lambda: reference_minimize(ref, i, theta, u, 0.5, 6, 1e-8))
-        assert set(starts) <= {0}
 
         prob = MlpTaskProblem(task).on(handle)
         prob.subgrad_h_block(i, theta)

@@ -3,8 +3,9 @@ stationarity vectors, on hypothesis-drawn tasks and at ties and kinks.
 
 The contract suite's replay (``cases.replay``) drives the memo with four
 minibatches and compares every call with ``reference``, the call computed
-alone.  What stays here is the MLP's own: the tail pass from any start
-layer, the records' one reverse sweep against the generic body (``1e-12`` of
+alone.  What stays here is the MLP's own: the unchecked pass
+(``relu._pass``) that ``relu.BlockTail`` runs, from any start layer, the
+records' one reverse sweep against the generic body (``1e-12`` of
 ``|g| + |h|`` per block, ``cases.check_residual_blocks``), the block range,
 the sweeps and loss parts a stochastic step makes, and the task arrays the
 problem reads.
@@ -61,9 +62,9 @@ def test_memo_matches_reference(depth, loss, grid, seed):
 
 
 def check_tails(task, theta, rng):
-    """From every start layer, a tail pass over the lower layers of another
-    network with the same layers below the start gives the full pass's bits,
-    and shares those lower layers' arrays."""
+    """From every start layer, the unchecked pass over the lower layers of
+    another network with the same layers below the start gives the full
+    pass's bits, and shares those lower layers' arrays."""
     net, x = task.net, task.inputs
     lower = relu.forward_split(net, x)
     for start in range(net.n_layers):
@@ -72,7 +73,7 @@ def check_tails(task, theta, rng):
         other[above] = rng.permutation(other[above])  # same kinks and ties
         params = net.with_vector(other)
         full = relu.forward_split(params, x)
-        tail = relu.forward_split(params, x, start, lower)
+        tail = relu._pass(params, x, start, lower)
         for name in ("pre", "z_plus", "z_minus"):
             got, want = getattr(tail, name), getattr(full, name)
             assert len(got) == len(want)
@@ -101,16 +102,6 @@ def test_memo_on_ties_and_kinks(loss):
 def test_tail_pass_on_ties_and_kinks(loss):
     task, theta = tie_case(loss)
     check_tails(task, theta, np.random.default_rng(24))
-    lower = relu.forward_split(task.net, task.inputs)
-    for start in (-1, task.net.n_layers):
-        with pytest.raises(IndexError):
-            relu.forward_split(task.net, task.inputs, start, lower)
-    with pytest.raises(ValueError, match="layer 1 .* 6 rows, the lower pass "
-                       "is missing"):
-        relu.forward_split(task.net, task.inputs, 1)
-    with pytest.raises(ValueError, match="layer 2 .* 5 rows, the lower pass "
-                       "has 6"):
-        relu.forward_split(task.net, task.inputs[:5], 2, lower)
 
 
 def check_residual(task, theta, rng):
