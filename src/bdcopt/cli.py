@@ -9,10 +9,12 @@ Every flag but ``--config`` is a setting and every setting is a flag and a
 config key of the same name.  Configuration precedence is built-in defaults
 < ``--config`` file (flat ``key=value`` lines) < command-line flags.  One
 converter, ``_convert``, turns every setting's text into its value, from a
-flag and a config line alike: by the key's parser (``b``, ``widths``,
-``dims``, ``task``, ``variant``), else by the type of its default
-(a boolean word, ``int``, ``float`` or plain text); a boolean flag given
-bare reads ``true``.  ``main`` owns the run: it resolves the settings,
+flag and a config line alike, by the type of its default: a boolean word,
+an ``int``, a ``float``, comma-separated integers for a tuple, else plain
+text; a boolean flag given bare reads ``true``.  It checks no range: a
+value out of range fails in the library rule that takes it, after the
+settings resolve, except a ``group`` index, whose error names the 1-based
+text.  ``main`` owns the run: it resolves the settings,
 starts the manifest, whose ``config`` records every setting, runs the
 subcommand on the resolved config and closes the manifest, "complete" on
 exit 0, else "failed" with the error text, and with the wall time and the
@@ -142,50 +144,16 @@ _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
 
 
-def _ints(key, what, ok, syntax=None):
-    """Parser of a comma-separated list of integers that ``ok`` accepts; the
-    error names ``syntax`` (default ``what``) for text that is no such list
-    and ``what`` for a list that ``ok`` rejects."""
-    def parse(text):
-        try:
-            values = tuple(int(t) for t in text.split(","))
-        except ValueError:
-            raise ValueError("%s must be %s, got %r"
-                             % (key, syntax or what, text)) from None
-        if not ok(values):
-            raise ValueError("%s must be %s, got %r" % (key, what, text))
-        return values
-    return parse
-
-
-def _one_of(key, choices):
-    def parse(text):
-        if text not in choices:
-            raise ValueError("%s must be one of %s, got %r" % (
-                key, ", ".join(map(repr, choices)), text))
-        return text
-    return parse
-
-
-# keys whose text a parser reads, in place of the type of their default
-_PARSERS = {
-    "b": _ints("b", "comma-separated nonnegative integers, at least one "
-               "positive", lambda b: min(b) >= 0 and any(b),
-               syntax="comma-separated integers"),
-    "widths": _ints("widths", "comma-separated positive integers",
-                    lambda w: min(w) >= 1),
-    "dims": _ints("dims", "2 to 4 comma-separated positive integers",
-                  lambda d: 2 <= len(d) <= 4 and min(d) >= 1),
-    "task": _one_of("task", experiments.TASKS),
-    "variant": _one_of("variant", VARIANTS + ("both",)),
-}
-
-
 def _convert(key, text, default):
     """The value of setting ``key`` from its text, a flag's or a config
-    line's: by the key's parser, else by the type of its ``default``."""
-    if key in _PARSERS:
-        return _PARSERS[key](text)
+    line's, by the type of its ``default``; a tuple reads comma-separated
+    integers."""
+    if isinstance(default, tuple):
+        try:
+            return tuple(int(t) for t in text.split(","))
+        except ValueError:
+            raise ValueError("%s must be comma-separated integers, got %r"
+                             % (key, text)) from None
     if isinstance(default, bool):
         if text.lower() not in _BOOLEANS:
             raise ValueError("%s must be one of true/false/yes/no/1/0, got %r"
@@ -382,7 +350,7 @@ def cmd_relu(cfg, manifest):
     manifest.csv("relu_loss_seed%d.csv" % seed, ["k", "loss", "residual_upper"],
                  res.loss_rows)
     manifest.csv("relu_smoothness_seed%d.csv" % seed, ["logG", "logLhat", "t", "block"],
-                 [(a, b, int(t), int(bl)) for a, b, t, bl in res.scatter_rows])
+                 res.scatter_rows)
     if cfg["dump_trace"]:
         manifest.output("relu_trace_seed%d.csv" % seed, res.trace.write_csv)
     if cfg["save_params"]:

@@ -44,12 +44,14 @@ class SdlExperimentResult:
     sparsity: dict # variant -> (n_seeds, outer iterations + 1)
 
 
-def _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_x, inner_d, inner_tol):
+def _check_sdl_settings(m, l, n, alpha, n_outer, n_seeds, inner_x, inner_d,
+                        inner_tol):
     for name, value in (("m", m), ("l", l), ("n", n), ("n_seeds", n_seeds),
                         ("inner_x", inner_x), ("inner_d", inner_d)):
         count(name, value, 1)
     count("n_outer", n_outer, 0)
-    at_least("inner_tol", inner_tol, 0)
+    for name, value in (("alpha", alpha), ("inner_tol", inner_tol)):
+        at_least(name, value, 0)
 
 
 def _sdl_seed_data(seed, j, m, l, n, k_nonzero):
@@ -101,11 +103,12 @@ def run_sdl_experiment(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
     zeros in the code matrix (the soft-threshold step produces exact zeros).
     A non-integer count, an ``m``, ``l``, ``n``, ``n_seeds``, ``inner_x`` or
     ``inner_d`` below 1, a negative ``n_outer``, a negative or non-finite
-    ``inner_tol``,
-    ``variants`` empty or naming anything but ``"l1"`` and ``"l1_lq"``, or
-    an invalid ``q`` for the ``l1_lq`` variant raises before any run starts.
+    ``alpha`` or ``inner_tol``, ``variants`` empty or naming anything but
+    ``"l1"`` and ``"l1_lq"``, or a ``q`` that is not an integer in
+    ``[1, l]`` for the ``l1_lq`` variant raises before any data is drawn.
     """
-    _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_x, inner_d, inner_tol)
+    _check_sdl_settings(m, l, n, alpha, n_outer, n_seeds, inner_x, inner_d,
+                        inner_tol)
     if not variants or not set(variants) <= set(VARIANTS):
         raise ValueError("variants must name one or more of %s, got %r"
                          % (", ".join(map(repr, VARIANTS)), variants))
@@ -149,10 +152,13 @@ def run_sdl_gd_comparison(m=10, l=32, n=100, k_nonzero=5, alpha=0.1, q=5,
     inner iterations, the baseline spends one call per joint step.  Returns
     per-seed final objectives and the call budget.  A non-integer count, an
     ``m``, ``l``, ``n``, ``n_seeds``, ``inner_x`` or ``inner_d`` below 1, a
-    negative ``n_outer`` or a negative or non-finite ``inner_tol`` raises
-    before any run starts.
+    negative ``n_outer``, a negative or non-finite ``alpha`` or
+    ``inner_tol``, or a ``q`` that is not an integer in ``[1, l]`` (the
+    ``l1_lq`` penalty always runs) raises before any data is drawn.
     """
-    _check_sdl_settings(m, l, n, n_outer, n_seeds, inner_x, inner_d, inner_tol)
+    _check_sdl_settings(m, l, n, alpha, n_outer, n_seeds, inner_x, inner_d,
+                        inner_tol)
+    check_lq_q(q, l)
     rows = []
     for j in range(n_seeds):
         Y, D0 = _sdl_seed_data(seed, j, m, l, n, k_nonzero)
@@ -283,7 +289,8 @@ def run_tensor_experiment(dims=(4, 5, 6), rank=2, sweeps=200, seed=0, noise=0.0)
     for k, d in enumerate(dims):
         count("dims[%d]" % k, d)
     if len(dims) < 2 or len(dims) > 4 or any(d < 1 for d in dims):
-        raise ValueError("dims must be 2 to 4 positive mode sizes")
+        raise ValueError("dims must be 2 to 4 positive mode sizes, got %r"
+                         % (dims,))
     count("rank", rank, 1)
     count("sweeps", sweeps, 0)
     at_least("noise", noise, 0)

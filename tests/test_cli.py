@@ -82,11 +82,13 @@ class TestMonomialCommand:
         assert len(lines) == 8  # header + 7 atoms
 
     def test_bad_group_is_error(self, capsys, tmp_path):
+        groups = ("1|1", "1,x", "1|2|", "1|3", "0|1")
         errors = [run_failing(["monomial", "--b", "1,1", "--group", group],
-                              capsys, tmp_path)[1] for group in ("1|1", "1,x", "1|2|")]
-        assert errors[1:] == [
+                              capsys, tmp_path)[1] for group in groups]
+        assert errors == ["groups must be disjoint"] + [
             "group must be |-separated lists of 1-based indices, got %r" % group
-            for group in ("1,x", "1|2|")]
+            for group in ("1,x", "1|2|")] + [
+            "group index out of range in '3'", "group index out of range in '0'"]
 
     def test_merged_count_reported_separately(self, capsys, tmp_path):
         code, out, _ = run_cli(["monomial", "--b", "2,4",
@@ -470,19 +472,11 @@ def test_non_finite_float_setting_fails_before_any_solve(capsys, tmp_path, argv,
     assert key in error
 
 
-WIDTHS = "widths must be comma-separated positive integers, got %r"
-EXPONENTS = ("b must be comma-separated nonnegative integers, at least one "
-             "positive, got %r")
+WIDTHS = "widths must be comma-separated integers, got %r"
+# text that does not parse: (command, key, text, message)
 BAD_TEXT = [("relu", "widths", value, WIDTHS % value)
-            for value in ("16,x", "8,-3", ",", "6,,4", "16,8,")] + [
+            for value in ("16,x", ",", "6,,4", "16,8,")] + [
     ("monomial", "b", "2,x", "b must be comma-separated integers, got '2,x'"),
-    ("monomial", "b", "2,-1", EXPONENTS % "2,-1"),
-    ("monomial", "b", "0,0", EXPONENTS % "0,0"),
-    ("tensor", "dims", "4",
-     "dims must be 2 to 4 comma-separated positive integers, got '4'"),
-    ("relu", "task", "blob", "task must be one of 'blobs', 'sine', got 'blob'"),
-    ("sdl", "variant", "l2",
-     "variant must be one of 'l1', 'l1_lq', 'both', got 'l2'"),
     ("relu", "epochs", "two", "epochs must be of type int, got 'two'"),
     ("relu", "rho", "much", "rho must be of type float, got 'much'"),
     ("tensor", "rank", "2.5", "rank must be of type int, got '2.5'"),
@@ -492,15 +486,35 @@ BAD_TEXT = [("relu", "widths", value, WIDTHS % value)
     ("sdl", "compare_gd", "maybe",
      "compare_gd must be one of true/false/yes/no/1/0, got 'maybe'"),
 ]
+# text that parses to a value out of range, which the library entry that
+# takes it rejects: (command, key, text, message, value as recorded)
+OUT_OF_RANGE = [
+    ("relu", "widths", "8,-3", "layer 2 has width -3; widths must be positive",
+     [8, -3]),
+    ("monomial", "b", "2,-1", "exponents must be nonnegative, got (2, -1)", [2, -1]),
+    ("monomial", "b", "0,0",
+     "monomial needs at least one positive exponent, got (0, 0)", [0, 0]),
+    ("tensor", "dims", "4", "dims must be 2 to 4 positive mode sizes, got (4,)",
+     [4]),
+    ("relu", "task", "blob", "task must be one of 'blobs', 'sine', got 'blob'",
+     "blob"),
+    ("sdl", "variant", "l2",
+     "variants must name one or more of 'l1', 'l1_lq', got ('l2',)", "l2"),
+]
+SETTING_CASES = [(*case, None) for case in BAD_TEXT] + OUT_OF_RANGE
 
 
 @pytest.mark.parametrize("given", ["flag", "config"])
-@pytest.mark.parametrize("command, key, text, message", BAD_TEXT,
-                         ids=["%s-%s=%s" % case[:3] for case in BAD_TEXT])
+@pytest.mark.parametrize("command, key, text, message, value", SETTING_CASES,
+                         ids=["%s-%s=%s" % case[:3] for case in SETTING_CASES])
 def test_bad_setting_text_is_one_line_error(capsys, tmp_path, given, command,
-                                            key, text, message):
+                                            key, text, message, value):
     """A setting's text goes through one converter, from a flag or a config
-    line alike; a config line's error adds its path and line number."""
+    line alike.  Text that does not parse fails there: a config line's
+    error adds its path and line number, and the manifest holds the flags
+    as given.  Text that parses to a value out of range fails in the
+    library, with one message either way, before anything is solved, and
+    the manifest holds the resolved config."""
     if given == "flag":
         argv = [command, "--%s=%s" % (key.replace("_", "-"), text)]
         flags = {key: text}
@@ -509,11 +523,16 @@ def test_bad_setting_text_is_one_line_error(capsys, tmp_path, given, command,
         cfg.write_text("# comment\n%s=%s\n" % (key, text))
         argv = [command, "--config", str(cfg)]
         flags = {"config": str(cfg)}
-        message = "%s:2: %s" % (cfg, message)
-    _, error, manifest = run_failing(argv, capsys, tmp_path)
+        if value is None:
+            message = "%s:2: %s" % (cfg, message)
+    out, error, manifest = run_failing(argv, capsys, tmp_path)
+    assert out == ""
     assert error == message
-    # the settings never resolved, so the manifest holds the flags as given
-    assert manifest["config"] == dict(flags, outdir=str(tmp_path))
+    if value is None:  # the settings never resolved
+        assert manifest["config"] == dict(flags, outdir=str(tmp_path))
+    else:
+        assert manifest["config"] == dict(recorded_defaults(command),
+                                          outdir=str(tmp_path), **{key: value})
 
 
 def test_sdl_drivers_share_protocol_defaults():
@@ -532,6 +551,12 @@ def test_sdl_drivers_share_protocol_defaults():
 TABLES = {"monomial": MONOMIAL_DEFAULTS, "sdl": SDL_DEFAULTS,
           "relu": RELU_DEFAULTS, "tensor": TENSOR_DEFAULTS,
           "plan-rho": PLAN_RHO_DEFAULTS}
+
+
+def recorded_defaults(command):
+    """The defaults of ``command`` as a manifest records them."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in TABLES[command].items()}
 
 
 def test_every_flag_is_a_setting():
@@ -581,9 +606,8 @@ def test_manifest_records_every_setting(capsys, tmp_path, argv, given):
     code, _, _ = run_cli([*argv, "--outdir", str(tmp_path)], capsys)
     assert code == 0
     manifest = json.loads((tmp_path / ("%s_manifest.json" % argv[0])).read_text())
-    defaults = {key: list(value) if isinstance(value, tuple) else value
-                for key, value in TABLES[argv[0]].items()}
-    assert manifest["config"] == dict(defaults, outdir=str(tmp_path), **given)
+    assert manifest["config"] == dict(recorded_defaults(argv[0]),
+                                      outdir=str(tmp_path), **given)
     assert "seeds" not in manifest  # the config holds the seeds
 
 

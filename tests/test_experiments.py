@@ -46,6 +46,28 @@ def test_sdl_experiment_checks_q_before_any_step(monkeypatch):
     assert res.rec["l1"].shape == (1, 2) and len(steps) == 2
 
 
+@pytest.mark.parametrize("driver", [run_sdl_experiment, run_sdl_gd_comparison],
+                         ids=["sdl", "gd"])
+@pytest.mark.parametrize("setting, message", [
+    (dict(alpha=-1.0), r"^alpha must be >= 0, got -1\.0$"),
+    (dict(alpha=float("nan")), r"^alpha must be >= 0, got nan$"),
+    (dict(q=0), r"^Q must lie in \[1, l\] for the l1_lq variant, got Q=0 with l=32$")],
+    ids=["alpha_negative", "alpha_nan", "q_zero"])
+def test_sdl_drivers_check_alpha_and_q_before_drawing_data(monkeypatch, driver,
+                                                           setting, message):
+    draws = []
+    real = experiments.sdl_synthetic
+
+    def counted(*args, **kwargs):
+        draws.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sdl_synthetic", counted)
+    with pytest.raises(ValueError, match=message):
+        driver(n_outer=1, n_seeds=1, **setting)
+    assert draws == []
+
+
 def test_gd_comparison_counts_oracle_calls():
     rows = run_sdl_gd_comparison(n_outer=10, n_seeds=2, seed=1)
     assert len(rows) == 2
@@ -157,7 +179,8 @@ def test_tensor_experiment_rejects_an_overflowing_noise(monkeypatch, noise, mess
 
 
 def test_tensor_experiment_validates_dims():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dims must be 2 to 4 positive mode "
+                                         r"sizes, got \(4,\)$"):
         run_tensor_experiment(dims=(4,), rank=1)
 
 
