@@ -8,6 +8,7 @@ arrays/rows; CSV emission lives with the command-line harness.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -190,17 +191,20 @@ TASKS = ("blobs", "sine")  # the tasks run_relu_experiment trains on
 
 def _build_task(task, layer_dims, n_data, n_classes, rng_data, rng_init):
     if task == "blobs":
-        x, y = gaussian_blobs(n_data, n_classes, seed=rng_data)
+        draw = partial(gaussian_blobs, n_data, n_classes, seed=rng_data)
         dims = (2,) + tuple(layer_dims) + (n_classes,)
         loss = "ce"
     elif task == "sine":
-        x, y = sine_regression(n_data, seed=rng_data)
+        draw = partial(sine_regression, n_data, seed=rng_data)
         dims = (1,) + tuple(layer_dims) + (1,)
         loss = "mse"
     else:
         raise ValueError("task must be one of %s, got %r"
                          % (", ".join(map(repr, TASKS)), task))
+    # the net first: random_params checks every width before the data is
+    # drawn, and the two draw from substreams of their own
     net = relu.random_params(dims, rng_init)
+    x, y = draw()
     return MlpTask(inputs=x, labels=y, net=net, loss=loss)
 
 
@@ -217,7 +221,9 @@ def run_relu_experiment(task="blobs", layer_dims=(16, 8), n_data=200, n_classes=
     ``layer_dims`` entry, an ``n_data``, ``batch_size`` or ``inner_budget``
     below 1, a negative ``epochs`` or ``stride`` (0 records no estimates), a
     negative or non-finite ``rho`` or, for ``blobs``, ``n_classes`` below 2
-    raises before any solve, with or without the preset.  A non-finite gradient
+    raises before any solve, with or without the preset; so does a
+    ``layer_dims`` entry below 1, before any data is drawn
+    (:func:`relu.random_params` names the layer).  A non-finite gradient
     norm or smoothness ratio at a recorded point raises ``ValueError``
     naming the iteration, the block and the value, and for the ratio the
     probe's ``gamma``.

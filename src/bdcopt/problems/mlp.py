@@ -79,8 +79,9 @@ class MlpTaskProblem(BdcProblem):
     the problem on its rows, ``problem.on(handle)``, with a memo of its
     own, so a stochastic step leaves the full-data point of the records in
     place: there are two memo points, the full data's and the current
-    minibatch's.  A block gradient sweeps only down to the block it asks
-    for.  The stationarity vectors ``grad g_i - grad h_i`` of the
+    minibatch's.  It is sliced from rows already checked here, so it
+    checks nothing again.  A block gradient sweeps only down to the block
+    it asks for.  The stationarity vectors ``grad g_i - grad h_i`` of the
     per-iteration records come from one plain reverse sweep
     (:func:`relu.residual_grads`) over the kept pass, run at every call and
     not kept: in a run, each record and the final residual ask at a point
@@ -126,11 +127,21 @@ class MlpTaskProblem(BdcProblem):
 
     def on(self, handle):
         """The problem on the rows ``handle.indices`` (repeats kept), with
-        an empty memo of its own."""
+        an empty memo of its own.  The rows are sliced from this problem's
+        checked, read-only inputs and labels and made read-only in turn,
+        and the network template and partition are shared, so nothing is
+        checked again; an index numpy cannot take raises as numpy raises
+        it."""
         idx = list(handle.indices)
-        return MlpTaskProblem(MlpTask(inputs=self.inputs[idx],
-                                      labels=self.labels[idx],
-                                      net=self.template, loss=self.task.loss))
+        inputs, labels = self.inputs[idx], self.labels[idx]
+        inputs.flags.writeable = labels.flags.writeable = False
+        rows = object.__new__(MlpTaskProblem)
+        rows.task = MlpTask(inputs=inputs, labels=labels, net=self.template,
+                            loss=self.task.loss)
+        rows.inputs, rows.labels, rows.n_data = inputs, labels, len(labels)
+        rows.template, rows.partition = self.template, self.partition
+        rows._last = None
+        return rows
 
     def initial_point(self):
         return self.template.to_vector()
@@ -239,9 +250,10 @@ class MlpTaskProblem(BdcProblem):
         evaluated on the block's tail.  The memo point at ``theta`` is the
         anchor: it serves the start itself, from the memo, and it gives the
         trial points everything but layer ``i``.  A :class:`relu.BlockTail`
-        binds that once per solve, checked once: the rows and labels, their
-        indices, the frozen layers' split weights and the anchor's pass
-        below layer ``i``.  A trial point is then one call on layer ``i``'s
+        binds that once per solve, checked once, as plain per-layer lists:
+        the rows and labels, their indices, the layers' weights, the frozen
+        layers' split weights and the anchor's pass below layer ``i``.  A
+        trial point is then one straight-line call on layer ``i``'s
         weights: one forward pass from layer ``i``, whose output ``exp``
         the ``g`` value and the sweep to layer ``i`` share.  It gives the
         bits of :func:`relu.forward_split`, :func:`relu.loss_part` and
@@ -265,9 +277,10 @@ class MlpTaskProblem(BdcProblem):
             return g / self.n_data, self._mean(dW, db)
 
         def oracle(x, g, grad_g, k):
-            # ufunc reductions, not the ndarray methods: the same loops
-            # without the methods' Python wrapper (see relu's docstring)
-            val = g - float(np.dot(u, x))
+            # ufunc reductions, not the ndarray methods, and the ndarray
+            # dot, not np.dot: the same loops without a Python wrapper (the
+            # methods' or np.dot's dispatcher; see relu's docstring)
+            val = g - float(u.dot(x))
             grad = grad_g - u
             if rho:
                 dx = x - x0
@@ -291,15 +304,15 @@ class MlpTaskProblem(BdcProblem):
             # the two-cut dual: min over lam in [0, 1] of
             # t/2 ||lam sa + (1 - lam) sn||^2 + lam ea + (1 - lam) en
             d = sa - sn
-            dd = float(np.dot(d, d))
+            dd = float(d.dot(d))
             if dd > 0.0:
-                lam = -(t * float(np.dot(sn, d)) + ea - en) / (t * dd)
+                lam = -(t * float(sn.dot(d)) + ea - en) / (t * dd)
                 lam = min(1.0, max(0.0, lam))
             else:
                 lam = 1.0 if ea <= en else 0.0
             s = lam * sa + (1.0 - lam) * sn
             e = lam * ea + (1.0 - lam) * en
-            v = -(t * float(np.dot(s, s)) + e)
+            v = -(t * float(s.dot(s)) + e)
             if -v <= stop:
                 break
             y = xc - t * s
@@ -313,7 +326,7 @@ class MlpTaskProblem(BdcProblem):
                 xc, fc = y, fy
                 t *= 1.5
             else:
-                ey = max(0.0, fc - fy - t * float(np.dot(grad, s)))
+                ey = max(0.0, fc - fy - t * float(grad.dot(s)))
                 (sa, ea), (sn, en) = (s, e), (grad, ey)
                 if ey > -10.0 * v:
                     t = max(t / 100.0,

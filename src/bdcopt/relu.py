@@ -24,19 +24,21 @@ checks it at kinks and ties.  A block ``l``'s sweep traverses only layers
 
 A block solve evaluates many trial points that differ in one layer only,
 so the pass pays only for what moves.  :class:`MlpParams` keeps each
-layer's split weights ``(relu(W), relu(-W))`` once computed, and
-:meth:`MlpParams.with_block` builds a trial point's parameters sharing the
-other layers' arrays and split weights; a :class:`BlockTail` call on
-layer ``l`` runs the pass from layer ``l`` only, over a kept pass's
-layers below ``l``; and a :class:`SplitState` keeps the rowwise ``exp``
-of its output that the cross-entropy value, its adjoint and
-:func:`residual_grads` share.  Each reuse gives the bits of
-the computation it replaces.  A :class:`BlockTail` binds what one block
-solve holds fixed and checks it once, so a trial point's ``g`` value and
-gradient are one call.  It and the public :func:`forward_split`,
-:func:`loss_part` and :func:`block_grad_g` run the same unchecked pass
-(``_pass``), value and sweep (``_sweep``).  On a trial point's few rows a
-numpy call costs more than its arithmetic, so these kernels call the
+layer's split weights ``(relu(W), relu(-W))`` once computed; a
+:class:`SplitState` keeps the rowwise ``exp`` of its output that the
+cross-entropy value, its adjoint and :func:`residual_grads` share; and a
+:class:`BlockTail` binds, checked once, what one block solve holds fixed
+as plain per-layer lists: the weights and biases, the frozen layers' split
+weights, a kept pass's layers below the block (for block 0, layer 0's zero
+view) and the labels' flat indices.  A trial point is then one
+straight-line call on the block's ``(W, b)``: the pass from the block,
+the ``g`` value, the output adjoints and the sweep back to the block,
+with no parameter set or :class:`SplitState` built.  Each reuse gives the
+bits of the computation it replaces.  The public :func:`forward_split`,
+:func:`loss_part` and :func:`block_grad_g` run the same unchecked list
+kernels: the pass (``_forward``), the value (``_value``), the adjoints
+(``_adjoints``) and the sweep (``_sweep``).  On a trial point's few rows
+a numpy call costs more than its arithmetic, so these kernels call the
 ufunc reductions (``np.add.reduce``) that the ndarray methods (``sum``)
 wrap in Python, and reach each row's label entry by its flat index
 (``take``, ``put``) rather than by a pair of index arrays: the same loops
@@ -103,6 +105,13 @@ def _split_pair(x):
     return _relu(x), _relu(-x)
 
 
+def _split_layer(W, b, last):
+    """A layer's ``(relu(W), relu(-W))``, followed for the output layer
+    (``last``) by ``(relu(b), relu(-b))``."""
+    pairs = _split_pair(W)
+    return pairs + _split_pair(b) if last else pairs
+
+
 @dataclass
 class MlpParams:
     """Fully-connected ReLU network parameters; one block per layer.
@@ -135,23 +144,9 @@ class MlpParams:
         kept; the output layer's pair is followed by ``(relu(b), relu(-b))``."""
         pairs = self._split[l]
         if pairs is None:
-            W, b = self.layers[l]
-            pairs = _split_pair(W)
-            if l == len(self.layers) - 1:
-                pairs += _split_pair(b)
-            self._split[l] = pairs
+            pairs = self._split[l] = _split_layer(*self.layers[l],
+                                                  l == len(self.layers) - 1)
         return pairs
-
-    def with_block(self, l, W, b):
-        """These parameters with layer ``l`` replaced by ``(W, b)``, float
-        arrays of that layer's shapes.  Every other layer's arrays and split
-        weights are shared with this set, and nothing is checked again."""
-        child = object.__new__(MlpParams)
-        child.layers = list(self.layers)
-        child.layers[l] = (W, b)
-        child._split = list(self._split)
-        child._split[l] = None
-        return child
 
     @property
     def n_layers(self):
@@ -231,11 +226,15 @@ class SplitState:
         exp(F - m)`` and its row sums ``s``, each with a trailing axis;
         computed on first use and kept."""
         if self._exp is None:
-            F = self.output
-            m = np.maximum.reduce(F, axis=-1, keepdims=True)
-            E = np.exp(F - m)
-            self._exp = (m, E, np.add.reduce(E, axis=-1, keepdims=True))
+            self._exp = _exp_rows(self.output)
         return self._exp
+
+
+def _exp_rows(F):
+    """:meth:`SplitState.exp_rows` of an output ``F``, computed afresh."""
+    m = np.maximum.reduce(F, axis=-1, keepdims=True)
+    E = np.exp(F - m)
+    return m, E, np.add.reduce(E, axis=-1, keepdims=True)
 
 
 def _as_batch(x, input_dim):
@@ -269,36 +268,59 @@ def _pass(params, X, start, lower):
     below ``l`` are those of ``lower``, a pass on ``X`` of a network whose
     layers below ``l`` equal these.  Their arrays are shared, not copied,
     and every layer the tail computes has the full pass's bits."""
+    lists = _below(X, params.layers, start, lower)
+    a_out, b_out = _forward(params.layers, _splits(params, start), X, start,
+                            *lists)
+    return SplitState(*lists, a_out, b_out)
+
+
+def _below(X, layers, start, lower):
+    """The ``(pre, z_plus, z_minus)`` lists a pass on ``X`` from layer
+    ``start`` starts from: ``lower``'s layers below ``start``, shared, or
+    for ``start = 0`` only layer 0's ``z-``, a read-only zero view (zero
+    strides over ``_ZERO``)."""
     if start == 0:
-        W0, b0 = params.layers[0]
-        pre = [X @ W0.T + b0]
-        z_plus = [_relu(pre[0])]
-        z_minus = [np.ndarray(pre[0].shape, float, _ZERO, 0, (0, 0))]
-    else:
-        pre, z_plus, z_minus = (lower.pre[:start], lower.z_plus[:start],
-                                lower.z_minus[:start])
-    for l in range(max(start, 1), params.n_layers - 1):
-        Wp, Wm = params.split(l)
-        p, zm = _pair_product(l, z_plus[-1], z_minus[-1], Wp, Wm)
-        p = p + params.layers[l][1]
-        pre.append(p)
-        z_minus.append(zm)
-        z_plus.append(np.maximum(p, zm))
-    L = params.n_layers - 1
-    WLp, WLm, bLp, bLm = params.split(L)
-    a_out, b_out = _pair_product(L, z_plus[-1], z_minus[-1], WLp, WLm)
-    return SplitState(pre=pre, z_plus=z_plus, z_minus=z_minus,
-                      a_out=a_out + bLp, b_out=b_out + bLm)
+        return [], [], [np.ndarray((X.shape[0], layers[0][0].shape[0]), float,
+                                   _ZERO, 0, (0, 0))]
+    return lower.pre[:start], lower.z_plus[:start], lower.z_minus[:start]
 
 
-def _pair_product(l, zp, zm, Wp, Wm):
-    """Layer ``l``'s split products ``(zp Wp' + zm Wm', zm Wp' + zp Wm')``
+def _splits(params, start):
+    """``params``'s kept split weights as a list indexed by layer, with
+    every layer from ``max(start, 1)`` up computed."""
+    for l in range(max(start, 1), params.n_layers):
+        params.split(l)
+    return params._split
+
+
+def _forward(layers, splits, X, start, pre, z_plus, z_minus):
+    """The pass of :func:`_pass` over plain lists: the network ``layers``,
+    ``splits[l]`` as :meth:`MlpParams.split` gives it for every layer ``l
+    >= max(start, 1)``, and the per-layer lists of the hidden layers below
+    ``start``, to which it appends the rest; ``z_minus`` starts with layer
+    0's zero view.  Returns the output pair ``(a_out, b_out)``.
+
+    Layer ``l``'s split products are ``(zp Wp' + zm Wm', zm Wp' + zp Wm')``
     of its input pair; at layer 1, ``zm`` is layer 0's zero view and only
     the ``zp`` products are formed."""
-    P, M = zp @ Wp.T, zp @ Wm.T
-    if l > 1:
-        P, M = P + zm @ Wm.T, zm @ Wp.T + M
-    return P, M
+    L = len(layers) - 1  # the output layer
+    if start == 0:
+        W0, b0 = layers[0]
+        pre.append(X @ W0.T + b0)
+        z_plus.append(_relu(pre[0]))
+    zp, zm = z_plus[-1], z_minus[-1]
+    for l in range(max(start, 1), L + 1):
+        Wp, Wm = splits[l][:2]
+        P, M = zp @ Wp.T, zp @ Wm.T
+        if l > 1:
+            P, M = P + zm @ Wm.T, zm @ Wp.T + M
+        if l == L:
+            return P + splits[L][2], M + splits[L][3]
+        P = P + layers[l][1]
+        zp, zm = np.maximum(P, M), M
+        pre.append(P)
+        z_plus.append(zp)
+        z_minus.append(zm)
 
 
 def forward_standard(params, x):
@@ -356,17 +378,25 @@ def loss_part(state, y, loss, part, picks=None):
     :func:`loss_labels`.  For ``"ce"``, ``picks`` may give the flat index
     of each row's label entry, ``rows * C + y``, kept by a caller that
     evaluates many passes on the same rows."""
-    A, B = state.a_out, state.b_out
+    ce = loss != "mse"
+    if ce and picks is None:
+        picks = _label_picks(y, state.a_out.shape[1])
+    return _value(state.a_out, state.b_out, y, loss, part, picks,
+                  state.exp_rows() if ce and part == "g" else None)
+
+
+def _value(A, B, y, loss, part, picks, exp):
+    """:func:`loss_part` on the output pair ``(A, B)``, with ``"ce"``'s
+    ``picks`` given and, for its ``g`` part, ``exp``, the output's
+    :meth:`SplitState.exp_rows`."""
     if loss == "mse":
         A, B = A[:, 0], B[:, 0]
         if part == "g":
             return float(np.add.reduce(2.0 * (A ** 2 + (B + y) ** 2)))
         return float(np.add.reduce((A + B + y) ** 2))
-    if picks is None:
-        picks = _label_picks(y, A.shape[1])
     sum_b = np.add.reduce(B, axis=1)
     if part == "g":
-        m, _, s = state.exp_rows()
+        m, _, s = exp
         lse = (m + np.log(s))[:, 0]  # log_sum_exp of the output
         return float(np.add.reduce(lse + sum_b + B.take(picks)))
     return float(np.add.reduce(A.take(picks) + sum_b))
@@ -407,27 +437,36 @@ def _output_adjoints(state, y, loss, part, picks=None):
     """d(part)/dA and d(part)/dB per sample; both entrywise nonnegative, so
     the chain rule below stays inside the convex subdifferential calculus.
     ``picks`` as in :func:`loss_part`."""
-    A, B = state.a_out, state.b_out
-    N = A.shape[0]
+    A, exp = state.a_out, None
     if loss == "mse":
-        y = np.asarray(y, dtype=float).reshape(N, 1)
+        y = np.asarray(y, dtype=float).reshape(A.shape[0], 1)
+    elif loss != "ce":
+        raise ValueError("loss must be 'mse' or 'ce'")
+    else:
+        if picks is None:
+            picks = _label_picks(y, A.shape[1])
+        if part == "g":
+            exp = state.exp_rows()
+    return _adjoints(A, state.b_out, y, loss, part, picks, exp)
+
+
+def _adjoints(A, B, y, loss, part, picks, exp):
+    """:func:`_output_adjoints` on the output pair ``(A, B)``: ``"mse"``
+    reads ``y`` as a float column, ``"ce"`` reads ``picks`` and, for its
+    ``g`` part, ``exp`` as in :func:`_value`."""
+    if loss == "mse":
         if part == "g":
             return 4.0 * A, 4.0 * (B + y)
         s = 2.0 * (A + B + y)
         return s, s.copy()
-    if loss == "ce":
-        if picks is None:
-            picks = _label_picks(y, A.shape[1])
-        if part == "g":
-            _, E, s = state.exp_rows()
-            S = E / s  # softmax of the output
-            dB = 1.0 - S
-            dB.put(picks, dB.take(picks) + 1.0)
-            return S, dB
-        dA = np.zeros_like(A)
-        dA.put(picks, 1.0)
-        return dA, np.ones_like(B)
-    raise ValueError("loss must be 'mse' or 'ce'")
+    if part == "g":
+        S = exp[1] / exp[2]  # softmax of the output
+        dB = 1.0 - S
+        dB.put(picks, dB.take(picks) + 1.0)
+        return S, dB
+    dA = np.zeros_like(A)
+    dA.put(picks, 1.0)
+    return dA, np.ones_like(B)
 
 
 def _loss_block_gradient(params, x, y, loss, part, block, state):
@@ -438,37 +477,39 @@ def _loss_block_gradient(params, x, y, loss, part, block, state):
     if state is None:
         state = forward_split(params, X)
     dp, dzm = _output_adjoints(state, np.atleast_1d(np.asarray(y)), loss, part)
-    return _sweep(params, X, state, dp, dzm, block)
+    return _sweep(params.layers, _splits(params, block + 1), X, state.pre,
+                  state.z_plus, state.z_minus, dp, dzm, block)
 
 
-def _sweep(params, X, state, dp, dzm, block):
-    """:func:`_loss_block_gradient`'s sweep without its checks, from the
-    output adjoints ``(dp, dzm)`` of ``state``, a pass of ``params`` on
-    ``X``; the output pair (A, B) enters it as a layer's (p, z-) pair."""
-    L = params.n_layers
-    # layers top-down, output first; only layers >= block are touched
-    for l in range(L - 1, 0, -1):
-        if l < L - 1:  # a hidden layer's z+ = max(p, z-)
-            mask = (state.pre[l] >= state.z_minus[l]).astype(float)
-            dp, dzm = mask * dZp, dZm + (1.0 - mask) * dZp
-        if l == block:
-            W, b = params.layers[l]
-            Zp_in, Zm_in = state.z_plus[l - 1], state.z_minus[l - 1]
-            Gp, Gm = dp.T @ Zp_in, dzm.T @ Zp_in
-            if l > 1:  # layer 1's Zm_in is layer 0's zero view
-                Gp, Gm = Gp + dzm.T @ Zm_in, dp.T @ Zm_in + Gm
-            dW = _relu_deriv(W) * Gp - _relu_deriv(-W) * Gm
-            db = np.add.reduce(dp, axis=0)
-            if l == L - 1:  # the output bias is split as relu(b) - relu(-b)
-                db = (_relu_deriv(b) * db
-                      - _relu_deriv(-b) * np.add.reduce(dzm, axis=0))
-            return dW, db
-        Wp, Wm = params.split(l)[:2]
+def _sweep(layers, splits, X, pre, z_plus, z_minus, dp, dzm, block):
+    """:func:`_loss_block_gradient`'s sweep without its checks, over plain
+    lists as :func:`_forward` reads and fills them (``splits[l]`` for every
+    layer ``l > block``), from the output adjoints ``(dp, dzm)`` of that
+    pass on ``X``; the output pair (A, B) enters it as a layer's (p, z-)
+    pair."""
+    L = len(layers) - 1  # the output layer
+    # top-down: layer l's input adjoints, then layer l - 1's z+ = max(p, z-)
+    for l in range(L, block, -1):
+        Wp, Wm = splits[l][:2]
         dZp = dp @ Wp + dzm @ Wm
-        if l > 1:  # layer 0's z- is constant zero: its adjoint goes unread
-            dZm = dp @ Wm + dzm @ Wp
-    dp = _relu_deriv(state.pre[0]) * dZp
-    return dp.T @ X, np.add.reduce(dp, axis=0)
+        if l == 1:  # layer 0's z- is constant zero: its adjoint goes unread
+            dp = _relu_deriv(pre[0]) * dZp
+            return dp.T @ X, np.add.reduce(dp, axis=0)
+        dZm = dp @ Wm + dzm @ Wp
+        mask = (pre[l - 1] >= z_minus[l - 1]).astype(float)
+        dp, dzm = mask * dZp, dZm + (1.0 - mask) * dZp
+    W, b = layers[block]
+    Zp_in = z_plus[block - 1]
+    Gp, Gm = dp.T @ Zp_in, dzm.T @ Zp_in
+    if block > 1:  # layer 1's input z- is layer 0's zero view
+        Zm_in = z_minus[block - 1]
+        Gp, Gm = Gp + dzm.T @ Zm_in, dp.T @ Zm_in + Gm
+    dW = _relu_deriv(W) * Gp - _relu_deriv(-W) * Gm
+    db = np.add.reduce(dp, axis=0)
+    if block == L:  # the output bias is split as relu(b) - relu(-b)
+        db = (_relu_deriv(b) * db
+              - _relu_deriv(-b) * np.add.reduce(dzm, axis=0))
+    return dW, db
 
 
 def residual_grads(params, x, y, loss, state):
@@ -540,17 +581,21 @@ class BlockTail:
     as a function of that layer's ``(W, b)`` alone, every other layer held
     at ``params``: one call per trial point of a block solve.
 
-    What stays fixed is checked and bound once, here: the rows ``x``, the
-    labels ``y`` (checked by :func:`loss_labels`) and their flat indices, the
-    split weights of the layers above ``block``, and ``lower``, a pass of
-    ``params`` on ``x`` whose layers below ``block`` every call shares (not
-    needed for block 0).  A call runs the unchecked pass from layer
-    ``block`` over ``lower``'s layers below it, then the value and sweep
-    that :func:`loss_part` and :func:`block_grad_g` run, so it returns the
-    bits that :func:`forward_split`, :func:`loss_part` and
-    :func:`block_grad_g` give on the trial point's parameters, and it keeps
-    nothing.  ``W`` and ``b`` are float arrays of the layer's shapes, and
-    are not checked.
+    What stays fixed is checked and bound once, here, as plain per-layer
+    lists: the rows ``x``; the labels ``y`` (checked by
+    :func:`loss_labels`), as the loss's value and adjoints read them (their
+    flat indices for ``"ce"``, a float column for the ``"mse"`` adjoints);
+    every layer's weights and biases; the split weights of the layers above
+    ``block``; and the ``pre``, ``z+`` and ``z-`` of ``lower``, a pass of
+    ``params`` on ``x``, below ``block`` (for block 0, which needs no
+    ``lower``, layer 0's zero view).  A call is one straight-line function
+    of those lists: the unchecked pass from layer ``block``, the ``g``
+    value, the output adjoints and the sweep to layer ``block``, the
+    kernels that :func:`forward_split`, :func:`loss_part` and
+    :func:`block_grad_g` run, with no parameter set or
+    :class:`SplitState` built.  So it returns the bits that those three
+    give on the trial point's parameters, and it keeps nothing.  ``W`` and
+    ``b`` are float arrays of the layer's shapes, and are not checked.
     """
 
     def __init__(self, params, x, y, loss, block, lower=None):
@@ -565,19 +610,32 @@ class BlockTail:
         y = loss_labels(params, y, loss)
         if y.shape != (X.shape[0],):
             raise ValueError("%d labels for %d rows" % (y.size, X.shape[0]))
-        for l in range(block + 1, params.n_layers):
-            params.split(l)  # shared by every call's parameters
-        self.params, self.X, self.y, self.loss = params, X, y, loss
-        self.block, self.lower = block, lower
-        self.picks = _label_picks(y, params.class_count) if loss == "ce" else None
+        self.X, self.loss, self.block = X, loss, block
+        self.last = block == params.n_layers - 1
+        self.layers = list(params.layers)
+        self.splits = list(_splits(params, block + 1))
+        self.lower = _below(X, self.layers, block, lower)
+        if loss == "mse":  # the value reads y, the adjoints a float column
+            self.y, self.y_adj, self.picks = y, y.reshape(-1, 1), None
+        else:
+            self.y = self.y_adj = y
+            self.picks = _label_picks(y, params.class_count)
 
     def __call__(self, W, b):
         """``(g, dW, db)`` with layer ``block`` set to ``(W, b)``."""
-        params = self.params.with_block(self.block, W, b)
-        state = _pass(params, self.X, self.block, self.lower)
-        g = loss_part(state, self.y, self.loss, "g", self.picks)
-        dp, dzm = _output_adjoints(state, self.y, self.loss, "g", self.picks)
-        return (g, *_sweep(params, self.X, state, dp, dzm, self.block))
+        block, X, loss, picks = self.block, self.X, self.loss, self.picks
+        layers, splits = self.layers.copy(), self.splits.copy()
+        layers[block] = (W, b)
+        if block:  # layer 0's pass reads W itself
+            splits[block] = _split_layer(W, b, self.last)
+        pre, z_plus, z_minus = self.lower
+        pre, z_plus, z_minus = pre.copy(), z_plus.copy(), z_minus.copy()
+        A, B = _forward(layers, splits, X, block, pre, z_plus, z_minus)
+        exp = None if picks is None else _exp_rows(A - B)
+        g = _value(A, B, self.y, loss, "g", picks, exp)
+        dp, dzm = _adjoints(A, B, self.y_adj, loss, "g", picks, exp)
+        return (g, *_sweep(layers, splits, X, pre, z_plus, z_minus, dp, dzm,
+                           block))
 
 
 def save_params_csv(params, path):

@@ -126,6 +126,21 @@ def test_relu_experiment_rejects_unknown_task():
         run_relu_experiment(task="nope")
 
 
+@pytest.mark.parametrize("task", ["blobs", "sine"])
+def test_relu_experiment_checks_widths_before_drawing_data(monkeypatch, task):
+    # the width's index counts the input layer, as relu.random_params has it
+    draws = []
+    for name in ("gaussian_blobs", "sine_regression"):
+        def counted(*args, _real=getattr(experiments, name), **kwargs):
+            draws.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    with pytest.raises(ValueError,
+                       match="^layer 2 has width -3; widths must be positive$"):
+        run_relu_experiment(task=task, layer_dims=(8, -3))
+    assert draws == []
+
+
 def test_tensor_experiment_rows_and_noise_floor():
     rows, per_update, prob, theta = run_tensor_experiment(
         dims=(3, 4, 5), rank=2, sweeps=40, seed=4, noise=0.1)

@@ -7,8 +7,10 @@ same bits for every block.
 
 ``MlpTaskProblem.minimize_block_surrogate`` is a two-cut proximal bundle
 method whose trial points are evaluated on the block's tail, one
-``relu.BlockTail`` call each.  That call gives the bits of the full pass
-``forward_split``, ``loss_part`` and ``block_grad_g`` on the trial point.
+``relu.BlockTail`` call each.  That call runs the pass, value, output
+adjoints and sweep over the lists it bound, and gives the bits of the full
+pass ``forward_split``, ``loss_part`` and ``block_grad_g`` on the trial
+point.
 The solver's reference is the same bundle written over the public oracles on a
 full ``theta``: the two return the same point and count, on kinks and ties
 included, and the solver makes one tail call at each of the reference's
@@ -20,8 +22,8 @@ The trial-point pass used to recompute every layer's ``relu(W)`` and
 ``relu(-W)`` and the output's ``exp`` at every use.  Copies of that forward
 pass, loss part and output adjoint are kept too, and the pass that reuses
 them must give their bits on fresh parameters, on a trial point's
-``with_block`` parameters and, as the unchecked pass ``relu._pass`` that
-``BlockTail`` runs, from every start layer.
+parameters (``with_block``) and, as the unchecked pass ``relu._pass``
+(whose list pass ``BlockTail`` runs), from every start layer.
 
 Layer 0's ``z-`` is zero by construction, and the pass keeps it as a
 read-only zero view that no product reads: layer 1's forward products (the
@@ -75,6 +77,13 @@ def reference_forward(params, x):
     b_out = z_minus[-1] @ WLp.T + z_plus[-1] @ WLm.T + _relu(-bL)
     return relu.SplitState(pre=pre, z_plus=z_plus, z_minus=z_minus, a_out=a_out,
                            b_out=b_out)
+
+
+def with_block(params, l, W, b):
+    """New parameters: ``params`` with layer ``l`` set to ``(W, b)``."""
+    layers = list(params.layers)
+    layers[l] = (W, b)
+    return relu.MlpParams(layers)
 
 
 def reference_log_sum_exp(t):
@@ -231,17 +240,17 @@ def check_fast_path(task, theta, rng):
     """The pass with kept split weights and ``exp`` against the reference on
     fresh parameters and on every block's ``with_block`` child (grid values,
     zeros included), each from every start layer of the unchecked pass
-    (``relu._pass``, which ``BlockTail`` runs): the states, both loss
-    parts and both parts' output adjoints have the reference's bits, taken
-    in either order, and so do both parts' block gradients."""
+    (``relu._pass``, whose list pass ``BlockTail`` runs): the states, both
+    loss parts and both parts' output adjoints have the reference's bits,
+    taken in either order, and so do both parts' block gradients."""
     loss, X = task.loss, task.inputs
     fresh = task.net.with_vector(theta.copy())
     y = relu.loss_labels(fresh, task.labels, loss)
     below = relu.forward_split(fresh, X)
     nets = [(fresh, None)]
     for l, (W, b) in enumerate(fresh.layers):
-        nets.append((fresh.with_block(l, rng.choice(GRID, size=W.shape),
-                                      rng.choice(GRID, size=b.shape)), l))
+        nets.append((with_block(fresh, l, rng.choice(GRID, size=W.shape),
+                                rng.choice(GRID, size=b.shape)), l))
     for params, block in nets:
         want = reference_forward(params, X)
         full = relu.forward_split(params, X)
@@ -399,12 +408,13 @@ def test_residual_grads_reads_labels_by_flat_index_on_ties(loss):
 
 def counting_tails(monkeypatch):
     """Log each :class:`relu.BlockTail` call as its block and the full
-    parameter vector it evaluates."""
+    parameter vector it evaluates: the layers it bound, with the block's
+    set to the call's ``(W, b)``."""
     calls = []
     call = relu.BlockTail.__call__
 
     def counting(self, W, b):
-        params = self.params.with_block(self.block, W, b)
+        params = with_block(relu.MlpParams(self.layers), self.block, W, b)
         calls.append((self.block, params.to_vector().tobytes()))
         return call(self, W, b)
 
@@ -467,7 +477,7 @@ def check_block_tail(task, theta, rng):
                   (rng.standard_normal(W.shape), rng.standard_normal(b.shape))]
         for Wt, bt in trials + trials[:1]:
             g, dW, db = tail(Wt, bt)
-            child = params.with_block(i, Wt, bt)
+            child = with_block(params, i, Wt, bt)
             state = relu.forward_split(child, X)
             assert_same(g, relu.loss_part(state, y, loss, "g"), "g, block %d" % i)
             assert_same((dW, db), relu.block_grad_g(child, X, y, loss, i, state=state),
@@ -667,18 +677,20 @@ def test_solver_descends_within_the_proximal_bound_on_ties(loss):
 
 def test_block_solver_holds_at_most_two_evaluated_points(monkeypatch):
     # every evaluated point's forward pass, tail passes included, is
-    # tracked by a weak reference: while a block solve runs, the memo's
-    # point at theta (the anchor) and the current trial point are the only
-    # ones alive
+    # tracked by a weak reference to the output array it forms (a trial
+    # point's pass builds no SplitState): while a block solve runs, the
+    # memo's point at theta (the anchor) and the current trial point are
+    # the only ones alive
     live, peak = weakref.WeakValueDictionary(), [0]
+    forward = relu._forward
 
-    class Tracked(relu.SplitState):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            live[id(self)] = self
-            peak[0] = max(peak[0], len(live))
+    def tracked(*args):
+        a_out, b_out = forward(*args)
+        live[id(a_out)] = a_out
+        peak[0] = max(peak[0], len(live))
+        return a_out, b_out
 
-    monkeypatch.setattr(relu, "SplitState", Tracked)
+    monkeypatch.setattr(relu, "_forward", tracked)
     prob0 = blobs(40, 4, (2, 5, 4, 3), 5)
     theta = prob0.initial_point()
     handle = SampleHandle(key=1, indices=np.arange(0, 40, 3))

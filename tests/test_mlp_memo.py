@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 from bdcopt import relu
 from bdcopt.model import SampleHandle
-from bdcopt.problems.mlp import MlpTaskProblem, gaussian_blobs
+from bdcopt.problems.mlp import MlpTask, MlpTaskProblem, gaussian_blobs
 from bdcopt.solvers import SolverConfig, run
 from cases import (CALLS, MLP_CASES, ORACLES, assert_same, blobs, build_task,
                    check_residual_blocks, on, replay, tie_case)
@@ -194,20 +194,21 @@ def test_minibatch_step_forms_no_h_part(monkeypatch):
     # bundle's start keeps g at theta on the memo point, the descent check
     # reads it there and forms g once more at theta_new, and h is formed on
     # the full data's 40 rows only (the record at theta_0, the final f);
-    # this net's first step moves (net seed 5's stops at its start)
+    # this net's first step moves (net seed 5's stops at its start); a
+    # part is counted where loss_part and the tail kernel both form it
     prob = blobs(40, 4, (2, 5, 4, 3), 0)
     parts, tails = [], [0]
-    loss_part, tail = relu.loss_part, relu.BlockTail.__call__
+    value, tail = relu._value, relu.BlockTail.__call__
 
-    def counting(state, y, loss, part, picks=None):
-        parts.append((part, state.a_out.shape[0]))
-        return loss_part(state, y, loss, part, picks)
+    def counting(A, B, y, loss, part, picks, exp):
+        parts.append((part, A.shape[0]))
+        return value(A, B, y, loss, part, picks, exp)
 
     def counting_tail(self, W, b):
         tails[0] += 1
         return tail(self, W, b)
 
-    monkeypatch.setattr(relu, "loss_part", counting)
+    monkeypatch.setattr(relu, "_value", counting)
     monkeypatch.setattr(relu.BlockTail, "__call__", counting_tail)
     run(prob, SolverConfig(n_iters=1, rho=2.0, inner_budget=3, batch_size=4))
     assert tails[0] > 0
@@ -271,6 +272,42 @@ def test_task_arrays_are_read_only():
     with pytest.raises(ValueError):
         prob.task.labels[0] = 1 - prob.task.labels[0]
     assert prob.eval_f(prob.initial_point()) == before
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_minibatch_problem_is_sliced_from_checked_rows(loss, monkeypatch):
+    # on(handle) takes the handle's rows, repeats kept, of the arrays the
+    # problem checked: it checks no label again, its slices are read-only,
+    # it shares the template and partition, and an index out of range
+    # raises as numpy indexing does
+    task, theta = tie_case(loss)
+    prob = MlpTaskProblem(task)
+    n = len(task.labels)
+    checks, loss_labels = [], relu.loss_labels
+
+    def counting(*args):
+        checks.append(args)
+        return loss_labels(*args)
+
+    monkeypatch.setattr(relu, "loss_labels", counting)
+    idx = [n - 1, 0, n - 1]
+    batch = prob.on(SampleHandle(key=1, indices=np.array(idx)))
+    assert checks == []
+    assert_same(batch.inputs, prob.inputs[idx])
+    assert_same(batch.labels, prob.labels[idx])
+    assert batch.n_data == 3 and batch.task.loss == loss
+    assert batch.task.inputs is batch.inputs
+    assert batch.task.labels is batch.labels
+    assert batch.template is prob.template
+    assert batch.partition is prob.partition
+    for data in (batch.inputs, batch.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            data[0] = 0
+    assert batch.eval_f(theta) == MlpTaskProblem(MlpTask(
+        inputs=prob.inputs[idx], labels=prob.labels[idx], net=task.net,
+        loss=loss)).eval_f(theta)
+    with pytest.raises(IndexError, match="out of bounds"):
+        prob.on(SampleHandle(key=2, indices=[0, n]))
 
 
 def test_kept_point_parameters_are_read_only():

@@ -13,8 +13,8 @@ D. ``residual_blocks`` equal to the generic body: exactly, or within
 E. ``cases.replay``, bit for bit against fresh problems;
 F. with an inner solver, ``bdca_step`` at ``rho`` 0 and 0.5 does not raise
    ``f`` and leaves the other blocks' bits alone;
-G. with a sampler, the oracles of ``prob.on(handle)`` equal, to 1e-12
-   relative, those of a problem built on the handle's rows;
+G. with a sampler, the oracles of ``prob.on(handle)`` equal, bit for bit,
+   those of a problem built on the handle's rows;
 H. ``grad_g_block`` and ``subgrad_h_block`` equal central differences of
    ``eval_g`` and ``eval_h`` (step 1e-6) within ``1e-5 max(1, max|fd|)``,
    at the Gaussian points only: the start and the grid moves sit on kinks;
@@ -40,9 +40,9 @@ from bdcopt.problems.cp import CpProblem
 from bdcopt.problems.mlp import MlpTask, MlpTaskProblem
 from bdcopt.problems.synthetic import QuadraticDcProblem, QuadraticMinusL1Problem
 from bdcopt.solvers import bdca_step
-from cases import (CALLS, GRID, blobs, build_instance, build_task, call,
-                   check_residual_blocks, declares, leaves, replay, sdl, start,
-                   tie_case)
+from cases import (CALLS, GRID, assert_same, blobs, build_instance, build_task,
+                   call, check_residual_blocks, declares, leaves, replay, sdl,
+                   start, tie_case)
 
 PART = BlockPartition([3, 2, 4])
 PARTS = (("eval_g", "grad_g_block"), ("eval_h", "subgrad_h_block"))
@@ -181,7 +181,7 @@ def test_handle_equals_a_problem_on_its_rows(name):
             for i in range(prob.n_blocks):
                 got = np.hstack(leaves(call(prob.on(handle), oracle, i, theta)))
                 want = np.hstack(leaves(call(rows, oracle, i, theta)))
-                np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=oracle)
+                assert_same(got, want, oracle)
 
 
 def test_every_library_problem_has_a_fixture():
